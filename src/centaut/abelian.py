@@ -15,19 +15,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotAbelian, NotPrimePower, PrimeMismatch
-from .groups import Group
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .errors import InvalidInvariants, NotAbelian, NotPrimePower, PrimeMismatch
+from .groups import Group, prime_power
 
 
 @dataclass(frozen=True)
@@ -38,13 +27,13 @@ class AbelianInvariants:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+        if prime_power(self.prime) != (self.prime, 1):
+            raise InvalidInvariants(f"{self.prime} is not prime")
         object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
         if any(e < 1 for e in self.exponents):
-            raise ValueError(f"exponents must be >= 1, got {self.exponents}")
+            raise InvalidInvariants(f"exponents must be >= 1, got {self.exponents}")
         if list(self.exponents) != sorted(self.exponents, reverse=True):
-            raise ValueError(f"exponents must be descending, got {self.exponents}")
+            raise InvalidInvariants(f"exponents must be descending, got {self.exponents}")
 
     @property
     def rank(self) -> int:

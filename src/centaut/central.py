@@ -10,12 +10,12 @@ image array decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import abelian, structure
-from .abelian import AbelianInvariants, abelian_basis, hom_invariants
+from .abelian import abelian_basis, hom_invariants
 from .errors import (
     AbelianGroup,
     CenterNotCyclic,
@@ -51,6 +51,36 @@ def _bijective(images: np.ndarray, scratch: np.ndarray) -> bool:
     return bool(scratch.all())
 
 
+def _candidate_maps(
+    G: Group, qab: Group, proj: np.ndarray, targets: Sequence[int], hom_cap: int
+) -> Iterator[tuple[np.ndarray, bool]]:
+    """(map, bijective) for each map x -> x*f(proj[x]), f in Hom(qab, <targets>).
+
+    Maps come in iter_homomorphisms order.  The candidate count is computed
+    arithmetically and checked against hom_cap before the first map is
+    built; bijectivity is checked literally over all of G.
+    """
+    basis = abelian_basis(qab, prime=G.prime)
+    total = abelian.hom_count_by_targets(basis, G, targets)
+    if total > hom_cap:
+        raise EnumerationCapExceeded(
+            f"{total} candidate maps exceed the cap {hom_cap}"
+        )
+    idx = np.arange(G.order)
+    scratch = np.zeros(G.order, dtype=bool)
+    for f in abelian.iter_homomorphisms(basis, G, targets):
+        sigma = G.table[idx, f[proj]]
+        yield sigma, _bijective(sigma, scratch)
+
+
+def _central_maps(G: Group, hom_cap: int) -> Iterator[tuple[np.ndarray, bool]]:
+    """The candidate central maps: f ranges over Hom(G/G', Z(G))."""
+    if G.prime is None:
+        raise NotPrimePower(f"order {G.order} is not a prime power")
+    qab, proj = structure.abelianization(G)
+    return _candidate_maps(G, qab, proj, structure.center(G).elements, hom_cap)
+
+
 def central_automorphism_count(
     G: Group, hom_cap: int = DEFAULT_HOM_CAP
 ) -> CentralAutReport:
@@ -59,27 +89,12 @@ def central_automorphism_count(
     The candidate count is computed arithmetically first and checked against
     hom_cap before any enumeration happens.
     """
-    if G.prime is None:
-        raise NotPrimePower(f"order {G.order} is not a prime power")
-    n = G.order
-    z = structure.center(G)
-    qab, proj = structure.abelianization(G)
-    basis = abelian_basis(qab, prime=G.prime)
-    total = abelian.hom_count_by_targets(basis, G, z.elements)
-    if total > hom_cap:
-        raise EnumerationCapExceeded(
-            f"{total} candidate maps exceed the cap {hom_cap}"
-        )
-    idx = np.arange(n)
-    scratch = np.zeros(n, dtype=bool)
-    count = 0
-    for f in abelian.iter_homomorphisms(basis, G, z.elements):
-        sigma = G.table[idx, f[proj]]
-        if _bijective(sigma, scratch):
-            count += 1
-    comm = structure.commutator_table(G)
-    z2_size = int(z.mask[comm].all(axis=1).sum())
-    z_inn = z2_size // z.order
+    total = count = 0
+    for _, bijective in _central_maps(G, hom_cap):
+        total += 1
+        count += bijective
+    upper = structure.central_series(G, "upper")
+    z_inn = upper[2].order // upper[1].order if len(upper) > 2 else 1
     return CentralAutReport(
         hom_candidates=total,
         aut_count=count,
@@ -94,22 +109,8 @@ def is_minimal_bruteforce(G: Group, hom_cap: int = DEFAULT_HOM_CAP) -> bool:
 
 def iter_central_automorphisms(G: Group, hom_cap: int = DEFAULT_HOM_CAP):
     """Yield the bijective candidate maps as image arrays."""
-    if G.prime is None:
-        raise NotPrimePower(f"order {G.order} is not a prime power")
-    n = G.order
-    z = structure.center(G)
-    qab, proj = structure.abelianization(G)
-    basis = abelian_basis(qab, prime=G.prime)
-    total = abelian.hom_count_by_targets(basis, G, z.elements)
-    if total > hom_cap:
-        raise EnumerationCapExceeded(
-            f"{total} candidate maps exceed the cap {hom_cap}"
-        )
-    idx = np.arange(n)
-    scratch = np.zeros(n, dtype=bool)
-    for f in abelian.iter_homomorphisms(basis, G, z.elements):
-        sigma = G.table[idx, f[proj]]
-        if _bijective(sigma, scratch):
+    for sigma, bijective in _central_maps(G, hom_cap):
+        if bijective:
             yield sigma
 
 
@@ -135,22 +136,12 @@ def stability_count(
         raise NotCentral("image subgroup must be central")
     Q, proj = structure.quotient(G, X)
     qab, proj2 = structure.abelianization(Q)
-    basis = abelian_basis(qab, prime=G.prime)
-    total = abelian.hom_count_by_targets(basis, G, Y.elements)
-    if total > hom_cap:
-        raise EnumerationCapExceeded(
-            f"{total} candidate maps exceed the cap {hom_cap}"
-        )
-    comp = proj2[proj]
-    idx = np.arange(G.order)
-    scratch = np.zeros(G.order, dtype=bool)
     seen: set[bytes] = set()
-    for f in abelian.iter_homomorphisms(basis, G, Y.elements):
-        sigma = G.table[idx, f[comp]]
-        assert _bijective(sigma, scratch)
+    for sigma, bijective in _candidate_maps(G, qab, proj2[proj], Y.elements, hom_cap):
+        assert bijective
         seen.add(sigma.astype(np.int32).tobytes())
     hom_order = hom_invariants(
-        basis.invariants,
+        abelian.abelian_invariants(qab, prime=G.prime),
         abelian.abelian_invariants(Y.as_group(), prime=G.prime),
     ).order
     return len(seen), hom_order

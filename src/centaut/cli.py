@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 verification mismatch or expectation failure,
 2 usage or input errors.  Sources are "builtin:<expr>" expressions, group
-file paths, or "perm:<degree>:<cycles>" with cycle notation (CLI only;
-the library works with image arrays).
+file paths, or "perm:<degree>:<cycles>" with cycle notation.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 from .abelian import AbelianInvariants, hom_invariants
 from .central import DEFAULT_HOM_CAP
 from .criteria import theorem21_predicate
-from .errors import CentautError
+from .errors import CentautError, InvalidInvariants
 from .families import list_builtins
 from .groupio import (
     default_corpus,
@@ -26,7 +25,7 @@ from .groupio import (
     resolve_source,
     write_group,
 )
-from .groups import DEFAULT_ORDER_CAP, Group, group_from_permutations
+from .groups import DEFAULT_ORDER_CAP
 from .harness import (
     REPORT_FORMATS,
     VerificationReport,
@@ -51,46 +50,11 @@ def _env_int(name: str, fallback: int) -> int:
         raise SystemExit(2) from None
 
 
-def parse_cycles(degree: int, text: str) -> list[int]:
-    """One generator in cycle notation, e.g. "(0 1 2)(3 4)", to images."""
-    images = list(range(degree))
-    body = text.strip()
-    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", body):
-        raise CentautError(f"bad cycle notation {text!r}")
-    for cyc in re.findall(r"\(([^()]*)\)", body):
-        tokens = [t for t in re.split(r"[\s,]+", cyc.strip()) if t]
-        if not all(re.fullmatch(r"\d+", t) for t in tokens):
-            raise CentautError(f"cycle points must be integers in ({cyc})")
-        points = [int(t) for t in tokens]
-        if not points:
-            continue
-        if len(points) != len(set(points)):
-            raise CentautError(f"repeated point in cycle ({cyc})")
-        if any(not 0 <= q < degree for q in points):
-            raise CentautError(f"cycle point outside range({degree}) in ({cyc})")
-        step = list(range(degree))
-        for i, q in enumerate(points):
-            step[q] = points[(i + 1) % len(points)]
-        images = [step[x] for x in images]  # cycles apply left to right
-    return images
-
-
-def _resolve(source: str, cap: int) -> Group:
-    if source.startswith("perm:"):
-        parts = source.split(":", 2)
-        if len(parts) != 3:
-            raise CentautError("perm source must be perm:<degree>:<cycles>[;...]")
-        try:
-            degree = int(parts[1])
-        except ValueError:
-            raise CentautError(f"bad degree {parts[1]!r}") from None
-        gens = [parse_cycles(degree, g) for g in parts[2].split(";") if g.strip()]
-        return group_from_permutations(degree, gens, cap=cap)
-    return resolve_source(source, cap=cap)
-
-
 def _invariants(p: int, text: str) -> AbelianInvariants:
-    exps = [int(t) for t in re.split(r"[\s,]+", text.strip()) if t]
+    try:
+        exps = [int(t) for t in re.split(r"[\s,]+", text.strip()) if t]
+    except ValueError:
+        raise InvalidInvariants(f"invariants must be integers, got {text!r}") from None
     return AbelianInvariants(p, tuple(sorted(exps, reverse=True)))
 
 
@@ -103,13 +67,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    G = _resolve(args.source, args.cap) if args.source.startswith("perm:") else None
     rec = analyze_source(
-        args.name or args.source,
-        args.source,
-        cap=args.cap,
-        hom_cap=args.hom_cap,
-        group=G,
+        args.name or args.source, args.source, cap=args.cap, hom_cap=args.hom_cap
     )
     if args.format == "table":
         text = format_report(VerificationReport([rec]), "table")
@@ -161,7 +120,7 @@ def _cmd_predicate(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    G = _resolve(args.spec, args.cap)
+    G = resolve_source(args.spec, cap=args.cap)
     write_group(G, args.output, name=args.name)
     sys.stderr.write(f"wrote order-{G.order} group to {args.output}\n")
     return 0
@@ -207,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the corpus (or a manifest) end to end")
     p.add_argument("--manifest", help="manifest file (default: built-in corpus)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="workers, at most one per CPU")
     p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     p.add_argument("--output", "-o", help="write to a file instead of stdout")
     add_caps(p)

@@ -17,6 +17,7 @@ from .errors import (
     ClassTooSmall,
     CoclassOutOfRange,
     EmptyAlpha,
+    InvalidInvariants,
     OrderOutOfRange,
     PrimeMismatch,
 )
@@ -71,7 +72,7 @@ def theorem21_predicate(
     if alpha.rank == 0:
         raise EmptyAlpha("abelianization invariants are empty")
     if gamma1 < 1:
-        raise ValueError(f"center exponent must be >= 1, got {gamma1}")
+        raise InvalidInvariants(f"center exponent must be >= 1, got {gamma1}")
     a, b = alpha.exponents, beta.exponents
     if a == b:
         return True

@@ -64,6 +64,10 @@ class PrimeMismatch(CentautError):
     """Two invariant lists belong to different primes."""
 
 
+class InvalidInvariants(CentautError, ValueError):
+    """An invariant list, its prime or an exponent is malformed."""
+
+
 class EmptyAlpha(CentautError):
     """Abelianization invariants are empty (trivial abelianization)."""
 

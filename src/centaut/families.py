@@ -13,13 +13,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .abelian import _is_prime
 from .errors import BadParameters, ClosureExceedsCap, UnknownBuiltin
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     direct_product,
     group_from_cayley_table,
+    prime_power,
     semidirect_product,
 )
 from .structure import center, closure, quotient
@@ -33,7 +33,7 @@ def cyclic(m: int) -> Group:
 
 
 def abelian_group(p: int, exponents: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -> Group:
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise BadParameters(f"{p} is not prime")
     exps = [int(e) for e in exponents]
     if not exps or any(e < 1 for e in exps):
@@ -45,15 +45,6 @@ def abelian_group(p: int, exponents: Sequence[int], cap: int = DEFAULT_ORDER_CAP
 
 def elementary(p: int, k: int) -> Group:
     return abelian_group(p, [1] * k)
-
-
-def _power_of(n: int, p: int) -> int:
-    """log_p n, or -1 when n is not a power of p."""
-    k = 0
-    while n > 1 and n % p == 0:
-        n //= p
-        k += 1
-    return k if n == 1 else -1
 
 
 def metacyclic(m: int, s: int, t: int, w: int = 0) -> Group:
@@ -85,31 +76,31 @@ def metacyclic(m: int, s: int, t: int, w: int = 0) -> Group:
 
 def dihedral(order: int) -> Group:
     m = order // 2
-    if order < 8 or _power_of(order, 2) < 0:
+    if order < 8 or prime_power(order)[0] != 2:
         raise BadParameters(f"dihedral order must be 2^k >= 8, got {order}")
     return metacyclic(m, 2, m - 1, 0)
 
 
 def quaternion(order: int) -> Group:
     m = order // 2
-    if order < 8 or _power_of(order, 2) < 0:
+    if order < 8 or prime_power(order)[0] != 2:
         raise BadParameters(f"quaternion order must be 2^k >= 8, got {order}")
     return metacyclic(m, 2, m - 1, m // 2)
 
 
 def semidihedral(order: int) -> Group:
     m = order // 2
-    if order < 16 or _power_of(order, 2) < 0:
+    if order < 16 or prime_power(order)[0] != 2:
         raise BadParameters(f"semidihedral order must be 2^k >= 16, got {order}")
     return metacyclic(m, 2, m // 2 - 1, 0)
 
 
 def modular(p: int, order: int) -> Group:
     """M_{p^k}: cyclic C_{p^(k-1)} extended by the power-(1+p^(k-2)) map."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise BadParameters(f"{p} is not prime")
-    k = _power_of(order, p)
-    if k < 3:
+    q, k = prime_power(order)
+    if q != p or k < 3:
         raise BadParameters(f"modular order must be p^k >= p^3, got {order}")
     m = order // p
     return metacyclic(m, p, 1 + m // p, 0)
@@ -117,7 +108,7 @@ def modular(p: int, order: int) -> Group:
 
 def heisenberg(p: int, k: int = 1) -> Group:
     """Upper unitriangular 3x3 matrices over Z/p^k; order p^(3k), class 2."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise BadParameters(f"{p} is not prime")
     if k < 1:
         raise BadParameters(f"need k >= 1, got {k}")
@@ -135,7 +126,7 @@ def heisenberg(p: int, k: int = 1) -> Group:
 
 def unitriangular4(p: int) -> Group:
     """Upper unitriangular 4x4 matrices over Z/p; order p^6, class 3."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise BadParameters(f"{p} is not prime")
     n = p**6
     digits = np.stack(
@@ -159,7 +150,7 @@ def central_product(A: Group, B: Group) -> Group:
     """Glue A and B along their centers, both of which must be order p."""
     za = center(A)
     zb = center(B)
-    if za.order != zb.order or not _is_prime(za.order):
+    if za.order != zb.order or prime_power(za.order) != (za.order, 1):
         raise BadParameters(
             f"central product needs matching prime-order centers, "
             f"got {za.order} and {zb.order}"
@@ -176,12 +167,12 @@ def extraspecial(p: int, order: int, sign: str = "+") -> Group:
     "+" is the central product of r copies of the basic class-2 group
     (exponent p for odd p); "-" swaps one factor for the other basic type.
     """
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise BadParameters(f"{p} is not prime")
     if sign not in ("+", "-"):
         raise BadParameters(f"sign must be '+' or '-', got {sign!r}")
-    k = _power_of(order, p)
-    if k < 3 or k % 2 == 0:
+    q, k = prime_power(order)
+    if q != p or k < 3 or k % 2 == 0:
         raise BadParameters(f"order must be p^(2r+1) >= p^3, got {order}")
     r = (k - 1) // 2
     if p == 2:
@@ -197,7 +188,7 @@ def extraspecial(p: int, order: int, sign: str = "+") -> Group:
 
 def cyclic_wreath(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """C_p wr C_m: the cyclic shift acting on m coordinates mod p."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise BadParameters(f"{p} is not prime")
     if m < 1:
         raise BadParameters(f"need m >= 1, got {m}")

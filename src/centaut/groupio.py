@@ -9,11 +9,12 @@ group, a source expression, and an optional expected decision.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ParseError
+from .errors import CentautError, ParseError
 from .families import parse_group_spec
 from .groups import DEFAULT_ORDER_CAP, Group, group_from_cayley_table, group_from_permutations
 
@@ -167,10 +168,44 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
     )
 
 
+def parse_cycles(degree: int, text: str) -> list[int]:
+    """One generator in cycle notation, e.g. "(0 1 2)(3 4)", to images."""
+    images = list(range(degree))
+    body = text.strip()
+    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", body):
+        raise CentautError(f"bad cycle notation {text!r}")
+    for cyc in re.findall(r"\(([^()]*)\)", body):
+        tokens = [t for t in re.split(r"[\s,]+", cyc.strip()) if t]
+        if not all(re.fullmatch(r"\d+", t) for t in tokens):
+            raise CentautError(f"cycle points must be integers in ({cyc})")
+        points = [int(t) for t in tokens]
+        if not points:
+            continue
+        if len(points) != len(set(points)):
+            raise CentautError(f"repeated point in cycle ({cyc})")
+        if any(not 0 <= q < degree for q in points):
+            raise CentautError(f"cycle point outside range({degree}) in ({cyc})")
+        step = list(range(degree))
+        for i, q in enumerate(points):
+            step[q] = points[(i + 1) % len(points)]
+        images = [step[x] for x in images]  # cycles apply left to right
+    return images
+
+
 def resolve_source(source: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """Build a group from "builtin:<expr>" or a group file path."""
+    """Build a group from "builtin:<expr>", "perm:<degree>:<cycles>[;...]" or a file path."""
     if source.startswith("builtin:"):
         return parse_group_spec(source[len("builtin:") :], cap=cap)
+    if source.startswith("perm:"):
+        parts = source.split(":", 2)
+        if len(parts) != 3:
+            raise CentautError("perm source must be perm:<degree>:<cycles>[;...]")
+        try:
+            degree = int(parts[1])
+        except ValueError:
+            raise CentautError(f"bad degree {parts[1]!r}") from None
+        gens = [parse_cycles(degree, g) for g in parts[2].split(";") if g.strip()]
+        return group_from_permutations(degree, gens, cap=cap)
     return read_group(source, cap=cap)
 
 

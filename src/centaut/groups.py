@@ -9,7 +9,7 @@ and column, and full associativity, naming the first violation found.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,30 +71,20 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-def _prime_power(n: int) -> Optional[tuple[int, int]]:
-    """(p, k) with n == p**k, or None if n is not a prime power. n >= 1."""
-    if n == 1:
-        return None
-    p = None
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            while m % d == 0:
-                m //= d
-            if m != 1:
-                return None
-            break
-        d += 1
-    if p is None:
-        p = m  # n itself prime
+def prime_power(n: int) -> tuple[Optional[int], Optional[int]]:
+    """(p, k) with n == p**k and k >= 1, else (None, None).
+
+    This is the library's one prime test: n is prime exactly when the
+    result is (n, 1).
+    """
+    if n < 2:
+        return None, None
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
     k = 0
-    m = n
-    while m % p == 0:
-        m //= p
+    while n % p == 0:
+        n //= p
         k += 1
-    return (p, k) if m == 1 else None
+    return (p, k) if n == 1 else (None, None)
 
 
 class Group:
@@ -120,9 +110,7 @@ class Group:
         inv = np.argmax(table == 0, axis=1).astype(np.int32)
         inv.setflags(write=False)
         self.inverse = inv
-        pp = _prime_power(self.order)
-        self.prime = pp[0] if pp else None
-        self.order_exp = pp[1] if pp else None
+        self.prime, self.order_exp = prime_power(self.order)
         if labels is not None:
             if len(labels) != self.order:
                 raise ValueError(f"got {len(labels)} labels for order {self.order}")
@@ -245,7 +233,6 @@ def group_from_cayley_table(
     labels: Optional[Sequence[str]] = None,
 ) -> Group:
     """Validate an untrusted square table and wrap it as a Group."""
-    arr = np.asarray(table, dtype=object)
     try:
         arr = np.asarray(table, dtype=np.int64)
     except (ValueError, TypeError) as e:

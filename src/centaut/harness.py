@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,13 +56,12 @@ def analyze_source(
     expected: Optional[str] = None,
     cap: int = DEFAULT_ORDER_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
-    group=None,
 ) -> AnalysisRecord:
     """Build, classify and brute-force one group; never raises on group errors."""
     rec = AnalysisRecord(name=name, source=source, expected=expected)
     start = time.perf_counter()
     try:
-        G = group if group is not None else resolve_source(source, cap=cap)
+        G = resolve_source(source, cap=cap)
         rec.order = G.order
         rec.prime = G.prime
         rec.structure = structure_report(G)
@@ -144,6 +144,11 @@ class VerificationReport:
         return s["mismatches"] == 0 and s["expectationFailures"] == 0 and s["errors"] == 0
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for `jobs` requested workers: at most one per task and per CPU."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def run_verification(
     manifest: Optional[Manifest] = None,
     jobs: int = 1,
@@ -154,10 +159,11 @@ def run_verification(
     if manifest is None:
         manifest = default_corpus()
     tasks = [(e.name, e.source, e.expected, cap, hom_cap) for e in manifest.entries]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = _worker_count(jobs, len(tasks))
+    if workers == 1:
         records = [_worker(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_worker, tasks))
     return VerificationReport(records)
 

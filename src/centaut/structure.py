@@ -7,8 +7,8 @@ reindex cosets by their minimal member so results are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,28 @@ from .errors import (
     NotPrimePower,
 )
 from .groups import Group, group_from_cayley_table
+
+
+def _per_group(derive: Callable) -> Callable:
+    """Compute derive(G) once and keep it on G, as cached_property does.
+
+    Cached values are read-only arrays and quotient Groups, never a
+    Subgroup: its `parent` would point back at G, and that cycle keeps every
+    analysed group alive until the next full garbage collection.
+    """
+    key = f"_per_group_{derive.__name__.lstrip('_')}"
+
+    @wraps(derive)
+    def cached(G: Group):
+        if key not in G.__dict__:
+            value = derive(G)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            G.__dict__[key] = value
+        return G.__dict__[key]
+
+    return cached
 
 
 class Subgroup:
@@ -113,14 +135,19 @@ def closure(G: Group, seed: Iterable[int]) -> Subgroup:
     return Subgroup(G, np.flatnonzero(mask), verify=False)
 
 
+@_per_group
+def _center_mask(G: Group) -> np.ndarray:
+    return (G.table == G.table.T).all(axis=1)
+
+
 def center(G: Group) -> Subgroup:
     """Elements commuting with everything: rows equal to columns."""
-    central = (G.table == G.table.T).all(axis=1)
-    return Subgroup(G, np.flatnonzero(central), verify=False)
+    return Subgroup(G, np.flatnonzero(_center_mask(G)), verify=False)
 
 
+@_per_group
 def commutator_table(G: Group) -> np.ndarray:
-    """comm[x, g] = index of x^-1 g^-1 x g."""
+    """comm[x, g] = index of x^-1 g^-1 x g; computed once per group, read-only."""
     n = G.order
     idx = np.arange(n)
     m = G.table[np.ix_(G.inverse, G.inverse)]
@@ -129,8 +156,28 @@ def commutator_table(G: Group) -> np.ndarray:
     return m
 
 
+@_per_group
+def _derived_elements(G: Group) -> np.ndarray:
+    return np.asarray(closure(G, np.unique(commutator_table(G))).elements)
+
+
 def derived_subgroup(G: Group) -> Subgroup:
-    return closure(G, np.unique(commutator_table(G)))
+    return Subgroup(G, _derived_elements(G), verify=False)
+
+
+@_per_group
+def _upper_masks(G: Group) -> np.ndarray:
+    """Row i is the membership mask of Z_i(G), from the trivial group to G."""
+    comm = commutator_table(G)
+    masks = [np.arange(G.order) == 0]
+    while not masks[-1].all():
+        nxt = masks[-1][comm].all(axis=1)  # x with [x, g] in Z_i for all g
+        if nxt.sum() == masks[-1].sum():
+            raise NotNilpotent(
+                f"upper series stalls at order {int(nxt.sum())} < {G.order}"
+            )
+        masks.append(nxt)
+    return np.stack(masks)
 
 
 def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
@@ -141,19 +188,9 @@ def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
     """
     if kind not in ("upper", "lower"):
         raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
-    comm = commutator_table(G)
     if kind == "upper":
-        series = [Subgroup(G, [0], verify=False)]
-        mask = series[0].mask
-        while int(mask.sum()) < G.order:
-            nxt = mask[comm].all(axis=1)  # x with [x, g] in Z_i for all g
-            if int(nxt.sum()) == int(mask.sum()):
-                raise NotNilpotent(
-                    f"upper series stalls at order {int(mask.sum())} < {G.order}"
-                )
-            series.append(Subgroup(G, np.flatnonzero(nxt), verify=False))
-            mask = series[-1].mask
-        return series
+        return [Subgroup(G, np.flatnonzero(m), verify=False) for m in _upper_masks(G)]
+    comm = commutator_table(G)
     series = [Subgroup(G, range(G.order), verify=False)]
     while series[-1].order > 1:
         elems = np.asarray(series[-1].elements)
@@ -175,8 +212,7 @@ def frattini_subgroup(G: Group) -> Subgroup:
     acc = np.arange(n)
     for _ in range(G.prime - 1):
         acc = G.table[acc, np.arange(n)]
-    gens = np.unique(np.concatenate([np.unique(commutator_table(G)), acc]))
-    return closure(G, gens)
+    return closure(G, np.unique(np.concatenate([_derived_elements(G), acc])))
 
 
 def minimal_generator_count(G: Group) -> int:
@@ -222,8 +258,9 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
     return Q, proj
 
 
+@_per_group
 def abelianization(G: Group) -> tuple[Group, np.ndarray]:
-    """G/[G,G] with its projection."""
+    """G/[G,G] with its projection; computed once per group."""
     return quotient(G, derived_subgroup(G))
 
 
@@ -272,15 +309,12 @@ def structure_report(G: Group) -> StructureReport:
     cls = len(upper) - 1
     z = upper[1]
     z2 = upper[2] if cls >= 2 else upper[-1]
-    derived = derived_subgroup(G)
-    qab, _ = quotient(G, derived)
-    alpha = abelian.abelian_invariants(qab, prime=p)
+    alpha = abelian.abelian_invariants(abelianization(G)[0], prime=p)
     gamma = abelian.abelian_invariants(z.as_group(), prime=p)
     z2g = z2.as_group()
     z_in_z2 = Subgroup(z2g, z2.positions(z.elements), verify=False)
     inner, _ = quotient(z2g, z_in_z2)
     beta = abelian.abelian_invariants(inner, prime=p)
-    sub = G.table[np.ix_(z2.elements, z2.elements)]
     return StructureReport(
         order=G.order,
         prime=p,
@@ -293,6 +327,6 @@ def structure_report(G: Group) -> StructureReport:
         abelianization=alpha,
         center=gamma,
         inner_center=beta,
-        center_in_derived=bool(derived.mask[list(z.elements)].all()),
-        second_center_abelian=bool((sub == sub.T).all()),
+        center_in_derived=z.issubset(derived_subgroup(G)),
+        second_center_abelian=z2.is_abelian,
     )

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from centaut.cli import ENV_CAP, ENV_HOM_CAP, main, parse_cycles
+from centaut.cli import ENV_CAP, ENV_HOM_CAP, main
 from centaut.errors import CentautError
-from centaut.groupio import read_group
+from centaut.groupio import parse_cycles, read_group
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +144,20 @@ def test_predicate_command(capsys):
         capsys, "predicate", "--p", "2", "--alpha", "2,1", "--beta", "2,2", "--gamma", "1"
     )
     assert code == 0 and json.loads(out)["minimal"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hom", "--p", "4", "--a", "1", "--b", "1"),
+        ("hom", "--p", "2", "--a", "x", "--b", "1"),
+        ("predicate", "--p", "2", "--alpha", "1", "--beta", "1", "--gamma", "0"),
+    ],
+)
+def test_bad_invariants_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "InvalidInvariants" in err
 
 
 def test_build_then_analyze_roundtrip(capsys, tmp_path):

@@ -51,6 +51,8 @@ def test_rejects_non_square_and_non_integer():
         group_from_cayley_table([[0, 1], [1, 0], [0, 1]])
     with pytest.raises(NotLatinSquare):
         group_from_cayley_table([[0, "x"], ["x", 0]])
+    with pytest.raises(NotLatinSquare):
+        group_from_cayley_table([[0, 1], [1]])  # ragged
 
 
 def test_rejects_non_associative_naming_first_triple():

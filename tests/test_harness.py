@@ -1,6 +1,7 @@
 """End-to-end verification runs: agreement, determinism, summaries."""
 
 import json
+import os
 
 import pytest
 
@@ -8,6 +9,7 @@ from centaut.groupio import Manifest, ManifestEntry
 from centaut.harness import (
     REPORT_FORMATS,
     VerificationReport,
+    _worker_count,
     analyze_source,
     format_report,
     record_dict,
@@ -101,6 +103,25 @@ def test_format_report_shapes(small_report):
     with pytest.raises(ValueError):
         format_report(small_report, "yaml")
     assert set(REPORT_FORMATS) == {"json", "csv", "table"}
+
+
+def test_manifest_accepts_perm_sources():
+    manifest = Manifest((ManifestEntry("d8", "perm:4:(0 1 2 3);(1 3)", "Minimal"),))
+    report = run_verification(manifest)
+    rec = report.records[0]
+    assert rec.status == "ok" and rec.order == 8
+    assert rec.verdict.decision == "Minimal" and rec.agreement is True
+    assert report.ok
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _worker_count(10**9, 54) == 2
+    assert _worker_count(4, 1) == 1
+    assert _worker_count(0, 54) == 1
+    assert _worker_count(-5, 54) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(8, 54) == 1
 
 
 def test_parallel_output_is_byte_identical(small_report):

@@ -1,8 +1,12 @@
 """Subgroups, series, quotients and the structure report."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from centaut.central import central_automorphism_count
 from centaut.errors import IndexOutOfRange, NotNilpotent, NotNormal, NotPrimePower
 from centaut.families import (
     cyclic,
@@ -108,6 +112,32 @@ def test_central_series_rejects_non_nilpotent():
         central_series(S3, "lower")
     with pytest.raises(ValueError):
         central_series(dihedral(8), "sideways")
+
+
+def test_derived_data_is_computed_once_and_read_only():
+    G = dihedral(16)
+    assert commutator_table(G) is commutator_table(G)
+    assert abelianization(G) is abelianization(G)
+    structure_report(G)
+    central_automorphism_count(G)
+    for value in vars(G).values():
+        for part in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(part, Subgroup)  # it would point back at G
+            if isinstance(part, np.ndarray):
+                assert not part.flags.writeable
+
+
+def test_analysed_group_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        G = dihedral(16)
+        structure_report(G)
+        central_automorphism_count(G)
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_frattini_and_generator_count():
