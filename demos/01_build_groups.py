@@ -3,8 +3,10 @@
 Building finite groups as Cayley tables
 ========================================
 
-Every group in this library is a validated multiplication table: row i,
-column j holds the index of x_i * x_j, with the identity at index 0.
+Every group in this library is a multiplication table: row i, column j
+holds the index of x_i * x_j, with the identity at index 0.  A table from
+outside is validated by group_from_cayley_table; products, quotients and
+permutation closures are groups by construction.
 """
 
 import numpy as np

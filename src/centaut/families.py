@@ -1,13 +1,16 @@
 """Builders for the standard p-group families, plus a small source grammar.
 
 Sources name groups as builder expressions like "dihedral(16)" or products
-"dihedral(16) x cyclic(2)"; the CLI's builtin: prefix also accepts the
-colon form "dihedral:16".  Tables produced from closed formulas go through
-full validation so a bad parameter set cannot yield a non-group.
+"dihedral(16) x cyclic(2)"; parse_group_spec also accepts the colon form
+"dihedral:16".  Every builder checks the order cap from its parameters
+before it builds a table.  Tables produced from closed formulas go through
+group_from_cayley_table so a bad parameter set cannot yield a non-group;
+products and quotients are groups by construction.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Callable, Sequence
 
@@ -25,29 +28,52 @@ from .groups import (
 from .structure import center, closure, quotient
 
 
-def cyclic(m: int) -> Group:
+def _check_order(order: int, cap: int) -> None:
+    if order > cap:
+        raise ClosureExceedsCap(f"order {order} exceeds cap {cap}")
+
+
+def _check_prime_power(p: int, k: int, cap: int, times: int = 1) -> None:
+    """Require p prime and times * p**k <= cap, judged from the parameters.
+
+    A p above the cap fails before the trial division, and since p >= 2 an
+    exponent k >= cap.bit_length() fails before p**k is computed.
+    """
+    if p > cap:
+        raise ClosureExceedsCap(f"order at least {p} exceeds cap {cap}")
+    if prime_power(p) != (p, 1):
+        raise BadParameters(f"{p} is not prime")
+    if k >= cap.bit_length() or times * p**k > cap:
+        factor = f"{times}*" if times > 1 else ""
+        raise ClosureExceedsCap(f"order {factor}{p}^{k} exceeds cap {cap}")
+
+
+def cyclic(m: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     if m < 1:
         raise BadParameters(f"cyclic order must be >= 1, got {m}")
-    table = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
-    return Group(table.astype(np.int32), _validated=True)
+    _check_order(m, cap)
+    return Group((np.arange(m)[:, None] + np.arange(m)[None, :]) % m)
 
 
 def abelian_group(p: int, exponents: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -> Group:
-    if prime_power(p) != (p, 1):
-        raise BadParameters(f"{p} is not prime")
-    exps = [int(e) for e in exponents]
+    exps = [operator.index(e) for e in exponents]  # a "+" token is a TypeError
     if not exps or any(e < 1 for e in exps):
         raise BadParameters(f"exponents must be nonempty and >= 1, got {exps}")
-    G = cyclic(p ** exps[0])
+    _check_prime_power(p, sum(exps), cap)
+    G = cyclic(p ** exps[0], cap)
     for e in exps[1:]:
-        G = direct_product(G, cyclic(p**e), cap=cap)
+        G = direct_product(G, cyclic(p**e, cap), cap=cap)
     return G
 
-def elementary(p: int, k: int) -> Group:
-    return abelian_group(p, [1] * k)
+
+def elementary(p: int, k: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
+    if k < 1:
+        raise BadParameters(f"need k >= 1, got {k}")
+    _check_prime_power(p, k, cap)  # before the k-long exponent list
+    return abelian_group(p, [1] * k, cap)
 
 
-def metacyclic(m: int, s: int, t: int, w: int = 0) -> Group:
+def metacyclic(m: int, s: int, t: int, w: int = 0, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """<a, b | a^m = 1, b^s = a^w, b a b^-1 = a^t> on pairs a^i b^j.
 
     Requires t^s == 1 (mod m) and w*(t-1) == 0 (mod m) so the relations are
@@ -55,6 +81,7 @@ def metacyclic(m: int, s: int, t: int, w: int = 0) -> Group:
     """
     if m < 1 or s < 1:
         raise BadParameters(f"need m, s >= 1, got m={m} s={s}")
+    _check_order(m * s, cap)
     if not 0 <= t < m or not 0 <= w < m:
         raise BadParameters(f"need 0 <= t, w < m, got t={t} w={w}")
     if pow(t, s, m) != 1 % m:
@@ -74,44 +101,44 @@ def metacyclic(m: int, s: int, t: int, w: int = 0) -> Group:
     return group_from_cayley_table(table)
 
 
-def dihedral(order: int) -> Group:
-    m = order // 2
-    if order < 8 or prime_power(order)[0] != 2:
-        raise BadParameters(f"dihedral order must be 2^k >= 8, got {order}")
-    return metacyclic(m, 2, m - 1, 0)
+def _half_of_2_power(name: str, order: int, least: int, cap: int) -> int:
+    _check_order(order, cap)
+    if order < least or prime_power(order)[0] != 2:
+        raise BadParameters(f"{name} order must be 2^k >= {least}, got {order}")
+    return order // 2
 
 
-def quaternion(order: int) -> Group:
-    m = order // 2
-    if order < 8 or prime_power(order)[0] != 2:
-        raise BadParameters(f"quaternion order must be 2^k >= 8, got {order}")
-    return metacyclic(m, 2, m - 1, m // 2)
+def dihedral(order: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
+    m = _half_of_2_power("dihedral", order, 8, cap)
+    return metacyclic(m, 2, m - 1, 0, cap)
 
 
-def semidihedral(order: int) -> Group:
-    m = order // 2
-    if order < 16 or prime_power(order)[0] != 2:
-        raise BadParameters(f"semidihedral order must be 2^k >= 16, got {order}")
-    return metacyclic(m, 2, m // 2 - 1, 0)
+def quaternion(order: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
+    m = _half_of_2_power("quaternion", order, 8, cap)
+    return metacyclic(m, 2, m - 1, m // 2, cap)
 
 
-def modular(p: int, order: int) -> Group:
+def semidihedral(order: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
+    m = _half_of_2_power("semidihedral", order, 16, cap)
+    return metacyclic(m, 2, m // 2 - 1, 0, cap)
+
+
+def modular(p: int, order: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """M_{p^k}: cyclic C_{p^(k-1)} extended by the power-(1+p^(k-2)) map."""
-    if prime_power(p) != (p, 1):
-        raise BadParameters(f"{p} is not prime")
+    _check_order(order, cap)
+    _check_prime_power(p, 1, cap)
     q, k = prime_power(order)
     if q != p or k < 3:
         raise BadParameters(f"modular order must be p^k >= p^3, got {order}")
     m = order // p
-    return metacyclic(m, p, 1 + m // p, 0)
+    return metacyclic(m, p, 1 + m // p, 0, cap)
 
 
-def heisenberg(p: int, k: int = 1) -> Group:
+def heisenberg(p: int, k: int = 1, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Upper unitriangular 3x3 matrices over Z/p^k; order p^(3k), class 2."""
-    if prime_power(p) != (p, 1):
-        raise BadParameters(f"{p} is not prime")
     if k < 1:
         raise BadParameters(f"need k >= 1, got {k}")
+    _check_prime_power(p, 3 * k, cap)
     q = p**k
     n = q**3
     digits = np.stack(np.unravel_index(np.arange(n), (q, q, q)), axis=1)  # (x, y, z)
@@ -124,10 +151,9 @@ def heisenberg(p: int, k: int = 1) -> Group:
     return group_from_cayley_table(table)
 
 
-def unitriangular4(p: int) -> Group:
+def unitriangular4(p: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Upper unitriangular 4x4 matrices over Z/p; order p^6, class 3."""
-    if prime_power(p) != (p, 1):
-        raise BadParameters(f"{p} is not prime")
+    _check_prime_power(p, 6, cap)
     n = p**6
     digits = np.stack(
         np.unravel_index(np.arange(n), (p,) * 6), axis=1
@@ -146,7 +172,7 @@ def unitriangular4(p: int) -> Group:
     return group_from_cayley_table(table)
 
 
-def central_product(A: Group, B: Group) -> Group:
+def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Glue A and B along their centers, both of which must be order p."""
     za = center(A)
     zb = center(B)
@@ -155,20 +181,20 @@ def central_product(A: Group, B: Group) -> Group:
             f"central product needs matching prime-order centers, "
             f"got {za.order} and {zb.order}"
         )
-    D = direct_product(A, B)
+    D = direct_product(A, B, cap=cap)
     ident = closure(D, [za.elements[1] * B.order + B.inv(zb.elements[1])])
     Q, _ = quotient(D, ident)
     return Q
 
 
-def extraspecial(p: int, order: int, sign: str = "+") -> Group:
+def extraspecial(p: int, order: int, sign: str = "+", cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Extraspecial group of order p^(2r+1); sign picks the isomorphism type.
 
     "+" is the central product of r copies of the basic class-2 group
     (exponent p for odd p); "-" swaps one factor for the other basic type.
     """
-    if prime_power(p) != (p, 1):
-        raise BadParameters(f"{p} is not prime")
+    _check_order(order, cap)
+    _check_prime_power(p, 1, cap)
     if sign not in ("+", "-"):
         raise BadParameters(f"sign must be '+' or '-', got {sign!r}")
     q, k = prime_power(order)
@@ -176,30 +202,29 @@ def extraspecial(p: int, order: int, sign: str = "+") -> Group:
         raise BadParameters(f"order must be p^(2r+1) >= p^3, got {order}")
     r = (k - 1) // 2
     if p == 2:
-        plus, minus = dihedral(8), quaternion(8)
+        plus, minus = dihedral(8, cap), quaternion(8, cap)
     else:
-        plus, minus = heisenberg(p, 1), modular(p, p**3)
+        plus, minus = heisenberg(p, 1, cap), modular(p, p**3, cap)
     factors = [plus] * r if sign == "+" else [minus] + [plus] * (r - 1)
     G = factors[0]
     for F in factors[1:]:
-        G = central_product(G, F)
+        G = central_product(G, F, cap)
     return G
 
 
 def cyclic_wreath(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """C_p wr C_m: the cyclic shift acting on m coordinates mod p."""
-    if prime_power(p) != (p, 1):
-        raise BadParameters(f"{p} is not prime")
     if m < 1:
         raise BadParameters(f"need m >= 1, got {m}")
-    base = elementary(p, m)
+    _check_prime_power(p, m, cap, times=m)
+    base = elementary(p, m, cap)
     n = p**m
     coords = np.stack(np.unravel_index(np.arange(n), (p,) * m), axis=1)
     action = []
     for j in range(m):
         rolled = np.roll(coords, j, axis=1)
         action.append(np.ravel_multi_index(tuple(rolled.T), (p,) * m))
-    return semidirect_product(base, cyclic(m), action, cap=cap)
+    return semidirect_product(base, cyclic(m, cap), action, cap=cap)
 
 
 def wreath(p: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -209,7 +234,7 @@ def wreath(p: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
 _BUILTINS: dict[str, tuple[Callable[..., Group], str, str]] = {
     "cyclic": (cyclic, "cyclic(m)", "cyclic group of order m"),
     "abelian": (
-        lambda p, *e: abelian_group(p, e),
+        lambda p, *e, cap: abelian_group(p, e, cap),
         "abelian(p,e1,e2,...)",
         "product of C_{p^ei}",
     ),
@@ -240,7 +265,11 @@ def list_builtins() -> list[tuple[str, str, str]]:
     return sorted((n, sig, desc) for n, (_, sig, desc) in _BUILTINS.items())
 
 
-def builtin(name: str, params: int | str | Sequence[int | str] = ()) -> Group:
+def builtin(
+    name: str,
+    params: int | str | Sequence[int | str] = (),
+    cap: int = DEFAULT_ORDER_CAP,
+) -> Group:
     if name not in _BUILTINS:
         known = ", ".join(sorted(_BUILTINS))
         raise UnknownBuiltin(f"no builtin {name!r}; known: {known}")
@@ -248,7 +277,7 @@ def builtin(name: str, params: int | str | Sequence[int | str] = ()) -> Group:
         params = (params,)
     fn = _BUILTINS[name][0]
     try:
-        return fn(*params)
+        return fn(*params, cap=cap)
     except TypeError as e:
         raise BadParameters(f"{name}{tuple(params)}: {e}") from None
 
@@ -259,13 +288,14 @@ _TERM = re.compile(r"^\s*([a-z][a-z0-9_]*)\s*(?:\(([^()]*)\)|:(.*))?\s*$")
 def _parse_params(text: str) -> list[int | str]:
     out: list[int | str] = []
     for tok in re.split(r"[\s,:]+", text.strip()):
-        if not tok:
-            continue
         if tok in ("+", "-"):
             out.append(tok)
         elif re.fullmatch(r"-?\d+", tok):
-            out.append(int(tok))
-        else:
+            try:
+                out.append(int(tok))
+            except ValueError:  # more digits than int() converts
+                raise BadParameters(f"parameter of {len(tok)} digits") from None
+        elif tok:
             raise BadParameters(f"bad parameter token {tok!r}")
     return out
 
@@ -281,10 +311,8 @@ def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
         name = m.group(1)
         raw = m.group(2) if m.group(2) is not None else m.group(3)
         params = _parse_params(raw) if raw else []
-        groups.append(builtin(name, params))
+        groups.append(builtin(name, params, cap=cap))
     G = groups[0]
     for H in groups[1:]:
         G = direct_product(G, H, cap=cap)
-    if G.order > cap:
-        raise ClosureExceedsCap(f"order {G.order} exceeds cap {cap}")
     return G

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import CentautError, ParseError
+from .errors import ParseError
 from .families import parse_group_spec
 from .groups import DEFAULT_ORDER_CAP, Group, group_from_cayley_table, group_from_permutations
 
@@ -173,18 +173,18 @@ def parse_cycles(degree: int, text: str) -> list[int]:
     images = list(range(degree))
     body = text.strip()
     if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", body):
-        raise CentautError(f"bad cycle notation {text!r}")
+        raise ParseError(f"bad cycle notation {text!r}")
     for cyc in re.findall(r"\(([^()]*)\)", body):
         tokens = [t for t in re.split(r"[\s,]+", cyc.strip()) if t]
         if not all(re.fullmatch(r"\d+", t) for t in tokens):
-            raise CentautError(f"cycle points must be integers in ({cyc})")
+            raise ParseError(f"cycle points must be integers in ({cyc})")
         points = [int(t) for t in tokens]
         if not points:
             continue
         if len(points) != len(set(points)):
-            raise CentautError(f"repeated point in cycle ({cyc})")
+            raise ParseError(f"repeated point in cycle ({cyc})")
         if any(not 0 <= q < degree for q in points):
-            raise CentautError(f"cycle point outside range({degree}) in ({cyc})")
+            raise ParseError(f"cycle point outside range({degree}) in ({cyc})")
         step = list(range(degree))
         for i, q in enumerate(points):
             step[q] = points[(i + 1) % len(points)]
@@ -199,11 +199,11 @@ def resolve_source(source: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
     if source.startswith("perm:"):
         parts = source.split(":", 2)
         if len(parts) != 3:
-            raise CentautError("perm source must be perm:<degree>:<cycles>[;...]")
+            raise ParseError("perm source must be perm:<degree>:<cycles>[;...]")
         try:
             degree = int(parts[1])
         except ValueError:
-            raise CentautError(f"bad degree {parts[1]!r}") from None
+            raise ParseError(f"bad degree {parts[1]!r}") from None
         gens = [parse_cycles(degree, g) for g in parts[2].split(";") if g.strip()]
         return group_from_permutations(degree, gens, cap=cap)
     return read_group(source, cap=cap)

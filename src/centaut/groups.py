@@ -1,16 +1,17 @@
-"""Finite groups as validated Cayley tables.
+"""Finite groups as Cayley tables.
 
 A group of order n lives on indices 0..n-1 with the identity fixed at 0.
-The table is an n x n numpy array, table[a, b] = index of a*b.  Construction
-from an untrusted table checks the Latin-square property, the identity row
-and column, and full associativity, naming the first violation found.
+The table is an n x n numpy array, table[a, b] = index of a*b.  An untrusted
+table enters through group_from_cayley_table, which checks the Latin-square
+property, the identity row and column, and full associativity, naming the
+first violation found.  Tables built by proof are wrapped without a check.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,18 +91,17 @@ def prime_power(n: int) -> tuple[Optional[int], Optional[int]]:
 class Group:
     """Immutable finite group on indices 0..order-1 with identity 0.
 
+    The constructor trusts its table: the caller vouches that it is a group
+    table with identity 0.  Untrusted tables (group files, closed-formula
+    builders) go through group_from_cayley_table, which validates them.
+    Products, quotients, subgroups and permutation closures are groups by
+    construction and are not re-checked.
+
     Do not mutate `table` after construction; it is set read-only.  Cached
     derived data (element orders, abelian flag) assumes the table is fixed.
     """
 
-    def __init__(
-        self,
-        table: np.ndarray,
-        labels: Optional[Sequence[str]] = None,
-        _validated: bool = False,
-    ):
-        if not _validated:
-            _validate_table(table)
+    def __init__(self, table: np.ndarray):
         table = np.ascontiguousarray(table, dtype=np.int32)
         table.setflags(write=False)
         self.table = table
@@ -111,11 +111,6 @@ class Group:
         inv.setflags(write=False)
         self.inverse = inv
         self.prime, self.order_exp = prime_power(self.order)
-        if labels is not None:
-            if len(labels) != self.order:
-                raise ValueError(f"got {len(labels)} labels for order {self.order}")
-            labels = tuple(str(s) for s in labels)
-        self.labels = labels
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -125,8 +120,7 @@ class Group:
 
     def pow(self, g: int, k: int) -> int:
         """g**k by square-and-multiply; negative k goes through the inverse."""
-        if not 0 <= g < self.order:
-            raise IndexOutOfRange(f"element {g} outside range({self.order})")
+        _check_index(self, g)
         if k < 0:
             g, k = self.inv(g), -k
         acc = 0
@@ -175,11 +169,6 @@ class Group:
             out = out * o // gcd(out, o)
         return out
 
-    def label(self, g: int) -> str:
-        if self.labels is not None:
-            return self.labels[g]
-        return str(g)
-
     def __len__(self) -> int:
         return self.order
 
@@ -195,7 +184,6 @@ def _check_index(G: Group, g: int) -> None:
 
 
 def _validate_table(table: np.ndarray) -> None:
-    table = np.asarray(table)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotLatinSquare(f"table shape {table.shape} is not square")
     n = table.shape[0]
@@ -228,17 +216,14 @@ def _validate_table(table: np.ndarray) -> None:
             raise NotAssociative(f"(({a}*{b})*{c}) != ({a}*({b}*{c}))")
 
 
-def group_from_cayley_table(
-    table: Sequence[Sequence[int]] | np.ndarray,
-    labels: Optional[Sequence[str]] = None,
-) -> Group:
+def group_from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> Group:
     """Validate an untrusted square table and wrap it as a Group."""
     try:
         arr = np.asarray(table, dtype=np.int64)
     except (ValueError, TypeError) as e:
         raise NotLatinSquare(f"table is not a rectangular integer array: {e}") from None
     _validate_table(arr)
-    return Group(arr, labels=labels, _validated=True)
+    return Group(arr)
 
 
 def group_from_permutations(
@@ -281,7 +266,7 @@ def group_from_permutations(
         for j, b in enumerate(elements):
             table[i, j] = index[a * b]
     # associative and Latin by construction; identity is element 0
-    return Group(table, _validated=True)
+    return Group(table)
 
 
 def element_order(G: Group, g: int) -> int:
@@ -298,11 +283,7 @@ def direct_product(G: Group, H: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     ht = H.table.astype(np.int64)
     # table[(g1,h1),(g2,h2)] = (g1*g2)*m + h1*h2
     block = gt[:, None, :, None] * m + ht[None, :, None, :]
-    table = block.reshape(n * m, n * m)
-    labels = None
-    if G.labels is not None and H.labels is not None:
-        labels = [f"({a},{b})" for a in G.labels for b in H.labels]
-    return Group(table.astype(np.int32), labels=labels, _validated=True)
+    return Group(block.reshape(n * m, n * m))
 
 
 def semidirect_product(
@@ -314,10 +295,13 @@ def semidirect_product(
     """Split extension of N by H along action[h] in Aut(N).
 
     action[h] gives the image array of the automorphism by which h acts.
-    Pairs are numbered (x, h) -> x*|H| + h.  The assembled table is fully
-    re-validated, so an inconsistent action cannot slip through.
+    Pairs are numbered (x, h) -> x*|H| + h.  Each map is checked to be an
+    automorphism of N and the maps to compose along H's table; with those
+    checks the assembled table is a group by construction.
     """
     n, s = N.order, H.order
+    if n * s > cap:
+        raise ClosureExceedsCap(f"product order {n * s} exceeds cap {cap}")
     if len(action) != s:
         raise ActionNotAutomorphism(f"got {len(action)} maps for |H| == {s}")
     maps = np.empty((s, n), dtype=np.int64)
@@ -328,14 +312,11 @@ def semidirect_product(
         if sorted(imgs) != list(range(n)):
             raise ActionNotAutomorphism(f"action[{h}] is not a bijection")
         maps[h] = imgs
-    for h in range(s):
-        phi = maps[h]
-        if not (phi[N.table] == N.table[np.ix_(phi, phi)]).all():
-            bad = np.argwhere(phi[N.table] != N.table[np.ix_(phi, phi)])[0]
-            a, b = (int(i) for i in bad)
-            raise ActionNotAutomorphism(
-                f"action[{h}] breaks the product at ({a},{b})"
-            )
+    for h, phi in enumerate(maps):
+        broken = phi[N.table] != N.table[np.ix_(phi, phi)]
+        if broken.any():
+            a, b = (int(i) for i in np.argwhere(broken)[0])
+            raise ActionNotAutomorphism(f"action[{h}] breaks the product at ({a},{b})")
     for h1 in range(s):
         for h2 in range(s):
             h12 = int(H.table[h1, h2])
@@ -343,15 +324,12 @@ def semidirect_product(
                 raise ActionNotHomomorphism(
                     f"action[{h1}*{h2}] != action[{h1}] o action[{h2}]"
                 )
-    if n * s > cap:
-        raise ClosureExceedsCap(f"product order {n * s} exceeds cap {cap}")
     # (x1,h1)(x2,h2) = (x1 * phi_{h1}(x2), h1*h2)
     nt = N.table.astype(np.int64)
     xpart = nt[np.arange(n)[:, None, None], maps[None, :, :]]  # [x1,h1,x2]
     table = xpart[:, :, :, None] * s + H.table.astype(np.int64)[None, :, None, :]
-    table = table.reshape(n * s, n * s)
-    return group_from_cayley_table(table)
+    return Group(table.reshape(n * s, n * s))
 
 
 def trivial_group() -> Group:
-    return Group(np.zeros((1, 1), dtype=np.int32), _validated=True)
+    return Group(np.zeros((1, 1), dtype=np.int32))

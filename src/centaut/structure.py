@@ -21,7 +21,7 @@ from .errors import (
     NotNormal,
     NotPrimePower,
 )
-from .groups import Group, group_from_cayley_table
+from .groups import Group
 
 
 def _per_group(derive: Callable) -> Callable:
@@ -104,7 +104,7 @@ class Subgroup:
         elems = np.asarray(self.elements)
         sub = self.parent.table[np.ix_(elems, elems)]
         table = np.searchsorted(elems, sub)
-        return Group(table.astype(np.int32), _validated=True)
+        return Group(table)
 
     def as_group(self) -> Group:
         """The subgroup as a standalone Group, elements renumbered ascending."""
@@ -237,24 +237,17 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
     """
     if N.parent is not G:
         raise ValueError("subgroup belongs to a different parent group")
-    elems = np.asarray(N.elements)
-    for g in range(G.order):
-        conj = G.table[G.table[G.inv(g), elems], g]
-        if not N.mask[conj].all():
-            x = int(elems[int(np.argmin(N.mask[conj]))])
-            raise NotNormal(f"conjugate of {x} by {g} escapes the subgroup")
     n = G.order
-    rep = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for x in range(n):
-        if rep[x] == -1:
-            coset = G.table[x, elems]
-            rep[coset] = x  # x is minimal: earlier members would have claimed it
-            reps.append(x)
-    reps_arr = np.asarray(reps)
-    proj = np.searchsorted(reps_arr, rep)
-    qtable = proj[G.table[np.ix_(reps_arr, reps_arr)]]
-    Q = group_from_cayley_table(qtable)
+    elems = np.asarray(N.elements)
+    # conj[g, i] = g^-1 x_i g; argwhere keeps the loop order (g, then x)
+    conj = G.table[G.table[G.inverse[:, None], elems], np.arange(n)[:, None]]
+    escapes = ~N.mask[conj]
+    if escapes.any():
+        g, i = (int(k) for k in np.argwhere(escapes)[0])
+        raise NotNormal(f"conjugate of {int(elems[i])} by {g} escapes the subgroup")
+    # coset xN is numbered by the rank of its smallest member
+    reps, proj = np.unique(G.table[:, elems].min(axis=1), return_inverse=True)
+    Q = Group(proj[G.table[np.ix_(reps, reps)]])
     return Q, proj
 
 

@@ -77,3 +77,24 @@ def ref_injects(ta: list[list[int]], tb: list[list[int]]) -> bool:
         if ref_is_hom(ta, tb, f):
             return True
     return na == 1
+
+
+def ref_first_escape(table: list[list[int]], members: list[int]) -> tuple[int, int] | None:
+    """First (g, x), g-major, whose conjugate g^-1 x g leaves the subgroup."""
+    inside = set(members)
+    for g in range(len(table)):
+        ig = ref_inverse(table, g)
+        for x in sorted(inside):
+            if table[table[ig][x]][g] not in inside:
+                return g, x
+    return None
+
+
+def ref_quotient(
+    table: list[list[int]], members: list[int]
+) -> tuple[list[list[int]], list[int]]:
+    """G/N for normal N: cosets xN numbered by the rank of their smallest member."""
+    low = [min(table[x][m] for m in members) for x in range(len(table))]
+    reps = sorted(set(low))
+    proj = [reps.index(r) for r in low]
+    return [[proj[table[a][b]] for b in reps] for a in reps], proj

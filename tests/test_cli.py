@@ -1,14 +1,15 @@
 """Exercise the command line through main() with captured output."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from centaut.cli import ENV_CAP, ENV_HOM_CAP, main
-from centaut.errors import CentautError
-from centaut.groupio import parse_cycles, read_group
+from centaut.errors import ParseError
+from centaut.groupio import parse_cycles, read_group, resolve_source
 
 
 def run_cli(capsys, *argv):
@@ -28,8 +29,10 @@ def test_parse_cycles_basics():
 
 def test_parse_cycles_rejections():
     for bad in ("0 1 2", "(0 1", "(0 0)", "(0 9)", "(x)"):
-        with pytest.raises(CentautError):
+        with pytest.raises(ParseError):
             parse_cycles(4, bad)
+    with pytest.raises(ParseError):
+        resolve_source("perm:x:(0 1)")  # bad degree
 
 
 def test_analyze_json(capsys):
@@ -62,6 +65,17 @@ def test_analyze_unknown_builtin_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "builtin:nosuch(1)")
     assert code == 2
     assert "UnknownBuiltin" in err
+
+
+@pytest.mark.parametrize(
+    "param,error",
+    [("1" + "0" * 30, "ClosureExceedsCap"), ("7" * 5000, "BadParameters")],
+    ids=["31-digits", "5000-digits"],
+)
+def test_oversized_builtin_parameter_exits_2(capsys, param, error):
+    code, _, err = run_cli(capsys, "analyze", f"builtin:cyclic({param})")
+    assert code == 2
+    assert error in err
 
 
 def test_analyze_abelian_is_reported_not_fatal(capsys):
@@ -202,6 +216,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "centaut.cli", "list-builtins"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert "dihedral" in proc.stdout

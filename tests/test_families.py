@@ -1,5 +1,7 @@
 """Builders produce the groups their names promise."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,8 @@ def test_builtin_registry():
         builtin("frobenius")
     with pytest.raises(BadParameters):
         builtin("dihedral", [8, 9, 10])
+    with pytest.raises(BadParameters):
+        builtin("abelian", [2, "+"])
 
 
 @pytest.mark.parametrize(
@@ -163,3 +167,16 @@ def test_parse_group_spec_errors():
         parse_group_spec("dihedral(64) x cyclic(2)", cap=64)
     with pytest.raises(ClosureExceedsCap):
         parse_group_spec("dihedral(128)", cap=64)  # single term, checked too
+
+
+@pytest.mark.parametrize("spec", ["cyclic(3000)", "heisenberg(2,3)", "elementary(2,9)"])
+def test_cap_checked_before_building(spec):
+    """An over-cap builtin fails from its parameters, before any table exists."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureExceedsCap):
+            parse_group_spec(spec, cap=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

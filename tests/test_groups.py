@@ -12,9 +12,17 @@ from centaut.errors import (
     NotAssociative,
     NotLatinSquare,
 )
-from centaut.families import cyclic, dihedral, elementary, quaternion
+from centaut.families import (
+    cyclic,
+    cyclic_wreath,
+    dihedral,
+    elementary,
+    extraspecial,
+    quaternion,
+    unitriangular4,
+    wreath,
+)
 from centaut.groups import (
-    Group,
     Permutation,
     direct_product,
     element_order,
@@ -23,6 +31,7 @@ from centaut.groups import (
     semidirect_product,
     trivial_group,
 )
+from centaut.structure import abelianization, center, quotient
 
 import oracles
 
@@ -177,11 +186,6 @@ def test_semidirect_product_rejects_bad_actions():
         )
 
 
-def test_labels_length_checked():
-    with pytest.raises(ValueError):
-        Group(np.array([[0, 1], [1, 0]], dtype=np.int32), labels=["e"])
-
-
 def scan_group_axioms(G):
     """Direct scan of the four table axioms on a built group."""
     n, t = G.order, G.table
@@ -196,12 +200,21 @@ def scan_group_axioms(G):
 
 
 def test_constructed_groups_satisfy_axioms():
+    D16 = dihedral(16)
     pool = [
-        dihedral(16),
+        D16,
         quaternion(8),
         group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]]),
         direct_product(dihedral(8), cyclic(3)),
         semidirect_product(cyclic(4), cyclic(2), [[0, 1, 2, 3], [0, 3, 2, 1]]),
+        # groups by construction, which no validator re-checks
+        quotient(D16, center(D16))[0],
+        abelianization(unitriangular4(2))[0],
+        extraspecial(2, 32, "-"),
+        extraspecial(3, 243, "+"),
+        cyclic_wreath(2, 3),
+        wreath(3),
+        center(D16).as_group(),
     ]
     for G in pool:
         scan_group_axioms(G)

@@ -176,8 +176,25 @@ def test_quotient_rejects_non_normal():
         x for x in range(1, 8) if G.element_orders[x] == 2 and not center(G).contains(x)
     )
     H = closure(G, [refl])
-    with pytest.raises(NotNormal, match="escapes"):
+    with pytest.raises(NotNormal, match=r"^conjugate of 1 by 2 escapes the subgroup$"):
         quotient(G, H)
+
+
+def test_quotient_matches_reference_loop():
+    """Every cyclic subgroup: the same NotNormal pair, or the same Q and projection."""
+    for G in (dihedral(16), quaternion(16), modular(2, 16), heisenberg(3, 1)):
+        t = G.table.tolist()
+        for x in range(G.order):
+            N = closure(G, [x])
+            members = list(N.elements)
+            escape = oracles.ref_first_escape(t, members)
+            if escape is None:
+                Q, proj = quotient(G, N)
+                assert (Q.table.tolist(), proj.tolist()) == oracles.ref_quotient(t, members)
+            else:
+                g, y = escape
+                with pytest.raises(NotNormal, match=rf"^conjugate of {y} by {g} escapes"):
+                    quotient(G, N)
 
 
 def test_abelianization_invariants():
