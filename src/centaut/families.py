@@ -25,7 +25,7 @@ from .groups import (
     prime_power,
     semidirect_product,
 )
-from .structure import center, closure, quotient
+from .structure import center
 
 
 def _check_order(order: int, cap: int) -> None:
@@ -173,7 +173,13 @@ def unitriangular4(p: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
 
 
 def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """Glue A and B along their centers, both of which must be order p."""
+    """Glue A and B along their centers, both of which must be order p.
+
+    The result is (A x B)/N with N = <(z, w^-1)> for generators z, w of the
+    two centers.  It is computed on the pair indices a*|B| + b without
+    building A x B, and each coset is numbered by the rank of its smallest
+    member, as structure.quotient numbers them.
+    """
     za = center(A)
     zb = center(B)
     if za.order != zb.order or prime_power(za.order) != (za.order, 1):
@@ -181,10 +187,21 @@ def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
             f"central product needs matching prime-order centers, "
             f"got {za.order} and {zb.order}"
         )
-    D = direct_product(A, B, cap=cap)
-    ident = closure(D, [za.elements[1] * B.order + B.inv(zb.elements[1])])
-    Q, _ = quotient(D, ident)
-    return Q
+    n, m, p = A.order, B.order, za.order
+    if n * m // p > cap:
+        raise ClosureExceedsCap(f"central product order {n * m // p} exceeds cap {cap}")
+    at = A.table.astype(np.int64)
+    bt = B.table.astype(np.int64)
+    z, w = int(za.elements[1]), B.inv(int(zb.elements[1]))
+    # the coset of (a, b) is {(a*z^k, b*w^k)}; keep its smallest pair index
+    low = np.arange(n * m).reshape(n, m)
+    zk, wk = 0, 0
+    for _ in range(p - 1):
+        zk, wk = int(at[zk, z]), int(bt[wk, w])
+        np.minimum(low, at[:, zk][:, None] * m + bt[:, wk], out=low)
+    reps, proj = np.unique(low.ravel(), return_inverse=True)
+    ra, rb = reps // m, reps % m
+    return Group(proj[at[np.ix_(ra, ra)] * m + bt[np.ix_(rb, rb)]])
 
 
 def extraspecial(p: int, order: int, sign: str = "+", cap: int = DEFAULT_ORDER_CAP) -> Group:

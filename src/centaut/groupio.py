@@ -61,6 +61,20 @@ def _int_matrix(rows: list, path: str, field: str) -> list[list[int]]:
     return out
 
 
+def _check_degree(degree: int, cap: int, path: Optional[str] = None) -> None:
+    """Reject a permutation degree outside 1..cap before any list is built.
+
+    By Cayley's theorem a group of order <= cap acts faithfully on <= cap
+    points, so the bound loses no group.
+    """
+    if not 1 <= degree <= cap:
+        raise ParseError(
+            f"degree {degree} outside 1..{cap}: every group of order <= {cap} "
+            f"acts faithfully on at most {cap} points (Cayley's theorem)",
+            path,
+        )
+
+
 def read_group_file(
     path: str | Path, cap: int = DEFAULT_ORDER_CAP
 ) -> tuple[Optional[str], Group]:
@@ -89,6 +103,7 @@ def read_group_file(
             {"name": str},
             spath,
         )
+        _check_degree(data["degree"], cap, spath)
         gens = _int_matrix(data["generators"], spath, "generators")
         return data.get("name"), group_from_permutations(data["degree"], gens, cap=cap)
     raise ParseError(
@@ -204,6 +219,7 @@ def resolve_source(source: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
             degree = int(parts[1])
         except ValueError:
             raise ParseError(f"bad degree {parts[1]!r}") from None
+        _check_degree(degree, cap)
         gens = [parse_cycles(degree, g) for g in parts[2].split(";") if g.strip()]
         return group_from_permutations(degree, gens, cap=cap)
     return read_group(source, cap=cap)

@@ -3,10 +3,18 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import settings
 
 from centaut.groupio import default_corpus, resolve_source
 from centaut.harness import run_verification
 from centaut.structure import structure_report
+
+# Property tests draw the same examples on every run and write no example
+# database, so the suite stays deterministic and its time bounded.
+settings.register_profile(
+    "centaut", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("centaut")
 
 
 @pytest.fixture(scope="session")

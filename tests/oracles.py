@@ -98,3 +98,16 @@ def ref_quotient(
     reps = sorted(set(low))
     proj = [reps.index(r) for r in low]
     return [[proj[table[a][b]] for b in reps] for a in reps], proj
+
+
+def ref_first_nonassociative_triple(
+    table: list[list[int]],
+) -> tuple[int, int, int] | None:
+    """First (a, b, c), lexicographically, with (a*b)*c != a*(b*c)."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None

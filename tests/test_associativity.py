@@ -1,0 +1,188 @@
+"""Light's associativity test against the full triple loop of the oracle.
+
+group_from_cayley_table checks a generating set and names a violation only
+after one is found; the oracle scans every triple.  On loops with identity 0
+both must reach the same verdict and, for a non-group, name the same first
+triple.
+"""
+
+import functools
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from centaut.errors import CentautError, NotAssociative
+from centaut.families import (
+    cyclic,
+    dihedral,
+    elementary,
+    parse_group_spec,
+    quaternion,
+    semidihedral,
+)
+from centaut.groups import group_from_cayley_table
+
+import oracles
+
+
+def validator_verdict(table):
+    try:
+        group_from_cayley_table(table)
+    except CentautError as e:
+        return type(e), str(e)
+    return None
+
+
+def oracle_verdict(table):
+    triple = oracles.ref_first_nonassociative_triple(table)
+    if triple is None:
+        return None
+    a, b, c = triple
+    return NotAssociative, f"(({a}*{b})*{c}) != ({a}*({b}*{c}))"
+
+
+def _random_row(rows: list[list[int]], first: int, rnd: random.Random) -> list[int]:
+    """A row starting with `first` that repeats no symbol in any column.
+
+    The symbols still free in each column form a regular bipartite graph
+    with the columns, so every partial choice here extends to a full row.
+    """
+    n = len(rows[0])
+    used = [{r[c] for r in rows} for c in range(n)]
+    row = [first]
+
+    def fill(c: int) -> bool:
+        if c == n:
+            return True
+        choices = [s for s in range(n) if s not in used[c] and s not in row]
+        rnd.shuffle(choices)
+        for s in choices:
+            row.append(s)
+            if fill(c + 1):
+                return True
+            row.pop()
+        return False
+
+    fill(1)
+    return row
+
+
+@st.composite
+def loops(draw, max_order: int = 8) -> list[list[int]]:
+    """Latin squares with identity row and column 0, built row by row."""
+    n = draw(st.integers(1, max_order))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [list(range(n))]
+    for i in range(1, n):
+        rows.append(_random_row(rows, i, rnd))
+    return rows
+
+
+SWITCH_BASES = [
+    cyclic(4),
+    elementary(2, 2),
+    cyclic(6),
+    dihedral(8),
+    quaternion(8),
+    elementary(2, 3),
+    dihedral(16),
+    semidihedral(16),
+    parse_group_spec("quaternion(8) x cyclic(2)"),
+    parse_group_spec("dihedral(8) x cyclic(4)"),
+]
+
+
+@functools.cache
+def intercalates(k: int) -> list[tuple[int, int, int, int]]:
+    """(r1, r2, c1, c2) of SWITCH_BASES[k] with rows and columns >= 1 and
+    t[r1][c1] == t[r2][c2], t[r1][c2] == t[r2][c1]."""
+    t = SWITCH_BASES[k].table.tolist()
+    n = len(t)
+    col_of = [{v: c for c, v in enumerate(row)} for row in t]
+    out = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                c2 = col_of[r2][t[r1][c1]]
+                if c2 > c1 and t[r1][c2] == t[r2][c1]:
+                    out.append((r1, r2, c1, c2))
+    return out
+
+
+@st.composite
+def switched_group_tables(draw) -> list[list[int]]:
+    """A group table with one intercalate switched away from row and column 0."""
+    k = draw(st.integers(0, len(SWITCH_BASES) - 1))
+    r1, r2, c1, c2 = draw(st.sampled_from(intercalates(k)))
+    t = SWITCH_BASES[k].table.tolist()
+    for r in (r1, r2):
+        t[r][c1], t[r][c2] = t[r][c2], t[r][c1]
+    return t
+
+
+@given(loops())
+def test_random_loops_match_oracle(table):
+    assert validator_verdict(table) == oracle_verdict(table)
+
+
+@given(switched_group_tables())
+def test_switched_group_tables_match_oracle(table):
+    assert validator_verdict(table) == oracle_verdict(table)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic(1)",
+        "cyclic(7)",
+        "quaternion(16)",
+        "heisenberg(3,1)",
+        "modular(3,27)",
+        "metacyclic(16,4,3)",
+        "extraspecial(2,32,-)",
+        "unitriangular4(2)",
+        "dihedral(8) x cyclic(2)",
+        "heisenberg(2,1) x elementary(2,2)",
+    ],
+)
+def test_group_tables_match_oracle(spec):
+    table = parse_group_spec(spec).table.tolist()
+    assert oracle_verdict(table) is None
+    assert validator_verdict(table) is None
+
+
+# order-5 loop whose first bad triple is (1, 1, 2)
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def loop_times_group(loop: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+    """L x G numbered l*|G| + g: the elements below |G| form the group
+    {0} x G, which lies in the nucleus, so a first bad a is at least |G|."""
+    k, m = len(loop), len(g)
+    return [
+        [loop[l1][l2] * m + g[g1][g2] for l2 in range(k) for g2 in range(m)]
+        for l1 in range(k)
+        for g1 in range(m)
+    ]
+
+
+@given(loops(max_order=6), st.sampled_from(SWITCH_BASES[:6]))
+def test_loop_times_group_matches_oracle(loop, G):
+    table = loop_times_group(loop, G.table.tolist())
+    assert validator_verdict(table) == oracle_verdict(table)
+
+
+def test_first_bad_triple_with_a_large_first_element():
+    m = 16
+    table = loop_times_group(LOOP5, dihedral(m).table.tolist())
+    a, _, _ = oracles.ref_first_nonassociative_triple(table)
+    assert a >= m
+    assert validator_verdict(table) == oracle_verdict(table)

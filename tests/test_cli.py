@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -33,6 +34,25 @@ def test_parse_cycles_rejections():
             parse_cycles(4, bad)
     with pytest.raises(ParseError):
         resolve_source("perm:x:(0 1)")  # bad degree
+
+
+@pytest.mark.parametrize("degree", [2**20, 0])
+def test_perm_degree_outside_cap_exits_2(capsys, degree):
+    """The degree is checked against the order cap before any list is built.
+
+    A degree of 2**20 under cap 16 is large enough that building its image
+    list would pass the memory bound, and small enough to be harmless if it
+    were built.
+    """
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "analyze", f"perm:{degree}:(0 1)", "--cap", "16")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "ParseError" in err and "Cayley's theorem" in err
+    assert peak < 2**20
 
 
 def test_analyze_json(capsys):

@@ -26,7 +26,8 @@ from centaut.families import (
     unitriangular4,
     wreath,
 )
-from centaut.structure import center, derived_subgroup, structure_report
+from centaut.groups import direct_product, prime_power
+from centaut.structure import center, closure, derived_subgroup, quotient, structure_report
 
 
 def test_cyclic_and_abelian():
@@ -108,6 +109,41 @@ def test_central_product_glues_centers():
     assert center(G).order == 2
     with pytest.raises(BadParameters):
         central_product(dihedral(8), cyclic(4))
+
+
+def reference_extraspecial(p, order, sign):
+    """extraspecial() with each central product taken as the quotient of the
+    full direct product by the glued centers."""
+    r = (prime_power(order)[1] - 1) // 2
+    if p == 2:
+        plus, minus = dihedral(8), quaternion(8)
+    else:
+        plus, minus = heisenberg(p, 1), modular(p, p**3)
+    factors = [plus] * r if sign == "+" else [minus] + [plus] * (r - 1)
+    G = factors[0]
+    for F in factors[1:]:
+        D = direct_product(G, F)
+        glue = closure(D, [center(G).elements[1] * F.order + F.inv(center(F).elements[1])])
+        G, _ = quotient(D, glue)
+    return G
+
+
+@pytest.mark.parametrize(
+    "p,order,sign",
+    [(2, 32, "+"), (2, 32, "-"), (2, 128, "+"), (3, 243, "+"), (3, 243, "-")],
+)
+def test_central_product_matches_quotient_of_direct_product(p, order, sign):
+    G = extraspecial(p, order, sign)
+    assert np.array_equal(G.table, reference_extraspecial(p, order, sign).table)
+
+
+def test_extraspecial_beyond_direct_product_cap():
+    """|A x B| = 6561 exceeds the default cap; the central product does not."""
+    G = parse_group_spec("extraspecial(3,2187,+)")
+    assert G.order == 2187
+    assert center(G).order == 3
+    with pytest.raises(ClosureExceedsCap):
+        central_product(heisenberg(3, 1), heisenberg(3, 1), cap=242)
 
 
 def test_wreath_products():
