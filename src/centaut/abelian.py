@@ -10,6 +10,7 @@ arithmetic on the invariant lists.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -180,17 +181,64 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
     return AbelianBasis(A, inv, tuple(chosen), coords)
 
 
+# Cells (rows x columns) in one block of maps: the budget that bounds the
+# enumeration's temporaries, whatever the candidate count.
+_BLOCK_CELLS = 1 << 16
+
+
+def _allowed_images(
+    basis: AbelianBasis, ambient: Group, targets: Sequence[int]
+) -> list[np.ndarray]:
+    """Per basis element, the sorted targets whose order divides its order."""
+    p = basis.invariants.prime
+    tgt = np.sort(np.asarray(targets, dtype=np.int64))
+    orders = ambient.element_orders[tgt]
+    return [tgt[orders <= p**e] for e in basis.invariants.exponents]
+
+
 def hom_count_by_targets(
     basis: AbelianBasis, ambient: Group, targets: Sequence[int]
 ) -> int:
     """|Hom| into the subgroup given by `targets`, without enumerating."""
+    return math.prod(len(y) for y in _allowed_images(basis, ambient, targets))
+
+
+def iter_hom_blocks(
+    basis: AbelianBasis, ambient: Group, targets: Sequence[int], rows: int
+) -> Iterator[np.ndarray]:
+    """The homomorphisms of `iter_homomorphisms`, in blocks of <= rows maps.
+
+    Each block is an int64 array (maps x |basis.group|); concatenated, the
+    blocks list every map once, in lexicographic order of the basis image
+    tuples.  A hom f is fixed by the images y_i of the basis elements:
+    f[x] = prod_i y_i ** coordinates[x, i].  For basis element i, one table
+    (#images x |basis.group|) holds y ** coordinates[:, i] for every allowed
+    y, built by p^e_i - 1 gathers; a block decodes consecutive indices into
+    image choices (C order, as itertools.product) and multiplies the chosen
+    rows of the tables together in the ambient group.
+    """
     p = basis.invariants.prime
-    orders = ambient.element_orders
-    tgt = np.asarray(targets)
-    total = 1
-    for e in basis.invariants.exponents:
-        total *= int((orders[tgt] <= p**e).sum())
-    return total
+    images = _allowed_images(basis, ambient, targets)
+    if not images:
+        yield np.zeros((1, basis.group.order), dtype=np.int64)
+        return
+    table = ambient.table
+    flat = table.ravel()
+    factors = []
+    for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T):
+        powers = np.zeros((len(y), p**e), dtype=np.int64)
+        for c in range(1, p**e):
+            powers[:, c] = table[powers[:, c - 1], y]
+        factors.append(powers[:, k])
+    shape = tuple(len(y) for y in images)
+    total = math.prod(shape)
+    for start in range(0, total, rows):
+        digits = np.unravel_index(np.arange(start, min(start + rows, total)), shape)
+        f = factors[0][digits[0]]
+        for factor, d in zip(factors[1:], digits[1:]):
+            # int64 keeps the flat index f*n + g exact at any order
+            f = flat[f * ambient.order + factor[d]].astype(np.int64)
+        yield f
 
 
 def iter_homomorphisms(
@@ -199,29 +247,14 @@ def iter_homomorphisms(
     """All homomorphisms from the based group into <targets> <= ambient.
 
     `targets` must be closed under the ambient product and commute with each
-    other (a central or abelian subgroup).  Yields arrays f of length
+    other (a central or abelian subgroup).  Yields int64 arrays f of length
     |basis.group| with f[x] = ambient index of the image of x, in
-    lexicographic order of the basis image tuples.
+    lexicographic order of the basis image tuples.  The maps are built in
+    blocks by `iter_hom_blocks`, a fixed number of cells at a time.
     """
-    p = basis.invariants.prime
-    exps = basis.invariants.exponents
-    orders = ambient.element_orders
-    tgt = sorted(int(t) for t in targets)
-    cand = [[t for t in tgt if orders[t] <= p**e] for e in exps]
-    A = basis.group
-    coords = basis.coordinates
-    if not exps:
-        yield np.zeros(A.order, dtype=np.int64)
-        return
-    for images in itertools.product(*cand):
-        f = np.zeros(A.order, dtype=np.int64)
-        for i, y in enumerate(images):
-            powers = np.empty(p ** exps[i], dtype=np.int64)
-            powers[0] = 0
-            for c in range(1, len(powers)):
-                powers[c] = ambient.table[powers[c - 1], y]
-            f = ambient.table[f, powers[coords[:, i]]]
-        yield f
+    rows = max(1, _BLOCK_CELLS // basis.group.order)
+    for block in iter_hom_blocks(basis, ambient, targets, rows):
+        yield from block
 
 
 def hom_invariants(a: AbelianInvariants, b: AbelianInvariants) -> AbelianInvariants:

@@ -3,8 +3,15 @@
 A central automorphism is x -> x*f(x') where f ranges over homomorphisms
 from the abelianization into the center and x' is the coset of x.  Every
 such map is an endomorphism fixing the center's image conditions; it is an
-automorphism exactly when it is a bijection, which a single pass over the
-image array decides.
+automorphism exactly when it is a bijection.
+
+The candidate maps are built and tested in blocks: `abelian.iter_hom_blocks`
+yields up to _BLOCK_CELLS // |G| homomorphisms at a time as the rows of one
+array, one gather turns them into image arrays over all of G, and each row
+is marked into its own n-wide mask, so a map counts as bijective only when
+its images hit every element.  The check is literal; it takes no shortcut
+through the kernel of f.  Memory is set by the block, not by the candidate
+count; the maps come out in iter_homomorphisms order.
 """
 
 from __future__ import annotations
@@ -45,20 +52,23 @@ class CentralAutReport:
     minimal: bool
 
 
-def _bijective(images: np.ndarray, scratch: np.ndarray) -> bool:
-    scratch[:] = False
-    scratch[images] = True
-    return bool(scratch.all())
+def _bijective_rows(sigma: np.ndarray) -> np.ndarray:
+    """Which rows of a (maps x n) block of image arrays hit every element."""
+    k, n = sigma.shape
+    marks = np.zeros(k * n, dtype=bool)
+    marks[(np.arange(k) * n)[:, None] + sigma] = True
+    return marks.reshape(k, n).all(axis=1)
 
 
 def _candidate_maps(
     G: Group, qab: Group, proj: np.ndarray, targets: Sequence[int], hom_cap: int
-) -> Iterator[tuple[np.ndarray, bool]]:
-    """(map, bijective) for each map x -> x*f(proj[x]), f in Hom(qab, <targets>).
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of the maps x -> x*f(proj[x]), f in Hom(qab, <targets>).
 
-    Maps come in iter_homomorphisms order.  The candidate count is computed
-    arithmetically and checked against hom_cap before the first map is
-    built; bijectivity is checked literally over all of G.
+    Each block is (maps, bijective): up to _BLOCK_CELLS // |G| image arrays
+    as rows, in iter_homomorphisms order, and the mask of the bijective
+    rows.  The candidate count is computed arithmetically and checked
+    against hom_cap before the first block is built.
     """
     basis = abelian_basis(qab, prime=G.prime)
     total = abelian.hom_count_by_targets(basis, G, targets)
@@ -66,14 +76,17 @@ def _candidate_maps(
         raise EnumerationCapExceeded(
             f"{total} candidate maps exceed the cap {hom_cap}"
         )
-    idx = np.arange(G.order)
-    scratch = np.zeros(G.order, dtype=bool)
-    for f in abelian.iter_homomorphisms(basis, G, targets):
-        sigma = G.table[idx, f[proj]]
-        yield sigma, _bijective(sigma, scratch)
+    n = G.order
+    rows = max(1, abelian._BLOCK_CELLS // n)
+    offsets = np.arange(n) * n
+    for f in abelian.iter_hom_blocks(basis, G, targets, rows):
+        sigma = G.table.ravel()[offsets + f[:, proj]]
+        yield sigma, _bijective_rows(sigma)
 
 
-def _central_maps(G: Group, hom_cap: int) -> Iterator[tuple[np.ndarray, bool]]:
+def _central_maps(
+    G: Group, hom_cap: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The candidate central maps: f ranges over Hom(G/G', Z(G))."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
@@ -91,8 +104,8 @@ def central_automorphism_count(
     """
     total = count = 0
     for _, bijective in _central_maps(G, hom_cap):
-        total += 1
-        count += bijective
+        total += len(bijective)
+        count += int(bijective.sum())
     upper = structure.central_series(G, "upper")
     z_inn = upper[2].order // upper[1].order if len(upper) > 2 else 1
     return CentralAutReport(
@@ -110,8 +123,7 @@ def is_minimal_bruteforce(G: Group, hom_cap: int = DEFAULT_HOM_CAP) -> bool:
 def iter_central_automorphisms(G: Group, hom_cap: int = DEFAULT_HOM_CAP):
     """Yield the bijective candidate maps as image arrays."""
     for sigma, bijective in _central_maps(G, hom_cap):
-        if bijective:
-            yield sigma
+        yield from sigma[bijective]
 
 
 def stability_count(
@@ -138,8 +150,8 @@ def stability_count(
     qab, proj2 = structure.abelianization(Q)
     seen: set[bytes] = set()
     for sigma, bijective in _candidate_maps(G, qab, proj2[proj], Y.elements, hom_cap):
-        assert bijective
-        seen.add(sigma.astype(np.int32).tobytes())
+        assert bijective.all()
+        seen.update(row.tobytes() for row in sigma.astype(np.int32))
     hom_order = hom_invariants(
         abelian.abelian_invariants(qab, prime=G.prime),
         abelian.abelian_invariants(Y.as_group(), prime=G.prime),
@@ -216,9 +228,7 @@ def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
 
     def search(i: int, assign: np.ndarray, known: list[int]) -> None:
         if i == len(gens):
-            if (assign != -1).all() and _bijective(
-                assign, np.zeros(n, dtype=bool)
-            ):
+            if (assign != -1).all() and _bijective_rows(assign[None, :])[0]:
                 results.append(assign.copy())
             return
         g = gens[i]

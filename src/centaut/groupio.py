@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ParseError
 from .families import parse_group_spec
 from .groups import DEFAULT_ORDER_CAP, Group, group_from_cayley_table, group_from_permutations
@@ -116,13 +118,20 @@ def read_group(path: str | Path, cap: int = DEFAULT_ORDER_CAP) -> Group:
 
 
 def write_group(G: Group, path: str | Path, name: Optional[str] = None) -> None:
-    """Write the Cayley-table form (canonical on disk)."""
-    data: dict = {"format": "cayley", "order": G.order, "table": G.table.tolist()}
+    """Write the Cayley-table form (canonical on disk).
+
+    Keys are sorted and compact, with one table row per line.  Each row is
+    joined from one shared string per element index, so no Python int or
+    list per cell is built.
+    """
+    data: dict = {"format": "cayley", "order": G.order}
     if name is not None:
         data["name"] = name
-    Path(path).write_text(
-        json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    # "table" sorts after every other key, so it goes last, row by row.
+    head = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    tokens = np.array([str(x) for x in range(G.order)], dtype=object)
+    rows = ",\n".join("[" + ",".join(tokens[r]) + "]" for r in G.table)
+    Path(path).write_text(f'{head[:-1]},"table":[\n{rows}\n]}}\n', encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -111,3 +111,30 @@ def ref_first_nonassociative_triple(
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return a, b, c
     return None
+
+
+def ref_iter_homomorphisms(
+    coordinates: list[list[int]],
+    prime: int,
+    exponents: tuple[int, ...],
+    ambient: list[list[int]],
+    targets: list[int],
+):
+    """Homomorphisms of a based abelian group into <targets>, one map per loop.
+
+    coordinates[x][i] is the exponent of basis element i (of order
+    prime**exponents[i]) in x.  Basis images run over the targets whose order
+    divides that of their basis element, in itertools.product order; each
+    map is a tuple f with f[x] = prod_i y_i ** coordinates[x][i].
+    """
+    tgt = sorted(targets)
+    orders = {t: ref_element_order(ambient, t) for t in tgt}
+    cand = [[t for t in tgt if orders[t] <= prime**e] for e in exponents]
+    for images in itertools.product(*cand):
+        f = [0] * len(coordinates)
+        for i, y in enumerate(images):
+            powers = [0]
+            for _ in range(prime ** exponents[i] - 1):
+                powers.append(ambient[powers[-1]][y])
+            f = [ambient[f[x]][powers[c[i]]] for x, c in enumerate(coordinates)]
+        yield tuple(f)

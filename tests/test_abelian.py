@@ -13,10 +13,25 @@ from centaut.abelian import (
     embeds_invariants,
     hom_count_by_targets,
     hom_invariants,
+    iter_hom_blocks,
     iter_homomorphisms,
 )
 from centaut.errors import NotAbelian, NotPrimePower, PrimeMismatch
-from centaut.families import abelian_group, cyclic, dihedral, elementary
+from centaut.families import (
+    abelian_group,
+    cyclic,
+    dihedral,
+    elementary,
+    parse_group_spec,
+)
+from centaut.structure import (
+    abelianization,
+    center,
+    central_series,
+    closure,
+    frattini_subgroup,
+    quotient,
+)
 
 import oracles
 
@@ -136,6 +151,91 @@ def test_iter_homomorphisms_into_subgroup_targets():
     homs = list(iter_homomorphisms(basis, B, sub))
     assert len(homs) == 2
     assert {int(f[1]) for f in homs} == set(sub)
+
+
+# Abelianization -> center, as the central-map enumeration asks: six
+# `homs` benchmark products and six corpus groups with basis elements of
+# order p^2 and p^3, p = 2, 3, 5.
+CENTER_SPECS = [
+    "dihedral(8) x elementary(2,2)",
+    "quaternion(8) x elementary(2,2)",
+    "heisenberg(2,2) x cyclic(4)",
+    "heisenberg(3,1) x cyclic(9)",
+    "modular(3,81) x cyclic(3)",
+    "extraspecial(2,32,-) x cyclic(4)",
+    "modular(2,32)",
+    "metacyclic(32,8,5)",
+    "dihedral(16) x cyclic(4)",
+    "heisenberg(3,1) x cyclic(3)",
+    "modular(5,625)",
+    "heisenberg(3,2)",
+]
+
+# stability_count's inputs: (G/X)^ab -> Y for X the Frattini subgroup or the
+# second center, Y the central part of X.
+STABILITY_SPECS = [
+    "dihedral(16)",
+    "heisenberg(2,2)",
+    "dihedral(16) x cyclic(2)",
+    "modular(3,81)",
+    "extraspecial(2,32,+)",
+]
+
+
+SMALL_PAIRS = [
+    (A, B)
+    for A, B in itertools.product(SMALL_ABELIAN, SMALL_ABELIAN)
+    if A.prime == B.prime
+]
+
+
+def _hom_case(kind, arg):
+    """(basis, ambient, targets) for one enumeration case."""
+    if kind == "small":
+        A, B = SMALL_PAIRS[arg]
+        return abelian_basis(A), B, list(range(B.order))
+    G = parse_group_spec(arg)
+    if kind == "center":
+        qab, _ = abelianization(G)
+        return abelian_basis(qab, prime=G.prime), G, center(G).elements
+    X = frattini_subgroup(G) if kind == "frattini" else central_series(G)[2]
+    Y = closure(G, [x for x in X.elements if center(G).mask[x]])
+    qab, _ = abelianization(quotient(G, X)[0])
+    return abelian_basis(qab, prime=G.prime), G, Y.elements
+
+
+HOM_CASES = (
+    [("small", i) for i in range(len(SMALL_PAIRS))]
+    + [("center", s) for s in CENTER_SPECS]
+    + [(kind, s) for s in STABILITY_SPECS for kind in ("frattini", "z2")]
+)
+
+
+@pytest.mark.parametrize("kind,arg", HOM_CASES)
+def test_hom_blocks_match_reference_loop(kind, arg):
+    """Blocks of every size concatenate to the per-map loop's maps, in order."""
+    basis, ambient, targets = _hom_case(kind, arg)
+    want = list(
+        oracles.ref_iter_homomorphisms(
+            basis.coordinates.tolist(),
+            basis.invariants.prime,
+            basis.invariants.exponents,
+            ambient.table.tolist(),
+            [int(t) for t in targets],
+        )
+    )
+    total = len(want)
+    assert total == hom_count_by_targets(basis, ambient, targets)
+    got = [tuple(f.tolist()) for f in iter_homomorphisms(basis, ambient, targets)]
+    assert got == want
+    non_divisor = next(r for r in range(2, total + 2) if total % r)
+    for rows in sorted({1, 7, non_divisor, total + 1}):
+        blocks = list(iter_hom_blocks(basis, ambient, targets, rows))
+        assert all(b.dtype == np.int64 for b in blocks)
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= rows
+        got = [tuple(f) for b in blocks for f in b.tolist()]
+        assert got == want, rows
 
 
 def test_hom_invariants_formula():

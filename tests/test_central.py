@@ -1,8 +1,11 @@
 """Central automorphism enumeration against independent searches."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from centaut import abelian
 from centaut.central import (
     adney_yen_check,
     all_automorphisms,
@@ -27,10 +30,17 @@ from centaut.families import (
     extraspecial,
     heisenberg,
     modular,
+    parse_group_spec,
     quaternion,
 )
 from centaut.groups import direct_product, group_from_permutations
-from centaut.structure import center, closure, derived_subgroup, frattini_subgroup
+from centaut.structure import (
+    abelianization,
+    center,
+    closure,
+    derived_subgroup,
+    frattini_subgroup,
+)
 
 import oracles
 
@@ -81,6 +91,75 @@ def test_cap_checked_before_enumeration():
         central_automorphism_count(G, hom_cap=15)
     rep = central_automorphism_count(G, hom_cap=16)
     assert rep.hom_candidates == 16
+
+
+def test_cap_checked_before_any_power_table(monkeypatch):
+    calls = []
+    real = abelian.iter_hom_blocks
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(abelian, "iter_hom_blocks", spy)
+    G = extraspecial(2, 32, "+")
+    with pytest.raises(EnumerationCapExceeded):
+        central_automorphism_count(G, hom_cap=15)
+    with pytest.raises(EnumerationCapExceeded):
+        list(iter_central_automorphisms(G, hom_cap=15))
+    assert calls == []
+    assert central_automorphism_count(G, hom_cap=16).hom_candidates == 16
+    assert len(calls) == 1
+
+
+def _ref_central_automorphisms(G):
+    """Bijective maps x -> x*f(xG'), f from the per-map reference loop."""
+    qab, proj = abelianization(G)
+    basis = abelian.abelian_basis(qab, prime=G.prime)
+    t = G.table.tolist()
+    homs = oracles.ref_iter_homomorphisms(
+        basis.coordinates.tolist(),
+        G.prime,
+        basis.invariants.exponents,
+        t,
+        [int(z) for z in center(G).elements],
+    )
+    maps = [[t[x][f[q]] for x, q in enumerate(proj.tolist())] for f in homs]
+    return len(maps), [m for m in maps if len(set(m)) == G.order]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "dihedral(16)",
+        "modular(2,32)",
+        "dihedral(16) x cyclic(4)",
+        "heisenberg(3,1) x cyclic(3)",
+        "extraspecial(2,32,+) x cyclic(2)",
+        "modular(5,625)",
+    ],
+)
+def test_block_size_changes_no_count_and_no_order(spec, monkeypatch):
+    G = parse_group_spec(spec)
+    total, auts = _ref_central_automorphisms(G)
+    for cells in (1, 10**6, abelian._BLOCK_CELLS):
+        monkeypatch.setattr(abelian, "_BLOCK_CELLS", cells)
+        rep = central_automorphism_count(G)
+        assert (rep.hom_candidates, rep.aut_count) == (total, len(auts)), cells
+        assert [s.tolist() for s in iter_central_automorphisms(G)] == auts, cells
+
+
+def test_enumeration_memory_is_bounded_by_the_block():
+    G = parse_group_spec("heisenberg(5,1) x cyclic(5)")  # 15,625 candidates
+    central_automorphism_count(G)  # fill the group's structure memo
+    tracemalloc.start()
+    try:
+        rep = central_automorphism_count(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.hom_candidates == 15625
+    assert peak < 4 * 2**20
 
 
 def test_rejects_non_prime_power_order():

@@ -1,12 +1,13 @@
 """Group file and manifest round trips plus strict parsing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from centaut.errors import ClosureExceedsCap, NotAssociative, ParseError
-from centaut.families import dihedral, quaternion
+from centaut.families import dihedral, heisenberg, quaternion
 from centaut.groupio import (
     Manifest,
     ManifestEntry,
@@ -28,6 +29,24 @@ def test_group_roundtrip(tmp_path):
     write_group(G, path, name="q16")
     name, H = read_group_file(path)
     assert name == "q16"
+    assert (H.table == G.table).all()
+
+
+def test_group_file_is_compact_and_round_trips(tmp_path):
+    G = heisenberg(3, 2)  # order 729
+    path = tmp_path / "heis9.json"
+    tracemalloc.start()
+    try:
+        write_group(G, path, name='heis "9"')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == '{"format":"cayley","name":"heis \\"9\\"","order":729,"table":['
+    assert len(lines) == 729 + 2 and lines[-1] == "]}"
+    name, H = read_group_file(path)
+    assert name == 'heis "9"'
     assert (H.table == G.table).all()
 
 
