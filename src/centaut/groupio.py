@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -18,7 +19,13 @@ import numpy as np
 
 from .errors import ParseError
 from .families import parse_group_spec
-from .groups import DEFAULT_ORDER_CAP, Group, group_from_cayley_table, group_from_permutations
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    Group,
+    cayley_array,
+    group_from_cayley_table,
+    group_from_permutations,
+)
 
 GROUP_FORMATS = ("cayley", "perm-group")
 DECISIONS = ("Minimal", "NotMinimal", "Undecided")
@@ -45,22 +52,30 @@ def _check_fields(data: dict, required: dict, optional: dict, path: str) -> None
     for field, kind in required.items():
         if field not in data:
             raise ParseError(f"missing field {field!r}", path=path)
-        if not isinstance(data[field], kind):
+        if type(data[field]) is not kind:
             raise ParseError(f"field {field!r} must be {kind.__name__}", path=path)
     for field, kind in optional.items():
-        if field in data and not isinstance(data[field], kind):
+        if field in data and type(data[field]) is not kind:
             raise ParseError(f"field {field!r} must be {kind.__name__}", path=path)
 
 
 def _int_matrix(rows: list, path: str, field: str) -> list[list[int]]:
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in row
-        ):
-            raise ParseError(f"{field}[{i}] must be a list of integers", path=path)
-        out.append(row)
-    return out
+    """rows, checked to be a list of lists of ints.
+
+    json yields only int, bool, float, str, None, list and dict, and bool
+    is a type of its own, so two C-level passes over the type sets are
+    exact.  Only a failing matrix is scanned row by row, to name its row.
+    """
+    if set(map(type, rows)) <= {list} and set(
+        map(type, chain.from_iterable(rows))
+    ) <= {int}:
+        return rows
+    i = next(
+        i
+        for i, row in enumerate(rows)
+        if type(row) is not list or set(map(type, row)) - {int}
+    )
+    raise ParseError(f"{field}[{i}] must be a list of integers", path=path)
 
 
 def _check_degree(degree: int, cap: int, path: Optional[str] = None) -> None:
@@ -92,12 +107,15 @@ def read_group_file(
             spath,
         )
         order = data["order"]
-        table = _int_matrix(data["table"], spath, "table")
-        if len(table) != order or any(len(r) != order for r in table):
-            raise ParseError(f"table is not {order}x{order}", spath)
         if order > cap:
             raise ParseError(f"order {order} exceeds cap {cap}", spath)
-        return data.get("name"), group_from_cayley_table(table)
+        table = _int_matrix(data.pop("table"), spath, "table")
+        if len(table) != order or set(map(len, table)) - {order}:
+            raise ParseError(f"table is not {order}x{order}", spath)
+        # One int64 conversion; the parsed lists are freed before validation.
+        arr = cayley_array(table)
+        del table
+        return data.get("name"), group_from_cayley_table(arr)
     if fmt == "perm-group":
         _check_fields(
             data,

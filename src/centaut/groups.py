@@ -2,12 +2,18 @@
 
 A group of order n lives on indices 0..n-1 with the identity fixed at 0.
 The table is an n x n numpy array, table[a, b] = index of a*b.  An untrusted
-table enters through group_from_cayley_table, which checks the Latin-square
-property and the identity row and column, then associativity by Light's
-test: (x*g)*y == x*(g*y) for every x, y and each g of a greedy generating
-set, at most log2(n) + 1 checks of n^2 cells.  A failed check falls back to
-a row scan that names the lexicographically first bad triple (a, b, c).
-Tables built by proof are wrapped without a check.
+table enters through group_from_cayley_table, which converts it to int64
+once (cayley_array) and checks the range of every cell, the Latin-square
+property by scatter marks into one n x n bool mask, and the identity row
+and column, then associativity by Light's test: (x*g)*y == x*(g*y) for
+every x, y and each g of a greedy generating set, at most log2(n) + 1
+checks of n^2 cells.  A failed check falls back to a row scan that names
+the lexicographically first bad triple (a, b, c).
+
+Tables built by proof are wrapped without a check.  group_from_permutations
+closes its generators by BFS on image arrays and keeps a Schreier tree
+(each element's BFS parent and generator), so its table takes n gathers of
+length n rather than n^2 permutation products.
 """
 
 from __future__ import annotations
@@ -106,13 +112,16 @@ class Group:
 
     def __init__(self, table: np.ndarray):
         table = np.ascontiguousarray(table, dtype=np.int32)
+        # inverse[a]: the unique b with a*b == 0 (Latin square guarantees
+        # it); 0 is the least entry of each row, so argmin finds it.  It
+        # runs before the table is made read-only, on which numpy's argmin
+        # works on a copy.
+        inv = np.argmin(table, axis=1).astype(np.int32)
+        inv.setflags(write=False)
+        self.inverse = inv
         table.setflags(write=False)
         self.table = table
         self.order = int(table.shape[0])
-        # inverse[a]: the unique b with a*b == 0 (Latin square guarantees it)
-        inv = np.argmax(table == 0, axis=1).astype(np.int32)
-        inv.setflags(write=False)
-        self.inverse = inv
         self.prime, self.order_exp = prime_power(self.order)
 
     def mul(self, a: int, b: int) -> int:
@@ -198,9 +207,17 @@ def _validate_table(table: np.ndarray) -> None:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotLatinSquare(f"entry at {tuple(int(i) for i in bad)} outside range({n})")
     ident = np.arange(n)
-    for axis, kind in ((1, "row"), (0, "column")):
-        ranked = np.sort(table, axis=axis)
-        ok = (ranked == (ident[None, :] if axis == 1 else ident[:, None])).all(axis=axis)
+    # Latin check by scatter marks into one reused n x n mask: (i, v) for
+    # each cell v of row i, then (v, j) for each cell v of column j.  A row
+    # or column is a permutation iff it marks all n of its slots.
+    marks = np.zeros((n, n), dtype=bool)
+    for axis, kind, cells in (
+        (1, "row", (ident[:, None], table)),
+        (0, "column", (table, ident[None, :])),
+    ):
+        marks[:] = False
+        marks[cells] = True
+        ok = marks.all(axis=axis)
         if not ok.all():
             i = int(np.argmin(ok))
             raise NotLatinSquare(f"{kind} {i} is not a permutation of range({n})")
@@ -248,12 +265,40 @@ def _raise_first_nonassociative(table: np.ndarray) -> None:
             raise NotAssociative(f"(({a}*{b})*{c}) != ({a}*({b}*{c}))")
 
 
+def _first_cell_outside(
+    table: Sequence[Sequence[int]] | np.ndarray,
+) -> Optional[tuple[int, int]]:
+    """(i, j) of the first cell, row by row, that is not in range(len(table))."""
+    n = len(table)
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            try:
+                if 0 <= v < n:
+                    continue
+            except TypeError:
+                pass
+            return i, j
+    return None
+
+
+def cayley_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """An untrusted table as one int64 array, or NotLatinSquare.
+
+    A cell beyond int64 lies outside range(n) for any n a table can have,
+    so it is named as the range check names a cell.
+    """
+    try:
+        return np.asarray(table, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError) as e:
+        cell = _first_cell_outside(table) if isinstance(e, OverflowError) else None
+        if cell is not None:
+            raise NotLatinSquare(f"entry at {cell} outside range({len(table)})") from None
+        raise NotLatinSquare(f"table is not a rectangular integer array: {e}") from None
+
+
 def group_from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> Group:
     """Validate an untrusted square table and wrap it as a Group."""
-    try:
-        arr = np.asarray(table, dtype=np.int64)
-    except (ValueError, TypeError) as e:
-        raise NotLatinSquare(f"table is not a rectangular integer array: {e}") from None
+    arr = cayley_array(table)
     _validate_table(arr)
     return Group(arr)
 
@@ -274,29 +319,51 @@ def group_from_permutations(
         if p.degree != degree:
             raise InvalidPermutation(f"generator degree {p.degree} != {degree}")
         gens.append(p)
-    ident = Permutation(range(degree))
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt: list[Permutation] = []
-        for q in frontier:
-            for g in gens:
-                r = q * g
-                if r not in index:
-                    if len(elements) >= cap:
-                        raise ClosureExceedsCap(
-                            f"closure exceeds cap {cap} (degree {degree})"
-                        )
-                    index[r] = len(elements)
-                    elements.append(r)
-                    nxt.append(r)
-        frontier = nxt
-    n = len(elements)
+    k = len(gens)
+    dtype = np.min_scalar_type(max(degree - 1, 0))
+    images = np.array([p.images for p in gens], dtype=dtype).reshape(k, degree)
+    # BFS over image arrays keyed by their bytes.  Each layer's products
+    # q*g, with (q*g)(i) = q(g(i)), come q-major as in a loop over the
+    # frontier and then the generators, so elements keep that numbering.
+    # Element j > 0 is reached as e_j = e_parent[j] * gens[via[j]], and
+    # right[g, i] = index of e_i * gens[g] (a Schreier-tree layout).
+    frontier = np.arange(degree, dtype=dtype)[None, :]
+    index = {frontier.tobytes(): 0}
+    parent, via, right = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)], []
+    start = 0
+    while len(frontier):
+        m = len(frontier)
+        prods = frontier[:, images].reshape(m * k, degree)
+        hit = np.empty(len(prods), dtype=np.int64)
+        fresh = []
+        for c, key in enumerate(map(bytes, prods)):
+            i = index.get(key)
+            if i is None:
+                if len(index) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap {cap} (degree {degree})")
+                i = index[key] = len(index)
+                fresh.append(c)
+            hit[c] = i
+        right.append(hit.reshape(m, k))
+        fresh = np.array(fresh, dtype=np.int64)
+        parent.append(start + fresh // k)
+        via.append(fresh % k)
+        start += m
+        frontier = prods[fresh]
+    n = len(index)
+    parent, via = np.concatenate(parent), np.concatenate(via)
+    right = np.concatenate(right).T
+    # left[g, j] = index of gens[g] * e_j, by the same recursion along the
+    # tree: g*e_j = (g*e_parent[j]) * gens[via[j]].
+    left = np.empty((k, n), dtype=np.int64)
+    left[:, 0] = right[:, 0]
+    for j in range(1, n):
+        left[:, j] = right[via[j], left[:, parent[j]]]
+    # Row j: e_j * e_x = e_parent[j] * (gens[via[j]] * e_x), one gather per row.
     table = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[a * b]
+    table[0] = np.arange(n)
+    for j in range(1, n):
+        table[j] = table[parent[j]][left[via[j]]]
     # associative and Latin by construction; identity is element 0
     return Group(table)
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 
+from centaut.errors import ClosureExceedsCap
+
 
 def ref_closure(table: list[list[int]], seed: list[int]) -> list[int]:
     members = {0, *seed}
@@ -138,3 +140,61 @@ def ref_iter_homomorphisms(
                 powers.append(ambient[powers[-1]][y])
             f = [ambient[f[x]][powers[c[i]]] for x, c in enumerate(coordinates)]
         yield tuple(f)
+
+
+def ref_int_matrix_error(rows: list, field: str) -> str | None:
+    """The per-row type scan of group files: the first row not a list of ints."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in row
+        ):
+            return f"{field}[{i}] must be a list of integers"
+    return None
+
+
+def ref_latin_error(table: list[list[int]]) -> str | None:
+    """Sort-based Latin check on an in-range table: rows first, then columns."""
+    n = len(table)
+    ident = list(range(n))
+    for i, row in enumerate(table):
+        if sorted(row) != ident:
+            return f"row {i} is not a permutation of range({n})"
+    for j in range(n):
+        if sorted(row[j] for row in table) != ident:
+            return f"column {j} is not a permutation of range({n})"
+    return None
+
+
+def ref_permutation_closure(
+    degree: int, generators: list[list[int]], cap: int
+) -> list[list[int]]:
+    """Cayley table of <generators>, one composition per cell.
+
+    Elements are image tuples numbered in BFS order: the frontier in order,
+    each element times each generator in turn, (q*g)(i) = q(g(i)).  Raises
+    ClosureExceedsCap when an element beyond the cap-th is found.
+    """
+
+    def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(a.__getitem__, b))
+
+    gens = [tuple(g) for g in generators]
+    ident = tuple(range(degree))
+    elements = [ident]
+    index = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for g in gens:
+                r = mul(q, g)
+                if r not in index:
+                    if len(elements) >= cap:
+                        raise ClosureExceedsCap(
+                            f"closure exceeds cap {cap} (degree {degree})"
+                        )
+                    index[r] = len(elements)
+                    elements.append(r)
+                    nxt.append(r)
+        frontier = nxt
+    return [[index[mul(a, b)] for b in elements] for a in elements]

@@ -55,6 +55,17 @@ def test_perm_degree_outside_cap_exits_2(capsys, degree):
     assert peak < 2**20
 
 
+def test_cell_beyond_int64_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"format":"cayley","order":2,"table":[[0,1],[1,100000000000000000000000000000]]}'
+    )
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "NotLatinSquare: entry at (1, 1) outside range(2)" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_json(capsys):
     code, out, err = run_cli(capsys, "analyze", "builtin:quaternion(8)", "--name", "q8")
     assert code == 0

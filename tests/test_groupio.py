@@ -80,6 +80,15 @@ def test_perm_group_file(tmp_path):
         (lambda d: d.update(format="sudoku"), "format"),
         (lambda d: d["table"].pop(), "8x8"),
         (lambda d: d["table"][0].__setitem__(0, True), "integer"),
+        (lambda d: d.update(order=True), "field 'order' must be int"),
+        (lambda d: d.update(order=False), "field 'order' must be int"),
+        (
+            lambda d: (
+                d.clear(),
+                d.update(format="perm-group", degree=True, generators=[[0]]),
+            ),
+            "field 'degree' must be int",
+        ),
     ],
 )
 def test_group_file_rejects_malformed(tmp_path, mutate, message):
