@@ -9,7 +9,6 @@ arithmetic on the invariant lists.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -17,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInvariants, NotAbelian, NotPrimePower, PrimeMismatch
-from .groups import Group, prime_power
+from .groups import Group, greedy_generators, prime_power
 
 
 @dataclass(frozen=True)
@@ -75,36 +74,26 @@ def abelian_invariants(A: Group, prime: Optional[int] = None) -> AbelianInvarian
         raise PrimeMismatch(f"group prime {A.prime} != requested {prime}")
     p = A.prime
     orders = A.element_orders
-    # layer[j] = log_p #{x : x^(p^j) == 1}; rank of layer j is layer[j]-layer[j-1]
+    # layer[j] = log_p #{x : x^(p^j) == 1}; ranks[j] = layer[j+1] - layer[j]
+    # counts the invariants >= j + 1, so the invariants are its conjugate
     ranks = []
     bound = 1
     prev = 0
     while bound < A.exponent:
         bound *= p
-        count = int((orders <= bound).sum())
-        lg = 0
-        while count > 1:
-            count //= p
-            lg += 1
+        _, lg = prime_power(int((orders <= bound).sum()))
         ranks.append(lg - prev)
         prev = lg
-    exps = []
-    for j in range(len(ranks)):
-        nxt = ranks[j + 1] if j + 1 < len(ranks) else 0
-        exps.extend([j + 1] * (ranks[j] - nxt))
-    return AbelianInvariants(p, tuple(sorted(exps, reverse=True)))
+    exps = [sum(r >= i for r in ranks) for i in range(1, ranks[0] + 1)]
+    return AbelianInvariants(p, tuple(exps))
 
 
 def _span(A: Group, gens: Sequence[int]) -> np.ndarray:
-    """Sorted element set of the subgroup generated inside an abelian group."""
-    span = np.array([0], dtype=np.int64)
-    for g in gens:
-        k = int(A.element_orders[g])
-        powers = [0]
-        for _ in range(k - 1):
-            powers.append(int(A.table[powers[-1], g]))
-        span = np.unique(A.table[np.ix_(span, np.asarray(powers))])
-    return span
+    """Membership mask of the subgroup that gens generate."""
+    reached = np.arange(A.order) == 0
+    for _ in greedy_generators(A.table, gens, reached):
+        pass
+    return reached
 
 
 @dataclass(frozen=True)
@@ -133,13 +122,11 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
     orders = A.element_orders
     targets = inv.exponents
     chosen: list[int] = []
-    spans: list[np.ndarray] = [np.array([0], dtype=np.int64)]
     cand_stacks: list[list[int]] = []
 
     def candidates(i: int) -> list[int]:
         want = p ** targets[i]
-        span_mask = np.zeros(A.order, dtype=bool)
-        span_mask[spans[-1]] = True
+        span_mask = _span(A, chosen)
         out = []
         for x in np.flatnonzero(orders == want):
             x = int(x)
@@ -156,27 +143,23 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
             if not chosen:
                 raise RuntimeError("basis search failed; group is not as declared")
             chosen.pop()
-            spans.pop()
             continue
-        x = stack.pop(0)
-        chosen.append(x)
-        spans.append(_span(A, chosen))
+        chosen.append(stack.pop(0))
 
     if not targets:
         return AbelianBasis(A, inv, (), np.zeros((A.order, 0), dtype=np.int32))
-    coords = np.full((A.order, len(targets)), -1, dtype=np.int32)
-    radices = [p ** e for e in targets]
-    filled = 0
-    for combo in itertools.product(*(range(r) for r in radices)):
-        x = 0
-        for g, c in zip(chosen, combo):
-            x = int(A.table[x, A.pow(g, c)])
-        if (coords[x] != -1).any():
-            raise RuntimeError("basis does not span freely")
-        coords[x] = combo
-        filled += 1
-    if filled != A.order:
-        raise RuntimeError("basis does not span the group")
+    radices = [p**e for e in targets]
+    # x[k] = prod_i chosen[i] ** c_i for the k-th exponent tuple c, C order
+    x = np.zeros(1, dtype=np.int64)
+    for g, r in zip(chosen, radices):
+        powers = [0]
+        for _ in range(r - 1):
+            powers.append(int(A.table[powers[-1], g]))
+        x = A.table[x[:, None], powers].ravel()
+    if np.unique(x).size != A.order:  # |A| tuples: free iff they span A
+        raise RuntimeError("basis does not span freely")
+    coords = np.empty((A.order, len(targets)), dtype=np.int32)
+    coords[x] = np.stack(np.unravel_index(np.arange(A.order), radices), axis=1)
     coords.setflags(write=False)
     return AbelianBasis(A, inv, tuple(chosen), coords)
 
@@ -301,22 +284,17 @@ def embeds_bruteforce(A: Group, B: Group) -> bool:
     exps = basis.invariants.exponents
     orders = B.element_orders
 
-    def extend(i: int, span: np.ndarray) -> bool:
-        if i == len(exps):
+    def extend(images: list[int]) -> bool:
+        if len(images) == len(exps):
             return True
-        want = p ** exps[i]
-        span_mask = np.zeros(B.order, dtype=bool)
-        span_mask[span] = True
+        want = p ** exps[len(images)]
+        span_mask = _span(B, images)
         for y in np.flatnonzero(orders == want):
             y = int(y)
             if span_mask[B.pow(y, want // p)]:
                 continue
-            powers = [0]
-            for _ in range(want - 1):
-                powers.append(int(B.table[powers[-1], y]))
-            nxt = np.unique(B.table[np.ix_(span, np.asarray(powers))])
-            if extend(i + 1, nxt):
+            if extend([*images, y]):
                 return True
         return False
 
-    return extend(0, np.array([0], dtype=np.int64))
+    return extend([])

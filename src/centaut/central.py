@@ -183,20 +183,15 @@ def adney_yen_check(
 def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
     """Every automorphism, by generator-image search with closure propagation.
 
-    Independent of the central-map enumeration: picks a generating sequence,
-    tries all same-order images, and extends each assignment through the
-    multiplication table, rejecting on the first conflict.  Exponential in
-    general, hence the small order_limit.
+    Independent of the central-map enumeration: takes the greedy generating
+    set (structure.generators), tries all same-order images, and extends
+    each assignment through the multiplication table, rejecting on the
+    first conflict.  Exponential in general, hence the small order_limit.
     """
     n = G.order
     if n > order_limit:
         raise ValueError(f"order {n} exceeds the search limit {order_limit}")
-    gens: list[int] = []
-    span = structure.closure(G, [])
-    while span.order < n:
-        g = int(np.argmin(span.mask))  # smallest element outside the span
-        gens.append(g)
-        span = structure.closure(G, gens)
+    gens = structure.generators(G).tolist()
     orders = G.element_orders
     table = G.table
     results: list[np.ndarray] = []

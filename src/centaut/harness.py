@@ -239,25 +239,9 @@ def format_report(report: VerificationReport, fmt: str = "json") -> str:
         w.writeheader()
         for r in report.records:
             d = record_dict(r)
-            row = {
-                "name": d["name"],
-                "source": d["source"],
-                "status": d["status"],
-                "order": d["order"],
-                "prime": d["prime"],
-                "class": d["structure"]["class"] if d["structure"] else None,
-                "coclass": d["structure"]["coclass"] if d["structure"] else None,
-                "decision": d["verdict"]["decision"] if d["verdict"] else None,
-                "rule": d["verdict"]["rule"] if d["verdict"] else None,
-                "homCandidates": d["central"]["homCandidates"] if d["central"] else None,
-                "autCount": d["central"]["autCount"] if d["central"] else None,
-                "zInnOrder": d["central"]["zInnOrder"] if d["central"] else None,
-                "agreement": d["agreement"],
-                "expected": d["expected"],
-                "expectedOk": d["expectedOk"],
-                "error": d["error"],
-            }
-            w.writerow({k: ("" if v is None else v) for k, v in row.items()})
+            # no key repeats between a record and its nested dicts
+            flat = {**d, **(d["structure"] or {}), **(d["verdict"] or {}), **(d["central"] or {})}
+            w.writerow({k: ("" if flat.get(k) is None else flat[k]) for k in _CSV_FIELDS})
         return buf.getvalue()
     if fmt == "table":
         head = f"{'name':<12} {'order':>6} {'cls':>3} {'cc':>3} {'decision':<11} {'rule':<12} {'aut':>8} {'zinn':>6} {'ok':<5}"

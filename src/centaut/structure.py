@@ -2,6 +2,15 @@
 
 Everything works directly on element indices of a parent Group; quotients
 reindex cosets by their minimal member so results are deterministic.
+
+The invariants come from the greedy generating set S of G (generators,
+|S| <= log2 n) at O(n * |S|) per step, not from an n x n commutator table:
+- Z_{i+1}(G) = {x : [x, s] in Z_i(G) for all s in S}; Z(G) = Z_1(G).
+- If X generates a normal N, [N, G] is generated by [x, g] for x in X and
+  g in G: that span is normal, as [x, g]^y = [x, y]^-1 [x, gy], and X is
+  central modulo it.  So gamma_{i+1} needs only the greedy generators of
+  gamma_i, and G' = gamma_2.
+- Burnside's basis theorem, Phi(G) = G'G^p, makes d(G) the rank of G/G'.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from .errors import (
     NotNormal,
     NotPrimePower,
 )
-from .groups import Group
+from .groups import Group, greedy_generators
 
 
 def _per_group(derive: Callable) -> Callable:
@@ -61,19 +70,17 @@ class Subgroup:
             raise IndexOutOfRange(
                 f"subgroup element {bad} outside range({parent.order})"
             )
+        mask = np.zeros(parent.order, dtype=bool)
+        mask[elems] = True
         if verify:
-            prods = parent.table[np.ix_(elems, elems)]
-            mask = np.zeros(parent.order, dtype=bool)
-            mask[elems] = True
-            if not mask[prods].all():
-                a, b = (int(i) for i in np.argwhere(~mask[prods])[0])
+            closed = mask[parent.table[np.ix_(elems, elems)]]
+            if not closed.all():
+                a, b = (int(i) for i in np.argwhere(~closed)[0])
                 raise ValueError(
                     f"set not closed: {int(elems[a])}*{int(elems[b])} escapes"
                 )
         self.parent = parent
         self.elements = tuple(int(e) for e in elems)
-        mask = np.zeros(parent.order, dtype=bool)
-        mask[elems] = True
         mask.setflags(write=False)
         self.mask = mask
 
@@ -119,65 +126,65 @@ class Subgroup:
 
 def closure(G: Group, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed (identity always included)."""
-    mask = np.zeros(G.order, dtype=bool)
-    mask[0] = True
+    seed = list(seed)
     for g in seed:
         if not 0 <= int(g) < G.order:
             raise IndexOutOfRange(f"element {g} outside range({G.order})")
-        mask[int(g)] = True
-    while True:
-        elems = np.flatnonzero(mask)
-        prods = G.table[np.ix_(elems, elems)]
-        new = np.unique(prods[~mask[prods]])
-        if new.size == 0:
-            break
-        mask[new] = True
-    return Subgroup(G, np.flatnonzero(mask), verify=False)
+    reached = np.arange(G.order) == 0
+    for _ in greedy_generators(G.table, seed, reached):
+        pass
+    return Subgroup(G, np.flatnonzero(reached), verify=False)
 
 
 @_per_group
-def _center_mask(G: Group) -> np.ndarray:
-    return (G.table == G.table.T).all(axis=1)
+def generators(G: Group) -> np.ndarray:
+    """The greedy generating set of G: each the smallest element outside
+    the span of those before it; computed once per group, read-only."""
+    reached = np.arange(G.order) == 0
+    return np.fromiter(greedy_generators(G.table, range(G.order), reached), np.int64)
 
 
-def center(G: Group) -> Subgroup:
-    """Elements commuting with everything: rows equal to columns."""
-    return Subgroup(G, np.flatnonzero(_center_mask(G)), verify=False)
+def commutator_table(G: Group, xs: Sequence[int]) -> np.ndarray:
+    """comm[g, j] = index of [g, xs[j]] = g^-1 xs[j]^-1 g xs[j], for all g."""
+    xs = np.asarray(xs, dtype=np.int64)
+    g = np.arange(G.order)[:, None]
+    m = G.table[G.inverse[g], G.inverse[xs][None, :]]
+    m = G.table[m, g]
+    return G.table[m, xs[None, :]]
 
 
-@_per_group
-def commutator_table(G: Group) -> np.ndarray:
-    """comm[x, g] = index of x^-1 g^-1 x g; computed once per group, read-only."""
-    n = G.order
-    idx = np.arange(n)
-    m = G.table[np.ix_(G.inverse, G.inverse)]
-    m = G.table[m, idx[:, None]]
-    m = G.table[m, idx[None, :]]
-    return m
-
-
-@_per_group
-def _derived_elements(G: Group) -> np.ndarray:
-    return np.asarray(closure(G, np.unique(commutator_table(G))).elements)
-
-
-def derived_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, _derived_elements(G), verify=False)
+def _commutator_span(G: Group, xs: Sequence[int]) -> Subgroup:
+    """[N, G] for the normal subgroup N generated by xs."""
+    return closure(G, np.unique(commutator_table(G, xs)))
 
 
 @_per_group
 def _upper_masks(G: Group) -> np.ndarray:
-    """Row i is the membership mask of Z_i(G), from the trivial group to G."""
-    comm = commutator_table(G)
+    """Row i is the mask of Z_i(G), from Z_0 = 1 up to G; for G not
+    nilpotent, up to where the series stalls (one row if Z(G) = 1)."""
+    comm = commutator_table(G, generators(G))
     masks = [np.arange(G.order) == 0]
     while not masks[-1].all():
-        nxt = masks[-1][comm].all(axis=1)  # x with [x, g] in Z_i for all g
+        nxt = masks[-1][comm].all(axis=1)  # x with [x, s] in Z_i for all s
         if nxt.sum() == masks[-1].sum():
-            raise NotNilpotent(
-                f"upper series stalls at order {int(nxt.sum())} < {G.order}"
-            )
+            break
         masks.append(nxt)
     return np.stack(masks)
+
+
+def center(G: Group) -> Subgroup:
+    """Elements commuting with every generator."""
+    masks = _upper_masks(G)
+    return Subgroup(G, np.flatnonzero(masks[min(1, len(masks) - 1)]), verify=False)
+
+
+@_per_group
+def _derived_elements(G: Group) -> np.ndarray:
+    return np.asarray(_commutator_span(G, generators(G)).elements)
+
+
+def derived_subgroup(G: Group) -> Subgroup:
+    return Subgroup(G, _derived_elements(G), verify=False)
 
 
 def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
@@ -189,13 +196,17 @@ def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
     if kind not in ("upper", "lower"):
         raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
     if kind == "upper":
-        return [Subgroup(G, np.flatnonzero(m), verify=False) for m in _upper_masks(G)]
-    comm = commutator_table(G)
+        masks = _upper_masks(G)
+        if not masks[-1].all():
+            raise NotNilpotent(
+                f"upper series stalls at order {int(masks[-1].sum())} < {G.order}"
+            )
+        return [Subgroup(G, np.flatnonzero(m), verify=False) for m in masks]
     series = [Subgroup(G, range(G.order), verify=False)]
     while series[-1].order > 1:
-        elems = np.asarray(series[-1].elements)
-        gens = np.unique(comm[elems, :])
-        nxt = closure(G, gens)
+        reached = np.arange(G.order) == 0
+        xs = list(greedy_generators(G.table, series[-1].elements, reached))
+        nxt = _commutator_span(G, xs)
         if nxt.order == series[-1].order:
             raise NotNilpotent(
                 f"lower series stalls at order {nxt.order} > 1"
@@ -216,17 +227,12 @@ def frattini_subgroup(G: Group) -> Subgroup:
 
 
 def minimal_generator_count(G: Group) -> int:
-    """d(G) = log_p [G : Frattini(G)] for nontrivial p-groups."""
+    """d(G), the rank of G/G' for nontrivial p-groups (Burnside)."""
     if G.order == 1:
         return 0
-    phi = frattini_subgroup(G)
-    index = G.order // phi.order
-    p = G.prime
-    d = 0
-    while index > 1:
-        index //= p
-        d += 1
-    return d
+    if G.prime is None:
+        raise NotPrimePower(f"order {G.order} is not a prime power")
+    return abelian.abelian_invariants(abelianization(G)[0], prime=G.prime).rank
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
@@ -274,7 +280,8 @@ class StructureReport:
     """Invariants feeding the minimality rules.
 
     abelianization/center/inner_center hold the invariant lists of G/[G,G],
-    Z(G) and Z_2(G)/Z(G) respectively; d is the minimal generator count.
+    Z(G) and Z_2(G)/Z(G) respectively; d is the minimal generator count,
+    the rank of G/[G,G].
     """
 
     order: int
@@ -314,7 +321,7 @@ def structure_report(G: Group) -> StructureReport:
         order_exp=G.order_exp,
         nilpotency_class=cls,
         coclass=G.order_exp - cls,
-        d=minimal_generator_count(G),
+        d=alpha.rank,
         d_center=gamma.rank,
         d_inner_center=beta.rank,
         abelianization=alpha,

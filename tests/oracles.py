@@ -1,12 +1,17 @@
 """Slow reference implementations used to pin down the fast library code.
 
 Everything here works on plain Python lists-of-lists and sets, no numpy,
-so a bug in the vectorized code cannot hide in its oracle.
+so a bug in the vectorized code cannot hide in its oracle.  The exception
+is the full-table structure references at the end: they are the library's
+former numpy routines, which read the whole n x n commutator table instead
+of a generating set, and run at corpus orders where lists would be slow.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from centaut.errors import ClosureExceedsCap
 
@@ -198,3 +203,77 @@ def ref_permutation_closure(
                     nxt.append(r)
         frontier = nxt
     return [[index[mul(a, b)] for b in elements] for a in elements]
+
+
+def ref_commutator_table(table: np.ndarray) -> np.ndarray:
+    """comm[x, g] = index of x^-1 g^-1 x g, for every pair: n x n cells."""
+    n = len(table)
+    inverse = np.argmax(table == 0, axis=1)
+    idx = np.arange(n)
+    m = table[np.ix_(inverse, inverse)]
+    m = table[m, idx[:, None]]
+    return table[m, idx[None, :]]
+
+
+def ref_closure_mask(table: np.ndarray, seed) -> np.ndarray:
+    """Span of the seed by rounds of all |H|^2 products until none is new."""
+    mask = np.zeros(len(table), dtype=bool)
+    mask[0] = True
+    mask[np.asarray(seed, dtype=np.int64)] = True
+    while True:
+        elems = np.flatnonzero(mask)
+        prods = table[np.ix_(elems, elems)]
+        new = np.unique(prods[~mask[prods]])
+        if new.size == 0:
+            return mask
+        mask[new] = True
+
+
+def ref_upper_masks(table: np.ndarray) -> list[np.ndarray]:
+    """Z_0 .. Z_c: x is in Z_{i+1} iff [x, g] is in Z_i for every g in G."""
+    comm = ref_commutator_table(table)
+    masks = [np.arange(len(table)) == 0]
+    while not masks[-1].all():
+        nxt = masks[-1][comm].all(axis=1)
+        if nxt.sum() == masks[-1].sum():
+            raise ValueError("upper series stalls")
+        masks.append(nxt)
+    return masks
+
+
+def ref_derived_mask(table: np.ndarray) -> np.ndarray:
+    """G' as the span of every commutator."""
+    return ref_closure_mask(table, np.unique(ref_commutator_table(table)))
+
+
+def ref_lower_masks(table: np.ndarray) -> list[np.ndarray]:
+    """gamma_1 = G, gamma_{i+1} = span of [x, g] for all x in gamma_i, g in G."""
+    comm = ref_commutator_table(table)
+    series = [np.ones(len(table), dtype=bool)]
+    while series[-1].sum() > 1:
+        nxt = ref_closure_mask(table, np.unique(comm[series[-1], :]))
+        if nxt.sum() == series[-1].sum():
+            raise ValueError("lower series stalls")
+        series.append(nxt)
+    return series
+
+
+def ref_frattini_mask(table: np.ndarray, p: int) -> np.ndarray:
+    """Phi(G) of a p-group as the span of G' and every p-th power."""
+    n = len(table)
+    powers = np.arange(n)
+    for _ in range(p - 1):
+        powers = table[powers, np.arange(n)]
+    return ref_closure_mask(
+        table, np.concatenate([np.flatnonzero(ref_derived_mask(table)), powers])
+    )
+
+
+def ref_generator_count(table: np.ndarray, p: int) -> int:
+    """d(G) = log_p [G : Phi(G)]."""
+    index = len(table) // int(ref_frattini_mask(table, p).sum())
+    d = 0
+    while index > 1:
+        index //= p
+        d += 1
+    return d

@@ -62,6 +62,13 @@ def test_rejects_non_square_and_non_integer():
         group_from_cayley_table([[0, "x"], ["x", 0]])
     with pytest.raises(NotLatinSquare):
         group_from_cayley_table([[0, 1], [1]])  # ragged
+    # non-integer cells are rejected, not cast to C2
+    with pytest.raises(NotLatinSquare, match=r"^entry at \(0, 1\) is not an integer: 1\.7$"):
+        group_from_cayley_table([[0, 1.7], [1, 0]])
+    with pytest.raises(NotLatinSquare, match=r"^entry at \(0, 1\) is not an integer: True$"):
+        group_from_cayley_table([[0, True], [True, 0]])
+    with pytest.raises(NotLatinSquare, match=r"^table dtype float64 is not integral$"):
+        group_from_cayley_table(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_rejects_non_associative_naming_first_triple():

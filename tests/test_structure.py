@@ -1,10 +1,14 @@
 """Subgroups, series, quotients and the structure report."""
 
+import functools
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from centaut.central import central_automorphism_count
 from centaut.errors import IndexOutOfRange, NotNilpotent, NotNormal, NotPrimePower
@@ -14,9 +18,10 @@ from centaut.families import (
     elementary,
     heisenberg,
     modular,
+    parse_group_spec,
     quaternion,
 )
-from centaut.groups import group_from_permutations
+from centaut.groups import Group, group_from_permutations
 from centaut.structure import (
     Subgroup,
     abelianization,
@@ -26,6 +31,7 @@ from centaut.structure import (
     commutator_table,
     derived_subgroup,
     frattini_subgroup,
+    generators,
     minimal_generator_count,
     quotient,
     socle_of,
@@ -45,6 +51,33 @@ def test_closure_matches_reference():
     t = G.table.tolist()
     for seed in ([], [1], [2], [3, 8], [9], [2, 9]):
         assert list(closure(G, seed).elements) == oracles.ref_closure(t, seed)
+
+
+CLOSURE_GROUPS = {
+    "dihedral(16)": dihedral(16),
+    "quaternion(16)": quaternion(16),
+    "heisenberg(3,1)": heisenberg(3, 1),
+    "S4": group_from_permutations(4, [[1, 2, 3, 0], [1, 0, 2, 3]]),
+}
+
+
+@given(st.sampled_from(sorted(CLOSURE_GROUPS)), st.data())
+def test_closure_of_drawn_seeds_matches_reference(name, data):
+    G = CLOSURE_GROUPS[name]
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    assert list(closure(G, seed).elements) == oracles.ref_closure(G.table.tolist(), seed)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_generators_are_greedy_and_generate(name):
+    G = CLOSURE_GROUPS[name]
+    gens = generators(G).tolist()
+    t = G.table.tolist()
+    for i, g in enumerate(gens):
+        span = oracles.ref_closure(t, gens[:i])
+        assert g == min(set(range(G.order)) - set(span))
+    assert oracles.ref_closure(t, gens) == list(range(G.order))
+    assert 2 ** len(gens) <= G.order
 
 
 def test_closure_rejects_out_of_range():
@@ -77,7 +110,7 @@ def test_subgroup_positions_and_as_group():
 def test_commutator_table_matches_reference():
     G = quaternion(16)
     t = G.table.tolist()
-    comm = commutator_table(G)
+    comm = commutator_table(G, range(16))
     for a in range(0, 16, 3):
         for b in range(16):
             assert comm[a, b] == oracles.ref_commutator(t, a, b)
@@ -116,7 +149,7 @@ def test_central_series_rejects_non_nilpotent():
 
 def test_derived_data_is_computed_once_and_read_only():
     G = dihedral(16)
-    assert commutator_table(G) is commutator_table(G)
+    assert generators(G) is generators(G)
     assert abelianization(G) is abelianization(G)
     structure_report(G)
     central_automorphism_count(G)
@@ -236,6 +269,50 @@ def test_structure_report_heisenberg():
     assert rep.order == 64 and rep.nilpotency_class == 2
     assert rep.center.exponents == (2,)
     assert rep.center_in_derived
+
+
+@pytest.fixture(scope="module")
+def large():
+    """parse_group_spec once per spec: an order-4096 build validates for seconds."""
+    return functools.cache(parse_group_spec)
+
+
+# class, d, Z, Z_2/Z, G/G' and the orders of the lower central series
+LARGE = {
+    "dihedral(4096)": (
+        11, 2, (1,), (1,), (1, 1), [4096, 1024, 512, 256, 128, 64, 32, 16, 8, 4, 2, 1]
+    ),
+    "metacyclic(64,64,3)": (6, 2, (2, 1), (1, 1), (6, 1), [4096, 32, 16, 8, 4, 2, 1]),
+    "extraspecial(2,2048,+)": (2, 10, (1,), (1,) * 10, (1,) * 10, [2048, 2, 1]),
+    "extraspecial(3,2187,+)": (2, 6, (1,), (1,) * 6, (1,) * 6, [2187, 3, 1]),
+}
+
+
+@pytest.mark.parametrize("spec", list(LARGE))
+def test_large_order_structure(large, spec):
+    G = large(spec)
+    rep = structure_report(G)
+    lower = [s.order for s in central_series(G, "lower")]
+    assert (
+        rep.nilpotency_class,
+        rep.d,
+        rep.center.exponents,
+        rep.inner_center.exponents,
+        rep.abelianization.exponents,
+        lower,
+    ) == LARGE[spec]
+
+
+def test_structure_report_holds_no_square_table(large):
+    """An n x n int32 array at order 4096 is 64 MiB; the report stays far below."""
+    G = Group(large("metacyclic(64,64,3)").table)  # nothing derived yet
+    tracemalloc.start()
+    try:
+        structure_report(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_structure_report_rejects_non_prime_power():

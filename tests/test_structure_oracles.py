@@ -1,0 +1,93 @@
+"""Structure from a generating set against the full-table references.
+
+The library reads Z(G), the central series, G' and d(G) off one greedy
+generating set; the oracles read them off the whole n x n commutator table
+and find d(G) through the Frattini subgroup.  Both must give the same
+subgroups, term by term, on the corpus and on drawn products.
+"""
+
+import functools
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from centaut.families import central_product, parse_group_spec
+from centaut.groups import direct_product, group_from_permutations
+from centaut.structure import (
+    center,
+    central_series,
+    derived_subgroup,
+    frattini_subgroup,
+    minimal_generator_count,
+    structure_report,
+)
+
+import oracles
+
+
+def assert_matches_reference(G):
+    t = G.table
+    upper = oracles.ref_upper_masks(t)
+    lower = oracles.ref_lower_masks(t)
+    assert (center(G).mask == upper[min(1, len(upper) - 1)]).all()
+    got = central_series(G, "upper")
+    assert len(got) == len(upper)
+    for sub, want in zip(got, upper):
+        assert (sub.mask == want).all()
+    got = central_series(G, "lower")
+    assert len(got) == len(lower)
+    for sub, want in zip(got, lower):
+        assert (sub.mask == want).all()
+    assert (derived_subgroup(G).mask == oracles.ref_derived_mask(t)).all()
+    if G.order > 1:
+        assert (frattini_subgroup(G).mask == oracles.ref_frattini_mask(t, G.prime)).all()
+        d = oracles.ref_generator_count(t, G.prime)
+        assert minimal_generator_count(G) == d
+        assert structure_report(G).d == d
+
+
+def test_corpus_matches_full_table_reference(corpus_groups):
+    for G in corpus_groups.values():
+        assert_matches_reference(G)
+
+
+# Small builtins by prime; the second pool has centers of prime order, as
+# central_product needs.
+SMALL = {
+    2: ("cyclic(2)", "cyclic(4)", "elementary(2,2)", "dihedral(8)", "quaternion(8)",
+        "dihedral(16)", "quaternion(16)", "semidihedral(16)", "modular(2,16)"),
+    3: ("cyclic(3)", "cyclic(9)", "elementary(3,2)", "heisenberg(3,1)", "modular(3,27)"),
+}
+PRIME_CENTER = {
+    2: ("cyclic(2)", "dihedral(8)", "quaternion(8)", "dihedral(16)", "quaternion(16)",
+        "semidihedral(16)", "dihedral(32)"),
+    3: ("cyclic(3)", "heisenberg(3,1)", "modular(3,27)"),
+}
+small = functools.cache(parse_group_spec)  # builds each factor once
+
+
+def pairs(pool):
+    return st.sampled_from(sorted(pool)).flatmap(
+        lambda p: st.tuples(st.sampled_from(pool[p]), st.sampled_from(pool[p]))
+    )
+
+
+@given(pairs(SMALL))
+def test_direct_products_match_full_table_reference(specs):
+    A, B = map(small, specs)
+    assume(A.order * B.order <= 256)
+    assert_matches_reference(direct_product(A, B))
+
+
+@given(pairs(PRIME_CENTER))
+def test_central_products_match_full_table_reference(specs):
+    A, B = map(small, specs)
+    assume(A.order * B.order // A.prime <= 256)
+    assert_matches_reference(central_product(A, B))
+
+
+def test_non_nilpotent_center_and_derived_match_reference():
+    S3 = group_from_permutations(3, [[1, 2, 0], [1, 0, 2]])
+    assert list(center(S3).elements) == oracles.ref_center(S3.table.tolist())
+    assert (derived_subgroup(S3).mask == oracles.ref_derived_mask(S3.table)).all()
+    assert derived_subgroup(S3).order == 3
