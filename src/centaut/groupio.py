@@ -4,6 +4,13 @@ All files are UTF-8 JSON with an explicit "format" tag.  Group files carry
 either a Cayley table ("cayley") or permutation generators ("perm-group");
 unknown fields are rejected so typos fail loudly.  Manifest entries name a
 group, a source expression, and an optional expected decision.
+
+A Cayley table of n rows of n unsigned JSON integers is read by a byte
+scanner (_scan_cayley) that checks its grammar with numpy in row blocks and
+builds the int64 table without a Python object per cell; the fields around
+it go through json.loads with the table replaced by one placeholder.  Any
+other file, and every malformed one, takes the json path (_load_json,
+_int_matrix, cayley_array), which names every reader error.
 """
 
 from __future__ import annotations
@@ -31,17 +38,32 @@ GROUP_FORMATS = ("cayley", "perm-group")
 DECISIONS = ("Minimal", "NotMinimal", "Undecided")
 
 
-def _load_json(path: str | Path) -> dict:
+def _read_bytes(path: str | Path) -> bytes:
+    """The file's bytes, checked once to be UTF-8 for every reader."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read: {e}", path=str(path)) from None
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 at byte {e.start}", path=str(path)) from None
+    return raw
+
+
+def _load_json(raw: bytes, path: str) -> dict:
+    # Newlines are translated as a text-mode read translates them, so a JSON
+    # error names the same line in a file with CR or CRLF line ends.
+    text = raw.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON at line {e.lineno}: {e.msg}", path=str(path)) from None
+        raise ParseError(f"invalid JSON at line {e.lineno}: {e.msg}", path=path) from None
     if not isinstance(data, dict):
-        raise ParseError("top level must be an object", path=str(path))
+        raise ParseError("top level must be an object", path=path)
     return data
 
 
@@ -92,12 +114,152 @@ def _check_degree(degree: int, cap: int, path: Optional[str] = None) -> None:
         )
 
 
+_WHITESPACE = b" \t\n\r"  # JSON's four whitespace bytes
+_DIGITS = b"0123456789"
+# The scanner reads a table in blocks of about this many bytes (some 2^16
+# cells), each cut just after a "]" so that it holds whole rows.
+_SCAN_BLOCK_BYTES = 1 << 18
+# Values are summed in int32, which holds every number of up to 9 digits;
+# a longer number takes the json path.
+_MAX_DIGITS = 9
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int32)
+# _LEAST[w] is the least number of w > 1 digits; one below it has a
+# leading zero.  A single digit may be 0.
+_LEAST = np.array([0, 0] + [10 ** (w - 1) for w in range(2, _MAX_DIGITS + 1)])
+_TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[')
+_TABLE_END = re.compile(rb"\][ \t\n\r]*\]")
+
+
+def _scan_cayley(raw: bytes, cap: int) -> Optional[tuple[dict, np.ndarray]]:
+    """(the fields but "table", the n x n int64 table) of a Cayley file, or None.
+
+    The span from the first `"table": [` to the first "]]" (whitespace
+    allowed between) is replaced by NaN and the rest parsed by json.loads.
+    Exactly one NaN, parsed as the top-level "table" value, proves that the
+    span is that value.  The fields must pass the checks the json path makes
+    before it reads the table, and the span must be n rows of n unsigned
+    integers (_scan_table), n the declared order.  None declines the file,
+    which then takes the json path; so does every malformed file.
+    """
+    key = _TABLE_KEY.search(raw)
+    end = _TABLE_END.search(raw, key.end()) if key else None
+    if end is None:
+        return None
+    start, stop = key.end() - 1, end.end()
+    placeholder: list = []
+    constants = []
+
+    def constant(token: str) -> list:
+        constants.append(token)
+        return placeholder
+
+    try:
+        data = json.loads(
+            (raw[:start] + b"NaN" + raw[stop:]).decode("utf-8"),
+            parse_constant=constant,
+        )
+        if len(constants) != 1 or type(data) is not dict:
+            return None
+        if data.get("table") is not placeholder:
+            return None
+        if data.get("format") != "cayley":
+            return None
+        _check_fields(data, {"format": str, "order": int, "table": list}, {"name": str}, "")
+    except (ValueError, ParseError):  # invalid JSON or a bad field
+        return None
+    del data["table"]
+    order = data["order"]
+    if not 1 <= order <= cap:
+        return None
+    array = _scan_table(raw, start, stop, order)
+    return None if array is None else (data, array)
+
+
+def _scan_table(raw: bytes, start: int, stop: int, n: int) -> Optional[np.ndarray]:
+    """raw[start:stop] as an n x n int64 array, or None unless it is exactly
+    n rows of n unsigned JSON integers, whitespace allowed between tokens.
+
+    With whitespace deleted, a block of rows must read: its head ("[[" in
+    the first block, ",[" after), numbers split by "," within a row and by
+    "],[" between rows, and its tail ("]" or, in the last block, "]]").
+    So the block must start with its head and end with its tail, its digit
+    runs must be rows * n numbers, its other bytes must be that punctuation
+    in order, and the gap after each number must be 1 byte, or 3 after a
+    row's last.  The gaps then leave the head and tail no room for more
+    bytes, and every byte is in its place.  Whitespace between two digits
+    would join two runs, so the block must hold as many runs before the
+    deletion as after.  A number's value sums its digits times powers of
+    ten, one gather per place.
+    """
+    row = b"," * (n - 1) + b"],["
+    array = np.empty((n, n), dtype=np.int64)
+    cells = array.reshape(-1)
+    done = 0
+    lo = start
+    while lo < stop:
+        hi = stop
+        if stop - lo > _SCAN_BLOCK_BYTES:
+            hi = raw.rfind(b"]", lo, lo + _SCAN_BLOCK_BYTES) + 1 or (
+                raw.find(b"]", lo + _SCAN_BLOCK_BYTES) + 1
+            )
+        block = raw[lo:hi]
+        text = block.translate(None, _WHITESPACE)
+        head = b"[[" if lo == start else b",["
+        tail = b"]]" if hi == stop else b"]"
+        if not (text.startswith(head) and text.endswith(tail)):
+            return None
+        # Transitions into and out of digits: (start - 1, end) of each run.
+        x = np.frombuffer(text, np.uint8)
+        edges = np.flatnonzero(_digit_edges(x))
+        if len(text) < len(block) and (
+            np.count_nonzero(_digit_edges(np.frombuffer(block, np.uint8))) != edges.size
+        ):
+            return None
+        rows, extra = divmod(edges.size // 2, n)
+        if extra or not rows or done + rows * n > n * n:
+            return None
+        if text.translate(None, _DIGITS) != head + row * (rows - 1) + row[: n - 1] + tail:
+            return None
+        lengths = np.diff(edges)
+        width, gaps = lengths[0::2], lengths[1::2]  # digits; bytes to the next
+        if np.count_nonzero(gaps != 1) != rows - 1 or (gaps[n - 1 :: n] != 3).any():
+            return None
+        if width.max() > _MAX_DIGITS:
+            return None
+        ends = edges[1::2]
+        value = (x[ends] - ord("0")).astype(np.int32)
+        for place in range(1, int(width.max())):
+            digit = np.take(x, ends - place, mode="clip")
+            digit -= ord("0")
+            digit *= width > place
+            value += digit * _POW10[place]
+        if (value < _LEAST[width]).any():
+            return None  # a leading zero
+        cells[done : done + value.size] = value
+        done += value.size
+        lo = hi
+    return array if done == n * n else None
+
+
+def _digit_edges(x: np.ndarray) -> np.ndarray:
+    """Bool mask of the i where x[i] and x[i + 1] differ in being a digit."""
+    digit = (x - ord("0")) < 10
+    return digit[1:] != digit[:-1]
+
+
 def read_group_file(
     path: str | Path, cap: int = DEFAULT_ORDER_CAP
 ) -> tuple[Optional[str], Group]:
     """Parse a group file; returns (embedded name or None, validated Group)."""
     spath = str(path)
-    data = _load_json(path)
+    raw = _read_bytes(spath)
+    scanned = _scan_cayley(raw, cap)
+    if scanned is not None:
+        del raw  # the file's bytes are not needed past parsing
+        data, table = scanned
+        return data.get("name"), group_from_cayley_table(table)
+    data = _load_json(raw, spath)
+    del raw
     fmt = data.get("format")
     if fmt == "cayley":
         _check_fields(
@@ -182,7 +344,7 @@ class Manifest:
 
 def read_manifest(path: str | Path) -> Manifest:
     spath = str(path)
-    data = _load_json(path)
+    data = _load_json(_read_bytes(spath), spath)
     _check_fields(data, {"format": str, "entries": list}, {}, spath)
     if data["format"] != "manifest":
         raise ParseError(f"format must be 'manifest', got {data['format']!r}", spath)

@@ -96,7 +96,11 @@ class Subgroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.parent.table[np.ix_(self.elements, self.elements)]
+        """Whether a greedy generating set of the subgroup commutes pairwise:
+        at most (log2 |H|)^2 products, not an |H| x |H| table."""
+        reached = np.arange(self.parent.order) == 0
+        gens = list(greedy_generators(self.parent.table, self.elements, reached))
+        t = self.parent.table[np.ix_(gens, gens)]
         return bool((t == t.T).all())
 
     def positions(self, elements: Sequence[int]) -> np.ndarray:

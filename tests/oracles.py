@@ -277,3 +277,10 @@ def ref_generator_count(table: np.ndarray, p: int) -> int:
         index //= p
         d += 1
     return d
+
+
+def ref_is_abelian(table: np.ndarray, elements) -> bool:
+    """Whether a subset of the table's elements commutes, by its full
+    |H| x |H| block against its transpose."""
+    block = table[np.ix_(elements, elements)]
+    return bool((block == block.T).all())

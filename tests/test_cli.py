@@ -66,6 +66,48 @@ def test_cell_beyond_int64_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+NOT_UTF8 = b'{"format":"cayley","name":"q\xff","order":1,"table":[[0]]}'
+
+
+def test_group_file_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert f"ParseError: {path}: not UTF-8 at byte 28" in err
+    assert json.loads(out)["status"] == "error"
+    assert "Traceback" not in err
+
+
+def test_manifest_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"format":"manifest","entries":[{"name":"\xe9","source":"x"}]}')
+    code, _, err = run_cli(capsys, "verify", "--manifest", str(path))
+    assert code == 2
+    assert f"ParseError: {path}: not UTF-8 at byte 41" in err
+
+
+def test_verify_records_a_non_utf8_entry_and_goes_on(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    manifest = {
+        "format": "manifest",
+        "entries": [
+            {"name": "q8", "source": "builtin:quaternion(8)", "expected": "Minimal"},
+            {"name": "bad", "source": str(bad)},
+            {"name": "d16", "source": "builtin:dihedral(16)", "expected": "NotMinimal"},
+        ],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    code, out, _ = run_cli(capsys, "verify", "--manifest", str(path))
+    assert code == 1
+    data = json.loads(out)
+    assert [r["status"] for r in data["records"]] == ["ok", "error", "ok"]
+    assert data["records"][1]["error"] == f"ParseError: {bad}: not UTF-8 at byte 28"
+    assert data["summary"]["errors"] == 1
+
+
 def test_analyze_json(capsys):
     code, out, err = run_cli(capsys, "analyze", "builtin:quaternion(8)", "--name", "q8")
     assert code == 0

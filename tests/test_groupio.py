@@ -127,6 +127,18 @@ def test_not_json_and_not_object(tmp_path):
         read_group(path)
 
 
+def test_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"format":"cayley","name":"\xc3(","order":1,"table":[[0]]}')
+    with pytest.raises(ParseError) as exc:
+        read_group(path)
+    assert str(exc.value) == f"{path}: not UTF-8 at byte 27"
+    path.write_bytes(b'{"format":"manifest","entries":[]}\xff')
+    with pytest.raises(ParseError) as exc:
+        read_manifest(path)
+    assert str(exc.value) == f"{path}: not UTF-8 at byte 34"
+
+
 def test_manifest_roundtrip(tmp_path):
     m = Manifest(
         (

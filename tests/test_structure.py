@@ -301,6 +301,9 @@ def test_large_order_structure(large, spec):
         rep.abelianization.exponents,
         lower,
     ) == LARGE[spec]
+    upper = central_series(G, "upper")
+    for sub in (upper[1], upper[2], derived_subgroup(G)):
+        assert sub.is_abelian == oracles.ref_is_abelian(G.table, sub.elements)
 
 
 def test_structure_report_holds_no_square_table(large):
@@ -313,6 +316,20 @@ def test_structure_report_holds_no_square_table(large):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_is_abelian_holds_no_square_table(large):
+    """At class 2, Z_2 = G: the |H| x |H| block check took 20 MiB here."""
+    G = large("extraspecial(2,2048,+)")
+    z2 = central_series(G, "upper")[2]
+    assert z2.order == G.order
+    tracemalloc.start()
+    try:
+        assert not z2.is_abelian
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_structure_report_rejects_non_prime_power():

@@ -39,6 +39,8 @@ def assert_matches_reference(G):
     for sub, want in zip(got, lower):
         assert (sub.mask == want).all()
     assert (derived_subgroup(G).mask == oracles.ref_derived_mask(t)).all()
+    for sub in (center(G), central_series(G, "upper")[min(2, len(upper) - 1)], derived_subgroup(G)):
+        assert sub.is_abelian == oracles.ref_is_abelian(t, sub.elements)
     if G.order > 1:
         assert (frattini_subgroup(G).mask == oracles.ref_frattini_mask(t, G.prime)).all()
         d = oracles.ref_generator_count(t, G.prime)
