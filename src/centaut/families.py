@@ -6,6 +6,12 @@ Sources name groups as builder expressions like "dihedral(16)" or products
 before it builds a table.  Tables produced from closed formulas go through
 group_from_cayley_table so a bad parameter set cannot yield a non-group;
 products and quotients are groups by construction.
+
+Every table is built in int32, the dtype Group keeps, into one n x n array:
+metacyclic fills it one power of b at a time, and the unitriangular groups
+(heisenberg, unitriangular4) one block of rows at a time, the flat index of
+each product by Horner steps over its coordinates.  No builder holds an
+n x n int64 array or a second n x n temporary.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .groups import (
     direct_product,
     group_from_cayley_table,
     prime_power,
+    row_blocks,
     semidirect_product,
 )
 from .structure import center
@@ -52,7 +59,10 @@ def cyclic(m: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     if m < 1:
         raise BadParameters(f"cyclic order must be >= 1, got {m}")
     _check_order(m, cap)
-    return Group((np.arange(m)[:, None] + np.arange(m)[None, :]) % m)
+    a = np.arange(m, dtype=np.int32)
+    table = np.add.outer(a, a)
+    table %= m
+    return Group(table)
 
 
 def abelian_group(p: int, exponents: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -88,17 +98,20 @@ def metacyclic(m: int, s: int, t: int, w: int = 0, cap: int = DEFAULT_ORDER_CAP)
         raise BadParameters(f"t^s = {pow(t, s, m)} != 1 (mod {m})")
     if (w * (t - 1)) % m != 0:
         raise BadParameters(f"w*(t-1) = {w * (t - 1)} != 0 (mod {m})")
-    tp = [pow(t, j, m) for j in range(s)]
-    i1 = np.arange(m)[:, None, None, None]
-    j1 = np.arange(s)[None, :, None, None]
-    i2 = np.arange(m)[None, None, :, None]
-    j2 = np.arange(s)[None, None, None, :]
-    tpow = np.asarray(tp)[j1]
-    carry = (j1 + j2) // s  # b^s folds back to a^w
-    ii = (i1 + tpow * i2 + w * carry) % m
-    jj = (j1 + j2) % s
-    table = (ii * s + jj).reshape(m * s, m * s)
-    return group_from_cayley_table(table)
+    # a^i1 b^j1 * a^i2 b^j2 = a^(i1 + t^j1 i2 + w [j1 + j2 >= s]) b^(j1 + j2),
+    # numbered i*s + j and written one j1 at a time into the int32 table.
+    table = np.empty((m, s, m, s), dtype=np.int32)
+    i = np.arange(m, dtype=np.int32)
+    j = np.arange(s, dtype=np.int32)
+    for j1 in range(s):
+        j12 = j1 + j
+        shift = np.add.outer(pow(t, j1, m) * i, w * (j12 >= s)) % m  # [i2, j2]
+        cell = table[:, j1]  # [i1, i2, j2], a view
+        np.add(i[:, None, None], shift, out=cell)
+        cell %= m
+        cell *= s
+        cell += j12 % s
+    return group_from_cayley_table(table.reshape(m * s, m * s))
 
 
 def _half_of_2_power(name: str, order: int, least: int, cap: int) -> int:
@@ -134,42 +147,46 @@ def modular(p: int, order: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     return metacyclic(m, p, 1 + m // p, 0, cap)
 
 
+def _unitriangular(q: int, k: int, carries: Sequence[Sequence[tuple[int, int]]]) -> Group:
+    """The group on k base-q coordinates where coordinate c of a*b is
+    a_c + b_c + sum(a_i * b_j for (i, j) in carries[c]), mod q.
+
+    Elements are numbered by their coordinates, most significant first.
+    The table is written one block of rows at a time, each product's index
+    by Horner steps in int32, which holds every index (below n) and every
+    coordinate before its reduction (below 2q^2).
+    """
+    n = q**k
+    digits = np.indices((q,) * k, dtype=np.int32).reshape(k, n)
+    table = np.empty((n, n), dtype=np.int32)
+    for rows in row_blocks(n):
+        a = digits[:, rows, None]
+        index = np.zeros((rows.stop - rows.start, n), dtype=np.int32)
+        for c in range(k):
+            coord = a[c] + digits[c]
+            for i, j in carries[c]:
+                coord += a[i] * digits[j]
+            coord %= q
+            index *= q
+            index += coord
+        table[rows] = index
+    return group_from_cayley_table(table)
+
+
 def heisenberg(p: int, k: int = 1, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Upper unitriangular 3x3 matrices over Z/p^k; order p^(3k), class 2."""
     if k < 1:
         raise BadParameters(f"need k >= 1, got {k}")
     _check_prime_power(p, 3 * k, cap)
-    q = p**k
-    n = q**3
-    digits = np.stack(np.unravel_index(np.arange(n), (q, q, q)), axis=1)  # (x, y, z)
-    a = digits[:, None, :]
-    b = digits[None, :, :]
-    x = (a[..., 0] + b[..., 0]) % q
-    y = (a[..., 1] + b[..., 1]) % q
-    z = (a[..., 2] + b[..., 2] + a[..., 0] * b[..., 1]) % q
-    table = np.ravel_multi_index((x, y, z), (q, q, q))
-    return group_from_cayley_table(table)
+    # coordinates (x, y, z); z gains x_a * y_b
+    return _unitriangular(p**k, 3, [(), (), [(0, 1)]])
 
 
 def unitriangular4(p: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Upper unitriangular 4x4 matrices over Z/p; order p^6, class 3."""
     _check_prime_power(p, 6, cap)
-    n = p**6
-    digits = np.stack(
-        np.unravel_index(np.arange(n), (p,) * 6), axis=1
-    )  # (a12, a13, a14, a23, a24, a34)
-    a = digits[:, None, :]
-    b = digits[None, :, :]
-    c12 = (a[..., 0] + b[..., 0]) % p
-    c13 = (a[..., 1] + b[..., 1] + a[..., 0] * b[..., 3]) % p
-    c14 = (a[..., 2] + b[..., 2] + a[..., 0] * b[..., 4] + a[..., 1] * b[..., 5]) % p
-    c23 = (a[..., 3] + b[..., 3]) % p
-    c24 = (a[..., 4] + b[..., 4] + a[..., 3] * b[..., 5]) % p
-    c34 = (a[..., 5] + b[..., 5]) % p
-    table = np.ravel_multi_index(
-        (c12, c13, c14, c23, c24, c34), (p,) * 6
-    )
-    return group_from_cayley_table(table)
+    # coordinates (a12, a13, a14, a23, a24, a34); c_ik gains a_ij * b_jk
+    return _unitriangular(p, 6, [(), [(0, 3)], [(0, 4), (1, 5)], (), [(3, 5)], ()])
 
 
 def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -190,8 +207,7 @@ def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     n, m, p = A.order, B.order, za.order
     if n * m // p > cap:
         raise ClosureExceedsCap(f"central product order {n * m // p} exceeds cap {cap}")
-    at = A.table.astype(np.int64)
-    bt = B.table.astype(np.int64)
+    at, bt = A.table, B.table
     z, w = int(za.elements[1]), B.inv(int(zb.elements[1]))
     # the coset of (a, b) is {(a*z^k, b*w^k)}; keep its smallest pair index
     low = np.arange(n * m).reshape(n, m)
@@ -201,7 +217,10 @@ def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
         np.minimum(low, at[:, zk][:, None] * m + bt[:, wk], out=low)
     reps, proj = np.unique(low.ravel(), return_inverse=True)
     ra, rb = reps // m, reps % m
-    return Group(proj[at[np.ix_(ra, ra)] * m + bt[np.ix_(rb, rb)]])
+    pairs = at[np.ix_(ra, ra)]
+    pairs *= m
+    pairs += bt[np.ix_(rb, rb)]
+    return Group(proj.astype(np.int32)[pairs])
 
 
 def extraspecial(p: int, order: int, sign: str = "+", cap: int = DEFAULT_ORDER_CAP) -> Group:

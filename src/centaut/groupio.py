@@ -7,10 +7,11 @@ group, a source expression, and an optional expected decision.
 
 A Cayley table of n rows of n unsigned JSON integers is read by a byte
 scanner (_scan_cayley) that checks its grammar with numpy in row blocks and
-builds the int64 table without a Python object per cell; the fields around
-it go through json.loads with the table replaced by one placeholder.  Any
-other file, and every malformed one, takes the json path (_load_json,
-_int_matrix, cayley_array), which names every reader error.
+builds the int32 table that the Group keeps without a Python object per
+cell; the fields around it go through json.loads with the table replaced by
+one placeholder.  Any other file, and every malformed one, takes the json
+path (_load_json, _int_matrix, cayley_array), which names every reader
+error and also converts the table to int32 once.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ _TABLE_END = re.compile(rb"\][ \t\n\r]*\]")
 
 
 def _scan_cayley(raw: bytes, cap: int) -> Optional[tuple[dict, np.ndarray]]:
-    """(the fields but "table", the n x n int64 table) of a Cayley file, or None.
+    """(the fields but "table", the n x n int32 table) of a Cayley file, or None.
 
     The span from the first `"table": [` to the first "]]" (whitespace
     allowed between) is replaced by NaN and the rest parsed by json.loads.
@@ -176,7 +177,7 @@ def _scan_cayley(raw: bytes, cap: int) -> Optional[tuple[dict, np.ndarray]]:
 
 
 def _scan_table(raw: bytes, start: int, stop: int, n: int) -> Optional[np.ndarray]:
-    """raw[start:stop] as an n x n int64 array, or None unless it is exactly
+    """raw[start:stop] as an n x n int32 array, or None unless it is exactly
     n rows of n unsigned JSON integers, whitespace allowed between tokens.
 
     With whitespace deleted, a block of rows must read: its head ("[[" in
@@ -192,7 +193,7 @@ def _scan_table(raw: bytes, start: int, stop: int, n: int) -> Optional[np.ndarra
     ten, one gather per place.
     """
     row = b"," * (n - 1) + b"],["
-    array = np.empty((n, n), dtype=np.int64)
+    array = np.empty((n, n), dtype=np.int32)
     cells = array.reshape(-1)
     done = 0
     lo = start
@@ -274,7 +275,7 @@ def read_group_file(
         table = _int_matrix(data.pop("table"), spath, "table")
         if len(table) != order or set(map(len, table)) - {order}:
             raise ParseError(f"table is not {order}x{order}", spath)
-        # One int64 conversion; the parsed lists are freed before validation.
+        # One int32 conversion; the parsed lists are freed before validation.
         arr = cayley_array(table)
         del table
         return data.get("name"), group_from_cayley_table(arr)

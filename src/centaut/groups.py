@@ -1,15 +1,19 @@
 """Finite groups as Cayley tables.
 
 A group of order n lives on indices 0..n-1 with the identity fixed at 0.
-The table is an n x n numpy array, table[a, b] = index of a*b.  An untrusted
-table enters through group_from_cayley_table, which converts it to int64
-once (cayley_array) and checks the range of every cell, the Latin-square
-property by scatter marks into one n x n bool mask, and the identity row
-and column, then associativity by Light's test: (x*g)*y == x*(g*y) for
-every x, y and each g of a greedy generating set, at most log2(n) + 1
-checks of n^2 cells.  A failed check falls back to a row scan that names
-the lexicographically first bad triple (a, b, c).  Cells that are not
-integers (bool and float included) are rejected before the conversion.
+The table is an n x n int32 array, table[a, b] = index of a*b, from the
+builders and the file reader through to Group.  An untrusted table enters
+through group_from_cayley_table.  Nested lists convert straight to int32
+(cayley_array); an integer array is range-checked in its own dtype and
+then cast to int32 once, and that array is the one the Group keeps.  The
+validator checks the range of every cell, the Latin-square property by
+scatter marks into one n x n bool mask, and the identity row and column,
+then associativity by Light's test: (x*g)*y == x*(g*y) for every x, y and
+each g of a greedy generating set, at most log2(n) + 1 checks of n^2
+cells, gathered in row blocks of about 2^16 cells (row_blocks).  A failed
+check falls back to a row scan that names the lexicographically first bad
+triple (a, b, c).  Cells that are not integers (bool and float included)
+are rejected before the conversion.
 
 greedy_generators is the one span routine: the validator, subgroup
 closures and structure.generators all grow spans with it.
@@ -224,7 +228,24 @@ def greedy_generators(
             reached[frontier] = True
 
 
-def _validate_table(table: np.ndarray) -> None:
+# Light's check and the bad-triple scan gather about this many cells at a
+# time, so a check holds two 256 KiB blocks rather than two n x n arrays.
+_BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of the rows of an n x n table, about 2^16 cells each and in
+    order; one slice for n <= 256."""
+    step = max(1, _BLOCK_CELLS // n)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _validate_table(table: np.ndarray) -> np.ndarray:
+    """The table as a contiguous int32 array, or the first failed check.
+
+    The range check runs in the table's own dtype, before the one narrowing
+    cast, so no cell can wrap into range.
+    """
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotLatinSquare(f"table shape {table.shape} is not square")
     n = table.shape[0]
@@ -233,6 +254,7 @@ def _validate_table(table: np.ndarray) -> None:
     if table.min() < 0 or table.max() >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotLatinSquare(f"entry at {tuple(int(i) for i in bad)} outside range({n})")
+    table = np.ascontiguousarray(table, dtype=np.int32)
     ident = np.arange(n)
     # Latin check by scatter marks into one reused n x n mask: (i, v) for
     # each cell v of row i, then (v, j) for each cell v of column j.  A row
@@ -265,24 +287,34 @@ def _validate_table(table: np.ndarray) -> None:
     # checked before the reached set grows by it; while every check passes
     # that set is a group inside the middle nucleus, so each new generator
     # at least doubles it: at most log2(n) + 1 checks of n^2 cells each.
-    # np.take(axis=1) gathers the columns: at order 4096 the check takes
-    # 0.13 s that way and 0.9 s with table[:, idx] (2-vCPU Xeon).
+    # A check compares one block of rows x at a time; np.take(axis=1)
+    # gathers the columns (at order 4096 a whole-table check took 0.13 s
+    # that way and 0.9 s with table[:, idx], 2-vCPU Xeon).
     reached = ident == 0
+    blocks = row_blocks(n)
     for g in greedy_generators(table, range(n), reached):
-        if not (table[table[:, g], :] == np.take(table, table[g], axis=1)).all():
-            _raise_first_nonassociative(table)
+        column = table[g]
+        for rows in blocks:
+            left = table[table[rows, g]]                   # (x*g)*y
+            right = np.take(table[rows], column, axis=1)  # x*(g*y)
+            if not (left == right).all():
+                _raise_first_nonassociative(table)
+    return table
 
 
 def _raise_first_nonassociative(table: np.ndarray) -> None:
     """Raise NotAssociative for the lexicographically first bad (a, b, c)."""
     n = table.shape[0]
-    # (a*b)*c vs a*(b*c), one row of a at a time to bound memory
+    blocks = row_blocks(n)
+    # (a*b)*c vs a*(b*c), one a and one block of b at a time to bound memory
     for a in range(n):
-        left = table[table[a], :]          # [b, c] -> (a*b)*c
-        right = table[a, table]            # [b, c] -> a*(b*c)
-        if not (left == right).all():
-            b, c = (int(i) for i in np.argwhere(left != right)[0])
-            raise NotAssociative(f"(({a}*{b})*{c}) != ({a}*({b}*{c}))")
+        for rows in blocks:
+            left = table[table[a, rows]]           # [b, c] -> (a*b)*c
+            right = table[a][table[rows]]          # [b, c] -> a*(b*c)
+            if not (left == right).all():
+                i, c = (int(k) for k in np.argwhere(left != right)[0])
+                b = rows.start + i
+                raise NotAssociative(f"(({a}*{b})*{c}) != ({a}*({b}*{c}))")
 
 
 def _raise_first_bad_cell(table: Sequence[Sequence[int]] | np.ndarray) -> None:
@@ -301,19 +333,29 @@ def _raise_first_bad_cell(table: Sequence[Sequence[int]] | np.ndarray) -> None:
                 raise NotLatinSquare(f"entry at {(i, j)} is not an integer: {v!r}") from None
 
 
-def cayley_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """A table of integer cells as one int64 array, or NotLatinSquare.
+def cayley_array(table: Sequence[Sequence[int]]) -> np.ndarray:
+    """Nested lists of integer cells as one array, int32 where every cell
+    fits, or NotLatinSquare.
 
     Cell types are the caller's to check, as group_from_cayley_table and the
-    file reader do.  A cell beyond int64 lies outside range(n) for any n a
-    table can have, so it is named as the range check names a cell.
+    file reader do.  Rows of integer scalars convert straight to int32, and
+    a cell beyond int32 raises OverflowError there; the table then converts
+    to int64, so the validator's shape check still comes first and its range
+    check names the cell.  Rows that are arrays convert to int64, since an
+    array cast to int32 would wrap.  A cell beyond int64 lies outside
+    range(n) for any n a table can have, so it is named as the range check
+    names a cell.
     """
-    try:
-        return np.asarray(table, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError) as e:
-        if isinstance(e, OverflowError):
-            _raise_first_bad_cell(table)
-        raise NotLatinSquare(f"table is not a rectangular integer array: {e}") from None
+    dtypes = (np.int32, np.int64) if set(map(type, table)) <= {list, tuple} else (np.int64,)
+    for dtype in dtypes:
+        try:
+            return np.asarray(table, dtype=dtype)
+        except OverflowError as e:
+            overflow = e
+        except (ValueError, TypeError) as e:
+            raise NotLatinSquare(f"table is not a rectangular integer array: {e}") from None
+    _raise_first_bad_cell(table)
+    raise NotLatinSquare(f"table is not a rectangular integer array: {overflow}")
 
 
 def group_from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> Group:
@@ -321,7 +363,8 @@ def group_from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> Grou
 
     Every cell must be an integer, not a bool or a float: an array by its
     dtype, nested lists by one C-level pass over the set of cell types and,
-    only when that fails, a scan naming the first bad cell.
+    only when that fails, a scan naming the first bad cell.  A contiguous
+    int32 array is kept as it is, not copied, and set read-only.
     """
     if isinstance(table, np.ndarray):
         if not np.issubdtype(table.dtype, np.integer):
@@ -333,9 +376,8 @@ def group_from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> Grou
             kinds = set()
         if not all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
             _raise_first_bad_cell(table)
-    arr = cayley_array(table)
-    _validate_table(arr)
-    return Group(arr)
+        table = cayley_array(table)
+    return Group(_validate_table(table))
 
 
 def group_from_permutations(
@@ -413,10 +455,8 @@ def direct_product(G: Group, H: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     n, m = G.order, H.order
     if n * m > cap:
         raise ClosureExceedsCap(f"product order {n * m} exceeds cap {cap}")
-    gt = G.table.astype(np.int64)
-    ht = H.table.astype(np.int64)
-    # table[(g1,h1),(g2,h2)] = (g1*g2)*m + h1*h2
-    block = gt[:, None, :, None] * m + ht[None, :, None, :]
+    # table[(g1,h1),(g2,h2)] = (g1*g2)*m + h1*h2, in int32 as the tables are
+    block = G.table[:, None, :, None] * m + H.table[None, :, None, :]
     return Group(block.reshape(n * m, n * m))
 
 
@@ -438,7 +478,7 @@ def semidirect_product(
         raise ClosureExceedsCap(f"product order {n * s} exceeds cap {cap}")
     if len(action) != s:
         raise ActionNotAutomorphism(f"got {len(action)} maps for |H| == {s}")
-    maps = np.empty((s, n), dtype=np.int64)
+    maps = np.empty((s, n), dtype=np.int32)
     for h, a in enumerate(action):
         imgs = a.images if isinstance(a, Permutation) else tuple(int(i) for i in a)
         if len(imgs) != n:
@@ -459,9 +499,8 @@ def semidirect_product(
                     f"action[{h1}*{h2}] != action[{h1}] o action[{h2}]"
                 )
     # (x1,h1)(x2,h2) = (x1 * phi_{h1}(x2), h1*h2)
-    nt = N.table.astype(np.int64)
-    xpart = nt[np.arange(n)[:, None, None], maps[None, :, :]]  # [x1,h1,x2]
-    table = xpart[:, :, :, None] * s + H.table.astype(np.int64)[None, :, None, :]
+    xpart = N.table[np.arange(n)[:, None, None], maps[None, :, :]]  # [x1,h1,x2]
+    table = xpart[:, :, :, None] * s + H.table[None, :, None, :]
     return Group(table.reshape(n * s, n * s))
 
 

@@ -112,13 +112,17 @@ class Subgroup:
 
     @cached_property
     def _as_group(self) -> Group:
+        G = self.parent
+        if self.order == G.order:
+            return G  # the ascending numbering of all of G is the identity
         elems = np.asarray(self.elements)
-        sub = self.parent.table[np.ix_(elems, elems)]
-        table = np.searchsorted(elems, sub)
-        return Group(table)
+        pos = np.zeros(G.order, dtype=np.int32)  # pos[elems[k]] = k
+        pos[elems] = np.arange(len(elems))
+        return Group(pos[G.table[np.ix_(elems, elems)]])
 
     def as_group(self) -> Group:
-        """The subgroup as a standalone Group, elements renumbered ascending."""
+        """The subgroup as a standalone Group, elements renumbered ascending;
+        the parent itself when the subgroup is all of it."""
         return self._as_group
 
     def __len__(self) -> int:

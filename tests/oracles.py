@@ -9,6 +9,7 @@ of a generating set, and run at corpus orders where lists would be slow.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -284,3 +285,17 @@ def ref_is_abelian(table: np.ndarray, elements) -> bool:
     |H| x |H| block against its transpose."""
     block = table[np.ix_(elements, elements)]
     return bool((block == block.T).all())
+
+
+def ref_as_group_table(table: np.ndarray, elements) -> np.ndarray:
+    """A subgroup's table renumbered ascending, by binary search of every
+    product among the sorted elements."""
+    elems = np.asarray(elements)
+    return np.searchsorted(elems, table[np.ix_(elems, elems)])
+
+
+def table_sha(table: np.ndarray) -> str:
+    """First 16 hex digits of the sha256 of a table's cells as little-endian
+    int32: a pin of a builder's output, cell for cell."""
+    cells = np.ascontiguousarray(table, dtype="<i4")
+    return hashlib.sha256(cells.tobytes()).hexdigest()[:16]

@@ -9,6 +9,7 @@ triple.
 import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from centaut.families import (
     quaternion,
     semidihedral,
 )
-from centaut.groups import group_from_cayley_table
+from centaut.groups import direct_product, greedy_generators, group_from_cayley_table, row_blocks
 
 import oracles
 
@@ -186,3 +187,27 @@ def test_first_bad_triple_with_a_large_first_element():
     a, _, _ = oracles.ref_first_nonassociative_triple(table)
     assert a >= m
     assert validator_verdict(table) == oracle_verdict(table)
+
+
+def test_failure_only_in_the_last_partial_row_block():
+    """Light's check gathers rows in blocks; here every failing row of the
+    failing check lies in the last block, which is shorter than the rest.
+
+    C150 x C2 is numbered 2a + b, so the involution 1 pairs rows 2k and
+    2k + 1; switching the intercalate on rows 298, 299 and columns 2, 3
+    keeps a Latin square with identity 0.
+    """
+    table = direct_product(cyclic(150), cyclic(2)).table.copy()
+    n = len(table)
+    for r in (298, 299):
+        table[r, [2, 3]] = table[r, [3, 2]]
+    first, last = row_blocks(n)
+    assert last.stop - last.start < first.stop - first.start
+    reached = np.arange(n) == 0
+    for g in greedy_generators(table, range(n), reached):
+        bad = np.flatnonzero((table[table[:, g]] != table[:, table[g]]).any(axis=1))
+        if bad.size:
+            break
+    assert bad.size and bad.min() >= last.start
+    want = oracle_verdict(table.tolist())
+    assert want is not None and validator_verdict(table) == want

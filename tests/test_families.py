@@ -29,6 +29,8 @@ from centaut.families import (
 from centaut.groups import direct_product, prime_power
 from centaut.structure import center, closure, derived_subgroup, quotient, structure_report
 
+import oracles
+
 
 def test_cyclic_and_abelian():
     assert cyclic(1).order == 1
@@ -216,3 +218,94 @@ def test_cap_checked_before_building(spec):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# oracles.table_sha of each default-corpus table, taken from the builders
+# before they were moved to int32 (they broadcast int64 index arrays).
+CORPUS_TABLE_SHA = {
+    "q8": "a5c0ca9a9cf989f9",
+    "d8": "52d5c178e7240384",
+    "heis2": "3fddda68f47064ad",
+    "es8+": "52d5c178e7240384",
+    "es8-": "a5c0ca9a9cf989f9",
+    "d16": "7905b2db8c7accb2",
+    "q16": "b1a09ea40e46e407",
+    "sd16": "3c2b344ea264b14a",
+    "m16": "33a0908bc067276e",
+    "d32": "d7e808ff86b3ccbb",
+    "q32": "230e17e74d6c05a1",
+    "sd32": "f5695182430bd405",
+    "m32": "dfacb6fbeaea6649",
+    "d64": "8a34417d756b81d6",
+    "q64": "c0dbab5385b8b93c",
+    "sd64": "14a13ae0b4d738df",
+    "d128": "5963b517b6618f80",
+    "q128": "23c5d18417797a43",
+    "sd128": "d8c4eb1a34e484d8",
+    "es32+": "80db19e318644e43",
+    "es32-": "fa4f2edd837097ec",
+    "heis4": "0eb5ac2bcf81af21",
+    "ut4_2": "b79066057f1d1415",
+    "wr2": "37d313e4773af0e2",
+    "cwr2_4": "fa7000dcdd92d9fe",
+    "mc16_4": "2f1d2eb3284d1e9c",
+    "mc32_4": "3436c47bd7058bb2",
+    "mc64_4": "90acde14ac8ac404",
+    "mc32_8a": "d0bb6651726d0bd3",
+    "mc32_8b": "ef1d57121464a694",
+    "d128xc2": "1d47c06b2701ba2c",
+    "d64xe4": "09696466791e315a",
+    "mc16_4xe4": "810c793d12648925",
+    "d16xc2": "4ef517f6e9be3e54",
+    "d16xc4": "a2b508599b0affd5",
+    "d32xc2": "dc44eb754b7bf8b5",
+    "d64xc2": "7e9342c7714eb40c",
+    "q16xc2": "b59f0c63ccf6a1f0",
+    "ut4_2xc2": "2306cc03bfeed337",
+    "es32+xc2": "d8e3d807b74f5de7",
+    "heis3": "5a006f1ce2a029a0",
+    "m27": "d7288575a1ab57e3",
+    "m81": "cece48adff170147",
+    "es243+": "1623772ff9720855",
+    "es243-": "43ca2f1d8a154093",
+    "heis9": "28607de6c76200bb",
+    "ut4_3": "f8d64abefb128530",
+    "wr3": "1ae96e99308bd7a0",
+    "mc27_9": "0e4f46f72962a377",
+    "heis3xc3": "c2fbffafa69f42cb",
+    "es125+": "fe11097c4957490b",
+    "es125-": "fa1f200a47b81333",
+    "m625": "06cad5ffd051b266",
+    "heis5xc5": "1c19b7017af4eb59",
+}
+
+
+def test_corpus_tables_are_int32_and_unchanged(corpus, corpus_groups):
+    assert set(CORPUS_TABLE_SHA) == set(corpus)
+    for name, G in corpus_groups.items():
+        assert G.table.dtype == np.int32, name
+        assert oracles.table_sha(G.table) == CORPUS_TABLE_SHA[name], name
+
+
+def _build_peak_mib(spec: str) -> float:
+    tracemalloc.start()
+    try:
+        parse_group_spec(spec)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "spec,mib",
+    [
+        # 2 MiB tables; the int64 broadcasts peaked at 26.4 and 37.6 MiB
+        ("heisenberg(3,2)", 12),
+        ("unitriangular4(3)", 20),
+        # the 64 MiB table and validation's 16 MiB Latin mask measure 80.2
+        # MiB; the broadcast int64 index arrays of metacyclic took 544 MiB
+        ("dihedral(4096)", 96),
+    ],
+)
+def test_builds_hold_one_table(spec, mib):
+    assert _build_peak_mib(spec) < mib

@@ -245,3 +245,44 @@ def test_semidirect_with_trivial_action_is_direct_product():
     S = semidirect_product(N, H, [ident, ident, ident])
     D = direct_product(N, H)
     assert (S.table == D.table).all()
+
+
+@pytest.mark.parametrize("cell", [2**31, 2**32 + 1, -(2**31) - 1])
+def test_cell_beyond_int32_is_named_not_wrapped(cell):
+    """Cast to int32, 2**32 + 1 would wrap to 1, the right value of the
+    cell, so the range is checked before the cast, in the input's dtype."""
+    table = cyclic(4).table.tolist()
+    assert table[2][3] == (2**32 + 1) % 2**32
+    table[2][3] = cell
+    for t in (table, np.array(table, dtype=np.int64)):
+        with pytest.raises(NotLatinSquare, match=r"^entry at \(2, 3\) outside range\(4\)$"):
+            group_from_cayley_table(t)
+
+
+@pytest.mark.parametrize("cell", [2**32 + 1, 2**63, 2**64 - 1])
+def test_uint64_cell_is_named_not_wrapped(cell):
+    table = np.array(cyclic(4).table, dtype=np.uint64)
+    table[2, 3] = cell
+    with pytest.raises(NotLatinSquare, match=r"^entry at \(2, 3\) outside range\(4\)$"):
+        group_from_cayley_table(table)
+
+
+def test_array_rows_are_not_wrapped():
+    """Rows that are int64 arrays convert to int64, not by a wrapping cast."""
+    rows = [np.array(r, dtype=np.int64) for r in cyclic(4).table.tolist()]
+    rows[2][3] = 2**32 + 1
+    with pytest.raises(NotLatinSquare, match=r"^entry at \(2, 3\) outside range\(4\)$"):
+        group_from_cayley_table(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint16])
+def test_narrow_integer_arrays_give_the_int64_table(dtype):
+    want = group_from_cayley_table(dihedral(64).table.astype(np.int64)).table
+    G = group_from_cayley_table(dihedral(64).table.astype(dtype))
+    assert G.table.dtype == np.int32 and (G.table == want).all()
+
+
+def test_int32_array_is_kept_without_a_copy():
+    table = dihedral(16).table.copy()
+    G = group_from_cayley_table(table)
+    assert G.table is table and not table.flags.writeable

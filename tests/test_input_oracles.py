@@ -205,7 +205,7 @@ def test_order_1024_closure_is_fast_and_holds_one_table():
 def test_reading_order_729_file_frees_the_parsed_lists(tmp_path):
     """The parsed lists are dropped before validation.
 
-    json's lists take about 15 MiB here and the int64 table 4 MiB; the
+    json's lists take about 15 MiB here and the int32 table 2 MiB; the
     per-row scan, with the lists alive through validation, peaked at 30 MiB.
     """
     path = tmp_path / "heis9.json"
@@ -215,14 +215,15 @@ def test_reading_order_729_file_frees_the_parsed_lists(tmp_path):
 
 
 def test_reading_order_1024_file_holds_no_python_cells(tmp_path):
-    """The scanner builds the int64 table without a Python int per cell.
-
-    Validation's two n x n int64 temporaries beside the 8 MiB table set the
-    peak, about 26 MiB; the json path peaked at 37.7 MiB.
+    """The scanner builds the 4 MiB int32 table without a Python int per
+    cell, beside the 4 MiB file; validation adds its 1 MiB Latin mask and
+    row blocks.  The peak is about 12.8 MiB; with an int64 table and two
+    n x n temporaries in Light's check it was 26.0 MiB, and the json path
+    peaked at 37.7 MiB.
     """
     path = tmp_path / "d1024.json"
     write_group(dihedral(1024), path)
-    assert _peak_mib(lambda: read_group_file(path)) < 30
+    assert _peak_mib(lambda: read_group_file(path)) < 16
 
 
 def test_order_729_dumps_file_takes_the_scanner(tmp_path):
@@ -233,7 +234,7 @@ def test_order_729_dumps_file_takes_the_scanner(tmp_path):
     )
     data, table = groupio._scan_cayley(path.read_bytes(), 4096)
     assert data == {"format": "cayley", "name": "h", "order": 729}
-    assert table.dtype == "int64" and (table == G.table).all()
+    assert table.dtype == "int32" and (table == G.table).all()
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"])
