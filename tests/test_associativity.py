@@ -201,6 +201,7 @@ def test_failure_only_in_the_last_partial_row_block():
     n = len(table)
     for r in (298, 299):
         table[r, [2, 3]] = table[r, [3, 2]]
+    assert row_blocks(256) == [slice(0, 256)]  # small groups take one block
     first, last = row_blocks(n)
     assert last.stop - last.start < first.stop - first.start
     reached = np.arange(n) == 0
