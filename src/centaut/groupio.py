@@ -11,7 +11,8 @@ builds the int32 table that the Group keeps without a Python object per
 cell; the fields around it go through json.loads with the table replaced by
 one placeholder.  Any other file, and every malformed one, takes the json
 path (_load_json, _int_matrix, cayley_array), which names every reader
-error and also converts the table to int32 once.
+error and converts the table to int64, so the validator range-checks it
+before its one cast to int32.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def read_group_file(
         table = _int_matrix(data.pop("table"), spath, "table")
         if len(table) != order or set(map(len, table)) - {order}:
             raise ParseError(f"table is not {order}x{order}", spath)
-        # One int32 conversion; the parsed lists are freed before validation.
+        # One int64 conversion; the parsed lists are freed before validation.
         arr = cayley_array(table)
         del table
         return data.get("name"), group_from_cayley_table(arr)

@@ -3,17 +3,18 @@
 A group of order n lives on indices 0..n-1 with the identity fixed at 0.
 The table is an n x n int32 array, table[a, b] = index of a*b, from the
 builders and the file reader through to Group.  An untrusted table enters
-through group_from_cayley_table.  Nested lists convert straight to int32
-(cayley_array); an integer array is range-checked in its own dtype and
-then cast to int32 once, and that array is the one the Group keeps.  The
-validator checks the range of every cell, the Latin-square property by
-scatter marks into one n x n bool mask, and the identity row and column,
-then associativity by Light's test: (x*g)*y == x*(g*y) for every x, y and
-each g of a greedy generating set, at most log2(n) + 1 checks of n^2
-cells, gathered in row blocks of about 2^16 cells (row_blocks).  A failed
-check falls back to a row scan that names the lexicographically first bad
-triple (a, b, c).  Cells that are not integers (bool and float included)
-are rejected before the conversion.
+through group_from_cayley_table.  Nested lists convert to int64
+(cayley_array); an integer array keeps its own dtype.  The range is
+checked in that dtype, then the table is cast to int32 once, and that
+array is the one the Group keeps.  The validator checks the range of
+every cell, the Latin-square property by scatter marks into one n x n
+bool mask, and the identity row and column, then associativity by Light's
+test: (x*g)*y == x*(g*y) for every x, y and each g of a greedy generating
+set, at most log2(n) + 1 checks of n^2 cells, gathered in row blocks of
+about 2^16 cells (row_blocks).  A failed check falls back to a row scan
+that names the lexicographically first bad triple (a, b, c).  Cells that
+are not integers (bool and float included) are rejected before the
+conversion.
 
 greedy_generators is the one span routine: the validator, subgroup
 closures and structure.generators all grow spans with it.
@@ -333,29 +334,21 @@ def _raise_first_bad_cell(table: Sequence[Sequence[int]] | np.ndarray) -> None:
                 raise NotLatinSquare(f"entry at {(i, j)} is not an integer: {v!r}") from None
 
 
-def cayley_array(table: Sequence[Sequence[int]]) -> np.ndarray:
-    """Nested lists of integer cells as one array, int32 where every cell
-    fits, or NotLatinSquare.
+def cayley_array(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """A table of integer cells as one int64 array, or NotLatinSquare.
 
     Cell types are the caller's to check, as group_from_cayley_table and the
-    file reader do.  Rows of integer scalars convert straight to int32, and
-    a cell beyond int32 raises OverflowError there; the table then converts
-    to int64, so the validator's shape check still comes first and its range
-    check names the cell.  Rows that are arrays convert to int64, since an
-    array cast to int32 would wrap.  A cell beyond int64 lies outside
-    range(n) for any n a table can have, so it is named as the range check
-    names a cell.
+    file reader do.  Every int64 cell keeps its value, so the validator's
+    range check sees it before the one cast to int32.  A cell beyond int64
+    lies outside range(n) for any n a table can have, so it is named as the
+    range check names a cell.
     """
-    dtypes = (np.int32, np.int64) if set(map(type, table)) <= {list, tuple} else (np.int64,)
-    for dtype in dtypes:
-        try:
-            return np.asarray(table, dtype=dtype)
-        except OverflowError as e:
-            overflow = e
-        except (ValueError, TypeError) as e:
-            raise NotLatinSquare(f"table is not a rectangular integer array: {e}") from None
-    _raise_first_bad_cell(table)
-    raise NotLatinSquare(f"table is not a rectangular integer array: {overflow}")
+    try:
+        return np.asarray(table, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError) as e:
+        if isinstance(e, OverflowError):
+            _raise_first_bad_cell(table)
+        raise NotLatinSquare(f"table is not a rectangular integer array: {e}") from None
 
 
 def group_from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> Group:

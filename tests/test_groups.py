@@ -267,6 +267,19 @@ def test_uint64_cell_is_named_not_wrapped(cell):
         group_from_cayley_table(table)
 
 
+@pytest.mark.parametrize(
+    "cell", [np.int64(2**32), np.int64(2**32 + 1), np.int64(-(2**31) - 1),
+             np.uint64(2**32 + 1), np.uint64(2**64 - 1)]
+)
+def test_numpy_scalar_cell_beyond_int32_is_named_not_wrapped(cell):
+    """Nested lists of numpy integer scalars: a C cast to int32 would wrap
+    np.int64(2**32) to 0 and accept the table as a group."""
+    table = [[np.int64(v) for v in row] for row in cyclic(4).table.tolist()]
+    table[2][3] = cell
+    with pytest.raises(NotLatinSquare, match=r"^entry at \(2, 3\) outside range\(4\)$"):
+        group_from_cayley_table(table)
+
+
 def test_array_rows_are_not_wrapped():
     """Rows that are int64 arrays convert to int64, not by a wrapping cast."""
     rows = [np.array(r, dtype=np.int64) for r in cyclic(4).table.tolist()]
