@@ -169,21 +169,99 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
 _BLOCK_CELLS = 1 << 16
 
 
+def target_array(targets: Sequence[int]) -> np.ndarray:
+    """The targets as a sorted int64 array: the numbering that hom
+    positions refer to."""
+    return np.sort(np.asarray(targets, dtype=np.int64))
+
+
 def _allowed_images(
-    basis: AbelianBasis, ambient: Group, targets: Sequence[int]
+    basis: AbelianBasis, ambient: Group, tgt: np.ndarray
 ) -> list[np.ndarray]:
-    """Per basis element, the sorted targets whose order divides its order."""
+    """Per basis element, the positions in tgt whose order divides its order."""
     p = basis.invariants.prime
-    tgt = np.sort(np.asarray(targets, dtype=np.int64))
     orders = ambient.element_orders[tgt]
-    return [tgt[orders <= p**e] for e in basis.invariants.exponents]
+    return [np.nonzero(orders <= p**e)[0] for e in basis.invariants.exponents]
 
 
 def hom_count_by_targets(
     basis: AbelianBasis, ambient: Group, targets: Sequence[int]
 ) -> int:
     """|Hom| into the subgroup given by `targets`, without enumerating."""
-    return math.prod(len(y) for y in _allowed_images(basis, ambient, targets))
+    images = _allowed_images(basis, ambient, target_array(targets))
+    return math.prod(len(y) for y in images)
+
+
+def _position_table(ambient: Group, tgt: np.ndarray) -> np.ndarray:
+    """mul[j, i] = position in tgt of tgt[i] * tgt[j]: row j is right
+    multiplication by tgt[j] inside <tgt>, an int32 |T| x |T| table read
+    from the ambient one."""
+    pos = np.full(ambient.order, -1, dtype=np.int32)
+    pos[tgt] = np.arange(len(tgt), dtype=np.int32)
+    mul = pos[ambient.table.T[np.ix_(tgt, tgt)]]
+    if (mul < 0).any():
+        raise ValueError("targets are not closed under the product")
+    return mul
+
+
+def iter_hom_positions(
+    basis: AbelianBasis, ambient: Group, targets: Sequence[int], rows: int
+) -> Iterator[np.ndarray]:
+    """The homomorphisms of `iter_hom_blocks`, as positions in the targets.
+
+    Each block is an int32 array (maps x |basis.group|) whose entry f[x] is
+    the position of the image of x in target_array(targets); concatenated,
+    the blocks list every map once, in lexicographic order of the basis
+    image tuples.  A hom f is fixed by the images y_i of the basis elements:
+    f[x] = prod_i y_i ** coordinates[x, i].  Products are taken inside
+    <targets> by a |T| x |T| position table read once from the ambient
+    table.  For basis element i, one C-ordered table (#images x
+    |basis.group|) holds y ** coordinates[:, i] for every allowed y, built
+    by p^e_i - 1 gathers.  The last tables are folded into one table of
+    all their products while it fits in a block.  A block is a run of
+    consecutive indices (C order, as itertools.product): their last digit
+    picks a row of the folded table, and the few distinct leading digit
+    tuples of the run are multiplied out once each, so a block costs one
+    product per cell whatever the rank.
+    """
+    p = basis.invariants.prime
+    tgt = target_array(targets)
+    images = _allowed_images(basis, ambient, tgt)
+    identity = np.searchsorted(tgt, 0)
+    if not images:
+        yield np.full((1, basis.group.order), identity, dtype=np.int32)
+        return
+    flat = _position_table(ambient, tgt).ravel()
+    width = np.int64(len(tgt))  # an int64 factor keeps g * |T| + f exact
+
+    def times(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Cellwise f * g of two position arrays."""
+        return flat.take(g * width + f)
+
+    factors = []
+    for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T):
+        powers = np.full((len(y), p**e), identity, dtype=np.int32)
+        for c in range(1, p**e):
+            powers[:, c] = times(powers[:, c - 1], y)
+        factors.append(np.ascontiguousarray(powers.take(k, axis=1)))
+    # row i * len(b) + j of the folded table is a[i] * b[j], so the C-order
+    # digits, and with them the map order, stay as they were
+    while len(factors) > 1 and factors[-2].size * len(factors[-1]) <= _BLOCK_CELLS:
+        a, b = factors.pop(-2), factors.pop()
+        factors.append(times(a[:, None, :], b[None, :, :]).reshape(-1, a.shape[1]))
+    *lead, last = factors
+    shape = tuple(len(factor) for factor in lead)
+    total = math.prod(shape) * len(last)
+    for start in range(0, total, rows):
+        head, tail = np.divmod(np.arange(start, min(start + rows, total)), len(last))
+        f = last.take(tail, axis=0)
+        if lead:
+            digits = np.unravel_index(np.arange(head[0], head[-1] + 1), shape)
+            prefix = lead[0].take(digits[0], axis=0)
+            for factor, d in zip(lead[1:], digits[1:]):
+                prefix = times(prefix, factor.take(d, axis=0))
+            f = times(prefix.take(head - head[0], axis=0), f)
+        yield f
 
 
 def iter_hom_blocks(
@@ -191,37 +269,17 @@ def iter_hom_blocks(
 ) -> Iterator[np.ndarray]:
     """The homomorphisms of `iter_homomorphisms`, in blocks of <= rows maps.
 
-    Each block is an int64 array (maps x |basis.group|); concatenated, the
-    blocks list every map once, in lexicographic order of the basis image
-    tuples.  A hom f is fixed by the images y_i of the basis elements:
-    f[x] = prod_i y_i ** coordinates[x, i].  For basis element i, one table
-    (#images x |basis.group|) holds y ** coordinates[:, i] for every allowed
-    y, built by p^e_i - 1 gathers; a block decodes consecutive indices into
-    image choices (C order, as itertools.product) and multiplies the chosen
-    rows of the tables together in the ambient group.
+    Each block is an int64 array (maps x |basis.group|) of ambient indices;
+    concatenated, the blocks list every map once, in lexicographic order of
+    the basis image tuples.  The maps come from `iter_hom_positions`, block
+    for block, with each position read back as its target.  The central-map
+    enumeration reads the positions directly: a position j picks the row
+    of its coset-ordered table that holds the coset times target j, so the
+    images it tests are still products read from the group's table.
     """
-    p = basis.invariants.prime
-    images = _allowed_images(basis, ambient, targets)
-    if not images:
-        yield np.zeros((1, basis.group.order), dtype=np.int64)
-        return
-    table = ambient.table
-    flat = table.ravel()
-    factors = []
-    for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T):
-        powers = np.zeros((len(y), p**e), dtype=np.int64)
-        for c in range(1, p**e):
-            powers[:, c] = table[powers[:, c - 1], y]
-        factors.append(powers[:, k])
-    shape = tuple(len(y) for y in images)
-    total = math.prod(shape)
-    for start in range(0, total, rows):
-        digits = np.unravel_index(np.arange(start, min(start + rows, total)), shape)
-        f = factors[0][digits[0]]
-        for factor, d in zip(factors[1:], digits[1:]):
-            # int64 keeps the flat index f*n + g exact at any order
-            f = flat[f * ambient.order + factor[d]].astype(np.int64)
-        yield f
+    tgt = target_array(targets)
+    for block in iter_hom_positions(basis, ambient, targets, rows):
+        yield tgt[block]
 
 
 def iter_homomorphisms(

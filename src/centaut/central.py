@@ -5,13 +5,19 @@ from the abelianization into the center and x' is the coset of x.  Every
 such map is an endomorphism fixing the center's image conditions; it is an
 automorphism exactly when it is a bijection.
 
-The candidate maps are built and tested in blocks: `abelian.iter_hom_blocks`
-yields up to _BLOCK_CELLS // |G| homomorphisms at a time as the rows of one
-array, one gather turns them into image arrays over all of G, and each row
-is marked into its own n-wide mask, so a map counts as bijective only when
-its images hit every element.  The check is literal; it takes no shortcut
-through the kernel of f.  Memory is set by the block, not by the candidate
-count; the maps come out in iter_homomorphisms order.
+The candidate maps are built and tested in blocks.  G's elements are put
+in coset order (the members of each coset of G' together), and one int32
+table `right` of shape (cosets x |Z|, |G'|) holds, for each coset c and
+central t_j, the members of c times t_j, read from G's own table.
+`abelian.iter_hom_positions` yields up to _BLOCK_CELLS // |G| homs at a
+time, each as the position in Z of f(c) for every coset c; adding c * |Z|
+and one gather of `right` rows gives every candidate's n images, with the
+columns in coset order.  Each row is then marked into its own n-wide mask,
+so a map counts as bijective only when its images hit every element; a
+fixed column order cannot change that.  The check stays literal: every
+image is a product read from G's table, with no shortcut through G/G' or
+the kernel of f.  Memory is set by the block and by the n x |Z| table, not
+by the candidate count; the maps come out in iter_homomorphisms order.
 """
 
 from __future__ import annotations
@@ -60,38 +66,72 @@ def _bijective_rows(sigma: np.ndarray) -> np.ndarray:
     return marks.reshape(k, n).all(axis=1)
 
 
-def _candidate_maps(
-    G: Group, qab: Group, proj: np.ndarray, targets: Sequence[int], hom_cap: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of the maps x -> x*f(proj[x]), f in Hom(qab, <targets>).
+def _coset_order(proj: np.ndarray) -> np.ndarray:
+    """G's elements coset by coset: those with proj == 0 ascending, then
+    those with proj == 1, and so on."""
+    return np.argsort(proj, kind="stable")
 
-    Each block is (maps, bijective): up to _BLOCK_CELLS // |G| image arrays
-    as rows, in iter_homomorphisms order, and the mask of the bijective
-    rows.  The candidate count is computed arithmetically and checked
-    against hom_cap before the first block is built.
+
+def _coset_table(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """right[c * |T| + j] = the members of coset c times tgt[j].
+
+    members is (cosets x coset size), as _coset_order reshaped; the result
+    is an int32 (cosets * |T|) x (coset size) array of products read from
+    G's table, filled a few cosets at a time so no temporary exceeds the
+    block budget.
+    """
+    a, m = members.shape
+    right = np.empty((a, len(tgt), m), dtype=np.int32)
+    step = max(1, abelian._BLOCK_CELLS // (m * len(tgt)))
+    for c in range(0, a, step):
+        cells = G.table[np.ix_(members[c : c + step].ravel(), tgt)]
+        right[c : c + step] = cells.reshape(-1, m, len(tgt)).transpose(0, 2, 1)
+    return right.reshape(a * len(tgt), m)
+
+
+def _candidate_maps(
+    G: Group,
+    qab: Group,
+    members: np.ndarray,
+    targets: Sequence[int],
+    hom_cap: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of the maps x -> x*f(xN), f in Hom(qab, <targets>).
+
+    qab is G/N, and members = _coset_order(proj) for its projection.  Each
+    block is (maps, bijective): up to _BLOCK_CELLS // |G| int32 image
+    arrays as rows, in iter_homomorphisms order, with column k holding the
+    image of members[k]; and the mask of the bijective rows.  The candidate
+    count is computed arithmetically and checked against hom_cap before
+    any table is built.
     """
     basis = abelian_basis(qab, prime=G.prime)
-    total = abelian.hom_count_by_targets(basis, G, targets)
+    tgt = abelian.target_array(targets)
+    total = abelian.hom_count_by_targets(basis, G, tgt)
     if total > hom_cap:
         raise EnumerationCapExceeded(
             f"{total} candidate maps exceed the cap {hom_cap}"
         )
-    n = G.order
+    n, a = G.order, qab.order
+    right = _coset_table(G, members.reshape(a, n // a), tgt)
+    offsets = np.arange(a, dtype=np.int64) * len(tgt)
     rows = max(1, abelian._BLOCK_CELLS // n)
-    offsets = np.arange(n) * n
-    for f in abelian.iter_hom_blocks(basis, G, targets, rows):
-        sigma = G.table.ravel()[offsets + f[:, proj]]
+    for f in abelian.iter_hom_positions(basis, G, tgt, rows):
+        sigma = np.take(right, f + offsets, axis=0).reshape(len(f), n)
         yield sigma, _bijective_rows(sigma)
 
 
 def _central_maps(
     G: Group, hom_cap: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The candidate central maps: f ranges over Hom(G/G', Z(G))."""
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The candidate central maps, f ranging over Hom(G/G', Z(G)), and the
+    element order of their columns."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
     qab, proj = structure.abelianization(G)
-    return _candidate_maps(G, qab, proj, structure.center(G).elements, hom_cap)
+    members = _coset_order(proj)
+    z = structure.center(G).elements
+    return members, _candidate_maps(G, qab, members, z, hom_cap)
 
 
 def central_automorphism_count(
@@ -103,11 +143,12 @@ def central_automorphism_count(
     hom_cap before any enumeration happens.
     """
     total = count = 0
-    for _, bijective in _central_maps(G, hom_cap):
+    _, blocks = _central_maps(G, hom_cap)
+    for _, bijective in blocks:
         total += len(bijective)
         count += int(bijective.sum())
-    upper = structure.central_series(G, "upper")
-    z_inn = upper[2].order // upper[1].order if len(upper) > 2 else 1
+    upper = structure.upper_central_orders(G)
+    z_inn = upper[2] // upper[1] if len(upper) > 2 else 1
     return CentralAutReport(
         hom_candidates=total,
         aut_count=count,
@@ -121,9 +162,12 @@ def is_minimal_bruteforce(G: Group, hom_cap: int = DEFAULT_HOM_CAP) -> bool:
 
 
 def iter_central_automorphisms(G: Group, hom_cap: int = DEFAULT_HOM_CAP):
-    """Yield the bijective candidate maps as image arrays."""
-    for sigma, bijective in _central_maps(G, hom_cap):
-        yield from sigma[bijective]
+    """Yield the bijective candidate maps as image arrays indexed by x."""
+    members, blocks = _central_maps(G, hom_cap)
+    for sigma, bijective in blocks:
+        auts = np.empty((int(bijective.sum()), G.order), dtype=sigma.dtype)
+        auts[:, members] = sigma[bijective]
+        yield from auts
 
 
 def stability_count(
@@ -149,9 +193,10 @@ def stability_count(
     Q, proj = structure.quotient(G, X)
     qab, proj2 = structure.abelianization(Q)
     seen: set[bytes] = set()
-    for sigma, bijective in _candidate_maps(G, qab, proj2[proj], Y.elements, hom_cap):
+    members = _coset_order(proj2[proj])
+    for sigma, bijective in _candidate_maps(G, qab, members, Y.elements, hom_cap):
         assert bijective.all()
-        seen.update(row.tobytes() for row in sigma.astype(np.int32))
+        seen.update(row.tobytes() for row in sigma)
     hom_order = hom_invariants(
         abelian.abelian_invariants(qab, prime=G.prime),
         abelian.abelian_invariants(Y.as_group(), prime=G.prime),

@@ -31,6 +31,7 @@ from .harness import (
     VerificationReport,
     analyze_source,
     format_report,
+    format_timings,
     record_dict,
     run_verification,
 )
@@ -75,6 +76,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         text = json.dumps(record_dict(rec), sort_keys=True, indent=2) + "\n"
     _emit(text, args.output)
+    if args.timings:
+        sys.stderr.write(format_timings([rec]))
     if rec.status == "error":
         sys.stderr.write(f"error: {rec.error}\n")
         return 2
@@ -87,7 +90,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         manifest, jobs=args.jobs, cap=args.cap, hom_cap=args.hom_cap
     )
     _emit(format_report(report, args.format), args.output)
+    if args.timings:
+        sys.stderr.write(format_timings(report.records))
     return 0 if report.ok else 1
+
 
 def _cmd_hom(args: argparse.Namespace) -> int:
     a = _invariants(args.p, args.a)
@@ -150,10 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p: argparse.ArgumentParser) -> None:
+    def add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cap", type=int, default=cap_default, help="max group order")
         p.add_argument(
             "--hom-cap", type=int, default=hom_default, help="max candidate maps"
+        )
+        p.add_argument(
+            "--timings",
+            action="store_true",
+            help="write seconds per stage to stderr (the report is unchanged)",
         )
 
     p = sub.add_parser("analyze", help="classify one group and cross-check it")
@@ -161,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="display name (defaults to the source)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output", "-o", help="write to a file instead of stdout")
-    add_caps(p)
+    add_run_options(p)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("verify", help="run the corpus (or a manifest) end to end")
@@ -169,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="workers, at most one per CPU")
     p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     p.add_argument("--output", "-o", help="write to a file instead of stdout")
-    add_caps(p)
+    add_run_options(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("hom", help="invariants of Hom(A, B) for abelian p-groups")

@@ -13,8 +13,9 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Sequence
 
 from .central import DEFAULT_HOM_CAP, CentralAutReport, central_automorphism_count
 from .criteria import MINIMAL, NOT_MINIMAL, UNDECIDED, Verdict, classify_report
@@ -25,13 +26,17 @@ from .structure import StructureReport, structure_report
 
 REPORT_FORMATS = ("json", "csv", "table")
 
+# The stages of analyze_source, in the order they run.
+STAGES = ("resolve", "structure", "classify", "enumerate")
+
 
 @dataclass
 class AnalysisRecord:
     """Everything the harness learned about one manifest entry.
 
-    seconds is wall time for the whole entry; it stays out of serialized
-    reports so output is reproducible byte for byte.
+    seconds is wall time for the whole entry and stages its split over
+    STAGES (a stage that did not run is absent); both stay out of
+    serialized reports so output is reproducible byte for byte.
     """
 
     name: str
@@ -48,6 +53,17 @@ class AnalysisRecord:
     expected: Optional[str] = None
     expected_ok: Optional[bool] = None
     seconds: float = 0.0
+    stages: dict[str, float] = field(default_factory=dict)
+
+
+@contextmanager
+def _stage(rec: AnalysisRecord, name: str) -> Iterator[None]:
+    """Add the wall time of the block to rec.stages[name], even on error."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        rec.stages[name] = rec.stages.get(name, 0.0) + time.perf_counter() - start
 
 
 def analyze_source(
@@ -61,18 +77,22 @@ def analyze_source(
     rec = AnalysisRecord(name=name, source=source, expected=expected)
     start = time.perf_counter()
     try:
-        G = resolve_source(source, cap=cap)
+        with _stage(rec, "resolve"):
+            G = resolve_source(source, cap=cap)
         rec.order = G.order
         rec.prime = G.prime
-        rec.structure = structure_report(G)
+        with _stage(rec, "structure"):
+            rec.structure = structure_report(G)
         try:
-            rec.verdict = classify_report(rec.structure)
+            with _stage(rec, "classify"):
+                rec.verdict = classify_report(rec.structure)
         except AbelianGroup as e:
             rec.status = "skipped"
             rec.error = f"abelian group: {e}"
             return rec
         try:
-            rec.central = central_automorphism_count(G, hom_cap=hom_cap)
+            with _stage(rec, "enumerate"):
+                rec.central = central_automorphism_count(G, hom_cap=hom_cap)
         except EnumerationCapExceeded as e:
             rec.central_skipped = str(e)
         if rec.central is not None and rec.verdict.decision != UNDECIDED:
@@ -166,6 +186,16 @@ def run_verification(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_worker, tasks))
     return VerificationReport(records)
+
+
+def format_timings(records: Sequence[AnalysisRecord]) -> str:
+    """Seconds per stage summed over the records, and their total; for a
+    separate channel, never for the report."""
+    totals = {name: sum(r.stages.get(name, 0.0) for r in records) for name in STAGES}
+    totals["total"] = sum(r.seconds for r in records)
+    lines = [f"{'stage':<10} {'seconds':>9}"]
+    lines += [f"{name:<10} {sec:>9.3f}" for name, sec in totals.items()]
+    return "\n".join(lines) + "\n"
 
 
 def _structure_dict(rep: StructureReport) -> dict:

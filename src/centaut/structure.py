@@ -191,6 +191,12 @@ def _derived_elements(G: Group) -> np.ndarray:
     return np.asarray(_commutator_span(G, generators(G)).elements)
 
 
+def upper_central_orders(G: Group) -> list[int]:
+    """|Z_i(G)| for i = 0, 1, ... up the upper central series (up to where
+    it stalls), without building the subgroups."""
+    return [int(k) for k in _upper_masks(G).sum(axis=1)]
+
+
 def derived_subgroup(G: Group) -> Subgroup:
     return Subgroup(G, _derived_elements(G), verify=False)
 
@@ -259,8 +265,10 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
     if escapes.any():
         g, i = (int(k) for k in np.argwhere(escapes)[0])
         raise NotNormal(f"conjugate of {int(elems[i])} by {g} escapes the subgroup")
-    # coset xN is numbered by the rank of its smallest member
+    # coset xN is numbered by the rank of its smallest member; an int32
+    # projection gives an int32 table that Group keeps without a copy
     reps, proj = np.unique(G.table[:, elems].min(axis=1), return_inverse=True)
+    proj = proj.astype(np.int32)
     Q = Group(proj[G.table[np.ix_(reps, reps)]])
     return Q, proj
 

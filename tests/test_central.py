@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from centaut import abelian
+from centaut import abelian, central
 from centaut.central import (
     adney_yen_check,
     all_automorphisms,
@@ -40,6 +40,7 @@ from centaut.structure import (
     closure,
     derived_subgroup,
     frattini_subgroup,
+    quotient,
 )
 
 import oracles
@@ -94,22 +95,30 @@ def test_cap_checked_before_enumeration():
 
 
 def test_cap_checked_before_any_power_table(monkeypatch):
+    """A cap failure builds neither a hom block nor the coset table."""
     calls = []
-    real = abelian.iter_hom_blocks
+    tables = []
+    real_homs = abelian.iter_hom_positions
+    real_table = central._coset_table
 
-    def spy(*args):
+    def spy_homs(*args):
         calls.append(args)
-        return real(*args)
+        return real_homs(*args)
 
-    monkeypatch.setattr(abelian, "iter_hom_blocks", spy)
+    def spy_table(*args):
+        tables.append(args)
+        return real_table(*args)
+
+    monkeypatch.setattr(abelian, "iter_hom_positions", spy_homs)
+    monkeypatch.setattr(central, "_coset_table", spy_table)
     G = extraspecial(2, 32, "+")
     with pytest.raises(EnumerationCapExceeded):
         central_automorphism_count(G, hom_cap=15)
     with pytest.raises(EnumerationCapExceeded):
         list(iter_central_automorphisms(G, hom_cap=15))
-    assert calls == []
+    assert calls == [] and tables == []
     assert central_automorphism_count(G, hom_cap=16).hom_candidates == 16
-    assert len(calls) == 1
+    assert len(calls) == len(tables) == 1
 
 
 def _ref_central_automorphisms(G):
@@ -137,16 +146,59 @@ def _ref_central_automorphisms(G):
         "heisenberg(3,1) x cyclic(3)",
         "extraspecial(2,32,+) x cyclic(2)",
         "modular(5,625)",
+        "modular(2,64)",  # |G'| = 2: cosets of two elements
+        "cyclic(4) x cyclic(2)",  # abelian: cosets of one element
+        "heisenberg(5,1)",
     ],
 )
 def test_block_size_changes_no_count_and_no_order(spec, monkeypatch):
+    """Counts, and the automorphisms as image arrays indexed by x in the
+    reference order, whatever the block size."""
     G = parse_group_spec(spec)
     total, auts = _ref_central_automorphisms(G)
     for cells in (1, 10**6, abelian._BLOCK_CELLS):
         monkeypatch.setattr(abelian, "_BLOCK_CELLS", cells)
         rep = central_automorphism_count(G)
         assert (rep.hom_candidates, rep.aut_count) == (total, len(auts)), cells
-        assert [s.tolist() for s in iter_central_automorphisms(G)] == auts, cells
+        got = list(iter_central_automorphisms(G))
+        assert all(s.shape == (G.order,) for s in got), cells
+        assert [s.tolist() for s in got] == auts, cells
+
+
+def _ref_stability_count(G, X, Y):
+    """Distinct maps x -> x*f(xX), f from the per-map reference loop."""
+    Q, proj = quotient(G, X)
+    qab, proj2 = abelianization(Q)
+    basis = abelian.abelian_basis(qab, prime=G.prime)
+    t = G.table.tolist()
+    homs = oracles.ref_iter_homomorphisms(
+        basis.coordinates.tolist(),
+        G.prime,
+        basis.invariants.exponents,
+        t,
+        [int(y) for y in Y.elements],
+    )
+    coset = proj2[proj].tolist()
+    return len({tuple(t[x][f[q]] for x, q in enumerate(coset)) for f in homs})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "dihedral(16) x cyclic(4)",
+        "heisenberg(2,2)",
+        "metacyclic(27,9,4)",
+        "unitriangular4(2) x cyclic(2)",
+    ],
+)
+def test_stability_count_matches_reference_loop(spec):
+    """On G/Phi(G) into the central part of Phi(G), for corpus groups."""
+    G = parse_group_spec(spec)
+    phi = frattini_subgroup(G)
+    Y = closure(G, [x for x in phi.elements if center(G).mask[x]])
+    distinct, hom_order = stability_count(G, phi, Y)
+    assert distinct == _ref_stability_count(G, phi, Y)
+    assert hom_order >= distinct
 
 
 def test_enumeration_memory_is_bounded_by_the_block():
@@ -160,6 +212,21 @@ def test_enumeration_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert rep.hom_candidates == 15625
     assert peak < 4 * 2**20
+
+
+def test_coset_table_memory_at_small_derived_subgroup():
+    """|G'| = 2, |Z| = 512: the int32 n x |Z| coset table is 4 MiB, and
+    the enumeration stays under three times that."""
+    G = modular(2, 2048)
+    central_automorphism_count(G)  # fill the group's structure memo
+    tracemalloc.start()
+    try:
+        rep = central_automorphism_count(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.hom_candidates, rep.aut_count) == (1024, 1024)
+    assert peak < 12 * 2**20
 
 
 def test_rejects_non_prime_power_order():

@@ -215,6 +215,35 @@ def test_verify_output_file_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "verify-jobs"])
+def test_timings_go_to_stderr_and_leave_stdout_unchanged(capsys, tmp_path, command):
+    manifest = {
+        "format": "manifest",
+        "entries": [
+            {"name": "q8", "source": "builtin:quaternion(8)"},
+            {"name": "d16", "source": "builtin:dihedral(16)"},
+            {"name": "ab", "source": "builtin:cyclic(8)"},
+        ],
+    }
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    argv = {
+        "analyze": ["analyze", "builtin:dihedral(16)"],
+        "verify": ["verify", "--manifest", str(mpath), "--format", "table"],
+        "verify-jobs": ["verify", "--manifest", str(mpath), "--jobs", "2"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    timed_code, timed_out, timed_err = run_cli(capsys, *argv, "--timings")
+    assert code == timed_code == 0
+    assert timed_out == out and err == ""
+    lines = timed_err.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "stage", "resolve", "structure", "classify", "enumerate", "total"
+    ]
+    seconds = [float(line.split()[1]) for line in lines[1:]]
+    assert all(s >= 0 for s in seconds) and seconds[-1] >= max(seconds[:-1])
+
+
 def test_hom_command(capsys):
     code, out, _ = run_cli(capsys, "hom", "--p", "2", "--a", "2,1", "--b", "1")
     assert code == 0

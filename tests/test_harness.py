@@ -8,6 +8,7 @@ import pytest
 from centaut.groupio import Manifest, ManifestEntry
 from centaut.harness import (
     REPORT_FORMATS,
+    STAGES,
     VerificationReport,
     _worker_count,
     analyze_source,
@@ -88,7 +89,19 @@ def test_serialized_records_exclude_timing(small_report):
     for rec in small_report.records:
         d = record_dict(rec)
         assert "seconds" not in json.dumps(d)
+        assert "stages" not in json.dumps(d)
         assert d["name"] == rec.name
+
+
+def test_stages_split_the_entry_time(small_report):
+    q8, d16, bad, ab = small_report.records
+    for rec in (q8, d16):
+        assert list(rec.stages) == list(STAGES)
+    assert list(bad.stages) == ["resolve"]  # the builtin does not exist
+    assert list(ab.stages) == ["resolve", "structure", "classify"]  # abelian
+    for rec in small_report.records:
+        assert all(s >= 0 for s in rec.stages.values())
+        assert sum(rec.stages.values()) <= rec.seconds
 
 
 def test_format_report_shapes(small_report):

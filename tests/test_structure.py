@@ -36,6 +36,7 @@ from centaut.structure import (
     quotient,
     socle_of,
     structure_report,
+    upper_central_orders,
 )
 
 import oracles
@@ -306,6 +307,7 @@ def test_large_order_structure(large, spec):
         lower,
     ) == LARGE[spec]
     upper = central_series(G, "upper")
+    assert upper_central_orders(G) == [s.order for s in upper]
     for sub in (upper[1], upper[2], derived_subgroup(G)):
         assert sub.is_abelian == oracles.ref_is_abelian(G.table, sub.elements)
 
@@ -364,6 +366,21 @@ def test_as_group_of_all_of_g_is_g(large):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_quotient_table_is_born_int32(large):
+    """An |Q| x |Q| int64 temporary and Group's int32 copy of it peaked at
+    48.1 MiB here; gathering through an int32 projection peaks at 32.1."""
+    G = large("dihedral(4096)")
+    Z = center(G)
+    tracemalloc.start()
+    try:
+        Q, proj = quotient(G, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.order == 2048 and proj.dtype == np.int32
+    assert peak < 40 * 2**20
 
 
 def test_structure_report_rejects_non_prime_power():
