@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInvariants, NotAbelian, NotPrimePower, PrimeMismatch
-from .groups import Group, greedy_generators, prime_power
+from .groups import Group, prime_power
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,32 @@ def abelian_invariants(A: Group, prime: Optional[int] = None) -> AbelianInvarian
 
 
 def _span(A: Group, gens: Sequence[int]) -> np.ndarray:
-    """Membership mask of the subgroup that gens generate."""
+    """Membership mask of the subgroup that gens generate.
+
+    A is abelian, so adding g to a subgroup H gives H<g>, the union of the
+    H g^j for j < |g|; each step doubles the run of j with one gather by
+    g^(2^k), so g costs log2 |g| gathers of at most |A| cells.
+    """
     reached = np.arange(A.order) == 0
-    for _ in greedy_generators(A.table, gens, reached):
-        pass
+    for g in gens:
+        step = int(g)
+        for _ in range((int(A.element_orders[g]) - 1).bit_length()):
+            reached[A.table[np.flatnonzero(reached), step]] = True
+            step = int(A.table[step, step])
     return reached
+
+
+def _powers(A: Group, xs: np.ndarray, k: int) -> np.ndarray:
+    """x**k for every x in xs, by the square-and-multiply steps of
+    Group.pow, each one gather of A's table for all of xs at once."""
+    acc = np.zeros_like(xs)
+    base = xs
+    while k:
+        if k & 1:
+            acc = A.table[acc, base]
+        base = A.table[base, base]
+        k >>= 1
+    return acc
 
 
 @dataclass(frozen=True)
@@ -114,8 +135,10 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
     """Pick basis elements of the invariant orders, smallest indices first.
 
     Each candidate must meet the current span trivially, which for cyclic
-    p-groups is one membership test on its order-p power.  Backtracks when
-    a prefix admits no extension (rare, but cheap to support).
+    p-groups is one membership test on its order-p power; the span is built
+    once per basis position and the powers of all candidates are taken
+    together.  Backtracks when a prefix admits no extension (rare, but
+    cheap to support).
     """
     inv = abelian_invariants(A, prime=prime)
     p = inv.prime
@@ -126,13 +149,9 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
 
     def candidates(i: int) -> list[int]:
         want = p ** targets[i]
+        xs = np.flatnonzero(orders == want)
         span_mask = _span(A, chosen)
-        out = []
-        for x in np.flatnonzero(orders == want):
-            x = int(x)
-            if not span_mask[A.pow(x, want // p)]:
-                out.append(x)
-        return out
+        return xs[~span_mask[_powers(A, xs, want // p)]].tolist()
 
     while len(chosen) < len(targets):
         if len(cand_stacks) == len(chosen):
@@ -275,7 +294,8 @@ def iter_hom_blocks(
     for block, with each position read back as its target.  The central-map
     enumeration reads the positions directly: a position j picks the row
     of its coset-ordered table that holds the coset times target j, so the
-    images it tests are still products read from the group's table.
+    row labels it tests, and the images it yields, are still products read
+    from the group's table.
     """
     tgt = target_array(targets)
     for block in iter_hom_positions(basis, ambient, targets, rows):
@@ -346,11 +366,9 @@ def embeds_bruteforce(A: Group, B: Group) -> bool:
         if len(images) == len(exps):
             return True
         want = p ** exps[len(images)]
+        ys = np.flatnonzero(orders == want)
         span_mask = _span(B, images)
-        for y in np.flatnonzero(orders == want):
-            y = int(y)
-            if span_mask[B.pow(y, want // p)]:
-                continue
+        for y in ys[~span_mask[_powers(B, ys, want // p)]].tolist():
             if extend([*images, y]):
                 return True
         return False

@@ -7,17 +7,28 @@ automorphism exactly when it is a bijection.
 
 The candidate maps are built and tested in blocks.  G's elements are put
 in coset order (the members of each coset of G' together), and one int32
-table `right` of shape (cosets x |Z|, |G'|) holds, for each coset c and
-central t_j, the members of c times t_j, read from G's own table.
-`abelian.iter_hom_positions` yields up to _BLOCK_CELLS // |G| homs at a
-time, each as the position in Z of f(c) for every coset c; adding c * |Z|
-and one gather of `right` rows gives every candidate's n images, with the
-columns in coset order.  Each row is then marked into its own n-wide mask,
-so a map counts as bijective only when its images hit every element; a
-fixed column order cannot change that.  The check stays literal: every
-image is a product read from G's table, with no shortcut through G/G' or
-the kernel of f.  Memory is set by the block and by the n x |Z| table, not
-by the candidate count; the maps come out in iter_homomorphisms order.
+table `right` of shape (a x |Z|, |G'|), a = |G/G'|, holds in row
+c * |Z| + j the members of coset c times z_j, read from G's own table.
+A candidate f picks one row per coset, row c * |Z| + f(c), and its |G|
+images are the union of those a rows of |G'| entries each.
+
+Whether they cover G is decided on labels, not on the |G| images.  Once
+per group, `right` alone is checked for three facts: every row holds
+distinct elements, two rows that share an element have the same minimum,
+and there are exactly a distinct row minima.  Each row's label is the
+rank of its minimum.  Then a rows with pairwise distinct labels are
+pairwise disjoint, so they hold a * |G'| = |G| distinct elements, while
+two rows with one label both hold that minimum: a candidate is bijective
+exactly when its a labels are distinct.  So each block of homs
+(`abelian.iter_hom_positions`, about _BLOCK_CELLS / 4a of them) is marked
+into a-wide masks, not |G|-wide ones.  The test stays literal: the labels
+come from products read from G's table, no order formula or rule from
+`criteria` enters, and a table that fails a check raises RuntimeError
+rather than yield a count.  Memory is set by the block and by the
+a |Z| x |G'| table, not by the candidate count; the count keeps only the
+labels.  The automorphisms themselves are gathered from `right` for the
+bijective rows only, _BLOCK_CELLS // |G| maps at a time, in
+iter_homomorphisms order.
 """
 
 from __future__ import annotations
@@ -59,7 +70,8 @@ class CentralAutReport:
 
 
 def _bijective_rows(sigma: np.ndarray) -> np.ndarray:
-    """Which rows of a (maps x n) block of image arrays hit every element."""
+    """Which rows of a (maps x n) block of values in range(n) hit every
+    value: image arrays, or the row labels of one row per coset."""
     k, n = sigma.shape
     marks = np.zeros(k * n, dtype=bool)
     marks[(np.arange(k) * n)[:, None] + sigma] = True
@@ -89,21 +101,70 @@ def _coset_table(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return right.reshape(a * len(tgt), m)
 
 
+def _row_labels(right: np.ndarray, cosets: int) -> np.ndarray:
+    """An int32 label in range(cosets) per row of the coset table, such
+    that `cosets` rows cover G exactly when their labels are distinct.
+
+    Read from `right` alone, in chunks of at most _BLOCK_CELLS cells, it
+    checks that every row holds distinct elements, that two rows sharing
+    an element have the same minimum, and that there are exactly `cosets`
+    distinct minima; the label is the rank of the row's minimum among
+    them.  Rows with distinct minima are then disjoint, so `cosets` of
+    them hold cosets * |row| = |G| distinct elements, while two rows with
+    one minimum repeat it.  A failed check raises RuntimeError.
+    """
+    rows, m = right.shape
+    n = cosets * m
+    step = max(1, abelian._BLOCK_CELLS // m)
+    chunks = [slice(lo, lo + step) for lo in range(0, rows, step)]
+    # chunk row i's cells become keys i * n + x, so one flat sort orders
+    # the chunk row by row and puts each row's minimum first
+    key = np.int32 if step * n <= np.iinfo(np.int32).max else np.int64
+    shift = np.arange(0, step * n, n, dtype=key)
+    low = np.empty(rows, dtype=np.int32)
+    owner = np.full(n, -1, dtype=np.int32)  # the minimum of a row holding x
+    for s in chunks:
+        block = right[s]
+        keys = np.sort(block + shift[: len(block), None], axis=None)
+        if (keys[1:] == keys[:-1]).any():
+            raise RuntimeError("a coset-table row repeats an element")
+        low[s] = keys[::m] - shift[: len(block)]
+        # each cell is checked against the owner its element got from the
+        # first chunk that held it, so two rows that share an element but
+        # not a minimum fail, in one chunk or in two
+        cells, got = block.T, owner.take(block.T)
+        if (got != low[s]).any():
+            fresh = got < 0
+            owner[cells[fresh]] = np.broadcast_to(low[s], cells.shape)[fresh]
+            if (owner.take(cells) != low[s]).any():
+                raise RuntimeError("coset-table rows share an element, not a minimum")
+    is_min = np.zeros(n, dtype=bool)
+    is_min[low] = True
+    if int(is_min.sum()) != cosets:
+        raise RuntimeError(f"{int(is_min.sum())} row minima for {cosets} cosets")
+    rank = np.cumsum(is_min, dtype=np.int32) - 1
+    for s in chunks:
+        low[s] = rank[low[s]]
+    return low
+
+
 def _candidate_maps(
     G: Group,
     qab: Group,
     members: np.ndarray,
     targets: Sequence[int],
     hom_cap: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of the maps x -> x*f(xN), f in Hom(qab, <targets>).
+) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The coset table and blocks of the maps x -> x*f(xN), f in
+    Hom(qab, <targets>).
 
     qab is G/N, and members = _coset_order(proj) for its projection.  Each
-    block is (maps, bijective): up to _BLOCK_CELLS // |G| int32 image
-    arrays as rows, in iter_homomorphisms order, with column k holding the
-    image of members[k]; and the mask of the bijective rows.  The candidate
-    count is computed arithmetically and checked against hom_cap before
-    any table is built.
+    block is (rows, bijective) for up to _BLOCK_CELLS // (4 |qab|) maps in
+    iter_homomorphisms order: rows[i, c] is the int32 row of the coset
+    table that holds the images of coset c under map i, and bijective
+    masks the maps whose images hit every element, decided on the row
+    labels.  The candidate count is computed arithmetically and checked
+    against hom_cap before any table is built.
     """
     basis = abelian_basis(qab, prime=G.prime)
     tgt = abelian.target_array(targets)
@@ -114,24 +175,42 @@ def _candidate_maps(
         )
     n, a = G.order, qab.order
     right = _coset_table(G, members.reshape(a, n // a), tgt)
-    offsets = np.arange(a, dtype=np.int64) * len(tgt)
-    rows = max(1, abelian._BLOCK_CELLS // n)
-    for f in abelian.iter_hom_positions(basis, G, tgt, rows):
-        sigma = np.take(right, f + offsets, axis=0).reshape(len(f), n)
-        yield sigma, _bijective_rows(sigma)
+    label = _row_labels(right, a)
+    offsets = np.arange(a, dtype=np.int32) * np.int32(len(tgt))
+    # a label cell takes about twice the temporaries of an image cell (the
+    # hom block's int64 products and indices, the label, the scatter), so
+    # a quarter of the cell budget keeps a block under an image block's
+    # bytes, and in cache
+    rows = max(1, abelian._BLOCK_CELLS // (4 * a))
+
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for f in abelian.iter_hom_positions(basis, G, tgt, rows):
+            f = f + offsets
+            yield f, _bijective_rows(label.take(f))
+
+    return right, blocks()
+
+
+def _images(right: np.ndarray, rows: np.ndarray) -> Iterator[np.ndarray]:
+    """The image arrays of the maps with coset-table rows `rows`, columns
+    in coset order, at most _BLOCK_CELLS // |G| maps at a time."""
+    n = rows.shape[1] * right.shape[1]
+    step = max(1, abelian._BLOCK_CELLS // n)
+    for lo in range(0, len(rows), step):
+        yield np.take(right, rows[lo : lo + step], axis=0).reshape(-1, n)
 
 
 def _central_maps(
     G: Group, hom_cap: int
-) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The candidate central maps, f ranging over Hom(G/G', Z(G)), and the
-    element order of their columns."""
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The candidate central maps, f ranging over Hom(G/G', Z(G)), as the
+    element order of their columns and _candidate_maps's table and blocks."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
     qab, proj = structure.abelianization(G)
     members = _coset_order(proj)
     z = structure.center(G).elements
-    return members, _candidate_maps(G, qab, members, z, hom_cap)
+    return (members, *_candidate_maps(G, qab, members, z, hom_cap))
 
 
 def central_automorphism_count(
@@ -143,7 +222,7 @@ def central_automorphism_count(
     hom_cap before any enumeration happens.
     """
     total = count = 0
-    _, blocks = _central_maps(G, hom_cap)
+    blocks = _central_maps(G, hom_cap)[2]  # the coset table is not kept
     for _, bijective in blocks:
         total += len(bijective)
         count += int(bijective.sum())
@@ -163,11 +242,12 @@ def is_minimal_bruteforce(G: Group, hom_cap: int = DEFAULT_HOM_CAP) -> bool:
 
 def iter_central_automorphisms(G: Group, hom_cap: int = DEFAULT_HOM_CAP):
     """Yield the bijective candidate maps as image arrays indexed by x."""
-    members, blocks = _central_maps(G, hom_cap)
-    for sigma, bijective in blocks:
-        auts = np.empty((int(bijective.sum()), G.order), dtype=sigma.dtype)
-        auts[:, members] = sigma[bijective]
-        yield from auts
+    members, right, blocks = _central_maps(G, hom_cap)
+    for rows, bijective in blocks:
+        for sigma in _images(right, rows[bijective]):
+            auts = np.empty_like(sigma)
+            auts[:, members] = sigma
+            yield from auts
 
 
 def stability_count(
@@ -194,9 +274,11 @@ def stability_count(
     qab, proj2 = structure.abelianization(Q)
     seen: set[bytes] = set()
     members = _coset_order(proj2[proj])
-    for sigma, bijective in _candidate_maps(G, qab, members, Y.elements, hom_cap):
+    right, blocks = _candidate_maps(G, qab, members, Y.elements, hom_cap)
+    for rows, bijective in blocks:
         assert bijective.all()
-        seen.update(row.tobytes() for row in sigma)
+        for sigma in _images(right, rows):
+            seen.update(row.tobytes() for row in sigma)
     hom_order = hom_invariants(
         abelian.abelian_invariants(qab, prime=G.prime),
         abelian.abelian_invariants(Y.as_group(), prime=G.prime),

@@ -189,12 +189,17 @@ def run_verification(
 
 
 def format_timings(records: Sequence[AnalysisRecord]) -> str:
-    """Seconds per stage summed over the records, and their total; for a
-    separate channel, never for the report."""
+    """Seconds per stage summed over the records, and their total; the
+    enumerate row adds the candidate maps enumerated and their rate.  For
+    a separate channel, never for the report."""
     totals = {name: sum(r.stages.get(name, 0.0) for r in records) for name in STAGES}
     totals["total"] = sum(r.seconds for r in records)
     lines = [f"{'stage':<10} {'seconds':>9}"]
     lines += [f"{name:<10} {sec:>9.3f}" for name, sec in totals.items()]
+    maps = sum(r.central.hom_candidates for r in records if r.central is not None)
+    sec = totals["enumerate"]
+    rate = f"{maps / sec:.0f}" if sec > 0 else "-"
+    lines[1 + STAGES.index("enumerate")] += f"  {maps} candidates, {rate}/s"
     return "\n".join(lines) + "\n"
 
 

@@ -294,6 +294,16 @@ def ref_as_group_table(table: np.ndarray, elements) -> np.ndarray:
     return np.searchsorted(elems, table[np.ix_(elems, elems)])
 
 
+def ref_bijective_rows(sigma: np.ndarray) -> np.ndarray:
+    """Which rows of a (maps x n) block of image arrays hit every element,
+    by one n-wide mark array per map: the scatter check the enumeration
+    ran on every image before it tested row labels."""
+    k, n = sigma.shape
+    marks = np.zeros(k * n, dtype=bool)
+    marks[(np.arange(k, dtype=np.int64) * n)[:, None] + sigma] = True
+    return marks.reshape(k, n).all(axis=1)
+
+
 def table_sha(table: np.ndarray) -> str:
     """First 16 hex digits of the sha256 of a table's cells as little-endian
     int32: a pin of a builder's output, cell for cell."""

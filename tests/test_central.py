@@ -229,6 +229,90 @@ def test_coset_table_memory_at_small_derived_subgroup():
     assert peak < 12 * 2**20
 
 
+def _label_masks_match_scatter(G):
+    """Every candidate's label verdict against the n-wide scatter of its
+    images, built here from G's table; returns the candidate count."""
+    qab, proj = abelianization(G)
+    z = center(G).elements
+    tgt = abelian.target_array(z)
+    members = central._coset_order(proj)
+    _, blocks = central._candidate_maps(G, qab, members, z, central.DEFAULT_HOM_CAP)
+    offsets = np.arange(qab.order) * len(tgt)
+    x = np.arange(G.order)
+    total = 0
+    for rows, bijective in blocks:
+        f = rows - offsets  # row c * |Z| + j: coset c times z_j
+        sigma = G.table[x, tgt[f[:, proj]]]
+        assert np.array_equal(bijective, oracles.ref_bijective_rows(sigma))
+        total += len(rows)
+    return total
+
+
+def test_label_test_matches_scatter_on_corpus(corpus_groups):
+    for name, G in corpus_groups.items():
+        total = _label_masks_match_scatter(G)
+        assert total == central_automorphism_count(G).hom_candidates, name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "heisenberg(5,1) x cyclic(5)",
+        "heisenberg(3,1) x heisenberg(3,1)",
+        "dihedral(16) x elementary(2,2)",
+        "modular(3,81) x cyclic(3)",
+    ],
+)
+def test_label_test_matches_scatter_on_hom_workload(spec):
+    G = parse_group_spec(spec)
+    assert _label_masks_match_scatter(G) == central_automorphism_count(G).hom_candidates
+
+
+def _repeat_in_row(right, z):
+    """Row 1 gets its minimum twice, losing another element."""
+    row = right[1]
+    row[(int(row.argmin()) + 1) % len(row)] = row.min()
+
+
+def _share_without_minimum(right, z):
+    """Row 0 (G' itself, minimum 0) takes an element of the next coset's
+    row in place of one of its own, keeping its minimum."""
+    row = right[0]
+    row[(int(row.argmin()) + 1) % len(row)] = right[z].max()
+
+
+def _lose_a_minimum(right, z):
+    """Every row that is the coset of row z becomes a copy of row 0."""
+    low = right.min(axis=1)
+    right[low == low[z]] = right[0]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_repeat_in_row, "repeats an element"),
+        (_share_without_minimum, "share an element"),
+        (_lose_a_minimum, "row minima"),
+    ],
+)
+def test_bad_coset_table_raises_never_counts(monkeypatch, corrupt, message):
+    """Each check of the label test on its own: a table that breaks it
+    raises RuntimeError, from the count and from the automorphism list."""
+    real = central._coset_table
+
+    def corrupted(G, members, tgt):
+        right = real(G, members, tgt).copy()
+        corrupt(right, len(tgt))
+        return right
+
+    monkeypatch.setattr(central, "_coset_table", corrupted)
+    G = parse_group_spec("heisenberg(3,1) x cyclic(3)")
+    with pytest.raises(RuntimeError, match=message):
+        central_automorphism_count(G)
+    with pytest.raises(RuntimeError, match=message):
+        next(iter_central_automorphisms(G))
+
+
 def test_rejects_non_prime_power_order():
     S3 = group_from_permutations(3, [[1, 2, 0], [1, 0, 2]])
     with pytest.raises(NotPrimePower):

@@ -244,6 +244,32 @@ def test_timings_go_to_stderr_and_leave_stdout_unchanged(capsys, tmp_path, comma
     assert all(s >= 0 for s in seconds) and seconds[-1] >= max(seconds[:-1])
 
 
+def test_timings_count_the_enumerated_candidates(capsys, tmp_path):
+    """The enumerate row gives the candidates of every enumerated record
+    (the abelian entry is skipped) and their rate."""
+    manifest = {
+        "format": "manifest",
+        "entries": [
+            {"name": "q8", "source": "builtin:quaternion(8)"},
+            {"name": "es32", "source": "builtin:extraspecial(2,32,+)"},
+            {"name": "ab", "source": "builtin:cyclic(8)"},
+        ],
+    }
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "verify", "--manifest", str(mpath), "--timings")
+    assert code == 0
+    report = json.loads(out)
+    maps = sum(r["central"]["homCandidates"] for r in report["records"] if r.get("central"))
+    assert maps == 4 + 16
+    row = next(line for line in err.splitlines() if line.startswith("enumerate"))
+    _, seconds, count, word, rate = row.split()
+    assert (int(count), word) == (maps, "candidates,")
+    assert rate.endswith("/s")
+    if float(seconds) > 0:
+        assert float(rate[:-2]) > 0
+
+
 def test_hom_command(capsys):
     code, out, _ = run_cli(capsys, "hom", "--p", "2", "--a", "2,1", "--b", "1")
     assert code == 0
