@@ -2,9 +2,11 @@
 
 An abelian p-group is determined by its invariant list (a_1 >= ... >= a_m),
 meaning C_{p^a_1} x ... x C_{p^a_m}.  Invariants are read off layer counts
-(sizes of the subgroups of exponent dividing p^j), a basis is extracted by
-depth-first search with backtracking, and hom/embedding questions reduce to
-arithmetic on the invariant lists.
+(sizes of the subgroups of exponent dividing p^j), one routine for a whole
+group and for a section H/N of a larger group's table alike
+(section_invariants); a basis is extracted by depth-first search with
+backtracking, and hom/embedding questions reduce to arithmetic on the
+invariant lists.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import groups
 from .errors import InvalidInvariants, NotAbelian, NotPrimePower, PrimeMismatch
-from .groups import Group, prime_power
+from .groups import Group, powers, prime_power
 
 
 @dataclass(frozen=True)
@@ -72,19 +75,37 @@ def abelian_invariants(A: Group, prime: Optional[int] = None) -> AbelianInvarian
         raise NotPrimePower(f"order {A.order} is not a prime power")
     if prime is not None and prime != A.prime:
         raise PrimeMismatch(f"group prime {A.prime} != requested {prime}")
-    p = A.prime
-    orders = A.element_orders
-    # layer[j] = log_p #{x : x^(p^j) == 1}; ranks[j] = layer[j+1] - layer[j]
-    # counts the invariants >= j + 1, so the invariants are its conjugate
+    return section_invariants(A, np.ones(A.order, dtype=bool), np.arange(A.order) == 0)
+
+
+def section_invariants(G: Group, H: np.ndarray, N: np.ndarray) -> AbelianInvariants:
+    """Invariant list of the abelian section H/N of the p-group G, for
+    bool masks H >= N of subgroups with N normal in H (the caller's word).
+
+    L_j = #{x in H : x^(p^j) in N} / |N| is the order of the layer of H/N
+    of exponent p^j, counted on G's table; ranks[j] = log_p L_(j+1) -
+    log_p L_j counts the invariants >= j + 1, so the invariants are its
+    conjugate.  A count off |N| times a power of p raises RuntimeError.
+    """
+    p = G.prime
+    if p is None:
+        raise NotPrimePower(f"order {G.order} is not a prime power")
+    size, total = int(N.sum()), int(H.sum())
+    acc = np.flatnonzero(H & ~N)  # x^(p^j) for the x of H not yet sent into N
     ranks = []
-    bound = 1
     prev = 0
-    while bound < A.exponent:
-        bound *= p
-        _, lg = prime_power(int((orders <= bound).sum()))
+    while acc.size:
+        before = acc.size
+        acc = powers(G.table, acc, p)
+        acc = acc[~N[acc]]
+        count = total - acc.size
+        q, r = divmod(count, size)
+        lp, lg = prime_power(q)
+        if r or lp != p or acc.size == before:
+            raise RuntimeError(f"layer of {count} elements over |N| = {size}, p = {p}")
         ranks.append(lg - prev)
         prev = lg
-    exps = [sum(r >= i for r in ranks) for i in range(1, ranks[0] + 1)]
+    exps = [sum(r >= i for r in ranks) for i in range(1, ranks[0] + 1)] if ranks else []
     return AbelianInvariants(p, tuple(exps))
 
 
@@ -104,17 +125,11 @@ def _span(A: Group, gens: Sequence[int]) -> np.ndarray:
     return reached
 
 
-def _powers(A: Group, xs: np.ndarray, k: int) -> np.ndarray:
-    """x**k for every x in xs, by the square-and-multiply steps of
-    Group.pow, each one gather of A's table for all of xs at once."""
-    acc = np.zeros_like(xs)
-    base = xs
-    while k:
-        if k & 1:
-            acc = A.table[acc, base]
-        base = A.table[base, base]
-        k >>= 1
-    return acc
+def _independent(A: Group, chosen: Sequence[int], want: int) -> list[int]:
+    """The elements of order `want`, a power of p, whose cyclic span meets
+    <chosen> trivially: their order-p power lies outside that span."""
+    xs = np.flatnonzero(A.element_orders == want)
+    return xs[~_span(A, chosen)[powers(A.table, xs, want // A.prime)]].tolist()
 
 
 @dataclass(frozen=True)
@@ -142,20 +157,12 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
     """
     inv = abelian_invariants(A, prime=prime)
     p = inv.prime
-    orders = A.element_orders
     targets = inv.exponents
     chosen: list[int] = []
     cand_stacks: list[list[int]] = []
-
-    def candidates(i: int) -> list[int]:
-        want = p ** targets[i]
-        xs = np.flatnonzero(orders == want)
-        span_mask = _span(A, chosen)
-        return xs[~span_mask[_powers(A, xs, want // p)]].tolist()
-
     while len(chosen) < len(targets):
         if len(cand_stacks) == len(chosen):
-            cand_stacks.append(candidates(len(chosen)))
+            cand_stacks.append(_independent(A, chosen, p ** targets[len(chosen)]))
         stack = cand_stacks[-1]
         if not stack:
             cand_stacks.pop()
@@ -171,21 +178,16 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
     # x[k] = prod_i chosen[i] ** c_i for the k-th exponent tuple c, C order
     x = np.zeros(1, dtype=np.int64)
     for g, r in zip(chosen, radices):
-        powers = [0]
+        cycle = [0]
         for _ in range(r - 1):
-            powers.append(int(A.table[powers[-1], g]))
-        x = A.table[x[:, None], powers].ravel()
+            cycle.append(int(A.table[cycle[-1], g]))
+        x = A.table[x[:, None], cycle].ravel()
     if np.unique(x).size != A.order:  # |A| tuples: free iff they span A
         raise RuntimeError("basis does not span freely")
     coords = np.empty((A.order, len(targets)), dtype=np.int32)
     coords[x] = np.stack(np.unravel_index(np.arange(A.order), radices), axis=1)
     coords.setflags(write=False)
     return AbelianBasis(A, inv, tuple(chosen), coords)
-
-
-# Cells (rows x columns) in one block of maps: the budget that bounds the
-# enumeration's temporaries, whatever the candidate count.
-_BLOCK_CELLS = 1 << 16
 
 
 def target_array(targets: Sequence[int]) -> np.ndarray:
@@ -226,22 +228,20 @@ def _position_table(ambient: Group, tgt: np.ndarray) -> np.ndarray:
 def iter_hom_positions(
     basis: AbelianBasis, ambient: Group, targets: Sequence[int], rows: int
 ) -> Iterator[np.ndarray]:
-    """The homomorphisms of `iter_hom_blocks`, as positions in the targets.
+    """The homomorphisms of `iter_homomorphisms` in int32 blocks (maps x
+    |basis.group|) of <= rows maps, f[x] the position of x's image in
+    target_array(targets); concatenated, every map once, in order.
 
-    Each block is an int32 array (maps x |basis.group|) whose entry f[x] is
-    the position of the image of x in target_array(targets); concatenated,
-    the blocks list every map once, in lexicographic order of the basis
-    image tuples.  A hom f is fixed by the images y_i of the basis elements:
-    f[x] = prod_i y_i ** coordinates[x, i].  Products are taken inside
-    <targets> by a |T| x |T| position table read once from the ambient
-    table.  For basis element i, one C-ordered table (#images x
-    |basis.group|) holds y ** coordinates[:, i] for every allowed y, built
-    by p^e_i - 1 gathers.  The last tables are folded into one table of
-    all their products while it fits in a block.  A block is a run of
-    consecutive indices (C order, as itertools.product): their last digit
-    picks a row of the folded table, and the few distinct leading digit
-    tuples of the run are multiplied out once each, so a block costs one
-    product per cell whatever the rank.
+    A hom f is fixed by the images y_i of the basis elements: f[x] =
+    prod_i y_i ** coordinates[x, i].  Products are taken inside <targets>
+    by a |T| x |T| position table read once from the ambient table.  For
+    basis element i, one C-ordered table (#images x |basis.group|) holds
+    y ** coordinates[:, i] for every allowed y, built by p^e_i - 1
+    gathers.  The last tables are folded into one table of all their
+    products while it fits in a block.  A block is a run of consecutive
+    indices (C order, as itertools.product): their last digit picks a row
+    of the folded table, and the few distinct leading digit tuples of the
+    run are multiplied out once each: one product per cell at any rank.
     """
     p = basis.invariants.prime
     tgt = target_array(targets)
@@ -259,13 +259,13 @@ def iter_hom_positions(
 
     factors = []
     for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T):
-        powers = np.full((len(y), p**e), identity, dtype=np.int32)
+        cycles = np.full((len(y), p**e), identity, dtype=np.int32)
         for c in range(1, p**e):
-            powers[:, c] = times(powers[:, c - 1], y)
-        factors.append(np.ascontiguousarray(powers.take(k, axis=1)))
+            cycles[:, c] = times(cycles[:, c - 1], y)
+        factors.append(np.ascontiguousarray(cycles.take(k, axis=1)))
     # row i * len(b) + j of the folded table is a[i] * b[j], so the C-order
     # digits, and with them the map order, stay as they were
-    while len(factors) > 1 and factors[-2].size * len(factors[-1]) <= _BLOCK_CELLS:
+    while len(factors) > 1 and factors[-2].size * len(factors[-1]) <= groups._BLOCK_CELLS:
         a, b = factors.pop(-2), factors.pop()
         factors.append(times(a[:, None, :], b[None, :, :]).reshape(-1, a.shape[1]))
     *lead, last = factors
@@ -283,25 +283,6 @@ def iter_hom_positions(
         yield f
 
 
-def iter_hom_blocks(
-    basis: AbelianBasis, ambient: Group, targets: Sequence[int], rows: int
-) -> Iterator[np.ndarray]:
-    """The homomorphisms of `iter_homomorphisms`, in blocks of <= rows maps.
-
-    Each block is an int64 array (maps x |basis.group|) of ambient indices;
-    concatenated, the blocks list every map once, in lexicographic order of
-    the basis image tuples.  The maps come from `iter_hom_positions`, block
-    for block, with each position read back as its target.  The central-map
-    enumeration reads the positions directly: a position j picks the row
-    of its coset-ordered table that holds the coset times target j, so the
-    row labels it tests, and the images it yields, are still products read
-    from the group's table.
-    """
-    tgt = target_array(targets)
-    for block in iter_hom_positions(basis, ambient, targets, rows):
-        yield tgt[block]
-
-
 def iter_homomorphisms(
     basis: AbelianBasis, ambient: Group, targets: Sequence[int]
 ) -> Iterator[np.ndarray]:
@@ -310,12 +291,13 @@ def iter_homomorphisms(
     `targets` must be closed under the ambient product and commute with each
     other (a central or abelian subgroup).  Yields int64 arrays f of length
     |basis.group| with f[x] = ambient index of the image of x, in
-    lexicographic order of the basis image tuples.  The maps are built in
-    blocks by `iter_hom_blocks`, a fixed number of cells at a time.
+    lexicographic order of the basis image tuples, read back from blocks
+    of about groups._BLOCK_CELLS positions (`iter_hom_positions`).
     """
-    rows = max(1, _BLOCK_CELLS // basis.group.order)
-    for block in iter_hom_blocks(basis, ambient, targets, rows):
-        yield from block
+    tgt = target_array(targets)
+    rows = max(1, groups._BLOCK_CELLS // basis.group.order)
+    for block in iter_hom_positions(basis, ambient, tgt, rows):
+        yield from tgt[block]
 
 
 def hom_invariants(a: AbelianInvariants, b: AbelianInvariants) -> AbelianInvariants:
@@ -357,20 +339,12 @@ def embeds_bruteforce(A: Group, B: Group) -> bool:
         raise PrimeMismatch(f"primes differ: {A.prime} vs {B.prime}")
     if B.order % A.order != 0:
         return False
-    basis = abelian_basis(A)
-    p = A.prime
-    exps = basis.invariants.exponents
-    orders = B.element_orders
+    exps = abelian_basis(A).invariants.exponents
 
     def extend(images: list[int]) -> bool:
         if len(images) == len(exps):
             return True
-        want = p ** exps[len(images)]
-        ys = np.flatnonzero(orders == want)
-        span_mask = _span(B, images)
-        for y in ys[~span_mask[_powers(B, ys, want // p)]].tolist():
-            if extend([*images, y]):
-                return True
-        return False
+        ys = _independent(B, images, A.prime ** exps[len(images)])
+        return any(extend([*images, y]) for y in ys)
 
     return extend([])

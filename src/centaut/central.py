@@ -16,19 +16,18 @@ Whether they cover G is decided on labels, not on the |G| images.  Once
 per group, `right` alone is checked for three facts: every row holds
 distinct elements, two rows that share an element have the same minimum,
 and there are exactly a distinct row minima.  Each row's label is the
-rank of its minimum.  Then a rows with pairwise distinct labels are
-pairwise disjoint, so they hold a * |G'| = |G| distinct elements, while
-two rows with one label both hold that minimum: a candidate is bijective
-exactly when its a labels are distinct.  So each block of homs
-(`abelian.iter_hom_positions`, about _BLOCK_CELLS / 4a of them) is marked
-into a-wide masks, not |G|-wide ones.  The test stays literal: the labels
-come from products read from G's table, no order formula or rule from
+rank of its minimum.  Then a rows with distinct labels are disjoint and
+hold a * |G'| = |G| elements, while two rows with one label share their
+minimum: a candidate is bijective exactly when its a labels are distinct.
+So each block of homs (`abelian.iter_hom_positions`, about _BLOCK_CELLS /
+4a of them, _BLOCK_CELLS being groups' one block budget) is marked into
+a-wide masks, not |G|-wide ones.  The test stays literal: the labels come
+from products read from G's table, no order formula or rule from
 `criteria` enters, and a table that fails a check raises RuntimeError
 rather than yield a count.  Memory is set by the block and by the
-a |Z| x |G'| table, not by the candidate count; the count keeps only the
-labels.  The automorphisms themselves are gathered from `right` for the
-bijective rows only, _BLOCK_CELLS // |G| maps at a time, in
-iter_homomorphisms order.
+a |Z| x |G'| table, not by the candidate count.  The automorphisms
+themselves are gathered from `right` for the bijective rows only,
+_BLOCK_CELLS // |G| maps at a time, in iter_homomorphisms order.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import abelian, structure
+from . import abelian, groups, structure
 from .abelian import abelian_basis, hom_invariants
 from .errors import (
     AbelianGroup,
@@ -48,7 +47,7 @@ from .errors import (
     NotContained,
     NotPrimePower,
 )
-from .groups import Group
+from .groups import Group, row_blocks
 from .structure import Subgroup
 
 DEFAULT_HOM_CAP = 2**20
@@ -94,10 +93,9 @@ def _coset_table(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """
     a, m = members.shape
     right = np.empty((a, len(tgt), m), dtype=np.int32)
-    step = max(1, abelian._BLOCK_CELLS // (m * len(tgt)))
-    for c in range(0, a, step):
-        cells = G.table[np.ix_(members[c : c + step].ravel(), tgt)]
-        right[c : c + step] = cells.reshape(-1, m, len(tgt)).transpose(0, 2, 1)
+    for c in row_blocks(a, m * len(tgt)):
+        cells = G.table[np.ix_(members[c].ravel(), tgt)]
+        right[c] = cells.reshape(-1, m, len(tgt)).transpose(0, 2, 1)
     return right.reshape(a * len(tgt), m)
 
 
@@ -115,8 +113,8 @@ def _row_labels(right: np.ndarray, cosets: int) -> np.ndarray:
     """
     rows, m = right.shape
     n = cosets * m
-    step = max(1, abelian._BLOCK_CELLS // m)
-    chunks = [slice(lo, lo + step) for lo in range(0, rows, step)]
+    chunks = row_blocks(rows, m)
+    step = chunks[0].stop  # the longest chunk
     # chunk row i's cells become keys i * n + x, so one flat sort orders
     # the chunk row by row and puts each row's minimum first
     key = np.int32 if step * n <= np.iinfo(np.int32).max else np.int64
@@ -181,7 +179,7 @@ def _candidate_maps(
     # hom block's int64 products and indices, the label, the scatter), so
     # a quarter of the cell budget keeps a block under an image block's
     # bytes, and in cache
-    rows = max(1, abelian._BLOCK_CELLS // (4 * a))
+    rows = max(1, groups._BLOCK_CELLS // (4 * a))
 
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for f in abelian.iter_hom_positions(basis, G, tgt, rows):
@@ -195,9 +193,8 @@ def _images(right: np.ndarray, rows: np.ndarray) -> Iterator[np.ndarray]:
     """The image arrays of the maps with coset-table rows `rows`, columns
     in coset order, at most _BLOCK_CELLS // |G| maps at a time."""
     n = rows.shape[1] * right.shape[1]
-    step = max(1, abelian._BLOCK_CELLS // n)
-    for lo in range(0, len(rows), step):
-        yield np.take(right, rows[lo : lo + step], axis=0).reshape(-1, n)
+    for s in row_blocks(len(rows), n):
+        yield np.take(right, rows[s], axis=0).reshape(-1, n)
 
 
 def _central_maps(
@@ -276,12 +273,14 @@ def stability_count(
     members = _coset_order(proj2[proj])
     right, blocks = _candidate_maps(G, qab, members, Y.elements, hom_cap)
     for rows, bijective in blocks:
-        assert bijective.all()
+        if not bijective.all():
+            raise RuntimeError("a map x -> x*f(xX) is not a bijection")
         for sigma in _images(right, rows):
             seen.update(row.tobytes() for row in sigma)
+    # (G/X)^ab = G/X G', and X G' is the preimage of qab's identity
     hom_order = hom_invariants(
-        abelian.abelian_invariants(qab, prime=G.prime),
-        abelian.abelian_invariants(Y.as_group(), prime=G.prime),
+        abelian.section_invariants(G, np.ones(G.order, dtype=bool), proj2[proj] == 0),
+        abelian.section_invariants(G, Y.mask, np.arange(G.order) == 0),
     ).order
     return len(seen), hom_order
 
@@ -297,13 +296,11 @@ def adney_yen_check(
     if G.is_abelian:
         raise AbelianGroup("count identity is posed for nonabelian groups")
     z = structure.center(G)
-    gamma = abelian.abelian_invariants(z.as_group(), prime=G.prime)
+    gamma = abelian.section_invariants(G, z.mask, np.arange(G.order) == 0)
     if gamma.rank != 1:
         raise CenterNotCyclic(f"center invariants {list(gamma.exponents)}")
     rep = central_automorphism_count(G, hom_cap=hom_cap)
-    qab, _ = structure.abelianization(G)
-    alpha = abelian.abelian_invariants(qab, prime=G.prime)
-    hom_order = hom_invariants(alpha, gamma).order
+    hom_order = hom_invariants(structure.abelianization_invariants(G), gamma).order
     return rep.aut_count, hom_order, rep.aut_count == hom_order
 
 

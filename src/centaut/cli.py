@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -52,11 +53,20 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _invariants(p: int, text: str) -> AbelianInvariants:
+    if p >= 2**31:  # below it the prime test takes <= 46,341 trial divisions
+        raise InvalidInvariants(f"prime {p} is not below 2^31")
     try:
         exps = [int(t) for t in re.split(r"[\s,]+", text.strip()) if t]
     except ValueError:
         raise InvalidInvariants(f"invariants must be integers, got {text!r}") from None
     return AbelianInvariants(p, tuple(sorted(exps, reverse=True)))
+
+
+def _check_order_digits(p: int, k: int) -> None:
+    """InvalidInvariants if p^k has more digits than str() prints, never building p^k."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if k * math.log10(p) >= limit:
+        raise InvalidInvariants(f"Hom order {p}^{k} has more than {limit} decimal digits")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -98,7 +108,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_hom(args: argparse.Namespace) -> int:
     a = _invariants(args.p, args.a)
     b = _invariants(args.p, args.b)
+    _check_order_digits(args.p, a.rank * b.rank)  # log_p |Hom| >= #pairs
     h = hom_invariants(a, b)
+    _check_order_digits(args.p, sum(h.exponents))
     out = {
         "p": args.p,
         "a": list(a.exponents),

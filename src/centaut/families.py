@@ -159,7 +159,7 @@ def _unitriangular(q: int, k: int, carries: Sequence[Sequence[tuple[int, int]]])
     n = q**k
     digits = np.indices((q,) * k, dtype=np.int32).reshape(k, n)
     table = np.empty((n, n), dtype=np.int32)
-    for rows in row_blocks(n):
+    for rows in row_blocks(n, n):
         a = digits[:, rows, None]
         index = np.zeros((rows.stop - rows.start, n), dtype=np.int32)
         for c in range(k):

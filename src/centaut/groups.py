@@ -11,13 +11,15 @@ every cell, the Latin-square property by scatter marks into one n x n
 bool mask, and the identity row and column, then associativity by Light's
 test: (x*g)*y == x*(g*y) for every x, y and each g of a greedy generating
 set, at most log2(n) + 1 checks of n^2 cells, gathered in row blocks of
-about 2^16 cells (row_blocks).  A failed check falls back to a row scan
-that names the lexicographically first bad triple (a, b, c).  Cells that
-are not integers (bool and float included) are rejected before the
-conversion.
+about 2^16 cells (row_blocks, the library's one block budget).  A failed
+check falls back to a row scan that names the lexicographically first bad
+triple (a, b, c).  Cells that are not integers (bool and float included)
+are rejected before the conversion.
 
-greedy_generators is the one span routine: the validator, subgroup
-closures and structure.generators all grow spans with it.
+greedy_generators spans in any table (the validator, closures,
+structure.generators); abelian._span, for abelian groups only, doubles a
+run of powers per gather instead, as there H<g> is the union of the H g^j.
+powers is the one power routine, for Group.pow, orders and layer counts.
 
 Tables built by proof are wrapped without a check.  group_from_permutations
 closes its generators by BFS on image arrays and keeps a Schreier tree
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -141,18 +143,11 @@ class Group:
         return int(self.inverse[a])
 
     def pow(self, g: int, k: int) -> int:
-        """g**k by square-and-multiply; negative k goes through the inverse."""
+        """g**k by powers; negative k goes through the inverse."""
         _check_index(self, g)
         if k < 0:
             g, k = self.inv(g), -k
-        acc = 0
-        base = g
-        while k:
-            if k & 1:
-                acc = int(self.table[acc, base])
-            base = int(self.table[base, base])
-            k >>= 1
-        return acc
+        return int(powers(self.table, np.asarray(g), k))
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
@@ -170,26 +165,23 @@ class Group:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        """orders[g] = multiplicative order of g; read-only array."""
+        """orders[g] = the least divisor d of |G| with g^d == 1, each d
+        tried on the elements still open: O(#divisors * log n) gathers."""
         n = self.order
         orders = np.zeros(n, dtype=np.int64)
-        orders[0] = 1
-        acc = np.arange(n)  # acc[g] = g**k
-        k = 1
-        while (orders == 0).any():
-            k += 1
-            acc = self.table[acc, np.arange(n)]
-            hit = (acc == 0) & (orders == 0)
-            orders[hit] = k
+        open_ = np.arange(n)
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            hit = powers(self.table, open_, d) == 0
+            orders[open_[hit]] = d
+            open_ = open_[~hit]
+            if not open_.size:
+                break
         orders.setflags(write=False)
         return orders
 
     @cached_property
     def exponent(self) -> int:
-        out = 1
-        for o in map(int, np.unique(self.element_orders)):
-            out = out * o // gcd(out, o)
-        return out
+        return lcm(*map(int, np.unique(self.element_orders)))
 
     def __len__(self) -> int:
         return self.order
@@ -198,6 +190,20 @@ class Group:
         if self.prime is not None:
             return f"Group(order={self.order}={self.prime}^{self.order_exp})"
         return f"Group(order={self.order})"
+
+
+def powers(table: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
+    """x**k for every x in xs (k >= 0), by square-and-multiply: each step
+    is one gather of the table for all of xs at once."""
+    acc = np.zeros_like(xs)
+    base = xs
+    while k:
+        if k & 1:
+            acc = table[acc, base]
+        k >>= 1
+        if k:
+            base = table[base, base]
+    return acc
 
 
 def _check_index(G: Group, g: int) -> None:
@@ -234,11 +240,11 @@ def greedy_generators(
 _BLOCK_CELLS = 1 << 16
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Slices of the rows of an n x n table, about 2^16 cells each and in
-    order; one slice for n <= 256."""
-    step = max(1, _BLOCK_CELLS // n)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of range(rows), in order, of about _BLOCK_CELLS cells (and
+    one row at least) for rows `width` cells wide: one for n x n, n <= 256."""
+    step = max(1, _BLOCK_CELLS // width)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def _validate_table(table: np.ndarray) -> np.ndarray:
@@ -292,7 +298,7 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     # gathers the columns (at order 4096 a whole-table check took 0.13 s
     # that way and 0.9 s with table[:, idx], 2-vCPU Xeon).
     reached = ident == 0
-    blocks = row_blocks(n)
+    blocks = row_blocks(n, n)
     for g in greedy_generators(table, range(n), reached):
         column = table[g]
         for rows in blocks:
@@ -306,7 +312,7 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
 def _raise_first_nonassociative(table: np.ndarray) -> None:
     """Raise NotAssociative for the lexicographically first bad (a, b, c)."""
     n = table.shape[0]
-    blocks = row_blocks(n)
+    blocks = row_blocks(n, n)
     # (a*b)*c vs a*(b*c), one a and one block of b at a time to bound memory
     for a in range(n):
         for rows in blocks:

@@ -11,6 +11,11 @@ The invariants come from the greedy generating set S of G (generators,
   central modulo it.  So gamma_{i+1} needs only the greedy generators of
   gamma_i, and G' = gamma_2.
 - Burnside's basis theorem, Phi(G) = G'G^p, makes d(G) the rank of G/G'.
+
+The report reads the invariants of G/G', Z(G) and Z_2(G)/Z(G) by one layer
+count per section on G's own table (abelian.section_invariants), from the
+cached masks of G' and of the upper series; it builds no Group and takes no
+quotient.  G/G' itself is built only for the enumeration (abelianization).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     NotNormal,
     NotPrimePower,
 )
-from .groups import Group, greedy_generators
+from .groups import Group, greedy_generators, powers
 
 
 def _per_group(derive: Callable) -> Callable:
@@ -96,12 +101,7 @@ class Subgroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        """Whether a greedy generating set of the subgroup commutes pairwise:
-        at most (log2 |H|)^2 products, not an |H| x |H| table."""
-        reached = np.arange(self.parent.order) == 0
-        gens = list(greedy_generators(self.parent.table, self.elements, reached))
-        t = self.parent.table[np.ix_(gens, gens)]
-        return bool((t == t.T).all())
+        return _commutes(self.parent, self.elements)
 
     def positions(self, elements: Sequence[int]) -> np.ndarray:
         """Indices of the given parent elements inside as_group()'s numbering."""
@@ -130,6 +130,15 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
+
+
+def _commutes(G: Group, elements: Iterable[int]) -> bool:
+    """Whether the span H of `elements` is abelian, by (log2 |H|)^2
+    products of a greedy generating set, not an |H| x |H| table."""
+    reached = np.arange(G.order) == 0
+    gens = list(greedy_generators(G.table, elements, reached))
+    t = G.table[np.ix_(gens, gens)]
+    return bool((t == t.T).all())
 
 
 def closure(G: Group, seed: Iterable[int]) -> Subgroup:
@@ -180,6 +189,14 @@ def _upper_masks(G: Group) -> np.ndarray:
     return np.stack(masks)
 
 
+def _nilpotent_masks(G: Group) -> np.ndarray:
+    """_upper_masks(G), or NotNilpotent when the series stalls short of G."""
+    masks = _upper_masks(G)
+    if not masks[-1].all():
+        raise NotNilpotent(f"upper series stalls at order {int(masks[-1].sum())} < {G.order}")
+    return masks
+
+
 def center(G: Group) -> Subgroup:
     """Elements commuting with every generator."""
     masks = _upper_masks(G)
@@ -187,8 +204,8 @@ def center(G: Group) -> Subgroup:
 
 
 @_per_group
-def _derived_elements(G: Group) -> np.ndarray:
-    return np.asarray(_commutator_span(G, generators(G)).elements)
+def _derived_mask(G: Group) -> np.ndarray:
+    return _commutator_span(G, generators(G)).mask
 
 
 def upper_central_orders(G: Group) -> list[int]:
@@ -198,7 +215,7 @@ def upper_central_orders(G: Group) -> list[int]:
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, _derived_elements(G), verify=False)
+    return Subgroup(G, np.flatnonzero(_derived_mask(G)), verify=False)
 
 
 def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
@@ -210,11 +227,7 @@ def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
     if kind not in ("upper", "lower"):
         raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
     if kind == "upper":
-        masks = _upper_masks(G)
-        if not masks[-1].all():
-            raise NotNilpotent(
-                f"upper series stalls at order {int(masks[-1].sum())} < {G.order}"
-            )
+        masks = _nilpotent_masks(G)
         return [Subgroup(G, np.flatnonzero(m), verify=False) for m in masks]
     series = [Subgroup(G, range(G.order), verify=False)]
     while series[-1].order > 1:
@@ -233,11 +246,8 @@ def frattini_subgroup(G: Group) -> Subgroup:
     """For p-groups: derived subgroup together with all p-th powers."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
-    n = G.order
-    acc = np.arange(n)
-    for _ in range(G.prime - 1):
-        acc = G.table[acc, np.arange(n)]
-    return closure(G, np.unique(np.concatenate([_derived_elements(G), acc])))
+    acc = powers(G.table, np.arange(G.order), G.prime)
+    return closure(G, np.union1d(np.flatnonzero(_derived_mask(G)), acc))
 
 
 def minimal_generator_count(G: Group) -> int:
@@ -246,7 +256,12 @@ def minimal_generator_count(G: Group) -> int:
         return 0
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
-    return abelian.abelian_invariants(abelianization(G)[0], prime=G.prime).rank
+    return abelianization_invariants(G).rank
+
+
+def abelianization_invariants(G: Group) -> AbelianInvariants:
+    """Invariants of G/G', G a nontrivial p-group, read from G's table."""
+    return abelian.section_invariants(G, np.ones(G.order, dtype=bool), _derived_mask(G))
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
@@ -320,20 +335,15 @@ def structure_report(G: Group) -> StructureReport:
         raise NotPrimePower(f"order {G.order} is not a prime power")
     if G.order == 1:
         raise ValueError("structure report requires a nontrivial group")
-    p = G.prime
-    upper = central_series(G, "upper")
-    cls = len(upper) - 1
-    z = upper[1]
-    z2 = upper[2] if cls >= 2 else upper[-1]
-    alpha = abelian.abelian_invariants(abelianization(G)[0], prime=p)
-    gamma = abelian.abelian_invariants(z.as_group(), prime=p)
-    z2g = z2.as_group()
-    z_in_z2 = Subgroup(z2g, z2.positions(z.elements), verify=False)
-    inner, _ = quotient(z2g, z_in_z2)
-    beta = abelian.abelian_invariants(inner, prime=p)
+    masks = _nilpotent_masks(G)
+    cls = len(masks) - 1
+    z, z2 = masks[1], masks[min(2, cls)]
+    alpha = abelianization_invariants(G)
+    gamma = abelian.section_invariants(G, z, masks[0])
+    beta = abelian.section_invariants(G, z2, z)
     return StructureReport(
         order=G.order,
-        prime=p,
+        prime=G.prime,
         order_exp=G.order_exp,
         nilpotency_class=cls,
         coclass=G.order_exp - cls,
@@ -343,6 +353,6 @@ def structure_report(G: Group) -> StructureReport:
         abelianization=alpha,
         center=gamma,
         inner_center=beta,
-        center_in_derived=z.issubset(derived_subgroup(G)),
-        second_center_abelian=z2.is_abelian,
+        center_in_derived=bool(_derived_mask(G)[z].all()),
+        second_center_abelian=_commutes(G, np.flatnonzero(z2)),
     )

@@ -1,10 +1,12 @@
 """Slow reference implementations used to pin down the fast library code.
 
 Everything here works on plain Python lists-of-lists and sets, no numpy,
-so a bug in the vectorized code cannot hide in its oracle.  The exception
-is the full-table structure references at the end: they are the library's
-former numpy routines, which read the whole n x n commutator table instead
-of a generating set, and run at corpus orders where lists would be slow.
+so a bug in the vectorized code cannot hide in its oracle.  The exceptions
+are the structure references at the end, the library's former numpy
+routines, which run at corpus orders where lists would be slow: the
+full-table ones read the whole n x n commutator table instead of a
+generating set, and the section ones walk element orders one power at a
+time and rebuild each section as a Group to take its quotient.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import itertools
 
 import numpy as np
 
+from centaut.abelian import AbelianInvariants
 from centaut.errors import ClosureExceedsCap
+from centaut.structure import (
+    StructureReport,
+    Subgroup,
+    central_series,
+    derived_subgroup,
+    quotient,
+)
 
 
 def ref_closure(table: list[list[int]], seed: list[int]) -> list[int]:
@@ -302,6 +312,83 @@ def ref_bijective_rows(sigma: np.ndarray) -> np.ndarray:
     marks = np.zeros(k * n, dtype=bool)
     marks[(np.arange(k, dtype=np.int64) * n)[:, None] + sigma] = True
     return marks.reshape(k, n).all(axis=1)
+
+
+def ref_element_orders(table: np.ndarray) -> np.ndarray:
+    """Every element's order by the walk the library ran before it tried
+    the divisors of |G|: acc[g] = g^k for k = 2, 3, ..., one gather of n
+    cells per unit of the exponent."""
+    n = len(table)
+    orders = np.zeros(n, dtype=np.int64)
+    orders[0] = 1
+    acc = np.arange(n)
+    k = 1
+    while (orders == 0).any():
+        k += 1
+        acc = table[acc, np.arange(n)]
+        hit = (acc == 0) & (orders == 0)
+        orders[hit] = k
+    return orders
+
+
+def ref_abelian_invariants(table: np.ndarray, p: int) -> AbelianInvariants:
+    """Invariants of an abelian p-group table from its walked element
+    orders: layer j has the p^(l_j) elements of order dividing p^j, and
+    the conjugate of the steps l_(j+1) - l_j lists the invariants."""
+    orders = ref_element_orders(table)
+    ranks, prev, bound = [], 0, 1
+    while bound < orders.max():
+        bound *= p
+        count, lg = int((orders <= bound).sum()), 0
+        while count > 1:
+            assert count % p == 0
+            count //= p
+            lg += 1
+        ranks.append(lg - prev)
+        prev = lg
+    exps = [sum(r >= i for r in ranks) for i in range(1, ranks[0] + 1)] if ranks else []
+    return AbelianInvariants(p, tuple(exps))
+
+
+def ref_section_invariants(G, H: np.ndarray, N: np.ndarray) -> AbelianInvariants:
+    """Invariants of the section H/N by the route the structure report took
+    before it counted layers on G's table: H rebuilt as a Group, N
+    renumbered inside it, the quotient taken and its orders walked."""
+    sub = Subgroup(G, np.flatnonzero(H), verify=False)
+    Hg = sub.as_group()
+    Q, _ = quotient(Hg, Subgroup(Hg, sub.positions(np.flatnonzero(N)), verify=False))
+    return ref_abelian_invariants(Q.table, G.prime)
+
+
+def ref_structure_report(G) -> StructureReport:
+    """The structure report as the library built it before it read the
+    three sections from G's own masks: the upper series as Subgroups, Z
+    and Z_2 rebuilt as Groups and Z_2/Z taken as a quotient."""
+    p = G.prime
+    upper = central_series(G, "upper")
+    cls = len(upper) - 1
+    z = upper[1]
+    z2 = upper[2] if cls >= 2 else upper[-1]
+    alpha = ref_abelian_invariants(quotient(G, derived_subgroup(G))[0].table, p)
+    gamma = ref_abelian_invariants(z.as_group().table, p)
+    z2g = z2.as_group()
+    inner, _ = quotient(z2g, Subgroup(z2g, z2.positions(z.elements), verify=False))
+    beta = ref_abelian_invariants(inner.table, p)
+    return StructureReport(
+        order=G.order,
+        prime=p,
+        order_exp=G.order_exp,
+        nilpotency_class=cls,
+        coclass=G.order_exp - cls,
+        d=alpha.rank,
+        d_center=gamma.rank,
+        d_inner_center=beta.rank,
+        abelianization=alpha,
+        center=gamma,
+        inner_center=beta,
+        center_in_derived=z.issubset(derived_subgroup(G)),
+        second_center_abelian=z2.is_abelian,
+    )
 
 
 def table_sha(table: np.ndarray) -> str:

@@ -13,8 +13,9 @@ from centaut.abelian import (
     embeds_invariants,
     hom_count_by_targets,
     hom_invariants,
-    iter_hom_blocks,
+    iter_hom_positions,
     iter_homomorphisms,
+    target_array,
 )
 from centaut.errors import NotAbelian, NotPrimePower, PrimeMismatch
 from centaut.families import (
@@ -229,12 +230,13 @@ def test_hom_blocks_match_reference_loop(kind, arg):
     got = [tuple(f.tolist()) for f in iter_homomorphisms(basis, ambient, targets)]
     assert got == want
     non_divisor = next(r for r in range(2, total + 2) if total % r)
+    tgt = target_array(targets)
     for rows in sorted({1, 7, non_divisor, total + 1}):
-        blocks = list(iter_hom_blocks(basis, ambient, targets, rows))
-        assert all(b.dtype == np.int64 for b in blocks)
+        blocks = list(iter_hom_positions(basis, ambient, targets, rows))
+        assert all(b.dtype == np.int32 for b in blocks)
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 0 < len(blocks[-1]) <= rows
-        got = [tuple(f) for b in blocks for f in b.tolist()]
+        got = [tuple(f) for f in np.concatenate([tgt[b] for b in blocks]).tolist()]
         assert got == want, rows
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from centaut import abelian, central
+from centaut import abelian, central, groups
 from centaut.central import (
     adney_yen_check,
     all_automorphisms,
@@ -156,8 +156,8 @@ def test_block_size_changes_no_count_and_no_order(spec, monkeypatch):
     reference order, whatever the block size."""
     G = parse_group_spec(spec)
     total, auts = _ref_central_automorphisms(G)
-    for cells in (1, 10**6, abelian._BLOCK_CELLS):
-        monkeypatch.setattr(abelian, "_BLOCK_CELLS", cells)
+    for cells in (1, 10**6, groups._BLOCK_CELLS):
+        monkeypatch.setattr(groups, "_BLOCK_CELLS", cells)
         rep = central_automorphism_count(G)
         assert (rep.hom_candidates, rep.aut_count) == (total, len(auts)), cells
         got = list(iter_central_automorphisms(G))
@@ -379,6 +379,18 @@ def test_stability_count_validates_subgroups():
     H = dihedral(8)
     with pytest.raises(ValueError, match="different parent"):
         stability_count(G, center(H), center(H))
+
+
+def test_stability_count_raises_on_a_map_that_is_not_bijective(monkeypatch):
+    """Every x -> x*f(xX) is a bijection; a coset table whose labels say
+    otherwise is an error, also under python -O."""
+    G = dihedral(8)
+    phi = frattini_subgroup(G)
+    monkeypatch.setattr(
+        central, "_row_labels", lambda right, cosets: np.zeros(len(right), dtype=np.int32)
+    )
+    with pytest.raises(RuntimeError):
+        stability_count(G, phi, phi)
 
 
 def test_adney_yen_counts():

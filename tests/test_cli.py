@@ -294,6 +294,9 @@ def test_predicate_command(capsys):
         ("hom", "--p", "4", "--a", "1", "--b", "1"),
         ("hom", "--p", "2", "--a", "x", "--b", "1"),
         ("predicate", "--p", "2", "--alpha", "1", "--beta", "1", "--gamma", "0"),
+        ("hom", "--p", "1000000000000037", "--a", "1", "--b", "1"),  # slow prime test
+        ("hom", "--p", "2", "--a", "20000", "--b", "20000"),  # order past str()'s limit
+        ("hom", "--p", "2", "--a", "1000000000000", "--b", "1000000000000"),  # 2^(10^12)
     ],
 )
 def test_bad_invariants_exit_2(capsys, argv):
