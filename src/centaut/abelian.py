@@ -4,9 +4,9 @@ An abelian p-group is determined by its invariant list (a_1 >= ... >= a_m),
 meaning C_{p^a_1} x ... x C_{p^a_m}.  Invariants are read off layer counts
 (sizes of the subgroups of exponent dividing p^j), one routine for a whole
 group and for a section H/N of a larger group's table alike
-(section_invariants); a basis is extracted by depth-first search with
-backtracking, and hom/embedding questions reduce to arithmetic on the
-invariant lists.
+(section_invariants).  A basis is found by one depth-first search with
+backtracking, again for a whole group or a section G/N (section_basis),
+and hom/embedding questions reduce to arithmetic on the invariant lists.
 """
 
 from __future__ import annotations
@@ -109,60 +109,62 @@ def section_invariants(G: Group, H: np.ndarray, N: np.ndarray) -> AbelianInvaria
     return AbelianInvariants(p, tuple(exps))
 
 
-def _span(A: Group, gens: Sequence[int]) -> np.ndarray:
-    """Membership mask of the subgroup that gens generate.
+def _span(G: Group, gens: Sequence[int], N: np.ndarray) -> np.ndarray:
+    """Mask of <gens>N, N the mask of a normal subgroup with G/N abelian.
 
-    A is abelian, so adding g to a subgroup H gives H<g>, the union of the
-    H g^j for j < |g|; each step doubles the run of j with one gather by
-    g^(2^k), so g costs log2 |g| gathers of at most |A| cells.
+    Adding g to a subgroup H >= N gives H<g>, the union of the H g^j; each
+    gather by g^(2^k) doubles the run of j, until one adds nothing.
     """
-    reached = np.arange(A.order) == 0
+    reached = N.copy()
     for g in gens:
         step = int(g)
-        for _ in range((int(A.element_orders[g]) - 1).bit_length()):
-            reached[A.table[np.flatnonzero(reached), step]] = True
-            step = int(A.table[step, step])
+        while True:
+            new = G.table[np.flatnonzero(reached), step]
+            if reached[new].all():
+                break
+            reached[new] = True
+            step = int(G.table[step, step])
     return reached
 
 
-def _independent(A: Group, chosen: Sequence[int], want: int) -> list[int]:
-    """The elements of order `want`, a power of p, whose cyclic span meets
-    <chosen> trivially: their order-p power lies outside that span."""
-    xs = np.flatnonzero(A.element_orders == want)
-    return xs[~_span(A, chosen)[powers(A.table, xs, want // A.prime)]].tolist()
+def _independent(G: Group, N: np.ndarray, chosen: Sequence[int], want: int) -> list[int]:
+    """The x with xN of order `want`, a power of p, and <xN> meeting
+    <chosen>N/N trivially: x^want in N, x^(want/p) outside <chosen>N."""
+    low = powers(G.table, np.arange(G.order), want // G.prime)
+    keep = N[powers(G.table, low, G.prime)] & ~_span(G, chosen, N)[low]
+    return np.flatnonzero(keep).tolist()
 
 
 @dataclass(frozen=True)
 class AbelianBasis:
-    """Independent generators realizing the invariant list.
+    """Independent generators realizing the invariant list; coordinates[k]
+    is the exponent tuple along `elements` of element k (abelian_basis) or
+    of the k-th coset (section_basis)."""
 
-    coordinates[x] gives the exponent tuple of x along `elements`, so
-    x == prod_i elements[i] ** coordinates[x, i] and the map is a bijection.
-    """
-
-    group: Group
     invariants: AbelianInvariants
     elements: tuple[int, ...]
     coordinates: np.ndarray
 
 
-def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
-    """Pick basis elements of the invariant orders, smallest indices first.
+def section_basis(
+    G: Group, N: np.ndarray, inv: AbelianInvariants
+) -> tuple[AbelianBasis, np.ndarray]:
+    """A basis of G/N (abelian, of invariants inv), and the cosets of N.
 
-    Each candidate must meet the current span trivially, which for cyclic
-    p-groups is one membership test on its order-p power; the span is built
-    once per basis position and the powers of all candidates are taken
-    together.  Backtracks when a prefix admits no extension (rare, but
-    cheap to support).
+    Basis elements are picked smallest first: each must meet the current
+    span trivially, one membership test on its order-p power, with the
+    span built once per position and all candidates powered together.
+    Backtracks when a prefix admits no extension (rare, but cheap).
+    members[k] holds x_k n for the n of N ascending, x_k = prod_i
+    elements[i] ** c_i for the k-th tuple c = coordinates[k] in C order;
+    if that does not list each element of G once, RuntimeError.
     """
-    inv = abelian_invariants(A, prime=prime)
-    p = inv.prime
     targets = inv.exponents
     chosen: list[int] = []
     cand_stacks: list[list[int]] = []
     while len(chosen) < len(targets):
         if len(cand_stacks) == len(chosen):
-            cand_stacks.append(_independent(A, chosen, p ** targets[len(chosen)]))
+            cand_stacks.append(_independent(G, N, chosen, inv.prime ** targets[len(chosen)]))
         stack = cand_stacks[-1]
         if not stack:
             cand_stacks.pop()
@@ -172,22 +174,31 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
             continue
         chosen.append(stack.pop(0))
 
-    if not targets:
-        return AbelianBasis(A, inv, (), np.zeros((A.order, 0), dtype=np.int32))
-    radices = [p**e for e in targets]
-    # x[k] = prod_i chosen[i] ** c_i for the k-th exponent tuple c, C order
+    radices = [inv.prime**e for e in targets]
     x = np.zeros(1, dtype=np.int64)
     for g, r in zip(chosen, radices):
         cycle = [0]
         for _ in range(r - 1):
-            cycle.append(int(A.table[cycle[-1], g]))
-        x = A.table[x[:, None], cycle].ravel()
-    if np.unique(x).size != A.order:  # |A| tuples: free iff they span A
-        raise RuntimeError("basis does not span freely")
-    coords = np.empty((A.order, len(targets)), dtype=np.int32)
-    coords[x] = np.stack(np.unravel_index(np.arange(A.order), radices), axis=1)
+            cycle.append(int(G.table[cycle[-1], g]))
+        x = G.table[x[:, None], cycle].ravel()
+    members = G.table[np.ix_(x, np.flatnonzero(N))]
+    hit = np.zeros(G.order, dtype=bool)
+    hit[members] = True
+    if members.size != G.order or not hit.all():
+        raise RuntimeError("basis cosets do not partition the group")
+    coords = np.indices(radices, dtype=np.int32).reshape(len(radices), len(x)).T
+    return AbelianBasis(inv, tuple(chosen), coords), members
+
+
+def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
+    """section_basis with N = 1, coordinates indexed by element: x ==
+    prod_i elements[i] ** coordinates[x, i], a bijection."""
+    inv = abelian_invariants(A, prime=prime)
+    basis, members = section_basis(A, np.arange(A.order) == 0, inv)
+    coords = np.empty_like(basis.coordinates)
+    coords[members[:, 0]] = basis.coordinates
     coords.setflags(write=False)
-    return AbelianBasis(A, inv, tuple(chosen), coords)
+    return AbelianBasis(inv, basis.elements, coords)
 
 
 def target_array(targets: Sequence[int]) -> np.ndarray:
@@ -197,19 +208,18 @@ def target_array(targets: Sequence[int]) -> np.ndarray:
 
 
 def _allowed_images(
-    basis: AbelianBasis, ambient: Group, tgt: np.ndarray
+    inv: AbelianInvariants, ambient: Group, tgt: np.ndarray
 ) -> list[np.ndarray]:
-    """Per basis element, the positions in tgt whose order divides its order."""
-    p = basis.invariants.prime
+    """Per invariant, the positions in tgt whose order divides p^e."""
     orders = ambient.element_orders[tgt]
-    return [np.nonzero(orders <= p**e)[0] for e in basis.invariants.exponents]
+    return [np.nonzero(orders <= inv.prime**e)[0] for e in inv.exponents]
 
 
 def hom_count_by_targets(
-    basis: AbelianBasis, ambient: Group, targets: Sequence[int]
+    inv: AbelianInvariants, ambient: Group, targets: Sequence[int]
 ) -> int:
-    """|Hom| into the subgroup given by `targets`, without enumerating."""
-    images = _allowed_images(basis, ambient, target_array(targets))
+    """|Hom| into <targets>, without enumerating, from the invariants."""
+    images = _allowed_images(inv, ambient, target_array(targets))
     return math.prod(len(y) for y in images)
 
 
@@ -229,13 +239,13 @@ def iter_hom_positions(
     basis: AbelianBasis, ambient: Group, targets: Sequence[int], rows: int
 ) -> Iterator[np.ndarray]:
     """The homomorphisms of `iter_homomorphisms` in int32 blocks (maps x
-    |basis.group|) of <= rows maps, f[x] the position of x's image in
+    len(coordinates)) of <= rows maps, f[x] the position of x's image in
     target_array(targets); concatenated, every map once, in order.
 
     A hom f is fixed by the images y_i of the basis elements: f[x] =
     prod_i y_i ** coordinates[x, i].  Products are taken inside <targets>
     by a |T| x |T| position table read once from the ambient table.  For
-    basis element i, one C-ordered table (#images x |basis.group|) holds
+    basis element i, one C-ordered table (#images x len(coordinates)) holds
     y ** coordinates[:, i] for every allowed y, built by p^e_i - 1
     gathers.  The last tables are folded into one table of all their
     products while it fits in a block.  A block is a run of consecutive
@@ -245,10 +255,10 @@ def iter_hom_positions(
     """
     p = basis.invariants.prime
     tgt = target_array(targets)
-    images = _allowed_images(basis, ambient, tgt)
+    images = _allowed_images(basis.invariants, ambient, tgt)
     identity = np.searchsorted(tgt, 0)
     if not images:
-        yield np.full((1, basis.group.order), identity, dtype=np.int32)
+        yield np.full((1, len(basis.coordinates)), identity, dtype=np.int32)
         return
     flat = _position_table(ambient, tgt).ravel()
     width = np.int64(len(tgt))  # an int64 factor keeps g * |T| + f exact
@@ -290,12 +300,12 @@ def iter_homomorphisms(
 
     `targets` must be closed under the ambient product and commute with each
     other (a central or abelian subgroup).  Yields int64 arrays f of length
-    |basis.group| with f[x] = ambient index of the image of x, in
+    len(basis.coordinates) with f[x] = ambient index of the image of x, in
     lexicographic order of the basis image tuples, read back from blocks
     of about groups._BLOCK_CELLS positions (`iter_hom_positions`).
     """
     tgt = target_array(targets)
-    rows = max(1, groups._BLOCK_CELLS // basis.group.order)
+    rows = max(1, groups._BLOCK_CELLS // len(basis.coordinates))
     for block in iter_hom_positions(basis, ambient, tgt, rows):
         yield from tgt[block]
 
@@ -344,7 +354,7 @@ def embeds_bruteforce(A: Group, B: Group) -> bool:
     def extend(images: list[int]) -> bool:
         if len(images) == len(exps):
             return True
-        ys = _independent(B, images, A.prime ** exps[len(images)])
+        ys = _independent(B, np.arange(B.order) == 0, images, A.prime ** exps[len(images)])
         return any(extend([*images, y]) for y in ys)
 
     return extend([])

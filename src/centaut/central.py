@@ -5,28 +5,20 @@ from the abelianization into the center and x' is the coset of x.  Every
 such map is an endomorphism fixing the center's image conditions; it is an
 automorphism exactly when it is a bijection.
 
-The candidate maps are built and tested in blocks.  G's elements are put
-in coset order (the members of each coset of G' together), and one int32
-table `right` of shape (a x |Z|, |G'|), a = |G/G'|, holds in row
-c * |Z| + j the members of coset c times z_j, read from G's own table.
-A candidate f picks one row per coset, row c * |Z| + f(c), and its |G|
-images are the union of those a rows of |G'| entries each.
-
-Whether they cover G is decided on labels, not on the |G| images.  Once
-per group, `right` alone is checked for three facts: every row holds
-distinct elements, two rows that share an element have the same minimum,
-and there are exactly a distinct row minima.  Each row's label is the
-rank of its minimum.  Then a rows with distinct labels are disjoint and
-hold a * |G'| = |G| elements, while two rows with one label share their
-minimum: a candidate is bijective exactly when its a labels are distinct.
-So each block of homs (`abelian.iter_hom_positions`, about _BLOCK_CELLS /
-4a of them, _BLOCK_CELLS being groups' one block budget) is marked into
-a-wide masks, not |G|-wide ones.  The test stays literal: the labels come
-from products read from G's table, no order formula or rule from
-`criteria` enters, and a table that fails a check raises RuntimeError
-rather than yield a count.  Memory is set by the block and by the
-a |Z| x |G'| table, not by the candidate count.  The automorphisms
-themselves are gathered from `right` for the bijective rows only,
+The candidate maps are built and tested in blocks on G's own table; no
+quotient Group is built.  One basis search (abelian.section_basis) lists
+the a = |G/G'| cosets of G' in the C order of their exponent tuples along
+a basis of G/G'.  One int32 table `right` of shape (a x |Z|, |G'|) holds
+in row c * |Z| + j the members of coset c times z_j.  A candidate f picks
+row c * |Z| + f(c) for each coset c, and its |G| images are the union of
+those a rows.  Whether they cover G is decided on row labels
+(_row_labels), a-wide marks per candidate instead of |G|-wide ones, in
+blocks of about _BLOCK_CELLS / 4a homs (`abelian.iter_hom_positions`).
+The test stays literal: the labels come from products read from G's
+table, no order formula or rule from `criteria` enters, and a table that
+fails a check raises RuntimeError rather than yield a count.  Memory is
+set by the block and by `right`, not by the candidate count.  The
+automorphisms are gathered from `right` for the bijective rows only,
 _BLOCK_CELLS // |G| maps at a time, in iter_homomorphisms order.
 """
 
@@ -38,11 +30,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import abelian, groups, structure
-from .abelian import abelian_basis, hom_invariants
+from .abelian import hom_invariants
 from .errors import (
     AbelianGroup,
     CenterNotCyclic,
     EnumerationCapExceeded,
+    IndexOutOfRange,
     NotCentral,
     NotContained,
     NotPrimePower,
@@ -77,19 +70,13 @@ def _bijective_rows(sigma: np.ndarray) -> np.ndarray:
     return marks.reshape(k, n).all(axis=1)
 
 
-def _coset_order(proj: np.ndarray) -> np.ndarray:
-    """G's elements coset by coset: those with proj == 0 ascending, then
-    those with proj == 1, and so on."""
-    return np.argsort(proj, kind="stable")
-
-
 def _coset_table(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """right[c * |T| + j] = the members of coset c times tgt[j].
 
-    members is (cosets x coset size), as _coset_order reshaped; the result
-    is an int32 (cosets * |T|) x (coset size) array of products read from
-    G's table, filled a few cosets at a time so no temporary exceeds the
-    block budget.
+    members is (cosets x coset size), as section_basis lists them; the
+    result is an int32 (cosets * |T|) x (coset size) array of products
+    read from G's table, filled a few cosets at a time so no temporary
+    exceeds the block budget.
     """
     a, m = members.shape
     right = np.empty((a, len(tgt), m), dtype=np.int32)
@@ -147,32 +134,30 @@ def _row_labels(right: np.ndarray, cosets: int) -> np.ndarray:
 
 
 def _candidate_maps(
-    G: Group,
-    qab: Group,
-    members: np.ndarray,
-    targets: Sequence[int],
-    hom_cap: int,
-) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The coset table and blocks of the maps x -> x*f(xN), f in
-    Hom(qab, <targets>).
+    G: Group, N: np.ndarray, targets: Sequence[int], hom_cap: int
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The cosets of N, the coset table and blocks of the maps
+    x -> x*f(xN), f in Hom(G/N, <targets>).
 
-    qab is G/N, and members = _coset_order(proj) for its projection.  Each
-    block is (rows, bijective) for up to _BLOCK_CELLS // (4 |qab|) maps in
+    N is the bool mask of a normal subgroup containing G', so G/N is
+    abelian; members (a x |N|) lists its cosets as section_basis does.
+    Each block is (rows, bijective) for up to _BLOCK_CELLS // 4a maps in
     iter_homomorphisms order: rows[i, c] is the int32 row of the coset
     table that holds the images of coset c under map i, and bijective
     masks the maps whose images hit every element, decided on the row
-    labels.  The candidate count is computed arithmetically and checked
-    against hom_cap before any table is built.
+    labels.  The candidate count is computed from the invariants of G/N
+    and checked against hom_cap before the basis search.
     """
-    basis = abelian_basis(qab, prime=G.prime)
+    inv = abelian.section_invariants(G, np.ones(G.order, dtype=bool), N)
     tgt = abelian.target_array(targets)
-    total = abelian.hom_count_by_targets(basis, G, tgt)
+    total = abelian.hom_count_by_targets(inv, G, tgt)
     if total > hom_cap:
         raise EnumerationCapExceeded(
             f"{total} candidate maps exceed the cap {hom_cap}"
         )
-    n, a = G.order, qab.order
-    right = _coset_table(G, members.reshape(a, n // a), tgt)
+    basis, members = abelian.section_basis(G, N, inv)
+    a = len(members)
+    right = _coset_table(G, members, tgt)
     label = _row_labels(right, a)
     offsets = np.arange(a, dtype=np.int32) * np.int32(len(tgt))
     # a label cell takes about twice the temporaries of an image cell (the
@@ -186,7 +171,7 @@ def _candidate_maps(
             f = f + offsets
             yield f, _bijective_rows(label.take(f))
 
-    return right, blocks()
+    return members, right, blocks()
 
 
 def _images(right: np.ndarray, rows: np.ndarray) -> Iterator[np.ndarray]:
@@ -200,14 +185,11 @@ def _images(right: np.ndarray, rows: np.ndarray) -> Iterator[np.ndarray]:
 def _central_maps(
     G: Group, hom_cap: int
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The candidate central maps, f ranging over Hom(G/G', Z(G)), as the
-    element order of their columns and _candidate_maps's table and blocks."""
+    """_candidate_maps for the central maps, f ranging over Hom(G/G', Z(G))."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
-    qab, proj = structure.abelianization(G)
-    members = _coset_order(proj)
-    z = structure.center(G).elements
-    return (members, *_candidate_maps(G, qab, members, z, hom_cap))
+    derived = structure.derived_subgroup(G).mask
+    return _candidate_maps(G, derived, structure.center(G).elements, hom_cap)
 
 
 def central_automorphism_count(
@@ -243,7 +225,7 @@ def iter_central_automorphisms(G: Group, hom_cap: int = DEFAULT_HOM_CAP):
     for rows, bijective in blocks:
         for sigma in _images(right, rows[bijective]):
             auts = np.empty_like(sigma)
-            auts[:, members] = sigma
+            auts[:, members.ravel()] = sigma
             yield from auts
 
 
@@ -255,10 +237,10 @@ def stability_count(
 ) -> tuple[int, int]:
     """Distinct maps x -> x*f(xX) for f: (G/X)^ab -> Y, and the hom count.
 
-    Y must be a central subgroup contained in X; X must be normal (checked
-    by the quotient).  Every produced map fixes X and G/X elementwise; the
-    first return value counts the distinct ones, the second is |Hom| from
-    the invariant formula.
+    Y must be a central subgroup contained in X; X must be normal
+    (structure.check_normal).  As (G/X)^ab = G/XG', the maps run on the
+    cosets of XG'.  Each fixes X and G/X elementwise; the first value
+    counts the distinct ones, the second the homs enumerated.
     """
     if X.parent is not G or Y.parent is not G:
         raise ValueError("subgroups belong to a different parent group")
@@ -267,22 +249,19 @@ def stability_count(
     zmask = structure.center(G).mask
     if not zmask[list(Y.elements)].all():
         raise NotCentral("image subgroup must be central")
-    Q, proj = structure.quotient(G, X)
-    qab, proj2 = structure.abelianization(Q)
+    structure.check_normal(G, X)
+    derived = structure.derived_subgroup(G).mask
+    N = structure.closure(G, np.flatnonzero(X.mask | derived)).mask
     seen: set[bytes] = set()
-    members = _coset_order(proj2[proj])
-    right, blocks = _candidate_maps(G, qab, members, Y.elements, hom_cap)
+    homs = 0
+    _, right, blocks = _candidate_maps(G, N, Y.elements, hom_cap)
     for rows, bijective in blocks:
         if not bijective.all():
             raise RuntimeError("a map x -> x*f(xX) is not a bijection")
+        homs += len(rows)
         for sigma in _images(right, rows):
             seen.update(row.tobytes() for row in sigma)
-    # (G/X)^ab = G/X G', and X G' is the preimage of qab's identity
-    hom_order = hom_invariants(
-        abelian.section_invariants(G, np.ones(G.order, dtype=bool), proj2[proj] == 0),
-        abelian.section_invariants(G, Y.mask, np.arange(G.order) == 0),
-    ).order
-    return len(seen), hom_order
+    return len(seen), homs
 
 
 def adney_yen_check(
@@ -368,7 +347,11 @@ def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
 
 
 def is_central_automorphism(G: Group, sigma: np.ndarray) -> bool:
-    """Whether x^-1 * sigma(x) is central for every x (sigma a bijection)."""
+    """Whether x^-1 * sigma(x) is central for every x, for a bijection
+    sigma given as |G| indices in range(|G|) (else IndexOutOfRange)."""
+    sigma = np.asarray(sigma, dtype=np.int64)
+    if sigma.shape != (G.order,) or not ((sigma >= 0) & (sigma < G.order)).all():
+        raise IndexOutOfRange(f"sigma must be {G.order} indices in range({G.order})")
     zmask = structure.center(G).mask
-    shifts = G.table[G.inverse, np.asarray(sigma, dtype=np.int64)]
+    shifts = G.table[G.inverse, sigma]
     return bool(zmask[shifts].all())

@@ -39,6 +39,7 @@ from .harness import (
 
 ENV_CAP = "CENTAUT_CAP"
 ENV_HOM_CAP = "CENTAUT_HOM_CAP"
+MAX_CAP = 8192  # the largest order cap taken: its int32 table is 256 MiB
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide whether a p-group's central automorphisms are "
         "as few as its structure allows.",
         epilog=f"Environment: {ENV_CAP} overrides the order cap "
-        f"(default {DEFAULT_ORDER_CAP}), {ENV_HOM_CAP} the enumeration cap "
+        f"(default {DEFAULT_ORDER_CAP}, at most {MAX_CAP}), {ENV_HOM_CAP} the enumeration cap "
         f"(default {DEFAULT_HOM_CAP}).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -227,6 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "cap", 0) > MAX_CAP:  # from --cap or CENTAUT_CAP
+        parser.error(f"order cap {args.cap} (--cap or {ENV_CAP}) is above {MAX_CAP}")
     try:
         return args.fn(args)
     except CentautError as e:

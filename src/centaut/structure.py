@@ -15,7 +15,7 @@ The invariants come from the greedy generating set S of G (generators,
 The report reads the invariants of G/G', Z(G) and Z_2(G)/Z(G) by one layer
 count per section on G's own table (abelian.section_invariants), from the
 cached masks of G' and of the upper series; it builds no Group and takes no
-quotient.  G/G' itself is built only for the enumeration (abelianization).
+quotient, and neither does the enumeration (abelian.section_basis).
 """
 
 from __future__ import annotations
@@ -39,21 +39,19 @@ from .groups import Group, greedy_generators, powers
 
 
 def _per_group(derive: Callable) -> Callable:
-    """Compute derive(G) once and keep it on G, as cached_property does.
+    """Compute the array derive(G) once and keep it on G, read-only.
 
-    Cached values are read-only arrays and quotient Groups, never a
-    Subgroup: its `parent` would point back at G, and that cycle keeps every
-    analysed group alive until the next full garbage collection.
+    Only arrays are cached, never a Group or a Subgroup: a Subgroup's
+    `parent` would point back at G, and that cycle keeps every analysed
+    group alive until the next full garbage collection.
     """
     key = f"_per_group_{derive.__name__.lstrip('_')}"
 
     @wraps(derive)
-    def cached(G: Group):
+    def cached(G: Group) -> np.ndarray:
         if key not in G.__dict__:
             value = derive(G)
-            for part in value if isinstance(value, tuple) else (value,):
-                if isinstance(part, np.ndarray):
-                    part.setflags(write=False)
+            value.setflags(write=False)
             G.__dict__[key] = value
         return G.__dict__[key]
 
@@ -264,22 +262,26 @@ def abelianization_invariants(G: Group) -> AbelianInvariants:
     return abelian.section_invariants(G, np.ones(G.order, dtype=bool), _derived_mask(G))
 
 
-def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
-    """G/N with cosets indexed by minimal member; returns (Q, projection).
-
-    projection[x] = index of the coset xN.  Raises NotNormal naming a
-    violating pair (g, x) when conjugation escapes N.
-    """
-    if N.parent is not G:
-        raise ValueError("subgroup belongs to a different parent group")
-    n = G.order
+def check_normal(G: Group, N: Subgroup) -> None:
+    """Raise NotNormal naming the first pair (g, x), g then x ascending,
+    whose conjugate g^-1 x g escapes N."""
     elems = np.asarray(N.elements)
-    # conj[g, i] = g^-1 x_i g; argwhere keeps the loop order (g, then x)
-    conj = G.table[G.table[G.inverse[:, None], elems], np.arange(n)[:, None]]
+    conj = G.table[G.table[G.inverse[:, None], elems], np.arange(G.order)[:, None]]
     escapes = ~N.mask[conj]
     if escapes.any():
         g, i = (int(k) for k in np.argwhere(escapes)[0])
         raise NotNormal(f"conjugate of {int(elems[i])} by {g} escapes the subgroup")
+
+
+def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
+    """G/N with cosets indexed by minimal member; returns (Q, projection).
+
+    projection[x] = index of the coset xN.  NotNormal as in check_normal.
+    """
+    if N.parent is not G:
+        raise ValueError("subgroup belongs to a different parent group")
+    check_normal(G, N)
+    elems = np.asarray(N.elements)
     # coset xN is numbered by the rank of its smallest member; an int32
     # projection gives an int32 table that Group keeps without a copy
     reps, proj = np.unique(G.table[:, elems].min(axis=1), return_inverse=True)
@@ -288,9 +290,8 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
     return Q, proj
 
 
-@_per_group
 def abelianization(G: Group) -> tuple[Group, np.ndarray]:
-    """G/[G,G] with its projection; computed once per group."""
+    """G/[G,G] as a Group, with its projection."""
     return quotient(G, derived_subgroup(G))
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from centaut.groupio import default_corpus, resolve_source
+from centaut.groupio import default_corpus, read_manifest, resolve_source
 from centaut.harness import run_verification
 from centaut.structure import structure_report
 
@@ -26,6 +27,13 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_groups(corpus):
     return {name: resolve_source(src) for name, (src, _) in corpus.items()}
+
+
+@pytest.fixture(scope="session")
+def homs_groups():
+    """The direct products of the `homs` benchmark workload, name -> Group."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "homs.json"
+    return {e.name: resolve_source(e.source) for e in read_manifest(path).entries}
 
 
 @pytest.fixture(scope="session")

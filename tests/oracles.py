@@ -16,11 +16,13 @@ import itertools
 
 import numpy as np
 
+from centaut import abelian
 from centaut.abelian import AbelianInvariants
 from centaut.errors import ClosureExceedsCap
 from centaut.structure import (
     StructureReport,
     Subgroup,
+    center,
     central_series,
     derived_subgroup,
     quotient,
@@ -312,6 +314,23 @@ def ref_bijective_rows(sigma: np.ndarray) -> np.ndarray:
     marks = np.zeros(k * n, dtype=bool)
     marks[(np.arange(k, dtype=np.int64) * n)[:, None] + sigma] = True
     return marks.reshape(k, n).all(axis=1)
+
+
+def ref_central_maps(G, rows: int = 256):
+    """Blocks (candidates, bijective image arrays) of the maps x -> x*f(xG'),
+    f in Hom(G/G', Z(G)), by the route the enumeration took before it
+    walked G's own cosets: G/G' built as a quotient Group, its basis taken
+    by abelian_basis, G put in coset order by an argsort of the projection
+    and each map's images scattered back to x and checked by a full scan.
+    Maps come in iter_hom_positions order, `rows` candidates a block."""
+    Q, proj = quotient(G, derived_subgroup(G))
+    basis = abelian.abelian_basis(Q, prime=G.prime)
+    tgt = abelian.target_array(center(G).elements)
+    order = np.argsort(proj, kind="stable")
+    for f in abelian.iter_hom_positions(basis, G, tgt, rows):
+        sigma = np.empty((len(f), G.order), dtype=np.int64)
+        sigma[:, order] = G.table[order, tgt[f[:, proj[order]]]]
+        yield len(f), sigma[ref_bijective_rows(sigma)]
 
 
 def ref_element_orders(table: np.ndarray) -> np.ndarray:

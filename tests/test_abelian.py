@@ -15,6 +15,7 @@ from centaut.abelian import (
     hom_invariants,
     iter_hom_positions,
     iter_homomorphisms,
+    section_basis,
     target_array,
 )
 from centaut.errors import NotAbelian, NotPrimePower, PrimeMismatch
@@ -111,6 +112,16 @@ def test_abelian_basis_trivial_group():
     assert basis.elements == () and basis.invariants.rank == 0
 
 
+def test_section_basis_raises_on_invariants_the_group_lacks():
+    """Too large: no element of the first order.  Too small: the cosets
+    listed miss part of G, which the partition check catches."""
+    G, one = cyclic(8), np.arange(8) == 0
+    with pytest.raises(RuntimeError, match="basis search failed"):
+        section_basis(G, one, AbelianInvariants(2, (4,)))
+    with pytest.raises(RuntimeError, match="do not partition"):
+        section_basis(G, one, AbelianInvariants(2, (2,)))
+
+
 SMALL_ABELIAN = [
     cyclic(2),
     cyclic(4),
@@ -128,7 +139,7 @@ def test_hom_count_matches_exhaustive_search():
         if A.prime != B.prime or B.order > 4:
             continue  # the raw search scans |B|^(|A|-1) functions
         basis = abelian_basis(A)
-        got = hom_count_by_targets(basis, B, range(B.order))
+        got = hom_count_by_targets(basis.invariants, B, range(B.order))
         assert got == oracles.ref_hom_count(A.table.tolist(), B.table.tolist())
 
 
@@ -138,7 +149,7 @@ def test_iter_homomorphisms_yields_each_hom_once():
     basis = abelian_basis(A)
     homs = [tuple(int(v) for v in f) for f in iter_homomorphisms(basis, B, range(4))]
     assert len(homs) == len(set(homs))
-    assert len(homs) == hom_count_by_targets(basis, B, range(4))
+    assert len(homs) == hom_count_by_targets(basis.invariants, B, range(4))
     for f in homs:
         assert oracles.ref_is_hom(A.table.tolist(), B.table.tolist(), f)
 
@@ -226,7 +237,7 @@ def test_hom_blocks_match_reference_loop(kind, arg):
         )
     )
     total = len(want)
-    assert total == hom_count_by_targets(basis, ambient, targets)
+    assert total == hom_count_by_targets(basis.invariants, ambient, targets)
     got = [tuple(f.tolist()) for f in iter_homomorphisms(basis, ambient, targets)]
     assert got == want
     non_divisor = next(r for r in range(2, total + 2) if total % r)
@@ -257,7 +268,7 @@ def test_hom_invariants_order_matches_hom_count():
             continue
         h = hom_invariants(abelian_invariants(A), abelian_invariants(B))
         basis = abelian_basis(A)
-        assert h.order == hom_count_by_targets(basis, B, range(B.order))
+        assert h.order == hom_count_by_targets(basis.invariants, B, range(B.order))
 
 
 INVARIANT_LISTS = [

@@ -1,11 +1,12 @@
 """Central automorphism enumeration against independent searches."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from centaut import abelian, central, groups
+from centaut import abelian, central, groups, structure
 from centaut.central import (
     adney_yen_check,
     all_automorphisms,
@@ -19,8 +20,10 @@ from centaut.errors import (
     AbelianGroup,
     CenterNotCyclic,
     EnumerationCapExceeded,
+    IndexOutOfRange,
     NotCentral,
     NotContained,
+    NotNormal,
     NotPrimePower,
 )
 from centaut.families import (
@@ -34,13 +37,16 @@ from centaut.families import (
     quaternion,
 )
 from centaut.groups import direct_product, group_from_permutations
+from centaut.harness import analyze_source
 from centaut.structure import (
     abelianization,
     center,
+    central_series,
     closure,
     derived_subgroup,
     frattini_subgroup,
     quotient,
+    structure_report,
 )
 
 import oracles
@@ -201,6 +207,103 @@ def test_stability_count_matches_reference_loop(spec):
     assert hom_order >= distinct
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "dihedral(16) x cyclic(4)",
+        "heisenberg(2,2)",
+        "metacyclic(27,9,4)",
+        "unitriangular4(2) x cyclic(2)",
+    ],
+)
+def test_stability_count_on_second_center_matches_reference_loop(spec):
+    """On G/Z_2(G) into Z(G), where X G' is not G' itself."""
+    G = parse_group_spec(spec)
+    z, z2 = central_series(G, "upper")[1:3]
+    distinct, hom_order = stability_count(G, z2, z)
+    assert distinct == _ref_stability_count(G, z2, z)
+    assert hom_order >= distinct
+
+
+def _match_quotient_route(G):
+    """Counts, and the automorphisms in order, against the enumeration
+    through the quotient Group G/G' (oracles.ref_central_maps)."""
+    rep = central_automorphism_count(G)
+    got = iter_central_automorphisms(G)
+    total = count = 0
+    for candidates, auts in oracles.ref_central_maps(G):
+        total += candidates
+        count += len(auts)
+        for want in auts:
+            assert np.array_equal(next(got), want)
+    assert next(got, None) is None
+    assert (rep.hom_candidates, rep.aut_count) == (total, count)
+
+
+def test_central_maps_match_quotient_route(corpus_groups, homs_groups):
+    groups = [*corpus_groups.items(), *homs_groups.items()]
+    assert len(groups) == 54 + 14
+    for name, G in groups:
+        try:
+            _match_quotient_route(G)
+        except AssertionError as e:
+            raise AssertionError(name) from e
+
+
+@pytest.mark.parametrize("spec", ["dihedral(4096)", "extraspecial(2,2048,+)"])
+def test_central_maps_match_quotient_route_at_large_orders(spec):
+    _match_quotient_route(parse_group_spec(spec))
+
+
+def test_pipeline_takes_no_quotient(monkeypatch):
+    """The enumeration walks G's own cosets: no caller on the analyze path
+    builds a quotient Group."""
+    calls = []
+    real = structure.quotient
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "quotient", spy)
+    spec = "dihedral(16) x cyclic(4)"
+    G = parse_group_spec(spec)
+    central_automorphism_count(G)
+    assert len(list(iter_central_automorphisms(G))) > 0
+    phi = frattini_subgroup(G)
+    stability_count(G, phi, closure(G, [x for x in phi.elements if center(G).mask[x]]))
+    assert analyze_source(spec, f"builtin:{spec}").status == "ok"
+    assert calls == []
+    abelianization(G)  # the spy sees calls
+    assert len(calls) == 1
+
+
+def test_enumeration_memory_at_large_derived_subgroup():
+    """dihedral(4096): |G'| = 1024 and 4 cosets.  Walking G's cosets holds
+    the 4 x 1024 members and the 8 x 1024 coset table; building G/G' as a
+    Group took two 4096 x 1024 gathers and peaked at 36 MiB."""
+    G = dihedral(4096)
+    structure_report(G)
+    tracemalloc.start()
+    try:
+        rep = central_automorphism_count(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.hom_candidates, rep.aut_count) == (4, 4)
+    assert peak < 4 * 2**20, peak
+
+
+def test_stability_count_names_the_escape_as_quotient_does():
+    G = dihedral(8)
+    refl = next(x for x in range(8) if G.element_orders[x] == 2 and not center(G).contains(x))
+    X, Y = closure(G, [refl]), closure(G, [])
+    with pytest.raises(NotNormal) as want:
+        quotient(G, X)
+    with pytest.raises(NotNormal, match=re.escape(str(want.value))):
+        stability_count(G, X, Y)
+
+
 def test_enumeration_memory_is_bounded_by_the_block():
     G = parse_group_spec("heisenberg(5,1) x cyclic(5)")  # 15,625 candidates
     central_automorphism_count(G)  # fill the group's structure memo
@@ -232,17 +335,19 @@ def test_coset_table_memory_at_small_derived_subgroup():
 def _label_masks_match_scatter(G):
     """Every candidate's label verdict against the n-wide scatter of its
     images, built here from G's table; returns the candidate count."""
-    qab, proj = abelianization(G)
     z = center(G).elements
     tgt = abelian.target_array(z)
-    members = central._coset_order(proj)
-    _, blocks = central._candidate_maps(G, qab, members, z, central.DEFAULT_HOM_CAP)
-    offsets = np.arange(qab.order) * len(tgt)
+    members, _, blocks = central._candidate_maps(
+        G, derived_subgroup(G).mask, z, central.DEFAULT_HOM_CAP
+    )
+    coset = np.empty(G.order, dtype=np.int64)  # the row of members holding x
+    coset[members] = np.arange(len(members))[:, None]
+    offsets = np.arange(len(members)) * len(tgt)
     x = np.arange(G.order)
     total = 0
     for rows, bijective in blocks:
         f = rows - offsets  # row c * |Z| + j: coset c times z_j
-        sigma = G.table[x, tgt[f[:, proj]]]
+        sigma = G.table[x, tgt[f[:, coset]]]
         assert np.array_equal(bijective, oracles.ref_bijective_rows(sigma))
         total += len(rows)
     return total
@@ -428,3 +533,20 @@ def test_heisenberg_mod4_minimal():
     rep = central_automorphism_count(G)
     assert rep.minimal
     assert rep.z_inn_order == rep.aut_count
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        [0, 1, 2, 3, 4, 5, 6, -1],  # -1 would wrap to 7
+        [0, 1, 2, 3, 4, 5, 6, 8],
+        [0, 1, 2, 3, 4, 5, 6],
+        list(range(9)),
+        [list(range(8))],
+    ],
+)
+def test_is_central_automorphism_rejects_bad_indices(sigma):
+    G = dihedral(8)
+    assert is_central_automorphism(G, list(range(8)))
+    with pytest.raises(IndexOutOfRange):
+        is_central_automorphism(G, sigma)

@@ -335,6 +335,43 @@ def test_env_hom_cap_applies(capsys, monkeypatch):
     assert json.loads(out)["centralSkipped"] is not None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "builtin:cyclic(1048576)", "--cap", "2097152"],  # a 4 TiB table
+        ["build", "builtin:dihedral(65536)", "--cap", "65536", "-o", "out.json"],  # 16 GiB
+    ],
+)
+def test_cap_above_8192_exits_2_before_any_build(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert "is above 8192" in capsys.readouterr().err
+    assert peak < 2**20 and not (tmp_path / "out.json").exists()
+
+
+def test_env_cap_above_8192_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_CAP, "2097152")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "builtin:cyclic(1048576)"])
+    assert exc.value.code == 2
+    assert "is above 8192" in capsys.readouterr().err
+
+
+def test_cap_of_8192_is_taken(capsys, monkeypatch):
+    code, _, _ = run_cli(capsys, "analyze", "builtin:dihedral(16)", "--cap", "8192")
+    assert code == 0
+    monkeypatch.setenv(ENV_CAP, "8192")
+    code, _, _ = run_cli(capsys, "analyze", "builtin:dihedral(16)")
+    assert code == 0
+
+
 def test_env_cap_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv(ENV_CAP, "lots")
     with pytest.raises(SystemExit) as exc:

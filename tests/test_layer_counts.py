@@ -8,7 +8,6 @@ section as a Group to take its quotient, as the library once did.
 
 import dataclasses
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,18 +15,10 @@ import pytest
 from centaut import structure
 from centaut.abelian import section_invariants
 from centaut.families import cyclic, parse_group_spec
-from centaut.groupio import read_manifest, resolve_source
 from centaut.groups import group_from_permutations
 from centaut.structure import center, central_series, derived_subgroup, structure_report
 
 import oracles
-
-HOMS = Path(__file__).resolve().parent.parent / "perfbench" / "homs.json"
-
-
-@pytest.fixture(scope="module")
-def homs_groups():
-    return {e.name: resolve_source(e.source) for e in read_manifest(HOMS).entries}
 
 
 def _sections(G):
