@@ -3,15 +3,11 @@
 Sources name groups as builder expressions like "dihedral(16)" or products
 "dihedral(16) x cyclic(2)"; parse_group_spec also accepts the colon form
 "dihedral:16".  Every builder checks the order cap from its parameters
-before it builds a table.  Tables produced from closed formulas go through
+before it builds a table.  metacyclic and the unitriangular groups give the
+left actions of their generators and a spanning tree to
+groups.table_along_tree, and its int32 table goes through
 group_from_cayley_table so a bad parameter set cannot yield a non-group;
 products and quotients are groups by construction.
-
-Every table is built in int32, the dtype Group keeps, into one n x n array:
-metacyclic fills it one power of b at a time, and the unitriangular groups
-(heisenberg, unitriangular4) one block of rows at a time, the flat index of
-each product by Horner steps over its coordinates.  No builder holds an
-n x n int64 array or a second n x n temporary.
 """
 
 from __future__ import annotations
@@ -29,8 +25,8 @@ from .groups import (
     direct_product,
     group_from_cayley_table,
     prime_power,
-    row_blocks,
     semidirect_product,
+    table_along_tree,
 )
 from .structure import center
 
@@ -98,20 +94,13 @@ def metacyclic(m: int, s: int, t: int, w: int = 0, cap: int = DEFAULT_ORDER_CAP)
         raise BadParameters(f"t^s = {pow(t, s, m)} != 1 (mod {m})")
     if (w * (t - 1)) % m != 0:
         raise BadParameters(f"w*(t-1) = {w * (t - 1)} != 0 (mod {m})")
-    # a^i1 b^j1 * a^i2 b^j2 = a^(i1 + t^j1 i2 + w [j1 + j2 >= s]) b^(j1 + j2),
-    # numbered i*s + j and written one j1 at a time into the int32 table.
-    table = np.empty((m, s, m, s), dtype=np.int32)
-    i = np.arange(m, dtype=np.int32)
-    j = np.arange(s, dtype=np.int32)
-    for j1 in range(s):
-        j12 = j1 + j
-        shift = np.add.outer(pow(t, j1, m) * i, w * (j12 >= s)) % m  # [i2, j2]
-        cell = table[:, j1]  # [i1, i2, j2], a view
-        np.add(i[:, None, None], shift, out=cell)
-        cell %= m
-        cell *= s
-        cell += j12 % s
-    return group_from_cayley_table(table.reshape(m * s, m * s))
+    # a^i b^j is numbered i*s + j.  a and b act on the left by
+    # a * a^i b^j = a^(i+1) b^j and b * a^i b^j = a^(ti + w[j+1 = s]) b^(j+1),
+    # and the tree is a^i b^j = a^i b^(j-1) * b, a^i = a^(i-1) * a.
+    i, j = np.divmod(np.arange(m * s), s)
+    left = np.stack([(i + 1) % m * s + j, (t * i + w * (j + 1 == s)) % m * s + (j + 1) % s])
+    via = (j > 0).astype(np.intp)
+    return group_from_cayley_table(table_along_tree(left, i * s + j - np.where(via, 1, s), via))
 
 
 def _half_of_2_power(name: str, order: int, least: int, cap: int) -> int:
@@ -152,25 +141,22 @@ def _unitriangular(q: int, k: int, carries: Sequence[Sequence[tuple[int, int]]])
     a_c + b_c + sum(a_i * b_j for (i, j) in carries[c]), mod q.
 
     Elements are numbered by their coordinates, most significant first.
-    The table is written one block of rows at a time, each product's index
-    by Horner steps in int32, which holds every index (below n) and every
-    coordinate before its reduction (below 2q^2).
+    u_c * x adds 1 to x_c and x_j to each x_c' with (c, j) in carries[c'].
+    The tree is x = y * u_c for x's most significant nonzero coordinate c
+    and y = x less one at c; as every carry (i, j) has i < j and y is 0
+    above c, no carry (i, c) adds to y + u_c.
     """
     n = q**k
-    digits = np.indices((q,) * k, dtype=np.int32).reshape(k, n)
-    table = np.empty((n, n), dtype=np.int32)
-    for rows in row_blocks(n, n):
-        a = digits[:, rows, None]
-        index = np.zeros((rows.stop - rows.start, n), dtype=np.int32)
-        for c in range(k):
-            coord = a[c] + digits[c]
-            for i, j in carries[c]:
-                coord += a[i] * digits[j]
-            coord %= q
-            index *= q
-            index += coord
-        table[rows] = index
-    return group_from_cayley_table(table)
+    digits = np.indices((q,) * k).reshape(k, n)
+    weight = q ** np.arange(k - 1, -1, -1)  # place value of each coordinate
+    moved = digits + np.eye(k, dtype=int)[:, :, None]  # [c, c', x]: u_c * x
+    for c2, pairs in enumerate(carries):
+        for i, j in pairs:
+            moved[i, c2] += digits[j]
+    top = np.argmax(digits != 0, axis=0)
+    return group_from_cayley_table(
+        table_along_tree(weight @ (moved % q), np.arange(n) - weight[top], top)
+    )
 
 
 def heisenberg(p: int, k: int = 1, cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -323,7 +309,10 @@ _TERM = re.compile(r"^\s*([a-z][a-z0-9_]*)\s*(?:\(([^()]*)\)|:(.*))?\s*$")
 
 def _parse_params(text: str) -> list[int | str]:
     out: list[int | str] = []
-    for tok in re.split(r"[\s,:]+", text.strip()):
+    # one comma or colon, or whitespace alone, ends a parameter
+    for k, tok in enumerate(re.split(r"\s*[,:]\s*|\s+", text.strip()), 1):
+        if not tok:
+            raise BadParameters(f"parameter {k} of {text!r} is empty")
         if tok in ("+", "-"):
             out.append(tok)
         elif re.fullmatch(r"-?\d+", tok):
@@ -331,7 +320,7 @@ def _parse_params(text: str) -> list[int | str]:
                 out.append(int(tok))
             except ValueError:  # more digits than int() converts
                 raise BadParameters(f"parameter of {len(tok)} digits") from None
-        elif tok:
+        else:
             raise BadParameters(f"bad parameter token {tok!r}")
     return out
 
@@ -346,7 +335,7 @@ def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
             raise BadParameters(f"cannot parse group term {part!r}")
         name = m.group(1)
         raw = m.group(2) if m.group(2) is not None else m.group(3)
-        params = _parse_params(raw) if raw else []
+        params = _parse_params(raw) if raw and raw.strip() else []
         groups.append(builtin(name, params, cap=cap))
     G = groups[0]
     for H in groups[1:]:

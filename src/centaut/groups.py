@@ -21,10 +21,10 @@ structure.generators); abelian._span, for abelian groups only, doubles a
 run of powers per gather instead, as there H<g> is the union of the H g^j.
 powers is the one power routine, for Group.pow, orders and layer counts.
 
-Tables built by proof are wrapped without a check.  group_from_permutations
-closes its generators by BFS on image arrays and keeps a Schreier tree
-(each element's BFS parent and generator), so its table takes n gathers of
-length n rather than n^2 permutation products.
+table_along_tree is the one routine that fills a table from generator
+actions along a spanning tree, one gather of length n per row.  The formula
+builders and group_from_permutations (whose BFS keeps a Schreier tree) end
+in it; only the closures, groups by construction, skip validation.
 """
 
 from __future__ import annotations
@@ -379,6 +379,22 @@ def group_from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray) -> Grou
     return Group(_validate_table(table))
 
 
+def table_along_tree(left: np.ndarray, parent: np.ndarray, via: np.ndarray) -> np.ndarray:
+    """The int32 table of the group that generators g act on by `left`.
+
+    left[g, x] is the index of g * e_x, and e_j = e_parent[j] * g_via[j]
+    with parent[j] < j for j > 0 (element 0 is the identity).  Then
+    e_j * e_x = e_parent[j] * (g_via[j] * e_x), so row j is row parent[j]
+    gathered by left[via[j]], written in place: no temporary beyond a row.
+    """
+    n = left.shape[1]
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    for j, p, g in zip(range(1, n), parent[1:].tolist(), via[1:].tolist()):
+        table[j] = table[p][left[g]]
+    return table
+
+
 def group_from_permutations(
     degree: int,
     generators: Sequence[Permutation | Sequence[int]],
@@ -435,13 +451,8 @@ def group_from_permutations(
     left[:, 0] = right[:, 0]
     for j in range(1, n):
         left[:, j] = right[via[j], left[:, parent[j]]]
-    # Row j: e_j * e_x = e_parent[j] * (gens[via[j]] * e_x), one gather per row.
-    table = np.empty((n, n), dtype=np.int32)
-    table[0] = np.arange(n)
-    for j in range(1, n):
-        table[j] = table[parent[j]][left[via[j]]]
     # associative and Latin by construction; identity is element 0
-    return Group(table)
+    return Group(table_along_tree(left, parent, via))
 
 
 def element_order(G: Group, g: int) -> int:

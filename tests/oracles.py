@@ -6,7 +6,9 @@ are the structure references at the end, the library's former numpy
 routines, which run at corpus orders where lists would be slow: the
 full-table ones read the whole n x n commutator table instead of a
 generating set, and the section ones walk element orders one power at a
-time and rebuild each section as a Group to take its quotient.
+time and rebuild each section as a Group to take its quotient.  The two
+formula table assemblies are also former library code, kept to pin the
+tables the spanning-tree routine now writes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from centaut import abelian
 from centaut.abelian import AbelianInvariants
 from centaut.errors import ClosureExceedsCap
+from centaut.groups import row_blocks
 from centaut.structure import (
     StructureReport,
     Subgroup,
@@ -408,6 +411,45 @@ def ref_structure_report(G) -> StructureReport:
         center_in_derived=z.issubset(derived_subgroup(G)),
         second_center_abelian=z2.is_abelian,
     )
+
+
+def ref_metacyclic_table(m: int, s: int, t: int, w: int = 0) -> np.ndarray:
+    """The metacyclic table as the builder wrote it before the spanning-tree
+    routine: a^i1 b^j1 * a^i2 b^j2 = a^(i1 + t^j1 i2 + w [j1 + j2 >= s])
+    b^(j1 + j2), numbered i*s + j and written one j1 at a time."""
+    table = np.empty((m, s, m, s), dtype=np.int32)
+    i = np.arange(m, dtype=np.int32)
+    j = np.arange(s, dtype=np.int32)
+    for j1 in range(s):
+        j12 = j1 + j
+        shift = np.add.outer(pow(t, j1, m) * i, w * (j12 >= s)) % m  # [i2, j2]
+        cell = table[:, j1]  # [i1, i2, j2], a view
+        np.add(i[:, None, None], shift, out=cell)
+        cell %= m
+        cell *= s
+        cell += j12 % s
+    return table.reshape(m * s, m * s)
+
+
+def ref_unitriangular_table(q: int, k: int, carries) -> np.ndarray:
+    """The unitriangular table as the builder wrote it before the
+    spanning-tree routine: one block of rows at a time, the index of each
+    product by Horner steps over its coordinates."""
+    n = q**k
+    digits = np.indices((q,) * k, dtype=np.int32).reshape(k, n)
+    table = np.empty((n, n), dtype=np.int32)
+    for rows in row_blocks(n, n):
+        a = digits[:, rows, None]
+        index = np.zeros((rows.stop - rows.start, n), dtype=np.int32)
+        for c in range(k):
+            coord = a[c] + digits[c]
+            for i, j in carries[c]:
+                coord += a[i] * digits[j]
+            coord %= q
+            index *= q
+            index += coord
+        table[rows] = index
+    return table
 
 
 def table_sha(table: np.ndarray) -> str:

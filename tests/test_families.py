@@ -188,6 +188,8 @@ def test_builtin_registry():
         ("heisenberg(3,1) x elementary(3,2)", 243),
         ("extraspecial(2,8,-)", 8),
         ("quaternion:8", 8),
+        ("extraspecial(2, 8, -)", 8),
+        ("heisenberg(3 1)", 27),
     ],
 )
 def test_parse_group_spec(spec, order):
@@ -205,6 +207,14 @@ def test_parse_group_spec_errors():
         parse_group_spec("dihedral(64) x cyclic(2)", cap=64)
     with pytest.raises(ClosureExceedsCap):
         parse_group_spec("dihedral(128)", cap=64)  # single term, checked too
+    for spec, k in [
+        ("dihedral(,16)", 1),
+        ("metacyclic(4,2,3,,)", 4),
+        ("modular(2,,16)", 2),
+        ("modular:2::16", 2),
+    ]:
+        with pytest.raises(BadParameters, match=f"parameter {k} of .* is empty"):
+            parse_group_spec(spec)
 
 
 @pytest.mark.parametrize("spec", ["cyclic(3000)", "heisenberg(2,3)", "elementary(2,9)"])
@@ -305,7 +315,56 @@ def _build_peak_mib(spec: str) -> float:
         # the 64 MiB table and validation's 16 MiB Latin mask measure 80.2
         # MiB; the broadcast int64 index arrays of metacyclic took 544 MiB
         ("dihedral(4096)", 96),
+        ("heisenberg(2,4)", 96),
+        ("metacyclic(64,64,3)", 96),
     ],
 )
 def test_builds_hold_one_table(spec, mib):
     assert _build_peak_mib(spec) < mib
+
+
+def _heisenberg_ref(p, k):
+    return oracles.ref_unitriangular_table(p**k, 3, [(), (), [(0, 1)]])
+
+
+def _unitriangular4_ref(p):
+    carries = [(), [(0, 3)], [(0, 4), (1, 5)], (), [(3, 5)], ()]
+    return oracles.ref_unitriangular_table(p, 6, carries)
+
+
+# every valid metacyclic(m, s, t, w) of order m*s <= 32, 945 in all, by m
+METACYCLIC_32 = {
+    m: [
+        (m, s, t, w)
+        for s in range(1, 32 // m + 1)
+        for t in range(m)
+        for w in range(m)
+        if pow(t, s, m) == 1 % m and w * (t - 1) % m == 0
+    ]
+    for m in range(1, 33)
+}
+
+
+@pytest.mark.parametrize(
+    "build,ref,cases",
+    [
+        *(
+            pytest.param(metacyclic, oracles.ref_metacyclic_table, cases, id=f"metacyclic(m={m})")
+            for m, cases in METACYCLIC_32.items()
+        ),
+        *(
+            pytest.param(heisenberg, _heisenberg_ref, [(p, k)], id=f"heisenberg({p},{k})")
+            for p, k in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4)]
+        ),
+        *(
+            pytest.param(unitriangular4, _unitriangular4_ref, [(p,)], id=f"unitriangular4({p})")
+            for p in (2, 3)
+        ),
+    ],
+)
+def test_tree_tables_match_the_formula_tables(build, ref, cases):
+    """Tables filled along a spanning tree equal the closed-formula tables."""
+    for args in cases:
+        table = build(*args).table
+        assert table.dtype == np.int32, args
+        assert table.tobytes() == ref(*args).tobytes(), args

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from centaut.groupio import Manifest, ManifestEntry
+from centaut.groupio import Manifest, ManifestEntry, read_manifest
 from centaut.harness import (
     REPORT_FORMATS,
     STAGES,
@@ -141,3 +141,42 @@ def test_parallel_output_is_byte_identical(small_report):
     parallel = run_verification(SMALL, jobs=3)
     for fmt in REPORT_FORMATS:
         assert format_report(small_report, fmt) == format_report(parallel, fmt)
+
+
+# Rule branches that no default-corpus group reaches, with the enumeration's
+# count of central automorphisms against |Z_2/Z|.
+WITNESSES = {
+    "q8xq8": ("NotMinimal", "Class2", "center [1, 1] is not cyclic", 256, 16),
+    "mc64_16": (
+        "Minimal",
+        "Coclass4",
+        "center [1], d=d(Z2/Z)=2; cross-checks: Theorem21=Minimal",
+        4,
+        4,
+    ),
+    "mc81_27": (
+        "Minimal",
+        "OrderP7",
+        "center [1], d=d(Z2/Z)=2; cross-checks: Coclass3=Minimal, Theorem21=Minimal",
+        9,
+        9,
+    ),
+}
+
+
+def test_witness_manifest_pins_uncovered_branches():
+    path = os.path.join(os.path.dirname(__file__), "witnesses.json")
+    report = run_verification(read_manifest(path))
+    assert report.ok
+    got = {
+        r.name: (
+            r.verdict.decision,
+            r.verdict.rule,
+            r.verdict.details,
+            r.central.aut_count,
+            r.central.z_inn_order,
+        )
+        for r in report.records
+    }
+    assert got == WITNESSES
+    assert [r.structure.nilpotency_class for r in report.records] == [2, 6, 4]
