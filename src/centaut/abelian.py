@@ -109,29 +109,14 @@ def section_invariants(G: Group, H: np.ndarray, N: np.ndarray) -> AbelianInvaria
     return AbelianInvariants(p, tuple(exps))
 
 
-def _span(G: Group, gens: Sequence[int], N: np.ndarray) -> np.ndarray:
-    """Mask of <gens>N, N the mask of a normal subgroup with G/N abelian.
-
-    Adding g to a subgroup H >= N gives H<g>, the union of the H g^j; each
-    gather by g^(2^k) doubles the run of j, until one adds nothing.
-    """
-    reached = N.copy()
-    for g in gens:
-        step = int(g)
-        while True:
-            new = G.table[np.flatnonzero(reached), step]
-            if reached[new].all():
-                break
-            reached[new] = True
-            step = int(G.table[step, step])
-    return reached
-
-
 def _independent(G: Group, N: np.ndarray, chosen: Sequence[int], want: int) -> list[int]:
     """The x with xN of order `want`, a power of p, and <xN> meeting
     <chosen>N/N trivially: x^want in N, x^(want/p) outside <chosen>N."""
+    span = N.copy()
+    for _ in groups.greedy_generators(G.table, chosen, span):
+        pass
     low = powers(G.table, np.arange(G.order), want // G.prime)
-    keep = N[powers(G.table, low, G.prime)] & ~_span(G, chosen, N)[low]
+    keep = N[powers(G.table, low, G.prime)] & ~span[low]
     return np.flatnonzero(keep).tolist()
 
 

@@ -6,19 +6,23 @@ builders and the file reader through to Group.  An untrusted table enters
 through group_from_cayley_table.  Nested lists convert to int64
 (cayley_array); an integer array keeps its own dtype.  The range is
 checked in that dtype, then the table is cast to int32 once, and that
-array is the one the Group keeps.  The validator checks the range of
-every cell, the Latin-square property by scatter marks into one n x n
-bool mask, and the identity row and column, then associativity by Light's
-test: (x*g)*y == x*(g*y) for every x, y and each g of a greedy generating
-set, at most log2(n) + 1 checks of n^2 cells, gathered in row blocks of
-about 2^16 cells (row_blocks, the library's one block budget).  A failed
-check falls back to a row scan that names the lexicographically first bad
-triple (a, b, c).  Cells that are not integers (bool and float included)
-are rejected before the conversion.
+array is the one the Group keeps.  The validator then accepts a table by
+the group axioms: identity row and column 0, a 0 in every row (a right
+inverse for each element, read off the row minima) and Light's test,
+(x*g)*y == x*(g*y) for every x, y and each g of a greedy generating set,
+at most log2(n) + 1 checks of n^2 cells, gathered in row blocks of about
+2^16 cells (row_blocks, the library's one block budget).  That holds no
+n x n temporary.  A table it refuses reruns the ordered checks to name the
+first one that fails: Latin rows, then columns, by scatter marks into one
+n x n bool mask, the identity row and column, and Light's test, whose
+failure falls back to a row scan that names the lexicographically first
+bad triple (a, b, c).  Cells that are not integers (bool and float
+included) are rejected before the conversion.
 
-greedy_generators spans in any table (the validator, closures,
-structure.generators); abelian._span, for abelian groups only, doubles a
-run of powers per gather instead, as there H<g> is the union of the H g^j.
+greedy_generators spans in any table (the validator, closures, abelian
+bases, structure.generators): each new generator g grows the reached set
+by power doubling, R u R g^(2^k) per gather, then a frontier closure under
+all the generators so far finishes the span.
 powers is the one power routine, for Group.pow, orders and layer counts.
 
 table_along_tree is the one routine that fills a table from generator
@@ -32,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from math import isqrt, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -218,8 +222,18 @@ def greedy_generators(
 
     After each yield the bool mask `reached` is closed under right products
     with the generators yielded so far.  From reached == {0} in a group it
-    ends as the subgroup the seed generates; each generator at least
-    doubles it, so at most log2(n) are yielded.
+    ends as the subgroup the seed generates, and from a normal subgroup N
+    as N<seed>; each generator at least doubles it, so at most log2(n) are
+    yielded from {0}.
+
+    A new generator g first grows the reached set R by R h for h = g, g^2,
+    g^4, ... until a gather adds nothing: from a subgroup H of a group, k
+    gathers reach the union of the H g^j with j < 2^k, which is H<g> once
+    the next adds nothing, in log2 |g| gathers rather than |g| frontier
+    steps.  A frontier closure under all the generators so far, from the
+    whole of R, then finishes the span.  Every gathered element is a right
+    product of a reached element by a power of g, so in a group the mask
+    ends as it would by the frontier closure alone.
     """
     gens: list[int] = []
     for g in seed:
@@ -228,9 +242,17 @@ def greedy_generators(
         g = int(g)
         yield g
         gens.append(g)
-        frontier = np.flatnonzero(reached)
+        h = g
+        while True:
+            prods = table[reached.nonzero()[0], h]
+            if reached[prods].all():
+                break
+            reached[prods] = True
+            h = table[h, h]
+        cols = np.array(gens)
+        frontier = reached.nonzero()[0]
         while frontier.size:
-            prods = table[np.ix_(frontier, gens)].ravel()
+            prods = table[frontier[:, None], cols].ravel()
             frontier = np.unique(prods[~reached[prods]])
             reached[frontier] = True
 
@@ -251,7 +273,10 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     """The table as a contiguous int32 array, or the first failed check.
 
     The range check runs in the table's own dtype, before the one narrowing
-    cast, so no cell can wrap into range.
+    cast, so no cell can wrap into range.  A table with identity row and
+    column 0, a 0 in every row and Light's test passing on every greedy
+    generator is a group and is accepted; any other reruns the ordered
+    checks to name the first one it fails.
     """
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotLatinSquare(f"table shape {table.shape} is not square")
@@ -262,6 +287,60 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotLatinSquare(f"entry at {tuple(int(i) for i in bad)} outside range({n})")
     table = np.ascontiguousarray(table, dtype=np.int32)
+    ident = np.arange(n)
+    # Accept path.  The identity row gives 0 * g == g, so every greedy
+    # generator is reached once picked.  A 0 in row x (its least cell, as
+    # cells are in range) is a right inverse of x, with no n x n temporary.
+    # Light passing makes the table associative (see _light_holds), and a
+    # monoid in which every element has a right inverse is a group.
+    if (
+        (table[0] == ident).all()
+        and (table[:, 0] == ident).all()
+        and not table.min(axis=1).any()
+        and _light_holds(table)
+    ):
+        return table
+    _raise_first_failure(table)
+
+
+def _light_holds(table: np.ndarray) -> bool:
+    """Light's test (F. W. Light, 1949; Clifford & Preston I, section 1.2)
+    on a table with identity row and column 0: (x*g)*y == x*(g*y) for all
+    x, y and each g that greedy_generators picks from range(n).
+
+    The g passing that test form the middle nucleus, which in any magma
+    contains the identity and is closed under the product: for a, b in it,
+    (x*(a*b))*y == ((x*a)*b)*y == (x*a)*(b*y) == x*(a*(b*y)) == x*((a*b)*y).
+    Every reached element is a product of the identity and generators, so
+    if all generators pass and reach every element, every element passes
+    and the table is associative.  Each g is checked before the reached set
+    grows by it.  While every check passes, that set is a monoid inside the
+    nucleus whose elements have right inverses in the table, so right
+    multiplication by each is a permutation and the set is a group: each
+    new generator at least doubles it, at most log2(n) + 1 checks of n^2
+    cells.  A check compares one block of rows x at a time; np.take(axis=1)
+    gathers the columns (at order 4096 a whole-table check took 0.13 s that
+    way and 0.9 s with table[:, idx], 2-vCPU Xeon).
+    """
+    n = table.shape[0]
+    reached = np.arange(n) == 0
+    blocks = row_blocks(n, n)
+    for g in greedy_generators(table, range(n), reached):
+        column = table[g]
+        for rows in blocks:
+            left = table[table[rows, g]]                   # (x*g)*y
+            right = np.take(table[rows], column, axis=1)  # x*(g*y)
+            if not (left == right).all():
+                return False
+    return True
+
+
+def _raise_first_failure(table: np.ndarray) -> NoReturn:
+    """Raise for the first failed check, in order, of an in-range int32
+    table that the accept path refused: Latin rows, then columns, the
+    identity row and column, and Light's test, which on failure scans for
+    the lexicographically first bad triple."""
+    n = table.shape[0]
     ident = np.arange(n)
     # Latin check by scatter marks into one reused n x n mask: (i, v) for
     # each cell v of row i, then (v, j) for each cell v of column j.  A row
@@ -283,30 +362,11 @@ def _validate_table(table: np.ndarray) -> np.ndarray:
     if not (table[:, 0] == ident).all():
         a = int(np.argmin(table[:, 0] == ident))
         raise NoIdentityAtZero(f"{a}*0 == {int(table[a, 0])}, expected {a}")
-    # The table is now a loop with identity 0.  Light's test (F. W. Light,
-    # 1949; Clifford & Preston I, section 1.2): the elements g with
-    # (x*g)*y == x*(g*y) for all x, y are closed under the product, so if
-    # such elements generate the table, every element passes and the table
-    # is associative.  greedy_generators picks the smallest index not yet
-    # reached, where "reached" is closed under right multiplication by the
-    # generators, i.e. left-normed products, which lie in the magma the
-    # generators span whether or not the table is associative.  Each is
-    # checked before the reached set grows by it; while every check passes
-    # that set is a group inside the middle nucleus, so each new generator
-    # at least doubles it: at most log2(n) + 1 checks of n^2 cells each.
-    # A check compares one block of rows x at a time; np.take(axis=1)
-    # gathers the columns (at order 4096 a whole-table check took 0.13 s
-    # that way and 0.9 s with table[:, idx], 2-vCPU Xeon).
-    reached = ident == 0
-    blocks = row_blocks(n, n)
-    for g in greedy_generators(table, range(n), reached):
-        column = table[g]
-        for rows in blocks:
-            left = table[table[rows, g]]                   # (x*g)*y
-            right = np.take(table[rows], column, axis=1)  # x*(g*y)
-            if not (left == right).all():
-                _raise_first_nonassociative(table)
-    return table
+    if not _light_holds(table):
+        _raise_first_nonassociative(table)
+    # a Latin table with identity 0 that passes Light's test is a group,
+    # which the accept path takes
+    raise RuntimeError("the ordered checks passed a table the accept path refused")
 
 
 def _raise_first_nonassociative(table: np.ndarray) -> None:
@@ -423,6 +483,7 @@ def group_from_permutations(
     index = {frontier.tobytes(): 0}
     parent, via, right = [np.zeros(1, np.int64)], [np.zeros(1, np.int64)], []
     start = 0
+    layers = [0]  # the first index of each BFS layer, and n last
     while len(frontier):
         m = len(frontier)
         prods = frontier[:, images].reshape(m * k, degree)
@@ -441,16 +502,19 @@ def group_from_permutations(
         parent.append(start + fresh // k)
         via.append(fresh % k)
         start += m
+        layers.append(start)
         frontier = prods[fresh]
     n = len(index)
     parent, via = np.concatenate(parent), np.concatenate(via)
     right = np.concatenate(right).T
     # left[g, j] = index of gens[g] * e_j, by the same recursion along the
-    # tree: g*e_j = (g*e_parent[j]) * gens[via[j]].
+    # tree: g*e_j = (g*e_parent[j]) * gens[via[j]], one gather per layer,
+    # as every parent lies in an earlier layer.
     left = np.empty((k, n), dtype=np.int64)
     left[:, 0] = right[:, 0]
-    for j in range(1, n):
-        left[:, j] = right[via[j], left[:, parent[j]]]
+    for lo, hi in zip(layers[1:], layers[2:]):
+        layer = slice(lo, hi)
+        left[:, layer] = right[via[layer], left[:, parent[layer]]]
     # associative and Latin by construction; identity is element 0
     return Group(table_along_tree(left, parent, via))
 

@@ -20,7 +20,12 @@ import numpy as np
 
 from centaut import abelian
 from centaut.abelian import AbelianInvariants
-from centaut.errors import ClosureExceedsCap
+from centaut.errors import (
+    ClosureExceedsCap,
+    NoIdentityAtZero,
+    NotAssociative,
+    NotLatinSquare,
+)
 from centaut.groups import row_blocks
 from centaut.structure import (
     StructureReport,
@@ -183,6 +188,27 @@ def ref_latin_error(table: list[list[int]]) -> str | None:
     for j in range(n):
         if sorted(row[j] for row in table) != ident:
             return f"column {j} is not a permutation of range({n})"
+    return None
+
+
+def ref_validation_error(table: list[list[int]]) -> tuple[type, str] | None:
+    """The first failed check of an in-range square table, as (error class,
+    message), in the validator's order: Latin rows, then columns,
+    the identity row, then column, and the first bad triple."""
+    n = len(table)
+    latin = ref_latin_error(table)
+    if latin is not None:
+        return NotLatinSquare, latin
+    for a in range(n):
+        if table[0][a] != a:
+            return NoIdentityAtZero, f"0*{a} == {table[0][a]}, expected {a}"
+    for a in range(n):
+        if table[a][0] != a:
+            return NoIdentityAtZero, f"{a}*0 == {table[a][0]}, expected {a}"
+    triple = ref_first_nonassociative_triple(table)
+    if triple is not None:
+        a, b, c = triple
+        return NotAssociative, f"(({a}*{b})*{c}) != ({a}*({b}*{c}))"
     return None
 
 

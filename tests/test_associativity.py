@@ -3,7 +3,9 @@
 group_from_cayley_table checks a generating set and names a violation only
 after one is found; the oracle scans every triple.  On loops with identity 0
 both must reach the same verdict and, for a non-group, name the same first
-triple.
+triple.  The validator accepts a table by the group axioms without a Latin
+check, and reruns the ordered checks on a table it refuses; on any in-range
+table its verdict and message must be those of the ordered checks.
 """
 
 import functools
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centaut.errors import CentautError, NotAssociative
+from centaut.errors import CentautError, NotAssociative, NotLatinSquare
 from centaut.families import (
     cyclic,
     dihedral,
@@ -212,3 +214,77 @@ def test_failure_only_in_the_last_partial_row_block():
     assert bad.size and bad.min() >= last.start
     want = oracle_verdict(table.tolist())
     assert want is not None and validator_verdict(table) == want
+
+
+@st.composite
+def magmas_with_right_inverses(draw, max_order: int = 6) -> list[list[int]]:
+    """Identity row and column 0 and a 0 in every row, other cells free:
+    the tables that reach Light's test on the accept path."""
+    n = draw(st.integers(1, max_order))
+    cells = st.integers(0, n - 1)
+    rows = [list(range(n))]
+    for i in range(1, n):
+        row = [i] + [draw(cells) for _ in range(n - 1)]
+        if 0 not in row:
+            row[draw(st.integers(1, n - 1))] = 0
+        rows.append(row)
+    return rows
+
+
+EDIT_BASES = [
+    parse_group_spec(spec)
+    for spec in (
+        "dihedral(8)",
+        "quaternion(8)",
+        "elementary(3,2)",
+        "dihedral(16)",
+        "quaternion(8) x cyclic(2)",
+        "heisenberg(3,1)",
+        "modular(3,27)",
+    )
+]
+
+
+@st.composite
+def edited_group_tables(draw) -> list[list[int]]:
+    """A group table of order 8-27 with 1-3 cells set to drawn values (one
+    may keep its value, so some draws are still groups)."""
+    t = draw(st.sampled_from(EDIT_BASES)).table.tolist()
+    n = len(t)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        t[i][j] = draw(st.integers(0, n - 1))
+    return t
+
+
+@st.composite
+def relabelled_group_tables(draw) -> list[list[int]]:
+    """A group table with its identity swapped to a drawn index k > 0: a
+    Latin square that fails the identity check."""
+    t = draw(st.sampled_from(EDIT_BASES)).table
+    perm = np.arange(len(t))
+    k = draw(st.integers(1, len(t) - 1))
+    perm[0], perm[k] = k, 0
+    return perm[t[np.ix_(perm, perm)]].tolist()
+
+
+@given(
+    st.one_of(
+        magmas_with_right_inverses(),
+        edited_group_tables(),
+        relabelled_group_tables(),
+    )
+)
+def test_accept_path_keeps_the_ordered_verdict(table):
+    assert validator_verdict(table) == oracles.ref_validation_error(table)
+
+
+def test_monoid_without_right_inverses_is_not_latin():
+    """An associative monoid with identity 0 that is no group: Light's test
+    passes, so only the 0-in-every-row check sends it to the Latin check."""
+    table = [[0, 1], [1, 1]]
+    assert oracles.ref_first_nonassociative_triple(table) is None
+    assert validator_verdict(table) == (
+        NotLatinSquare,
+        "row 1 is not a permutation of range(2)",
+    )

@@ -312,8 +312,9 @@ def _build_peak_mib(spec: str) -> float:
         # 2 MiB tables; the int64 broadcasts peaked at 26.4 and 37.6 MiB
         ("heisenberg(3,2)", 12),
         ("unitriangular4(3)", 20),
-        # the 64 MiB table and validation's 16 MiB Latin mask measure 80.2
-        # MiB; the broadcast int64 index arrays of metacyclic took 544 MiB
+        # the 64 MiB table and validation measure 65.0 MiB (81.0 with the
+        # former Latin mask); the broadcast int64 index arrays of metacyclic
+        # took 544 MiB
         ("dihedral(4096)", 96),
         ("heisenberg(2,4)", 96),
         ("metacyclic(64,64,3)", 96),

@@ -1,5 +1,7 @@
 """Cayley table validation, permutation closure, products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,19 @@ NONASSOC5 = [
     [3, 2, 4, 0, 1],
     [4, 3, 1, 2, 0],
 ]
+
+
+def test_validating_a_large_table_holds_no_square_temporary():
+    """The accept path reads row minima and gathers row blocks, so no n x n
+    array sits beside the table (the Latin mask alone was 16 MiB here)."""
+    table = dihedral(4096).table.copy()
+    tracemalloc.start()
+    try:
+        group_from_cayley_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_rejects_missing_identity():

@@ -8,11 +8,12 @@ subgroups, term by term, on the corpus and on drawn products.
 
 import functools
 
+import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from centaut.families import central_product, parse_group_spec
-from centaut.groups import direct_product, group_from_permutations
+from centaut.groups import direct_product, greedy_generators, group_from_permutations
 from centaut.structure import (
     center,
     central_series,
@@ -23,6 +24,21 @@ from centaut.structure import (
 )
 
 import oracles
+
+
+def test_greedy_span_from_a_normal_subgroup_matches_reference(corpus_groups):
+    """From the mask of a normal N (G' or Z(G)), greedy_generators ends at
+    <N, seed>: the span <chosen>N that abelian bases grow."""
+    for name, G in corpus_groups.items():
+        n = G.order
+        seed = [n - 1, n // 2, n // 3, 1]
+        for N in (derived_subgroup(G).mask, center(G).mask):
+            assert 1 < N.sum() < n, name
+            reached = N.copy()
+            for _ in greedy_generators(G.table, seed, reached):
+                pass
+            want = oracles.ref_closure_mask(G.table, np.union1d(np.flatnonzero(N), seed))
+            assert (reached == want).all(), name
 
 
 def assert_matches_reference(G):
