@@ -6,7 +6,10 @@ meaning C_{p^a_1} x ... x C_{p^a_m}.  Invariants are read off layer counts
 group and for a section H/N of a larger group's table alike
 (section_invariants).  A basis is found by one depth-first search with
 backtracking, again for a whole group or a section G/N (section_basis),
-and hom/embedding questions reduce to arithmetic on the invariant lists.
+which powers G once per wanted order and grows each span from the last.
+Hom/embedding questions reduce to arithmetic on the invariant lists; an
+image y is allowed for an invariant p^e when y^(p^e) = 1, powered on the
+targets alone (_allowed_images), never on all of the ambient group.
 """
 
 from __future__ import annotations
@@ -109,15 +112,33 @@ def section_invariants(G: Group, H: np.ndarray, N: np.ndarray) -> AbelianInvaria
     return AbelianInvariants(p, tuple(exps))
 
 
-def _independent(G: Group, N: np.ndarray, chosen: Sequence[int], want: int) -> list[int]:
-    """The x with xN of order `want`, a power of p, and <xN> meeting
-    <chosen>N/N trivially: x^want in N, x^(want/p) outside <chosen>N."""
-    span = N.copy()
-    for _ in groups.greedy_generators(G.table, chosen, span):
-        pass
-    low = powers(G.table, np.arange(G.order), want // G.prime)
-    keep = N[powers(G.table, low, G.prime)] & ~span[low]
-    return np.flatnonzero(keep).tolist()
+def _independent(G: Group, N: np.ndarray, orders: Sequence[int]) -> Optional[list[int]]:
+    """The first x_1, x_2, ... (smallest first, depth-first with
+    backtracking) with x_i N of order w = orders[i], a power of p, and
+    <x_i N> meeting <x_1, ..., x_(i-1)>N/N trivially: x^w in N and x^(w/p)
+    outside that span.  G is powered once per w, and each span grows from
+    the one before by the last choice; None if no such list exists."""
+    p = G.prime
+    power = {}  # w -> (x^(w/p) for every x, mask of the x with x^w in N)
+    for w in set(orders):
+        low = powers(G.table, np.arange(G.order), w // p)
+        power[w] = low, N[powers(G.table, low, p)]
+    chosen, stacks, spans = [], [], []  # spans[i] = <chosen[:i]>N, stacks[i] its candidates
+    while len(chosen) < len(orders):
+        if len(stacks) == len(chosen):
+            span = (spans[-1] if spans else N).copy()
+            list(groups.greedy_generators(G.table, chosen[-1:], span))
+            low, top = power[orders[len(chosen)]]
+            spans.append(span)
+            stacks.append(np.flatnonzero(top & ~span[low])[::-1].tolist())
+        if stacks[-1]:
+            chosen.append(stacks[-1].pop())
+            continue
+        del stacks[-1], spans[-1]
+        if not chosen:
+            return None
+        chosen.pop()
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -136,36 +157,22 @@ def section_basis(
 ) -> tuple[AbelianBasis, np.ndarray]:
     """A basis of G/N (abelian, of invariants inv), and the cosets of N.
 
-    Basis elements are picked smallest first: each must meet the current
-    span trivially, one membership test on its order-p power, with the
-    span built once per position and all candidates powered together.
-    Backtracks when a prefix admits no extension (rare, but cheap).
-    members[k] holds x_k n for the n of N ascending, x_k = prod_i
-    elements[i] ** c_i for the k-th tuple c = coordinates[k] in C order;
+    Basis elements are picked smallest first, each meeting the span of
+    those before it trivially (_independent).  members[k] holds x_k n for the
+    n of N ascending, x_k = prod_i elements[i] ** c_i for the k-th tuple
+    c = coordinates[k] in C order, each cycle listed by doubling gathers;
     if that does not list each element of G once, RuntimeError.
     """
-    targets = inv.exponents
-    chosen: list[int] = []
-    cand_stacks: list[list[int]] = []
-    while len(chosen) < len(targets):
-        if len(cand_stacks) == len(chosen):
-            cand_stacks.append(_independent(G, N, chosen, inv.prime ** targets[len(chosen)]))
-        stack = cand_stacks[-1]
-        if not stack:
-            cand_stacks.pop()
-            if not chosen:
-                raise RuntimeError("basis search failed; group is not as declared")
-            chosen.pop()
-            continue
-        chosen.append(stack.pop(0))
-
-    radices = [inv.prime**e for e in targets]
+    radices = [inv.prime**e for e in inv.exponents]
+    chosen = _independent(G, N, radices)
+    if chosen is None:
+        raise RuntimeError("basis search failed; group is not as declared")
     x = np.zeros(1, dtype=np.int64)
     for g, r in zip(chosen, radices):
-        cycle = [0]
-        for _ in range(r - 1):
-            cycle.append(int(G.table[cycle[-1], g]))
-        x = G.table[x[:, None], cycle].ravel()
+        cycle, h = np.zeros(1, dtype=np.int64), g  # g^0 .. g^(k-1) and g^k
+        while len(cycle) < r:
+            cycle, h = np.concatenate((cycle, G.table[cycle, h])), G.table[h, h]
+        x = G.table[x[:, None], cycle[:r]].ravel()
     members = G.table[np.ix_(x, np.flatnonzero(N))]
     hit = np.zeros(G.order, dtype=bool)
     hit[members] = True
@@ -195,9 +202,9 @@ def target_array(targets: Sequence[int]) -> np.ndarray:
 def _allowed_images(
     inv: AbelianInvariants, ambient: Group, tgt: np.ndarray
 ) -> list[np.ndarray]:
-    """Per invariant, the positions in tgt whose order divides p^e."""
-    orders = ambient.element_orders[tgt]
-    return [np.nonzero(orders <= inv.prime**e)[0] for e in inv.exponents]
+    """Per invariant, the positions in tgt of the y with y^(p^e) == 1: in
+    a p-group, those whose order divides p^e, powered on tgt alone."""
+    return [np.flatnonzero(powers(ambient.table, tgt, inv.prime**e) == 0) for e in inv.exponents]
 
 
 def hom_count_by_targets(
@@ -320,12 +327,10 @@ def embeds_invariants(b: AbelianInvariants, c: AbelianInvariants) -> bool:
 
 
 def embeds_bruteforce(A: Group, B: Group) -> bool:
-    """Injective-homomorphism search, independent of the layer criterion.
-
-    Walks A's basis and tries images of exactly matching order whose cyclic
-    span meets the current image subgroup trivially; backtracks on dead ends.
-    Exponential in principle, intended for small orders (tests use <= 64).
-    """
+    """Injective-homomorphism search, independent of the layer criterion:
+    for each invariant of A in turn, an image in B of exactly that order
+    whose cyclic span meets the images so far trivially (_independent),
+    with backtracking.  Exponential in principle; tests use orders <= 64."""
     if not (A.is_abelian and B.is_abelian):
         raise NotAbelian("embedding search is for abelian groups")
     if A.order == 1:
@@ -334,12 +339,5 @@ def embeds_bruteforce(A: Group, B: Group) -> bool:
         raise PrimeMismatch(f"primes differ: {A.prime} vs {B.prime}")
     if B.order % A.order != 0:
         return False
-    exps = abelian_basis(A).invariants.exponents
-
-    def extend(images: list[int]) -> bool:
-        if len(images) == len(exps):
-            return True
-        ys = _independent(B, np.arange(B.order) == 0, images, A.prime ** exps[len(images)])
-        return any(extend([*images, y]) for y in ys)
-
-    return extend([])
+    orders = [A.prime**e for e in abelian_invariants(A).exponents]
+    return _independent(B, np.arange(B.order) == 0, orders) is not None

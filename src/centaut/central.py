@@ -11,12 +11,15 @@ the a = |G/G'| cosets of G' in the C order of their exponent tuples along
 a basis of G/G'.  One int32 table `right` of shape (a x |Z|, |G'|) holds
 in row c * |Z| + j the members of coset c times z_j.  A candidate f picks
 row c * |Z| + f(c) for each coset c, and its |G| images are the union of
-those a rows.  Whether they cover G is decided on row labels
-(_row_labels), a-wide marks per candidate instead of |G|-wide ones, in
-blocks of about _BLOCK_CELLS / 4a homs (`abelian.iter_hom_positions`).
-The test stays literal: the labels come from products read from G's
-table, no order formula or rule from `criteria` enters, and a table that
-fails a check raises RuntimeError rather than yield a count.  Memory is
+those a rows.  Whether they cover G is decided on row labels, a-wide
+marks per candidate instead of |G|-wide ones, in blocks of about
+_BLOCK_CELLS / 4a homs (`abelian.iter_hom_positions`).  A row's label is
+the coset its cells lie in, read from the basis search's verified cosets
+once three checks pass (_coset_labels).  The test stays literal: the
+labels come from products read from G's table, no order formula or rule
+from `criteria` enters, and a table that fails a check raises
+RuntimeError rather than yield a count.  G' and Z are read as structure's
+per-group masks; no Subgroup is built.  Memory is
 set by the block and by `right`, not by the candidate count.  The
 automorphisms are gathered from `right` for the bijective rows only,
 _BLOCK_CELLS // |G| maps at a time, in iter_homomorphisms order.
@@ -63,7 +66,7 @@ class CentralAutReport:
 
 def _bijective_rows(sigma: np.ndarray) -> np.ndarray:
     """Which rows of a (maps x n) block of values in range(n) hit every
-    value: image arrays, or the row labels of one row per coset."""
+    value: image arrays, row labels of one row per coset, or columns."""
     k, n = sigma.shape
     marks = np.zeros(k * n, dtype=bool)
     marks[(np.arange(k) * n)[:, None] + sigma] = True
@@ -86,51 +89,29 @@ def _coset_table(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return right.reshape(a * len(tgt), m)
 
 
-def _row_labels(right: np.ndarray, cosets: int) -> np.ndarray:
-    """An int32 label in range(cosets) per row of the coset table, such
-    that `cosets` rows cover G exactly when their labels are distinct.
+def _coset_labels(right: np.ndarray, members: np.ndarray, width: int) -> np.ndarray:
+    """The label c of each coset-table row, the index in `members` of the
+    coset it holds, so rows cover G exactly when their labels differ.
 
-    Read from `right` alone, in chunks of at most _BLOCK_CELLS cells, it
-    checks that every row holds distinct elements, that two rows sharing
-    an element have the same minimum, and that there are exactly `cosets`
-    distinct minima; the label is the rank of the row's minimum among
-    them.  Rows with distinct minima are then disjoint, so `cosets` of
-    them hold cosets * |row| = |G| distinct elements, while two rows with
-    one minimum repeat it.  A failed check raises RuntimeError.
-    """
-    rows, m = right.shape
-    n = cosets * m
-    chunks = row_blocks(rows, m)
-    step = chunks[0].stop  # the longest chunk
-    # chunk row i's cells become keys i * n + x, so one flat sort orders
-    # the chunk row by row and puts each row's minimum first
-    key = np.int32 if step * n <= np.iinfo(np.int32).max else np.int64
-    shift = np.arange(0, step * n, n, dtype=key)
-    low = np.empty(rows, dtype=np.int32)
-    owner = np.full(n, -1, dtype=np.int32)  # the minimum of a row holding x
-    for s in chunks:
-        block = right[s]
-        keys = np.sort(block + shift[: len(block), None], axis=None)
-        if (keys[1:] == keys[:-1]).any():
+    members lists each element of G once (section_basis checks it), so
+    each x has a coset and a column there.  Three checks, in blocks of at
+    most _BLOCK_CELLS cells, make a row labelled c exactly coset c: all
+    its cells lie in coset c, their columns are distinct, and row
+    c * width (coset c times the identity) is labelled c.  A failed check
+    raises RuntimeError."""
+    a, m = members.shape
+    coset, column = np.empty((2, a * m), dtype=np.int32)
+    coset[members] = np.arange(a, dtype=np.int32)[:, None]
+    column[members] = np.arange(m, dtype=np.int32)
+    label = coset.take(right[:, 0])
+    for s in row_blocks(len(right), m):
+        if (coset.take(right[s]) != label[s, None]).any():
+            raise RuntimeError("a coset-table row leaves its coset")
+        if not _bijective_rows(column.take(right[s])).all():
             raise RuntimeError("a coset-table row repeats an element")
-        low[s] = keys[::m] - shift[: len(block)]
-        # each cell is checked against the owner its element got from the
-        # first chunk that held it, so two rows that share an element but
-        # not a minimum fail, in one chunk or in two
-        cells, got = block.T, owner.take(block.T)
-        if (got != low[s]).any():
-            fresh = got < 0
-            owner[cells[fresh]] = np.broadcast_to(low[s], cells.shape)[fresh]
-            if (owner.take(cells) != low[s]).any():
-                raise RuntimeError("coset-table rows share an element, not a minimum")
-    is_min = np.zeros(n, dtype=bool)
-    is_min[low] = True
-    if int(is_min.sum()) != cosets:
-        raise RuntimeError(f"{int(is_min.sum())} row minima for {cosets} cosets")
-    rank = np.cumsum(is_min, dtype=np.int32) - 1
-    for s in chunks:
-        low[s] = rank[low[s]]
-    return low
+    if (label[::width] != np.arange(a)).any():
+        raise RuntimeError("a coset-table row c * |Z| is not coset c")
+    return label
 
 
 def _candidate_maps(
@@ -144,10 +125,9 @@ def _candidate_maps(
     Each block is (rows, bijective) for up to _BLOCK_CELLS // 4a maps in
     iter_homomorphisms order: rows[i, c] is the int32 row of the coset
     table that holds the images of coset c under map i, and bijective
-    masks the maps whose images hit every element, decided on the row
-    labels.  The candidate count is computed from the invariants of G/N
-    and checked against hom_cap before the basis search.
-    """
+    masks the maps whose images hit every element, by _coset_labels.  The
+    candidate count, from the invariants of G/N, is checked against
+    hom_cap before the basis search."""
     inv = abelian.section_invariants(G, np.ones(G.order, dtype=bool), N)
     tgt = abelian.target_array(targets)
     total = abelian.hom_count_by_targets(inv, G, tgt)
@@ -158,7 +138,7 @@ def _candidate_maps(
     basis, members = abelian.section_basis(G, N, inv)
     a = len(members)
     right = _coset_table(G, members, tgt)
-    label = _row_labels(right, a)
+    label = _coset_labels(right, members, len(tgt))
     offsets = np.arange(a, dtype=np.int32) * np.int32(len(tgt))
     # a label cell takes about twice the temporaries of an image cell (the
     # hom block's int64 products and indices, the label, the scatter), so
@@ -188,8 +168,8 @@ def _central_maps(
     """_candidate_maps for the central maps, f ranging over Hom(G/G', Z(G))."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
-    derived = structure.derived_subgroup(G).mask
-    return _candidate_maps(G, derived, structure.center(G).elements, hom_cap)
+    z = np.flatnonzero(structure._center_mask(G))
+    return _candidate_maps(G, structure._derived_mask(G), z, hom_cap)
 
 
 def central_automorphism_count(
@@ -246,12 +226,10 @@ def stability_count(
         raise ValueError("subgroups belong to a different parent group")
     if not Y.issubset(X):
         raise NotContained("second subgroup must lie inside the first")
-    zmask = structure.center(G).mask
-    if not zmask[list(Y.elements)].all():
+    if not structure._center_mask(G)[list(Y.elements)].all():
         raise NotCentral("image subgroup must be central")
     structure.check_normal(G, X)
-    derived = structure.derived_subgroup(G).mask
-    N = structure.closure(G, np.flatnonzero(X.mask | derived)).mask
+    N = structure.closure(G, np.flatnonzero(X.mask | structure._derived_mask(G))).mask
     seen: set[bytes] = set()
     homs = 0
     _, right, blocks = _candidate_maps(G, N, Y.elements, hom_cap)
@@ -274,8 +252,7 @@ def adney_yen_check(
     """
     if G.is_abelian:
         raise AbelianGroup("count identity is posed for nonabelian groups")
-    z = structure.center(G)
-    gamma = abelian.section_invariants(G, z.mask, np.arange(G.order) == 0)
+    gamma = abelian.section_invariants(G, structure._center_mask(G), np.arange(G.order) == 0)
     if gamma.rank != 1:
         raise CenterNotCyclic(f"center invariants {list(gamma.exponents)}")
     rep = central_automorphism_count(G, hom_cap=hom_cap)
@@ -287,14 +264,14 @@ def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
     """Every automorphism, by generator-image search with closure propagation.
 
     Independent of the central-map enumeration: takes the greedy generating
-    set (structure.generators), tries all same-order images, and extends
+    set (Group.generators), tries all same-order images, and extends
     each assignment through the multiplication table, rejecting on the
     first conflict.  Exponential in general, hence the small order_limit.
     """
     n = G.order
     if n > order_limit:
         raise ValueError(f"order {n} exceeds the search limit {order_limit}")
-    gens = structure.generators(G).tolist()
+    gens = G.generators.tolist()
     orders = G.element_orders
     table = G.table
     results: list[np.ndarray] = []
@@ -352,6 +329,5 @@ def is_central_automorphism(G: Group, sigma: np.ndarray) -> bool:
     sigma = np.asarray(sigma, dtype=np.int64)
     if sigma.shape != (G.order,) or not ((sigma >= 0) & (sigma < G.order)).all():
         raise IndexOutOfRange(f"sigma must be {G.order} indices in range({G.order})")
-    zmask = structure.center(G).mask
     shifts = G.table[G.inverse, sigma]
-    return bool(zmask[shifts].all())
+    return bool(structure._center_mask(G)[shifts].all())

@@ -15,14 +15,16 @@ The invariants come from the greedy generating set S of G (generators,
 The report reads the invariants of G/G', Z(G) and Z_2(G)/Z(G) by one layer
 count per section on G's own table (abelian.section_invariants), from the
 cached masks of G' and of the upper series; it builds no Group and takes no
-quotient, and neither does the enumeration (abelian.section_basis).
+quotient, and neither does the enumeration (abelian.section_basis).  Z_2 is
+tested abelian by a span grown from Z, which is central, so only the
+generators it adds are compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -130,10 +132,12 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
-def _commutes(G: Group, elements: Iterable[int]) -> bool:
+def _commutes(G: Group, elements: Iterable[int], central: Optional[np.ndarray] = None) -> bool:
     """Whether the span H of `elements` is abelian, by (log2 |H|)^2
-    products of a greedy generating set, not an |H| x |H| table."""
-    reached = np.arange(G.order) == 0
+    products of a greedy generating set, not an |H| x |H| table.  Spanned
+    from the mask `central` of a central subgroup, when given, only the
+    generators added to it need to commute."""
+    reached = np.arange(G.order) == 0 if central is None else central.copy()
     gens = list(greedy_generators(G.table, elements, reached))
     t = G.table[np.ix_(gens, gens)]
     return bool((t == t.T).all())
@@ -146,17 +150,8 @@ def closure(G: Group, seed: Iterable[int]) -> Subgroup:
         if not 0 <= int(g) < G.order:
             raise IndexOutOfRange(f"element {g} outside range({G.order})")
     reached = np.arange(G.order) == 0
-    for _ in greedy_generators(G.table, seed, reached):
-        pass
+    list(greedy_generators(G.table, seed, reached))
     return Subgroup(G, np.flatnonzero(reached), verify=False)
-
-
-@_per_group
-def generators(G: Group) -> np.ndarray:
-    """The greedy generating set of G: each the smallest element outside
-    the span of those before it; computed once per group, read-only."""
-    reached = np.arange(G.order) == 0
-    return np.fromiter(greedy_generators(G.table, range(G.order), reached), np.int64)
 
 
 def commutator_table(G: Group, xs: Sequence[int]) -> np.ndarray:
@@ -168,16 +163,18 @@ def commutator_table(G: Group, xs: Sequence[int]) -> np.ndarray:
     return G.table[m, xs[None, :]]
 
 
-def _commutator_span(G: Group, xs: Sequence[int]) -> Subgroup:
-    """[N, G] for the normal subgroup N generated by xs."""
-    return closure(G, np.unique(commutator_table(G, xs)))
+def _commutator_mask(G: Group, xs: Sequence[int]) -> np.ndarray:
+    """The mask of [N, G] for the normal subgroup N generated by xs."""
+    reached = np.arange(G.order) == 0
+    list(greedy_generators(G.table, np.unique(commutator_table(G, xs)), reached))
+    return reached
 
 
 @_per_group
 def _upper_masks(G: Group) -> np.ndarray:
     """Row i is the mask of Z_i(G), from Z_0 = 1 up to G; for G not
     nilpotent, up to where the series stalls (one row if Z(G) = 1)."""
-    comm = commutator_table(G, generators(G))
+    comm = commutator_table(G, G.generators)
     masks = [np.arange(G.order) == 0]
     while not masks[-1].all():
         nxt = masks[-1][comm].all(axis=1)  # x with [x, s] in Z_i for all s
@@ -195,15 +192,19 @@ def _nilpotent_masks(G: Group) -> np.ndarray:
     return masks
 
 
+def _center_mask(G: Group) -> np.ndarray:
+    masks = _upper_masks(G)
+    return masks[min(1, len(masks) - 1)]
+
+
 def center(G: Group) -> Subgroup:
     """Elements commuting with every generator."""
-    masks = _upper_masks(G)
-    return Subgroup(G, np.flatnonzero(masks[min(1, len(masks) - 1)]), verify=False)
+    return Subgroup(G, np.flatnonzero(_center_mask(G)), verify=False)
 
 
 @_per_group
 def _derived_mask(G: Group) -> np.ndarray:
-    return _commutator_span(G, generators(G)).mask
+    return _commutator_mask(G, G.generators)
 
 
 def upper_central_orders(G: Group) -> list[int]:
@@ -231,7 +232,7 @@ def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
     while series[-1].order > 1:
         reached = np.arange(G.order) == 0
         xs = list(greedy_generators(G.table, series[-1].elements, reached))
-        nxt = _commutator_span(G, xs)
+        nxt = Subgroup(G, np.flatnonzero(_commutator_mask(G, xs)), verify=False)
         if nxt.order == series[-1].order:
             raise NotNilpotent(
                 f"lower series stalls at order {nxt.order} > 1"
@@ -355,5 +356,5 @@ def structure_report(G: Group) -> StructureReport:
         center=gamma,
         inner_center=beta,
         center_in_derived=bool(_derived_mask(G)[z].all()),
-        second_center_abelian=_commutes(G, np.flatnonzero(z2)),
+        second_center_abelian=_commutes(G, np.flatnonzero(z2), z),
     )

@@ -8,7 +8,9 @@ full-table ones read the whole n x n commutator table instead of a
 generating set, and the section ones walk element orders one power at a
 time and rebuild each section as a Group to take its quotient.  The two
 formula table assemblies are also former library code, kept to pin the
-tables the spanning-tree routine now writes.
+tables the spanning-tree routine now writes, and so are the coset-table
+row labels by row minima and the basis search that regrew every span,
+kept to pin the labels and bases the enumeration now reads.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from centaut.errors import (
     NotAssociative,
     NotLatinSquare,
 )
-from centaut.groups import row_blocks
+from centaut.groups import greedy_generators, powers, row_blocks
 from centaut.structure import (
     StructureReport,
     Subgroup,
@@ -360,6 +362,78 @@ def ref_central_maps(G, rows: int = 256):
         sigma = np.empty((len(f), G.order), dtype=np.int64)
         sigma[:, order] = G.table[order, tgt[f[:, proj[order]]]]
         yield len(f), sigma[ref_bijective_rows(sigma)]
+
+
+def ref_row_labels(right: np.ndarray, cosets: int) -> np.ndarray:
+    """Row labels of a coset table as the enumeration read them before it
+    took them from the basis search's cosets: the rank of each row's
+    minimum, after checking by one flat sort per chunk that every row holds
+    distinct elements, that two rows sharing an element have the same
+    minimum and that there are exactly `cosets` distinct minima."""
+    rows, m = right.shape
+    n = cosets * m
+    chunks = row_blocks(rows, m)
+    step = chunks[0].stop  # the longest chunk
+    # chunk row i's cells become keys i * n + x, so one flat sort orders
+    # the chunk row by row and puts each row's minimum first
+    key = np.int32 if step * n <= np.iinfo(np.int32).max else np.int64
+    shift = np.arange(0, step * n, n, dtype=key)
+    low = np.empty(rows, dtype=np.int32)
+    owner = np.full(n, -1, dtype=np.int32)  # the minimum of a row holding x
+    for s in chunks:
+        block = right[s]
+        keys = np.sort(block + shift[: len(block), None], axis=None)
+        if (keys[1:] == keys[:-1]).any():
+            raise RuntimeError("a coset-table row repeats an element")
+        low[s] = keys[::m] - shift[: len(block)]
+        cells, got = block.T, owner.take(block.T)
+        if (got != low[s]).any():
+            fresh = got < 0
+            owner[cells[fresh]] = np.broadcast_to(low[s], cells.shape)[fresh]
+            if (owner.take(cells) != low[s]).any():
+                raise RuntimeError("coset-table rows share an element, not a minimum")
+    is_min = np.zeros(n, dtype=bool)
+    is_min[low] = True
+    if int(is_min.sum()) != cosets:
+        raise RuntimeError(f"{int(is_min.sum())} row minima for {cosets} cosets")
+    rank = np.cumsum(is_min, dtype=np.int32) - 1
+    return rank[low]
+
+
+def ref_section_basis(G, N: np.ndarray, inv: AbelianInvariants):
+    """(basis elements, members) of G/N by the search the library ran
+    before it kept its power maps and spans: at each position the span
+    <chosen>N is regrown from N and every element of G is powered again,
+    and each cycle g^0 .. g^(r-1) is read one product at a time."""
+    p = G.prime
+
+    def independent(chosen, want):
+        span = N.copy()
+        for _ in greedy_generators(G.table, chosen, span):
+            pass
+        low = powers(G.table, np.arange(G.order), want // p)
+        return np.flatnonzero(N[powers(G.table, low, p)] & ~span[low]).tolist()
+
+    targets = inv.exponents
+    chosen: list[int] = []
+    stacks: list[list[int]] = []
+    while len(chosen) < len(targets):
+        if len(stacks) == len(chosen):
+            stacks.append(independent(chosen, p ** targets[len(chosen)]))
+        if not stacks[-1]:
+            stacks.pop()
+            if not chosen:
+                raise RuntimeError("basis search failed; group is not as declared")
+            chosen.pop()
+            continue
+        chosen.append(stacks[-1].pop(0))
+    x = np.zeros(1, dtype=np.int64)
+    for g, e in zip(chosen, targets):
+        cycle = [0]
+        for _ in range(p**e - 1):
+            cycle.append(int(G.table[cycle[-1], g]))
+        x = G.table[x[:, None], cycle].ravel()
+    return tuple(chosen), G.table[np.ix_(x, np.flatnonzero(N))]
 
 
 def ref_element_orders(table: np.ndarray) -> np.ndarray:

@@ -10,12 +10,15 @@ table its verdict and message must be those of the ordered checks.
 
 import functools
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from centaut import groups
 from centaut.errors import CentautError, NotAssociative, NotLatinSquare
 from centaut.families import (
     cyclic,
@@ -288,3 +291,50 @@ def test_monoid_without_right_inverses_is_not_latin():
         NotLatinSquare,
         "row 1 is not a permutation of range(2)",
     )
+
+
+# The messages the ordered checks gave the `assoc` copies of the `tables`
+# benchmark, seeds 0-4, when a Latin table that failed Light's test on the
+# accept path ran that test again before its row scan.
+TABLES_ASSOC_ERRORS = {
+    (0, "d256xc2.assoc1"): "((1*242)*49) != (1*(242*49))",
+    (0, "sd256xc2.assoc2"): "((1*32)*159) != (1*(32*159))",
+    (0, "q128xc2.assoc1"): "((1*84)*96) != (1*(84*96))",
+    (1, "d256xc2.assoc2"): "((1*12)*14) != (1*(12*14))",
+    (1, "sd256xc2.assoc1"): "((1*272)*115) != (1*(272*115))",
+    (1, "q128xc2.assoc2"): "((1*116)*75) != (1*(116*75))",
+    (2, "d256xc2.assoc2"): "((1*8)*164) != (1*(8*164))",
+    (2, "sd256xc2.assoc2"): "((1*92)*168) != (1*(92*168))",
+    (2, "q128xc2.assoc0"): "((1*46)*16) != (1*(46*16))",
+    (3, "d256xc2.assoc2"): "((1*292)*190) != (1*(292*190))",
+    (3, "sd256xc2.assoc2"): "((1*156)*146) != (1*(156*146))",
+    (3, "q128xc2.assoc0"): "((1*58)*108) != (1*(58*108))",
+    (4, "d256xc2.assoc2"): "((1*400)*208) != (1*(400*208))",
+    (4, "sd256xc2.assoc2"): "((1*44)*434) != (1*(44*434))",
+    (4, "q128xc2.assoc2"): "((1*22)*115) != (1*(22*115))",
+}
+
+
+def test_tables_benchmark_assoc_copies_keep_their_messages(monkeypatch, tmp_path):
+    """The benchmark's seeded copies, replayed without writing the files;
+    each runs Light's test once."""
+    light = []
+    real = groups._light_generators
+    monkeypatch.setattr(groups, "_light_generators", lambda t: light.append(t) or real(t))
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    copies = {}
+    monkeypatch.setattr(workloads, "_write_table", lambda _, t, name: copies.__setitem__(name, t))
+    ct = SimpleNamespace(
+        parse_group_spec=functools.cache(parse_group_spec), write_group=lambda *_, **__: None
+    )
+    got = {}
+    for seed in range(5):
+        copies.clear()
+        workloads.table_entries(ct, seed, tmp_path, {})
+        for name, table in copies.items():
+            if ".assoc" in name:
+                light.clear()
+                got[seed, name] = validator_verdict(table), len(light)
+    assert got == {k: ((NotAssociative, m), 1) for k, m in TABLES_ASSOC_ERRORS.items()}

@@ -396,8 +396,8 @@ def _lose_a_minimum(right, z):
     "corrupt,message",
     [
         (_repeat_in_row, "repeats an element"),
-        (_share_without_minimum, "share an element"),
-        (_lose_a_minimum, "row minima"),
+        (_share_without_minimum, "row leaves"),
+        (_lose_a_minimum, "is not coset c"),
     ],
 )
 def test_bad_coset_table_raises_never_counts(monkeypatch, corrupt, message):
@@ -492,7 +492,7 @@ def test_stability_count_raises_on_a_map_that_is_not_bijective(monkeypatch):
     G = dihedral(8)
     phi = frattini_subgroup(G)
     monkeypatch.setattr(
-        central, "_row_labels", lambda right, cosets: np.zeros(len(right), dtype=np.int32)
+        central, "_coset_labels", lambda right, members, width: np.zeros(len(right), dtype=np.int32)
     )
     with pytest.raises(RuntimeError):
         stability_count(G, phi, phi)

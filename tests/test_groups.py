@@ -60,6 +60,20 @@ def test_validating_a_large_table_holds_no_square_temporary():
     assert peak < 4 * 2**20
 
 
+def test_a_read_only_table_is_not_copied_for_its_inverses():
+    """Group reads inverses off row minima one row block at a time: numpy's
+    argmin over a whole read-only table works on a copy (64 MiB here)."""
+    table = dihedral(4096).table
+    assert not table.flags.writeable
+    tracemalloc.start()
+    try:
+        group_from_cayley_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_rejects_missing_identity():
     with pytest.raises(NoIdentityAtZero):
         group_from_cayley_table([[1, 0], [0, 1]])

@@ -1,0 +1,103 @@
+"""What one corpus pass computes for each group before it enumerates.
+
+The enumeration's set-up reads G' and Z as the structure masks, the allowed
+images by powering the |Z| targets, and the coset labels from the basis
+search's cosets; a validated group arrives with the greedy generators its
+Light's test spanned.  The references are the routines these replaced.
+"""
+
+import os
+import traceback
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from centaut import abelian, central, groups, structure
+from centaut.families import parse_group_spec
+from centaut.groupio import default_corpus
+from centaut.groups import Group
+from centaut.harness import analyze_source
+
+import oracles
+
+CENTRAL = os.path.join("centaut", "central.py")
+
+
+def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
+    """No Group.element_orders, no Subgroup built under central, and at
+    most one greedy span over range(n) from {0} per group table."""
+    spans, orders, subgroups = [], [], []
+    real_span = groups.greedy_generators
+
+    def span(table, seed, reached):
+        seed = np.asarray(seed)
+        if reached.sum() == 1 and np.array_equal(seed, np.arange(len(table))):
+            spans.append(table)
+        return real_span(table, seed, reached)
+
+    real_orders = Group.__dict__["element_orders"].func
+
+    def element_orders(G):
+        orders.append(G)
+        return real_orders(G)
+
+    real_init = structure.Subgroup.__init__
+
+    def init(self, *args, **kwargs):
+        if any(f.filename.endswith(CENTRAL) for f in traceback.extract_stack()):
+            subgroups.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "greedy_generators", span)
+    monkeypatch.setattr(structure, "greedy_generators", span)
+    monkeypatch.setattr(Group, "element_orders", property(element_orders))
+    monkeypatch.setattr(structure.Subgroup, "__init__", init)
+    entries = default_corpus().entries
+    for e in entries:
+        assert analyze_source(e.name, e.source, e.expected).status == "ok", e.name
+    assert orders == []
+    assert subgroups == []
+    counts = Counter(map(id, spans))  # `spans` keeps each table alive
+    assert len(counts) >= len(entries) and max(counts.values()) == 1
+
+
+def test_section_basis_matches_the_former_search(corpus_groups, homs_groups):
+    """The same basis elements and cosets as the search that regrew each
+    span from N and powered all of G at every position."""
+    for name, G in [*corpus_groups.items(), *homs_groups.items()]:
+        N = structure._derived_mask(G)
+        inv = structure.abelianization_invariants(G)
+        basis, members = abelian.section_basis(G, N, inv)
+        elements, ref_members = oracles.ref_section_basis(G, N, inv)
+        assert basis.elements == elements, name
+        assert np.array_equal(members, ref_members), name
+
+
+def test_coset_labels_match_the_row_minima(corpus_groups, homs_groups):
+    """Rows share a label exactly when they share a row minimum, the label
+    the enumeration read before."""
+    for name, G in [*corpus_groups.items(), *homs_groups.items()]:
+        if G.is_abelian:
+            continue
+        N = structure._derived_mask(G)
+        _, members = abelian.section_basis(G, N, structure.abelianization_invariants(G))
+        z = np.flatnonzero(structure._center_mask(G))
+        right = central._coset_table(G, members, z)
+        label = central._coset_labels(right, members, len(z))
+        ref = oracles.ref_row_labels(right, len(members))
+        pairs = set(zip(label.tolist(), ref.tolist()))
+        assert len(pairs) == len(set(label.tolist())) == len(set(ref.tolist())), name
+        assert np.array_equal(label[:: len(z)], np.arange(len(members))), name
+
+
+@pytest.mark.parametrize("spec", ["dihedral(64)", "heisenberg(3,1) x cyclic(3)"])
+def test_allowed_images_match_element_orders(spec):
+    G = parse_group_spec(spec)
+    inv = structure.abelianization_invariants(G)
+    tgt = abelian.target_array(np.flatnonzero(structure._center_mask(G)))
+    orders = oracles.ref_element_orders(G.table)[tgt]
+    got = abelian._allowed_images(inv, G, tgt)
+    assert [y.tolist() for y in got] == [
+        np.flatnonzero(orders <= inv.prime**e).tolist() for e in inv.exponents
+    ]
