@@ -232,7 +232,16 @@ def iter_hom_positions(
 ) -> Iterator[np.ndarray]:
     """The homomorphisms of `iter_homomorphisms` in int32 blocks (maps x
     len(coordinates)) of <= rows maps, f[x] the position of x's image in
-    target_array(targets); concatenated, every map once, in order.
+    target_array(targets); concatenated, every map once, in order."""
+    tgt = target_array(targets)
+    return _hom_positions(basis, ambient, tgt, _allowed_images(basis.invariants, ambient, tgt), rows)
+
+
+def _hom_positions(
+    basis: AbelianBasis, ambient: Group, tgt: np.ndarray, images: list[np.ndarray], rows: int
+) -> Iterator[np.ndarray]:
+    """iter_hom_positions on the sorted targets tgt and their allowed
+    images, which a caller that counted the maps from them passes on.
 
     A hom f is fixed by the images y_i of the basis elements: f[x] =
     prod_i y_i ** coordinates[x, i].  Products are taken inside <targets>
@@ -246,8 +255,6 @@ def iter_hom_positions(
     run are multiplied out once each: one product per cell at any rank.
     """
     p = basis.invariants.prime
-    tgt = target_array(targets)
-    images = _allowed_images(basis.invariants, ambient, tgt)
     identity = np.searchsorted(tgt, 0)
     if not images:
         yield np.full((1, len(basis.coordinates)), identity, dtype=np.int32)

@@ -13,27 +13,29 @@ in row c * |Z| + j the members of coset c times z_j.  A candidate f picks
 row c * |Z| + f(c) for each coset c, and its |G| images are the union of
 those a rows.  Whether they cover G is decided on row labels, a-wide
 marks per candidate instead of |G|-wide ones, in blocks of about
-_BLOCK_CELLS / 4a homs (`abelian.iter_hom_positions`).  A row's label is
-the coset its cells lie in, read from the basis search's verified cosets
-once three checks pass (_coset_labels).  The test stays literal: the
-labels come from products read from G's table, no order formula or rule
-from `criteria` enters, and a table that fails a check raises
-RuntimeError rather than yield a count.  G' and Z are read as structure's
-per-group masks; no Subgroup is built.  Memory is
-set by the block and by `right`, not by the candidate count.  The
-automorphisms are gathered from `right` for the bijective rows only,
-_BLOCK_CELLS // |G| maps at a time, in iter_homomorphisms order.
+_BLOCK_CELLS / 4a homs (`abelian.iter_hom_positions`), from allowed
+images powered once.  A row's label is the coset its cells lie in, read
+from the basis search's verified cosets once three checks pass
+(_coset_labels).  The test stays literal: the labels come from products
+read from G's table, no order formula or rule from `criteria` enters, and
+a table that fails a check raises RuntimeError rather than yield a count.
+G' and Z are read as structure's per-group masks, G/G''s invariants as
+kept by the structure report; no Subgroup is built.  Memory is set by the
+block and by `right`, not by the candidate count.  The automorphisms are
+gathered from `right` for the bijective rows only, _BLOCK_CELLS // |G|
+maps at a time, in iter_homomorphisms order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import abelian, groups, structure
-from .abelian import hom_invariants
+from .abelian import AbelianInvariants, hom_invariants
 from .errors import (
     AbelianGroup,
     CenterNotCyclic,
@@ -115,22 +117,23 @@ def _coset_labels(right: np.ndarray, members: np.ndarray, width: int) -> np.ndar
 
 
 def _candidate_maps(
-    G: Group, N: np.ndarray, targets: Sequence[int], hom_cap: int
+    G: Group, N: np.ndarray, inv: AbelianInvariants, targets: Sequence[int], hom_cap: int
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """The cosets of N, the coset table and blocks of the maps
     x -> x*f(xN), f in Hom(G/N, <targets>).
 
     N is the bool mask of a normal subgroup containing G', so G/N is
-    abelian; members (a x |N|) lists its cosets as section_basis does.
-    Each block is (rows, bijective) for up to _BLOCK_CELLS // 4a maps in
-    iter_homomorphisms order: rows[i, c] is the int32 row of the coset
-    table that holds the images of coset c under map i, and bijective
-    masks the maps whose images hit every element, by _coset_labels.  The
-    candidate count, from the invariants of G/N, is checked against
-    hom_cap before the basis search."""
-    inv = abelian.section_invariants(G, np.ones(G.order, dtype=bool), N)
+    abelian, of invariants inv; members (a x |N|) lists its cosets as
+    section_basis does.  Each block is (rows, bijective) for up to
+    _BLOCK_CELLS // 4a maps in iter_homomorphisms order: rows[i, c] is the
+    int32 row of the coset table that holds the images of coset c under
+    map i, and bijective masks the maps whose images hit every element, by
+    _coset_labels.  The candidate count, the product of the numbers of
+    allowed images, is checked against hom_cap before the basis search;
+    the images are powered once, for the count and the blocks."""
     tgt = abelian.target_array(targets)
-    total = abelian.hom_count_by_targets(inv, G, tgt)
+    images = abelian._allowed_images(inv, G, tgt)
+    total = math.prod(len(y) for y in images)
     if total > hom_cap:
         raise EnumerationCapExceeded(
             f"{total} candidate maps exceed the cap {hom_cap}"
@@ -147,7 +150,7 @@ def _candidate_maps(
     rows = max(1, groups._BLOCK_CELLS // (4 * a))
 
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for f in abelian.iter_hom_positions(basis, G, tgt, rows):
+        for f in abelian._hom_positions(basis, G, tgt, images, rows):
             f = f + offsets
             yield f, _bijective_rows(label.take(f))
 
@@ -169,7 +172,8 @@ def _central_maps(
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
     z = np.flatnonzero(structure._center_mask(G))
-    return _candidate_maps(G, structure._derived_mask(G), z, hom_cap)
+    inv = structure.abelianization_invariants(G)
+    return _candidate_maps(G, structure._derived_mask(G), inv, z, hom_cap)
 
 
 def central_automorphism_count(
@@ -232,7 +236,8 @@ def stability_count(
     N = structure.closure(G, np.flatnonzero(X.mask | structure._derived_mask(G))).mask
     seen: set[bytes] = set()
     homs = 0
-    _, right, blocks = _candidate_maps(G, N, Y.elements, hom_cap)
+    inv = abelian.section_invariants(G, np.ones(G.order, dtype=bool), N)
+    _, right, blocks = _candidate_maps(G, N, inv, Y.elements, hom_cap)
     for rows, bijective in blocks:
         if not bijective.all():
             raise RuntimeError("a map x -> x*f(xX) is not a bijection")

@@ -4,6 +4,10 @@ Each rule inspects a StructureReport and decides whether the group's
 central automorphisms are exactly the inner ones coming from the second
 center (the smallest the group allows).  Rules are ordered; classify fires
 the first applicable one and evaluates the rest as cross-checks.
+
+The coclass-2..4 and order-p^5..p^7 results share one shape, so they are
+two tables (_COCLASS by coclass, _ORDER by order exponent and class) read
+by one routine, _decide; a table's keys are where its rules apply.
 """
 
 from __future__ import annotations
@@ -93,99 +97,66 @@ def _class2_eval(rep: StructureReport) -> tuple[str, str]:
     return NOT_MINIMAL, f"center {_fmt(rep.center)} is not cyclic"
 
 
-def _dd_match(rep: StructureReport, allowed: tuple[int, ...]) -> Optional[str]:
-    """C_p center with d(G) == d(Z_2/Z) in the allowed set; reason if not."""
-    if rep.center.exponents != (1,):
-        return f"center {_fmt(rep.center)} != [1]"
-    if rep.d != rep.d_inner_center:
-        return f"d={rep.d} != d(Z2/Z)={rep.d_inner_center}"
-    if rep.d not in allowed:
-        return f"d={rep.d} not in {list(allowed)}"
-    return None
+# The paper's coclass and order results all take one shape, read by
+# _decide: Minimal iff Z(G) = C_p and d(G) = d(Z_2/Z) lies in the row's
+# d-set, or Z(G) = C_(p^e) for e in the row's matched centers and Z_2/Z =
+# G/G'.  Keyed by coclass, and by (order exponent, class), at class >= 3.
+_COCLASS = {
+    2: (RULE_COCLASS2, (2,), ()),
+    3: (RULE_COCLASS3, (2, 3), (2,)),
+    4: (RULE_COCLASS4, (2, 3, 4), (2, 3)),
+}
+_ORDER = {
+    (5, 3): (RULE_ORDER_P5, (2,), ()),
+    (6, 3): (RULE_ORDER_P6, (2,), ()),
+    (6, 4): (RULE_ORDER_P6, (2,), ()),
+    (7, 3): (RULE_ORDER_P7, (2, 3, 4), ()),
+    (7, 4): (RULE_ORDER_P7, (2, 3), (2,)),
+    (7, 5): (RULE_ORDER_P7, (2,), ()),
+}
+
+
+def _decide(rep: StructureReport, rule: str, allowed: tuple, matched: tuple) -> Verdict:
+    """One table row's verdict; NotMinimal names why the d-set test failed."""
+    a = rep.abelianization.exponents
+    b = rep.inner_center.exponents
+    g = rep.center.exponents
+    if g != (1,):
+        why = f"center {_fmt(rep.center)} != [1]"
+    elif rep.d != rep.d_inner_center:
+        why = f"d={rep.d} != d(Z2/Z)={rep.d_inner_center}"
+    elif rep.d not in allowed:
+        why = f"d={rep.d} not in {list(allowed)}"
+    else:
+        return Verdict(MINIMAL, rule, f"center [1], d=d(Z2/Z)={rep.d}")
+    if len(g) == 1 and g[0] in matched and b == a:
+        # the OrderP7 detail lists no invariants, as the reports pin it
+        named = "" if rule == RULE_ORDER_P7 else f" {_fmt(rep.inner_center)}"
+        return Verdict(MINIMAL, rule, f"center {_fmt(rep.center)}, Z2/Z matches G/G'{named}")
+    if rule == RULE_COCLASS4 and g == (2,) and b == (2, 1) and a in ((3, 1), (4, 1)):
+        return Verdict(MINIMAL, rule, f"center [2], Z2/Z=[2,1], G/G'={list(a)}")
+    return Verdict(NOT_MINIMAL, rule, why)
 
 
 def coclass_predicate(rep: StructureReport) -> Verdict:
     """Minimality for coclass 2, 3 and 4 at class >= 3."""
     if rep.nilpotency_class < 3:
         raise ClassTooSmall(f"class {rep.nilpotency_class} < 3")
-    cc = rep.coclass
-    if cc not in (2, 3, 4):
-        raise CoclassOutOfRange(f"coclass {cc} not in 2..4")
-    a = rep.abelianization.exponents
-    b = rep.inner_center.exponents
-    g = rep.center.exponents
-    if cc == 2:
-        why = _dd_match(rep, (2,))
-        if why is None:
-            return Verdict(MINIMAL, RULE_COCLASS2, "center [1], d=d(Z2/Z)=2")
-        return Verdict(NOT_MINIMAL, RULE_COCLASS2, why)
-    if cc == 3:
-        why = _dd_match(rep, (2, 3))
-        if why is None:
-            return Verdict(MINIMAL, RULE_COCLASS3, f"center [1], d=d(Z2/Z)={rep.d}")
-        if g == (2,) and b == a:
-            return Verdict(
-                MINIMAL, RULE_COCLASS3, f"center [2], Z2/Z matches G/G' {_fmt(rep.inner_center)}"
-            )
-        return Verdict(NOT_MINIMAL, RULE_COCLASS3, why)
-    why = _dd_match(rep, (2, 3, 4))
-    if why is None:
-        return Verdict(MINIMAL, RULE_COCLASS4, f"center [1], d=d(Z2/Z)={rep.d}")
-    if g == (2,):
-        if b == a:
-            return Verdict(
-                MINIMAL, RULE_COCLASS4, f"center [2], Z2/Z matches G/G' {_fmt(rep.inner_center)}"
-            )
-        if b == (2, 1) and a in ((3, 1), (4, 1)):
-            return Verdict(
-                MINIMAL, RULE_COCLASS4, f"center [2], Z2/Z=[2,1], G/G'={list(a)}"
-            )
-    if g == (3,) and b == a:
-        return Verdict(
-            MINIMAL, RULE_COCLASS4, f"center [3], Z2/Z matches G/G' {_fmt(rep.inner_center)}"
-        )
-    return Verdict(NOT_MINIMAL, RULE_COCLASS4, why)
+    if rep.coclass not in _COCLASS:
+        raise CoclassOutOfRange(f"coclass {rep.coclass} not in 2..4")
+    return _decide(rep, *_COCLASS[rep.coclass])
 
 
 def order_predicate(rep: StructureReport) -> Verdict:
     """Minimality at orders p^5..p^7 for class >= 3 (below maximal class)."""
-    n = rep.order_exp
+    n, cls = rep.order_exp, rep.nilpotency_class
     if n not in (5, 6, 7):
         raise OrderOutOfRange(f"order exponent {n} not in 5..7")
-    if rep.nilpotency_class < 3:
-        raise ClassTooSmall(f"class {rep.nilpotency_class} < 3")
-    cls = rep.nilpotency_class
-    a = rep.abelianization.exponents
-    b = rep.inner_center.exponents
-    g = rep.center.exponents
-    if n == 5 and cls == 3:
-        why = _dd_match(rep, (2,))
-        dec = MINIMAL if why is None else NOT_MINIMAL
-        return Verdict(dec, RULE_ORDER_P5, why or "center [1], d=d(Z2/Z)=2")
-    if n == 6 and cls in (3, 4):
-        why = _dd_match(rep, (2,))
-        dec = MINIMAL if why is None else NOT_MINIMAL
-        return Verdict(dec, RULE_ORDER_P6, why or "center [1], d=d(Z2/Z)=2")
-    if n == 7 and cls in (3, 4, 5):
-        if cls == 3:
-            why = _dd_match(rep, (2, 3, 4))
-            dec = MINIMAL if why is None else NOT_MINIMAL
-            return Verdict(dec, RULE_ORDER_P7, why or f"center [1], d=d(Z2/Z)={rep.d}")
-        if cls == 4:
-            why = _dd_match(rep, (2, 3))
-            if why is None:
-                return Verdict(
-                    MINIMAL, RULE_ORDER_P7, f"center [1], d=d(Z2/Z)={rep.d}"
-                )
-            if g == (2,) and b == a:
-                return Verdict(
-                    MINIMAL, RULE_ORDER_P7, "center [2], Z2/Z matches G/G'"
-                )
-            return Verdict(NOT_MINIMAL, RULE_ORDER_P7, why)
-        why = _dd_match(rep, (2,))
-        dec = MINIMAL if why is None else NOT_MINIMAL
-        return Verdict(dec, RULE_ORDER_P7, why or "center [1], d=d(Z2/Z)=2")
-    return Verdict(UNDECIDED, RULE_NONE, f"class {cls} at order p^{n} not covered")
+    if cls < 3:
+        raise ClassTooSmall(f"class {cls} < 3")
+    if (n, cls) not in _ORDER:
+        return Verdict(UNDECIDED, RULE_NONE, f"class {cls} at order p^{n} not covered")
+    return _decide(rep, *_ORDER[n, cls])
 
 
 def evaluate_rules(rep: StructureReport) -> list[tuple[str, str, str]]:
@@ -197,20 +168,15 @@ def evaluate_rules(rep: StructureReport) -> list[tuple[str, str, str]]:
         dec, why = _class2_eval(rep)
         out.append((RULE_CLASS2, dec, why))
     if rep.coclass == 1 and rep.nilpotency_class >= 3:
-        out.append(
-            (
-                RULE_MAXIMAL_CLASS,
-                NOT_MINIMAL,
-                "maximal class above 2 forces extra central maps",
-            )
-        )
-    if rep.order_exp in (5, 6, 7) and rep.nilpotency_class >= 3:
-        v = order_predicate(rep)
-        if v.rule != RULE_NONE:
+        why = "maximal class above 2 forces extra central maps"
+        out.append((RULE_MAXIMAL_CLASS, NOT_MINIMAL, why))
+    for row in (
+        _ORDER.get((rep.order_exp, rep.nilpotency_class)),
+        _COCLASS.get(rep.coclass) if rep.nilpotency_class >= 3 else None,
+    ):
+        if row is not None:
+            v = _decide(rep, *row)
             out.append((v.rule, v.decision, v.details))
-    if rep.coclass in (2, 3, 4) and rep.nilpotency_class >= 3:
-        v = coclass_predicate(rep)
-        out.append((v.rule, v.decision, v.details))
     if rep.center.rank == 1:
         ok = theorem21_predicate(
             rep.abelianization, rep.inner_center, rep.center.exponents[0]

@@ -58,7 +58,10 @@ def cyclic(m: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     a = np.arange(m, dtype=np.int32)
     table = np.add.outer(a, a)
     table %= m
-    return Group(table)
+    G = Group(table)
+    G.generators = np.arange(1, min(m, 2))  # 1 alone spans C_m; C_1 needs none
+    G.generators.setflags(write=False)
+    return G
 
 
 def abelian_group(p: int, exponents: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -> Group:

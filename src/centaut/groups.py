@@ -13,8 +13,9 @@ inverse for each element, read off the row minima) and Light's test,
 at most log2(n) + 1 checks of n^2 cells, gathered in row blocks of about
 2^16 cells (row_blocks, the library's one block budget).  That holds no
 n x n temporary.  The Group it returns keeps the generators Light's test
-spanned as Group.generators, so no validated group is spanned twice.  A
-table it refuses reruns the ordered checks to name the first one that
+spanned as Group.generators, so no validated group is spanned twice, and
+a direct product takes its generators from its factors'.  A table it
+refuses reruns the ordered checks to name the first one that
 fails: Latin rows, then columns, by scatter marks into one n x n bool
 mask, the identity row and column, and then, Light's test having failed
 on the accept path, a row scan that names the lexicographically first bad
@@ -166,7 +167,9 @@ class Group:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        """Whether the greedy generators commute, with no n x n temporary."""
+        t = self.table[np.ix_(self.generators, self.generators)]
+        return bool((t == t.T).all())
 
     @cached_property
     def generators(self) -> np.ndarray:
@@ -550,13 +553,18 @@ def element_order(G: Group, g: int) -> int:
 
 
 def direct_product(G: Group, H: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """Componentwise product on pairs (g, h) -> g*|H| + h (lexicographic)."""
+    """Componentwise product on pairs (g, h) -> g*|H| + h (lexicographic),
+    with H's greedy generators and then G's times |H| as its own: a scan
+    spans {e} x H first, then, h minor, meets each (g, e) where G's does."""
     n, m = G.order, H.order
     if n * m > cap:
         raise ClosureExceedsCap(f"product order {n * m} exceeds cap {cap}")
     # table[(g1,h1),(g2,h2)] = (g1*g2)*m + h1*h2, in int32 as the tables are
     block = G.table[:, None, :, None] * m + H.table[None, :, None, :]
-    return Group(block.reshape(n * m, n * m))
+    P = Group(block.reshape(n * m, n * m))
+    P.generators = np.concatenate((H.generators, G.generators * m))
+    P.generators.setflags(write=False)
+    return P
 
 
 def semidirect_product(

@@ -15,7 +15,8 @@ The invariants come from the greedy generating set S of G (generators,
 The report reads the invariants of G/G', Z(G) and Z_2(G)/Z(G) by one layer
 count per section on G's own table (abelian.section_invariants), from the
 cached masks of G' and of the upper series; it builds no Group and takes no
-quotient, and neither does the enumeration (abelian.section_basis).  Z_2 is
+quotient, and neither does the enumeration (abelian.section_basis), which
+reads the invariants of G/G' the report kept on G.  Z_2 is
 tested abelian by a span grown from Z, which is central, so only the
 generators it adds are compared.
 """
@@ -41,19 +42,21 @@ from .groups import Group, greedy_generators, powers
 
 
 def _per_group(derive: Callable) -> Callable:
-    """Compute the array derive(G) once and keep it on G, read-only.
+    """Compute derive(G) once and keep it on G: an array, set read-only,
+    or frozen invariants.
 
-    Only arrays are cached, never a Group or a Subgroup: a Subgroup's
-    `parent` would point back at G, and that cycle keeps every analysed
-    group alive until the next full garbage collection.
+    Never a Group or a Subgroup: a Subgroup's `parent` would point back at
+    G, and that cycle keeps every analysed group alive until the next full
+    garbage collection.
     """
     key = f"_per_group_{derive.__name__.lstrip('_')}"
 
     @wraps(derive)
-    def cached(G: Group) -> np.ndarray:
+    def cached(G: Group):
         if key not in G.__dict__:
             value = derive(G)
-            value.setflags(write=False)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             G.__dict__[key] = value
         return G.__dict__[key]
 
@@ -258,8 +261,10 @@ def minimal_generator_count(G: Group) -> int:
     return abelianization_invariants(G).rank
 
 
+@_per_group
 def abelianization_invariants(G: Group) -> AbelianInvariants:
-    """Invariants of G/G', G a nontrivial p-group, read from G's table."""
+    """Invariants of G/G', G a nontrivial p-group, read from G's table
+    once: the structure report and the enumeration share them."""
     return abelian.section_invariants(G, np.ones(G.order, dtype=bool), _derived_mask(G))
 
 

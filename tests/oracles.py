@@ -10,7 +10,9 @@ time and rebuild each section as a Group to take its quotient.  The two
 formula table assemblies are also former library code, kept to pin the
 tables the spanning-tree routine now writes, and so are the coset-table
 row labels by row minima and the basis search that regrew every span,
-kept to pin the labels and bases the enumeration now reads.
+kept to pin the labels and bases the enumeration now reads.  The coclass
+and order rules are kept as the branches they were written as before two
+tables and one decision routine replaced them.
 """
 
 from __future__ import annotations
@@ -20,13 +22,34 @@ import itertools
 
 import numpy as np
 
-from centaut import abelian
+from centaut import abelian, criteria
 from centaut.abelian import AbelianInvariants
+from centaut.criteria import (
+    MINIMAL,
+    NOT_MINIMAL,
+    RULE_CLASS2,
+    RULE_COCLASS2,
+    RULE_COCLASS3,
+    RULE_COCLASS4,
+    RULE_MAXIMAL_CLASS,
+    RULE_NONE,
+    RULE_ORDER_P5,
+    RULE_ORDER_P6,
+    RULE_ORDER_P7,
+    RULE_THEOREM21,
+    UNDECIDED,
+    Verdict,
+    _fmt,
+)
 from centaut.errors import (
+    AbelianGroup,
+    ClassTooSmall,
     ClosureExceedsCap,
+    CoclassOutOfRange,
     NoIdentityAtZero,
     NotAssociative,
     NotLatinSquare,
+    OrderOutOfRange,
 )
 from centaut.groups import greedy_generators, powers, row_blocks
 from centaut.structure import (
@@ -557,3 +580,134 @@ def table_sha(table: np.ndarray) -> str:
     int32: a pin of a builder's output, cell for cell."""
     cells = np.ascontiguousarray(table, dtype="<i4")
     return hashlib.sha256(cells.tobytes()).hexdigest()[:16]
+
+
+def _ref_dd_match(rep: StructureReport, allowed: tuple[int, ...]) -> str | None:
+    """C_p center with d(G) == d(Z_2/Z) in the allowed set; reason if not."""
+    if rep.center.exponents != (1,):
+        return f"center {_fmt(rep.center)} != [1]"
+    if rep.d != rep.d_inner_center:
+        return f"d={rep.d} != d(Z2/Z)={rep.d_inner_center}"
+    if rep.d not in allowed:
+        return f"d={rep.d} not in {list(allowed)}"
+    return None
+
+
+def ref_coclass_predicate(rep: StructureReport) -> Verdict:
+    """Minimality for coclass 2, 3 and 4 at class >= 3."""
+    if rep.nilpotency_class < 3:
+        raise ClassTooSmall(f"class {rep.nilpotency_class} < 3")
+    cc = rep.coclass
+    if cc not in (2, 3, 4):
+        raise CoclassOutOfRange(f"coclass {cc} not in 2..4")
+    a = rep.abelianization.exponents
+    b = rep.inner_center.exponents
+    g = rep.center.exponents
+    if cc == 2:
+        why = _ref_dd_match(rep, (2,))
+        if why is None:
+            return Verdict(MINIMAL, RULE_COCLASS2, "center [1], d=d(Z2/Z)=2")
+        return Verdict(NOT_MINIMAL, RULE_COCLASS2, why)
+    if cc == 3:
+        why = _ref_dd_match(rep, (2, 3))
+        if why is None:
+            return Verdict(MINIMAL, RULE_COCLASS3, f"center [1], d=d(Z2/Z)={rep.d}")
+        if g == (2,) and b == a:
+            return Verdict(
+                MINIMAL, RULE_COCLASS3, f"center [2], Z2/Z matches G/G' {_fmt(rep.inner_center)}"
+            )
+        return Verdict(NOT_MINIMAL, RULE_COCLASS3, why)
+    why = _ref_dd_match(rep, (2, 3, 4))
+    if why is None:
+        return Verdict(MINIMAL, RULE_COCLASS4, f"center [1], d=d(Z2/Z)={rep.d}")
+    if g == (2,):
+        if b == a:
+            return Verdict(
+                MINIMAL, RULE_COCLASS4, f"center [2], Z2/Z matches G/G' {_fmt(rep.inner_center)}"
+            )
+        if b == (2, 1) and a in ((3, 1), (4, 1)):
+            return Verdict(
+                MINIMAL, RULE_COCLASS4, f"center [2], Z2/Z=[2,1], G/G'={list(a)}"
+            )
+    if g == (3,) and b == a:
+        return Verdict(
+            MINIMAL, RULE_COCLASS4, f"center [3], Z2/Z matches G/G' {_fmt(rep.inner_center)}"
+        )
+    return Verdict(NOT_MINIMAL, RULE_COCLASS4, why)
+
+
+def ref_order_predicate(rep: StructureReport) -> Verdict:
+    """Minimality at orders p^5..p^7 for class >= 3 (below maximal class)."""
+    n = rep.order_exp
+    if n not in (5, 6, 7):
+        raise OrderOutOfRange(f"order exponent {n} not in 5..7")
+    if rep.nilpotency_class < 3:
+        raise ClassTooSmall(f"class {rep.nilpotency_class} < 3")
+    cls = rep.nilpotency_class
+    a = rep.abelianization.exponents
+    b = rep.inner_center.exponents
+    g = rep.center.exponents
+    if n == 5 and cls == 3:
+        why = _ref_dd_match(rep, (2,))
+        dec = MINIMAL if why is None else NOT_MINIMAL
+        return Verdict(dec, RULE_ORDER_P5, why or "center [1], d=d(Z2/Z)=2")
+    if n == 6 and cls in (3, 4):
+        why = _ref_dd_match(rep, (2,))
+        dec = MINIMAL if why is None else NOT_MINIMAL
+        return Verdict(dec, RULE_ORDER_P6, why or "center [1], d=d(Z2/Z)=2")
+    if n == 7 and cls in (3, 4, 5):
+        if cls == 3:
+            why = _ref_dd_match(rep, (2, 3, 4))
+            dec = MINIMAL if why is None else NOT_MINIMAL
+            return Verdict(dec, RULE_ORDER_P7, why or f"center [1], d=d(Z2/Z)={rep.d}")
+        if cls == 4:
+            why = _ref_dd_match(rep, (2, 3))
+            if why is None:
+                return Verdict(
+                    MINIMAL, RULE_ORDER_P7, f"center [1], d=d(Z2/Z)={rep.d}"
+                )
+            if g == (2,) and b == a:
+                return Verdict(
+                    MINIMAL, RULE_ORDER_P7, "center [2], Z2/Z matches G/G'"
+                )
+            return Verdict(NOT_MINIMAL, RULE_ORDER_P7, why)
+        why = _ref_dd_match(rep, (2,))
+        dec = MINIMAL if why is None else NOT_MINIMAL
+        return Verdict(dec, RULE_ORDER_P7, why or "center [1], d=d(Z2/Z)=2")
+    return Verdict(UNDECIDED, RULE_NONE, f"class {cls} at order p^{n} not covered")
+
+
+def ref_classify_report(rep: StructureReport) -> Verdict:
+    """classify_report over the branch-by-branch predicates: the first
+    applicable rule decides, the rest are cross-checks."""
+    if rep.nilpotency_class < 2:
+        raise AbelianGroup("rules are posed for nonabelian groups")
+    evals = []
+    if rep.nilpotency_class == 2:
+        evals.append((RULE_CLASS2, *criteria._class2_eval(rep)))
+    if rep.coclass == 1 and rep.nilpotency_class >= 3:
+        evals.append(
+            (RULE_MAXIMAL_CLASS, NOT_MINIMAL, "maximal class above 2 forces extra central maps")
+        )
+    if rep.order_exp in (5, 6, 7) and rep.nilpotency_class >= 3:
+        v = ref_order_predicate(rep)
+        if v.rule != RULE_NONE:
+            evals.append((v.rule, v.decision, v.details))
+    if rep.coclass in (2, 3, 4) and rep.nilpotency_class >= 3:
+        v = ref_coclass_predicate(rep)
+        evals.append((v.rule, v.decision, v.details))
+    if rep.center.rank == 1:
+        g1 = rep.center.exponents[0]
+        ok = criteria.theorem21_predicate(rep.abelianization, rep.inner_center, g1)
+        why = (
+            f"G/G'={_fmt(rep.abelianization)}, Z2/Z={_fmt(rep.inner_center)}, "
+            f"center exponent {g1}"
+        )
+        evals.append((RULE_THEOREM21, MINIMAL if ok else NOT_MINIMAL, why))
+    if not evals:
+        return Verdict(UNDECIDED, RULE_NONE, "no structural rule applies")
+    rule, decision, detail = evals[0]
+    extras = [f"{r}={d}{'' if d == decision else ' (CONFLICT)'}" for r, d, _ in evals[1:]]
+    if extras:
+        detail = f"{detail}; cross-checks: {', '.join(extras)}"
+    return Verdict(decision, rule, detail)

@@ -104,7 +104,7 @@ def test_cap_checked_before_any_power_table(monkeypatch):
     """A cap failure builds neither a hom block nor the coset table."""
     calls = []
     tables = []
-    real_homs = abelian.iter_hom_positions
+    real_homs = abelian._hom_positions
     real_table = central._coset_table
 
     def spy_homs(*args):
@@ -115,7 +115,7 @@ def test_cap_checked_before_any_power_table(monkeypatch):
         tables.append(args)
         return real_table(*args)
 
-    monkeypatch.setattr(abelian, "iter_hom_positions", spy_homs)
+    monkeypatch.setattr(abelian, "_hom_positions", spy_homs)
     monkeypatch.setattr(central, "_coset_table", spy_table)
     G = extraspecial(2, 32, "+")
     with pytest.raises(EnumerationCapExceeded):
@@ -337,9 +337,7 @@ def _label_masks_match_scatter(G):
     images, built here from G's table; returns the candidate count."""
     z = center(G).elements
     tgt = abelian.target_array(z)
-    members, _, blocks = central._candidate_maps(
-        G, derived_subgroup(G).mask, z, central.DEFAULT_HOM_CAP
-    )
+    members, _, blocks = central._central_maps(G, central.DEFAULT_HOM_CAP)
     coset = np.empty(G.order, dtype=np.int64)  # the row of members holding x
     coset[members] = np.arange(len(members))[:, None]
     offsets = np.arange(len(members)) * len(tgt)

@@ -1,5 +1,7 @@
 """Rule evaluation, precedence and the verdict contract."""
 
+import itertools
+
 import pytest
 
 from centaut.abelian import AbelianInvariants
@@ -8,6 +10,8 @@ from centaut.criteria import (
     NOT_MINIMAL,
     RULE_CLASS2,
     RULE_COCLASS2,
+    RULE_COCLASS3,
+    RULE_COCLASS4,
     RULE_MAXIMAL_CLASS,
     RULE_NONE,
     RULE_ORDER_P5,
@@ -42,7 +46,9 @@ from centaut.families import (
     unitriangular4,
     wreath,
 )
-from centaut.structure import structure_report
+from centaut.structure import StructureReport, structure_report
+
+import oracles
 
 
 def inv(p, *exps):
@@ -199,3 +205,100 @@ def test_wreath_and_unitriangular_pins():
     assert classify(wreath(2)).decision == MINIMAL
     assert classify(unitriangular4(2)).decision == NOT_MINIMAL
     assert classify(wreath(3)).decision == NOT_MINIMAL
+
+
+def synthetic_report(n, cls, a, g, b, center_in_derived=True):
+    """A StructureReport at order 2^n and class cls with G/G', Z and Z_2/Z
+    of invariants a, g and b; nothing checks that a group has them."""
+    return StructureReport(
+        order=2**n,
+        prime=2,
+        order_exp=n,
+        nilpotency_class=cls,
+        coclass=n - cls,
+        d=len(a),
+        d_center=len(g),
+        d_inner_center=len(b),
+        abelianization=inv(2, *a),
+        center=inv(2, *g),
+        inner_center=inv(2, *b),
+        center_in_derived=center_in_derived,
+        second_center_abelian=True,
+    )
+
+
+# Every d-set size, the centers [1], [2] and [3], and the Coclass4 case
+# Z_2/Z = [2,1] with G/G' = [3,1] or [4,1]; () makes Theorem21 reject.
+GRID_LISTS = [
+    (), (1,), (2,), (3,), (1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (1, 1, 1), (2, 1, 1), (1, 1, 1, 1)
+]
+
+
+def _outcome(rule, rep):
+    try:
+        v = rule(rep)
+    except Exception as e:  # the class is the outcome
+        return type(e)
+    return v.decision, v.rule, v.details
+
+
+def test_rules_match_the_branch_by_branch_predicates():
+    """classify_report and both predicates give the decision, rule and
+    details, or raise the class, of the predicates written out branch by
+    branch, on orders 2^4..2^8 at every class."""
+    pairs = [
+        (classify_report, oracles.ref_classify_report),
+        (coclass_predicate, oracles.ref_coclass_predicate),
+        (order_predicate, oracles.ref_order_predicate),
+    ]
+    reached = set()
+    for n in range(4, 9):
+        for cls in range(1, n):
+            for a, g, b in itertools.product(GRID_LISTS, repeat=3):
+                for cid in (True, False) if cls == 2 else (True,):
+                    rep = synthetic_report(n, cls, a, g, b, cid)
+                    for new, ref in pairs:
+                        got = _outcome(new, rep)
+                        assert got == _outcome(ref, rep), (new.__name__, rep)
+                        if isinstance(got, tuple):
+                            reached.add(got[:2])
+    rules = [RULE_ORDER_P5, RULE_ORDER_P6, RULE_ORDER_P7, RULE_COCLASS2, RULE_COCLASS3]
+    for rule in [*rules, RULE_COCLASS4]:
+        assert {(MINIMAL, rule), (NOT_MINIMAL, rule)} <= reached, rule
+
+
+@pytest.mark.parametrize(
+    "predicate,n,cls,a,g,b,want",
+    [
+        (coclass_predicate, 6, 4, (1, 1), (1,), (1, 1), (MINIMAL, "center [1], d=d(Z2/Z)=2")),
+        (coclass_predicate, 6, 4, (1, 1), (1, 1), (1, 1), (NOT_MINIMAL, "center [1, 1] != [1]")),
+        (coclass_predicate, 6, 4, (1, 1), (1,), (2, 1, 1), (NOT_MINIMAL, "d=2 != d(Z2/Z)=3")),
+        (coclass_predicate, 6, 4, (1, 1, 1), (1,), (1, 1, 1), (NOT_MINIMAL, "d=3 not in [2]")),
+        (
+            coclass_predicate, 7, 4, (2, 1), (2,), (2, 1),
+            (MINIMAL, "center [2], Z2/Z matches G/G' [2, 1]"),
+        ),
+        (
+            coclass_predicate, 8, 4, (2, 1), (2,), (2, 1),
+            (MINIMAL, "center [2], Z2/Z matches G/G' [2, 1]"),
+        ),
+        (
+            coclass_predicate, 8, 4, (3, 1), (3,), (3, 1),
+            (MINIMAL, "center [3], Z2/Z matches G/G' [3, 1]"),
+        ),
+        (
+            coclass_predicate, 8, 4, (4, 1), (2,), (2, 1),
+            (MINIMAL, "center [2], Z2/Z=[2,1], G/G'=[4, 1]"),
+        ),
+        (coclass_predicate, 7, 4, (3, 1), (2,), (2, 1), (NOT_MINIMAL, "center [2] != [1]")),
+        (order_predicate, 7, 4, (2, 1), (2,), (2, 1), (MINIMAL, "center [2], Z2/Z matches G/G'")),
+        (order_predicate, 7, 3, (1, 1, 1, 1), (1,), (1, 1, 1, 1), (MINIMAL, "center [1], d=d(Z2/Z)=4")),
+        (order_predicate, 7, 5, (1, 1, 1), (1,), (1, 1, 1), (NOT_MINIMAL, "d=3 not in [2]")),
+        (order_predicate, 5, 4, (1, 1), (1,), (1, 1), (UNDECIDED, "class 4 at order p^5 not covered")),
+    ],
+)
+def test_rule_details_are_pinned(predicate, n, cls, a, g, b, want):
+    """One literal detail per branch, the matched centers and the Coclass4
+    [2,1] case among them, which no corpus or witness group reaches."""
+    v = predicate(synthetic_report(n, cls, a, g, b))
+    assert (v.decision, v.details) == want

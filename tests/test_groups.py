@@ -25,6 +25,7 @@ from centaut.families import (
     wreath,
 )
 from centaut.groups import (
+    Group,
     Permutation,
     direct_product,
     element_order,
@@ -197,6 +198,60 @@ def test_direct_product_orders_multiply():
     assert H.order == 6 and H.is_abelian and H.prime is None
     with pytest.raises(ClosureExceedsCap):
         direct_product(dihedral(8), cyclic(2), cap=8)
+
+
+def test_direct_product_hands_over_the_greedy_generators():
+    """H's generators, then G's times |H|: the set a span of the product
+    table picks, read off the factors instead; a cyclic group hands over
+    its generator 1."""
+    factors = [
+        trivial_group(),
+        cyclic(1),
+        cyclic(2),
+        cyclic(9),
+        elementary(2, 3),
+        dihedral(8),
+        quaternion(16),
+        extraspecial(3, 27),
+        unitriangular4(2),
+        wreath(2),
+    ]
+    for G in factors:
+        assert np.array_equal(G.generators, Group(G.table).generators)
+        assert not G.generators.flags.writeable
+        for H in factors:
+            if G.order * H.order <= 512:
+                P = direct_product(G, H)
+                assert np.array_equal(P.generators, Group(P.table).generators)
+                assert not P.generators.flags.writeable
+
+
+def test_is_abelian_matches_the_whole_table(corpus_groups, homs_groups):
+    """The generators' pairwise test against the whole table against its
+    transpose, on the groups as built and fresh from their tables."""
+    built = [
+        trivial_group(),
+        cyclic(8),
+        elementary(3, 2),
+        direct_product(cyclic(4), cyclic(2)),
+        direct_product(dihedral(8), cyclic(3)),
+    ]
+    for G in [*corpus_groups.values(), *homs_groups.values(), *built]:
+        want = oracles.ref_is_abelian(G.table, np.arange(G.order))
+        assert G.is_abelian == want
+        assert Group(G.table).is_abelian == want
+
+
+def test_is_abelian_holds_no_square_table():
+    """Comparing the table with its transpose held a 16 MiB mask here."""
+    G = dihedral(4096)
+    tracemalloc.start()
+    try:
+        assert not G.is_abelian
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_semidirect_product_builds_dihedral():

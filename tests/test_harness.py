@@ -1,5 +1,6 @@
 """End-to-end verification runs: agreement, determinism, summaries."""
 
+import hashlib
 import json
 import os
 
@@ -141,6 +142,21 @@ def test_parallel_output_is_byte_identical(small_report):
     parallel = run_verification(SMALL, jobs=3)
     for fmt in REPORT_FORMATS:
         assert format_report(small_report, fmt) == format_report(parallel, fmt)
+
+
+# sha256 of each corpus report: any change to a verdict, a detail, a count
+# or the layout of a format shows here.
+CORPUS_REPORT_SHA256 = {
+    "json": "c31bc251ebca18a82445bc0060e6e63c78c14f0a0469698bed50943afc7a7f04",
+    "csv": "a7a0a12cde8a9dbc653fe0a95fb7a087c57fed76d9cf8a43ad2c14df2f2c4061",
+    "table": "4e730c7642b66bb5784b77b7c261e5167ec4a46f6a26f660cbe45d076eb728a3",
+}
+
+
+@pytest.mark.parametrize("fmt", REPORT_FORMATS)
+def test_corpus_reports_match_their_pinned_digests(corpus_run, fmt):
+    text = format_report(corpus_run[0], fmt)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_REPORT_SHA256[fmt]
 
 
 # Rule branches that no default-corpus group reaches, with the enumeration's

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from centaut import abelian, central, groups, structure
+from centaut import abelian, central, families, groups, structure
 from centaut.families import parse_group_spec
 from centaut.groupio import default_corpus
 from centaut.groups import Group
@@ -25,9 +25,11 @@ CENTRAL = os.path.join("centaut", "central.py")
 
 
 def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
-    """No Group.element_orders, no Subgroup built under central, and at
-    most one greedy span over range(n) from {0} per group table."""
-    spans, orders, subgroups = [], [], []
+    """No Group.element_orders, no Subgroup built under central, at most
+    one greedy span over range(n) from {0} per group table and none of a
+    direct product's, three section invariants (G/G', Z, Z_2/Z) per group
+    and the allowed images powered once per enumeration."""
+    spans, orders, subgroups, products, sections, images = [], [], [], [], [], []
     real_span = groups.greedy_generators
 
     def span(table, seed, reached):
@@ -49,17 +51,46 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
             subgroups.append(args)
         real_init(self, *args, **kwargs)
 
+    real_product = families.direct_product
+
+    def direct_product(*args, **kwargs):
+        products.append(real_product(*args, **kwargs))
+        return products[-1]
+
+    real_sections, real_images = abelian.section_invariants, abelian._allowed_images
+
+    def section_invariants(G, H, N):
+        sections.append(G)
+        return real_sections(G, H, N)
+
+    def allowed_images(inv, ambient, tgt):
+        images.append(ambient)
+        return real_images(inv, ambient, tgt)
+
     monkeypatch.setattr(groups, "greedy_generators", span)
     monkeypatch.setattr(structure, "greedy_generators", span)
     monkeypatch.setattr(Group, "element_orders", property(element_orders))
     monkeypatch.setattr(structure.Subgroup, "__init__", init)
+    monkeypatch.setattr(families, "direct_product", direct_product)
+    monkeypatch.setattr(abelian, "section_invariants", section_invariants)
+    monkeypatch.setattr(abelian, "_allowed_images", allowed_images)
     entries = default_corpus().entries
+    analysed = []
     for e in entries:
-        assert analyze_source(e.name, e.source, e.expected).status == "ok", e.name
+        rec = analyze_source(e.name, e.source, e.expected)
+        assert rec.status == "ok", e.name
+        analysed.append(rec)
     assert orders == []
     assert subgroups == []
-    counts = Counter(map(id, spans))  # `spans` keeps each table alive
+    # each list keeps what it holds alive, so no id is reused
+    counts = Counter(map(id, spans))
     assert len(counts) >= len(entries) and max(counts.values()) == 1
+    assert products and not {id(P.table) for P in products} & set(counts)
+    sections = Counter(map(id, sections))
+    assert len(sections) == len(entries) and set(sections.values()) == {3}
+    images = Counter(map(id, images))
+    assert len(images) == sum(rec.central is not None for rec in analysed)
+    assert set(images.values()) == {1}
 
 
 def test_section_basis_matches_the_former_search(corpus_groups, homs_groups):
