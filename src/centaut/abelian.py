@@ -247,12 +247,13 @@ def _hom_positions(
     prod_i y_i ** coordinates[x, i].  Products are taken inside <targets>
     by a |T| x |T| position table read once from the ambient table.  For
     basis element i, one C-ordered table (#images x len(coordinates)) holds
-    y ** coordinates[:, i] for every allowed y, built by p^e_i - 1
-    gathers.  The last tables are folded into one table of all their
-    products while it fits in a block.  A block is a run of consecutive
-    indices (C order, as itertools.product): their last digit picks a row
-    of the folded table, and the few distinct leading digit tuples of the
-    run are multiplied out once each: one product per cell at any rank.
+    y ** coordinates[:, i] for every allowed y, read from the cycles of
+    the y listed by doubling gathers.  The last tables are folded into one
+    table of all their products while it fits in a block.  A block is a
+    run of consecutive indices (C order, as itertools.product): their last
+    digit picks a row of the folded table, and the few distinct leading
+    digit tuples of the run are multiplied out once each: one product per
+    cell at any rank.
     """
     p = basis.invariants.prime
     identity = np.searchsorted(tgt, 0)
@@ -268,10 +269,11 @@ def _hom_positions(
 
     factors = []
     for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T):
-        cycles = np.full((len(y), p**e), identity, dtype=np.int32)
-        for c in range(1, p**e):
-            cycles[:, c] = times(cycles[:, c - 1], y)
-        factors.append(np.ascontiguousarray(cycles.take(k, axis=1)))
+        # y^0 .. y^(w-1) for each y, w the width, and y^w
+        cycle, h = np.full((len(y), 1), identity, dtype=np.int32), y
+        while cycle.shape[1] < p**e:
+            cycle, h = np.concatenate((cycle, times(cycle, h[:, None])), axis=1), times(h, h)
+        factors.append(cycle.take(k, axis=1))
     # row i * len(b) + j of the folded table is a[i] * b[j], so the C-order
     # digits, and with them the map order, stay as they were
     while len(factors) > 1 and factors[-2].size * len(factors[-1]) <= groups._BLOCK_CELLS:

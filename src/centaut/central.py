@@ -8,22 +8,22 @@ automorphism exactly when it is a bijection.
 The candidate maps are built and tested in blocks on G's own table; no
 quotient Group is built.  One basis search (abelian.section_basis) lists
 the a = |G/G'| cosets of G' in the C order of their exponent tuples along
-a basis of G/G'.  One int32 table `right` of shape (a x |Z|, |G'|) holds
-in row c * |Z| + j the members of coset c times z_j.  A candidate f picks
-row c * |Z| + f(c) for each coset c, and its |G| images are the union of
-those a rows.  Whether they cover G is decided on row labels, a-wide
-marks per candidate instead of |G|-wide ones, in blocks of about
-_BLOCK_CELLS / 4a homs (`abelian.iter_hom_positions`), from allowed
-images powered once.  A row's label is the coset its cells lie in, read
-from the basis search's verified cosets once three checks pass
-(_coset_labels).  The test stays literal: the labels come from products
-read from G's table, no order formula or rule from `criteria` enters, and
-a table that fails a check raises RuntimeError rather than yield a count.
-G' and Z are read as structure's per-group masks, G/G''s invariants as
-kept by the structure report; no Subgroup is built.  Memory is set by the
-block and by `right`, not by the candidate count.  The automorphisms are
-gathered from `right` for the bijective rows only, _BLOCK_CELLS // |G|
-maps at a time, in iter_homomorphisms order.
+a basis of G/G'.  A candidate f sends coset c to coset c times z_f(c), and
+its |G| images are the union of those a products.  Whether they cover G is
+decided on labels, a-wide marks per candidate instead of |G|-wide ones,
+in blocks of about _BLOCK_CELLS / 4a homs (`abelian.iter_hom_positions`),
+from allowed images powered once.  The int32 a x |Z| table label[c, j]
+names the coset that coset c times z_j is; it is read from the products
+in G's table a few cosets at a time, and kept once three checks pass on
+each block (_coset_labels), so no table of all |G| x |Z| products is
+built.  The test stays literal: the labels come from products read from
+G's table, no order formula or rule from `criteria` enters, and a table
+that fails a check raises RuntimeError rather than yield a count.  G' and
+Z are read as structure's per-group masks, G/G''s invariants as kept by
+the structure report; no Subgroup is built.  Memory is set by the block
+and by the labels, not by the candidate count.  The automorphisms are
+read from G's table for the bijective maps only, _BLOCK_CELLS // |G| maps
+at a time, in iter_homomorphisms order.
 """
 
 from __future__ import annotations
@@ -68,50 +68,42 @@ class CentralAutReport:
 
 def _bijective_rows(sigma: np.ndarray) -> np.ndarray:
     """Which rows of a (maps x n) block of values in range(n) hit every
-    value: image arrays, row labels of one row per coset, or columns."""
+    value: image arrays, the coset labels maps pick, or column keys."""
     k, n = sigma.shape
     marks = np.zeros(k * n, dtype=bool)
     marks[(np.arange(k) * n)[:, None] + sigma] = True
     return marks.reshape(k, n).all(axis=1)
 
 
-def _coset_table(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """right[c * |T| + j] = the members of coset c times tgt[j].
-
-    members is (cosets x coset size), as section_basis lists them; the
-    result is an int32 (cosets * |T|) x (coset size) array of products
-    read from G's table, filled a few cosets at a time so no temporary
-    exceeds the block budget.
-    """
-    a, m = members.shape
-    right = np.empty((a, len(tgt), m), dtype=np.int32)
-    for c in row_blocks(a, m * len(tgt)):
-        cells = G.table[np.ix_(members[c].ravel(), tgt)]
-        right[c] = cells.reshape(-1, m, len(tgt)).transpose(0, 2, 1)
-    return right.reshape(a * len(tgt), m)
-
-
-def _coset_labels(right: np.ndarray, members: np.ndarray, width: int) -> np.ndarray:
-    """The label c of each coset-table row, the index in `members` of the
-    coset it holds, so rows cover G exactly when their labels differ.
+def _coset_labels(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """label[c, j] = the coset that coset c times tgt[j] is, as an index
+    in `members`, so the products a map picks cover G exactly when their
+    labels differ.
 
     members lists each element of G once (section_basis checks it), so
-    each x has a coset and a column there.  Three checks, in blocks of at
-    most _BLOCK_CELLS cells, make a row labelled c exactly coset c: all
-    its cells lie in coset c, their columns are distinct, and row
-    c * width (coset c times the identity) is labelled c.  A failed check
-    raises RuntimeError."""
+    each x has a coset and a column there.  The products of a few cosets
+    at a time are read from G's table as (cosets, members, targets), and
+    three checks make (c, j) labelled l exactly coset l: all its cells lie
+    in coset l, their columns are distinct, and (c, identity) is labelled
+    c.  A failed check raises RuntimeError."""
     a, m = members.shape
-    coset, column = np.empty((2, a * m), dtype=np.int32)
+    t = len(tgt)
+    coset, column = np.empty((2, G.order), dtype=np.int32)
     coset[members] = np.arange(a, dtype=np.int32)[:, None]
     column[members] = np.arange(m, dtype=np.int32)
-    label = coset.take(right[:, 0])
-    for s in row_blocks(len(right), m):
-        if (coset.take(right[s]) != label[s, None]).any():
+    label = np.empty((a, t), dtype=np.int32)
+    for c in row_blocks(a, m * t):
+        cells = G.table[np.ix_(members[c].ravel(), tgt)].reshape(-1, m, t)
+        where = coset.take(cells)
+        label[c] = where[:, 0]
+        if (where != label[c, None]).any():
             raise RuntimeError("a coset-table row leaves its coset")
-        if not _bijective_rows(column.take(right[s])).all():
+        # column * |T| + j hits all of range(m * |T|) once per coset
+        # exactly when each (c, j) has distinct columns
+        key = column.take(cells) * np.int32(t) + np.arange(t, dtype=np.int32)
+        if not _bijective_rows(key.reshape(len(key), -1)).all():
             raise RuntimeError("a coset-table row repeats an element")
-    if (label[::width] != np.arange(a)).any():
+    if (label[:, 0] != np.arange(a)).any():  # tgt is sorted: tgt[0] = identity
         raise RuntimeError("a coset-table row c * |Z| is not coset c")
     return label
 
@@ -119,18 +111,18 @@ def _coset_labels(right: np.ndarray, members: np.ndarray, width: int) -> np.ndar
 def _candidate_maps(
     G: Group, N: np.ndarray, inv: AbelianInvariants, targets: Sequence[int], hom_cap: int
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The cosets of N, the coset table and blocks of the maps
+    """The cosets of N, the sorted targets and blocks of the maps
     x -> x*f(xN), f in Hom(G/N, <targets>).
 
     N is the bool mask of a normal subgroup containing G', so G/N is
     abelian, of invariants inv; members (a x |N|) lists its cosets as
-    section_basis does.  Each block is (rows, bijective) for up to
-    _BLOCK_CELLS // 4a maps in iter_homomorphisms order: rows[i, c] is the
-    int32 row of the coset table that holds the images of coset c under
-    map i, and bijective masks the maps whose images hit every element, by
-    _coset_labels.  The candidate count, the product of the numbers of
-    allowed images, is checked against hom_cap before the basis search;
-    the images are powered once, for the count and the blocks."""
+    section_basis does.  Each block is (f, bijective) for up to
+    _BLOCK_CELLS // 4a maps in iter_homomorphisms order: f[i, c] is the
+    int32 position in tgt of map i's value on coset c, and bijective masks
+    the maps whose images hit every element, by _coset_labels.  The
+    candidate count, the product of the numbers of allowed images, is
+    checked against hom_cap before the basis search; the images are
+    powered once, for the count and the blocks."""
     tgt = abelian.target_array(targets)
     images = abelian._allowed_images(inv, G, tgt)
     total = math.prod(len(y) for y in images)
@@ -140,8 +132,7 @@ def _candidate_maps(
         )
     basis, members = abelian.section_basis(G, N, inv)
     a = len(members)
-    right = _coset_table(G, members, tgt)
-    label = _coset_labels(right, members, len(tgt))
+    label = _coset_labels(G, members, tgt).ravel()
     offsets = np.arange(a, dtype=np.int32) * np.int32(len(tgt))
     # a label cell takes about twice the temporaries of an image cell (the
     # hom block's int64 products and indices, the label, the scatter), so
@@ -151,18 +142,17 @@ def _candidate_maps(
 
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for f in abelian._hom_positions(basis, G, tgt, images, rows):
-            f = f + offsets
-            yield f, _bijective_rows(label.take(f))
+            yield f, _bijective_rows(label.take(f + offsets))
 
-    return members, right, blocks()
+    return members, tgt, blocks()
 
 
-def _images(right: np.ndarray, rows: np.ndarray) -> Iterator[np.ndarray]:
-    """The image arrays of the maps with coset-table rows `rows`, columns
-    in coset order, at most _BLOCK_CELLS // |G| maps at a time."""
-    n = rows.shape[1] * right.shape[1]
-    for s in row_blocks(len(rows), n):
-        yield np.take(right, rows[s], axis=0).reshape(-1, n)
+def _images(G: Group, members: np.ndarray, tgt: np.ndarray, f: np.ndarray) -> Iterator[np.ndarray]:
+    """The image arrays of the maps f (positions in tgt, one per coset),
+    read from G's table with columns in the order of members.ravel(), at
+    most _BLOCK_CELLS // |G| maps at a time."""
+    for s in row_blocks(len(f), G.order):
+        yield G.table[members, tgt[f[s]][:, :, None]].reshape(-1, G.order)
 
 
 def _central_maps(
@@ -185,8 +175,7 @@ def central_automorphism_count(
     hom_cap before any enumeration happens.
     """
     total = count = 0
-    blocks = _central_maps(G, hom_cap)[2]  # the coset table is not kept
-    for _, bijective in blocks:
+    for _, bijective in _central_maps(G, hom_cap)[2]:
         total += len(bijective)
         count += int(bijective.sum())
     upper = structure.upper_central_orders(G)
@@ -205,9 +194,9 @@ def is_minimal_bruteforce(G: Group, hom_cap: int = DEFAULT_HOM_CAP) -> bool:
 
 def iter_central_automorphisms(G: Group, hom_cap: int = DEFAULT_HOM_CAP):
     """Yield the bijective candidate maps as image arrays indexed by x."""
-    members, right, blocks = _central_maps(G, hom_cap)
-    for rows, bijective in blocks:
-        for sigma in _images(right, rows[bijective]):
+    members, tgt, blocks = _central_maps(G, hom_cap)
+    for f, bijective in blocks:
+        for sigma in _images(G, members, tgt, f[bijective]):
             auts = np.empty_like(sigma)
             auts[:, members.ravel()] = sigma
             yield from auts
@@ -237,12 +226,12 @@ def stability_count(
     seen: set[bytes] = set()
     homs = 0
     inv = abelian.section_invariants(G, np.ones(G.order, dtype=bool), N)
-    _, right, blocks = _candidate_maps(G, N, inv, Y.elements, hom_cap)
-    for rows, bijective in blocks:
+    members, tgt, blocks = _candidate_maps(G, N, inv, Y.elements, hom_cap)
+    for f, bijective in blocks:
         if not bijective.all():
             raise RuntimeError("a map x -> x*f(xX) is not a bijection")
-        homs += len(rows)
-        for sigma in _images(right, rows):
+        homs += len(f)
+        for sigma in _images(G, members, tgt, f):
             seen.update(row.tobytes() for row in sigma)
     return len(seen), homs
 

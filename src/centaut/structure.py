@@ -166,18 +166,25 @@ def commutator_table(G: Group, xs: Sequence[int]) -> np.ndarray:
     return G.table[m, xs[None, :]]
 
 
-def _commutator_mask(G: Group, xs: Sequence[int]) -> np.ndarray:
-    """The mask of [N, G] for the normal subgroup N generated by xs."""
+def _commutator_mask(G: Group, comm: np.ndarray) -> np.ndarray:
+    """The mask of [N, G] for the normal subgroup N generated by xs, from
+    comm = commutator_table(G, xs)."""
     reached = np.arange(G.order) == 0
-    list(greedy_generators(G.table, np.unique(commutator_table(G, xs)), reached))
+    list(greedy_generators(G.table, np.unique(comm), reached))
     return reached
+
+
+@_per_group
+def _generator_commutators(G: Group) -> np.ndarray:
+    """commutator_table(G, G.generators), read by the upper series and G'."""
+    return commutator_table(G, G.generators)
 
 
 @_per_group
 def _upper_masks(G: Group) -> np.ndarray:
     """Row i is the mask of Z_i(G), from Z_0 = 1 up to G; for G not
     nilpotent, up to where the series stalls (one row if Z(G) = 1)."""
-    comm = commutator_table(G, G.generators)
+    comm = _generator_commutators(G)
     masks = [np.arange(G.order) == 0]
     while not masks[-1].all():
         nxt = masks[-1][comm].all(axis=1)  # x with [x, s] in Z_i for all s
@@ -207,7 +214,7 @@ def center(G: Group) -> Subgroup:
 
 @_per_group
 def _derived_mask(G: Group) -> np.ndarray:
-    return _commutator_mask(G, G.generators)
+    return _commutator_mask(G, _generator_commutators(G))
 
 
 def upper_central_orders(G: Group) -> list[int]:
@@ -235,7 +242,8 @@ def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
     while series[-1].order > 1:
         reached = np.arange(G.order) == 0
         xs = list(greedy_generators(G.table, series[-1].elements, reached))
-        nxt = Subgroup(G, np.flatnonzero(_commutator_mask(G, xs)), verify=False)
+        comm = commutator_table(G, xs)
+        nxt = Subgroup(G, np.flatnonzero(_commutator_mask(G, comm)), verify=False)
         if nxt.order == series[-1].order:
             raise NotNilpotent(
                 f"lower series stalls at order {nxt.order} > 1"

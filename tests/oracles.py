@@ -8,8 +8,8 @@ full-table ones read the whole n x n commutator table instead of a
 generating set, and the section ones walk element orders one power at a
 time and rebuild each section as a Group to take its quotient.  The two
 formula table assemblies are also former library code, kept to pin the
-tables the spanning-tree routine now writes, and so are the coset-table
-row labels by row minima and the basis search that regrew every span,
+tables the spanning-tree routine now writes, and so are the coset table,
+its row labels by row minima and the basis search that regrew every span,
 kept to pin the labels and bases the enumeration now reads.  The coclass
 and order rules are kept as the branches they were written as before two
 tables and one decision routine replaced them.
@@ -385,6 +385,18 @@ def ref_central_maps(G, rows: int = 256):
         sigma = np.empty((len(f), G.order), dtype=np.int64)
         sigma[:, order] = G.table[order, tgt[f[:, proj[order]]]]
         yield len(f), sigma[ref_bijective_rows(sigma)]
+
+
+def ref_coset_table(G, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """right[c * |T| + j] = the members of coset c times tgt[j]: the
+    (cosets * |T|) x (coset size) table of products the enumeration kept
+    before it checked them as it read them, filled a few cosets at a time."""
+    a, m = members.shape
+    right = np.empty((a, len(tgt), m), dtype=np.int32)
+    for c in row_blocks(a, m * len(tgt)):
+        cells = G.table[np.ix_(members[c].ravel(), tgt)]
+        right[c] = cells.reshape(-1, m, len(tgt)).transpose(0, 2, 1)
+    return right.reshape(a * len(tgt), m)
 
 
 def ref_row_labels(right: np.ndarray, cosets: int) -> np.ndarray:

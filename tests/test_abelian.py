@@ -181,6 +181,7 @@ CENTER_SPECS = [
     "heisenberg(3,1) x cyclic(3)",
     "modular(5,625)",
     "heisenberg(3,2)",
+    "modular(2,2048)",  # a C_512 target: the longest cycles listed
 ]
 
 # stability_count's inputs: (G/X)^ab -> Y for X the Frattini subgroup or the

@@ -101,22 +101,22 @@ def test_cap_checked_before_enumeration():
 
 
 def test_cap_checked_before_any_power_table(monkeypatch):
-    """A cap failure builds neither a hom block nor the coset table."""
+    """A cap failure builds neither a hom block nor the coset labels."""
     calls = []
     tables = []
     real_homs = abelian._hom_positions
-    real_table = central._coset_table
+    real_labels = central._coset_labels
 
     def spy_homs(*args):
         calls.append(args)
         return real_homs(*args)
 
-    def spy_table(*args):
+    def spy_labels(*args):
         tables.append(args)
-        return real_table(*args)
+        return real_labels(*args)
 
     monkeypatch.setattr(abelian, "_hom_positions", spy_homs)
-    monkeypatch.setattr(central, "_coset_table", spy_table)
+    monkeypatch.setattr(central, "_coset_labels", spy_labels)
     G = extraspecial(2, 32, "+")
     with pytest.raises(EnumerationCapExceeded):
         central_automorphism_count(G, hom_cap=15)
@@ -280,7 +280,7 @@ def test_pipeline_takes_no_quotient(monkeypatch):
 
 def test_enumeration_memory_at_large_derived_subgroup():
     """dihedral(4096): |G'| = 1024 and 4 cosets.  Walking G's cosets holds
-    the 4 x 1024 members and the 8 x 1024 coset table; building G/G' as a
+    the 4 x 1024 members and the 4 x 2 coset labels; building G/G' as a
     Group took two 4096 x 1024 gathers and peaked at 36 MiB."""
     G = dihedral(4096)
     structure_report(G)
@@ -318,8 +318,9 @@ def test_enumeration_memory_is_bounded_by_the_block():
 
 
 def test_coset_table_memory_at_small_derived_subgroup():
-    """|G'| = 2, |Z| = 512: the int32 n x |Z| coset table is 4 MiB, and
-    the enumeration stays under three times that."""
+    """|G'| = 2, |Z| = 512: the n x |Z| products, 4 MiB as int32, are
+    checked as they are read and never kept, so the enumeration stays
+    under twice that; keeping them took it to 10 MiB."""
     G = modular(2, 2048)
     central_automorphism_count(G)  # fill the group's structure memo
     tracemalloc.start()
@@ -329,7 +330,7 @@ def test_coset_table_memory_at_small_derived_subgroup():
     finally:
         tracemalloc.stop()
     assert (rep.hom_candidates, rep.aut_count) == (1024, 1024)
-    assert peak < 12 * 2**20
+    assert peak < 8 * 2**20
 
 
 def _label_masks_match_scatter(G):
@@ -340,14 +341,12 @@ def _label_masks_match_scatter(G):
     members, _, blocks = central._central_maps(G, central.DEFAULT_HOM_CAP)
     coset = np.empty(G.order, dtype=np.int64)  # the row of members holding x
     coset[members] = np.arange(len(members))[:, None]
-    offsets = np.arange(len(members)) * len(tgt)
     x = np.arange(G.order)
     total = 0
-    for rows, bijective in blocks:
-        f = rows - offsets  # row c * |Z| + j: coset c times z_j
+    for f, bijective in blocks:
         sigma = G.table[x, tgt[f[:, coset]]]
         assert np.array_equal(bijective, oracles.ref_bijective_rows(sigma))
-        total += len(rows)
+        total += len(f)
     return total
 
 
@@ -371,44 +370,44 @@ def test_label_test_matches_scatter_on_hom_workload(spec):
     assert _label_masks_match_scatter(G) == central_automorphism_count(G).hom_candidates
 
 
-def _repeat_in_row(right, z):
-    """Row 1 gets its minimum twice, losing another element."""
-    row = right[1]
-    row[(int(row.argmin()) + 1) % len(row)] = row.min()
+def _move_to_another_coset(table, members, tgt):
+    """One product x * z, x in coset 1, becomes a member of a coset that
+    x * z is not in."""
+    x, z = members[1, 1], tgt[1]
+    table[x, z] = next(c[0] for c in members if table[x, z] not in c)
 
 
-def _share_without_minimum(right, z):
-    """Row 0 (G' itself, minimum 0) takes an element of the next coset's
-    row in place of one of its own, keeping its minimum."""
-    row = right[0]
-    row[(int(row.argmin()) + 1) % len(row)] = right[z].max()
+def _repeat_in_coset(table, members, tgt):
+    """Coset 1 times z gets one of its products twice, losing another."""
+    z = tgt[1]
+    table[members[1, 1], z] = table[members[1, 0], z]
 
 
-def _lose_a_minimum(right, z):
-    """Every row that is the coset of row z becomes a copy of row 0."""
-    low = right.min(axis=1)
-    right[low == low[z]] = right[0]
+def _identity_onto_coset_2(table, members, tgt):
+    """Coset 1 times the identity is coset 2."""
+    table[members[1], 0] = members[2]
 
 
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (_repeat_in_row, "repeats an element"),
-        (_share_without_minimum, "row leaves"),
-        (_lose_a_minimum, "is not coset c"),
+        (_move_to_another_coset, "row leaves"),
+        (_repeat_in_coset, "repeats an element"),
+        (_identity_onto_coset_2, "is not coset c"),
     ],
 )
 def test_bad_coset_table_raises_never_counts(monkeypatch, corrupt, message):
-    """Each check of the label test on its own: a table that breaks it
-    raises RuntimeError, from the count and from the automorphism list."""
-    real = central._coset_table
+    """Each check of the label test on its own: products read from a
+    table that breaks it raise RuntimeError, from the count and from the
+    automorphism list.  The cosets and targets are the true group's."""
+    real = central._coset_labels
 
     def corrupted(G, members, tgt):
-        right = real(G, members, tgt).copy()
-        corrupt(right, len(tgt))
-        return right
+        table = G.table.copy()
+        corrupt(table, members, tgt)
+        return real(groups.Group(table), members, tgt)
 
-    monkeypatch.setattr(central, "_coset_table", corrupted)
+    monkeypatch.setattr(central, "_coset_labels", corrupted)
     G = parse_group_spec("heisenberg(3,1) x cyclic(3)")
     with pytest.raises(RuntimeError, match=message):
         central_automorphism_count(G)
@@ -485,12 +484,14 @@ def test_stability_count_validates_subgroups():
 
 
 def test_stability_count_raises_on_a_map_that_is_not_bijective(monkeypatch):
-    """Every x -> x*f(xX) is a bijection; a coset table whose labels say
-    otherwise is an error, also under python -O."""
+    """Every x -> x*f(xX) is a bijection; coset labels that say otherwise
+    are an error, also under python -O."""
     G = dihedral(8)
     phi = frattini_subgroup(G)
     monkeypatch.setattr(
-        central, "_coset_labels", lambda right, members, width: np.zeros(len(right), dtype=np.int32)
+        central,
+        "_coset_labels",
+        lambda G, members, tgt: np.zeros((len(members), len(tgt)), dtype=np.int32),
     )
     with pytest.raises(RuntimeError):
         stability_count(G, phi, phi)

@@ -27,9 +27,11 @@ CENTRAL = os.path.join("centaut", "central.py")
 def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     """No Group.element_orders, no Subgroup built under central, at most
     one greedy span over range(n) from {0} per group table and none of a
-    direct product's, three section invariants (G/G', Z, Z_2/Z) per group
-    and the allowed images powered once per enumeration."""
+    direct product's, three section invariants (G/G', Z, Z_2/Z) per group,
+    one commutator table per group and the allowed images powered once per
+    enumeration."""
     spans, orders, subgroups, products, sections, images = [], [], [], [], [], []
+    comms = []
     real_span = groups.greedy_generators
 
     def span(table, seed, reached):
@@ -63,6 +65,12 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
         sections.append(G)
         return real_sections(G, H, N)
 
+    real_comm = structure.commutator_table
+
+    def commutator_table(G, xs):
+        comms.append(G)
+        return real_comm(G, xs)
+
     def allowed_images(inv, ambient, tgt):
         images.append(ambient)
         return real_images(inv, ambient, tgt)
@@ -74,6 +82,7 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     monkeypatch.setattr(families, "direct_product", direct_product)
     monkeypatch.setattr(abelian, "section_invariants", section_invariants)
     monkeypatch.setattr(abelian, "_allowed_images", allowed_images)
+    monkeypatch.setattr(structure, "commutator_table", commutator_table)
     entries = default_corpus().entries
     analysed = []
     for e in entries:
@@ -88,6 +97,9 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     assert products and not {id(P.table) for P in products} & set(counts)
     sections = Counter(map(id, sections))
     assert len(sections) == len(entries) and set(sections.values()) == {3}
+    comms = Counter(map(id, comms))
+    # a central product's factors are groups of their own, with a center
+    assert len(comms) >= len(entries) and set(comms.values()) == {1}
     images = Counter(map(id, images))
     assert len(images) == sum(rec.central is not None for rec in analysed)
     assert set(images.values()) == {1}
@@ -114,12 +126,12 @@ def test_coset_labels_match_the_row_minima(corpus_groups, homs_groups):
         N = structure._derived_mask(G)
         _, members = abelian.section_basis(G, N, structure.abelianization_invariants(G))
         z = np.flatnonzero(structure._center_mask(G))
-        right = central._coset_table(G, members, z)
-        label = central._coset_labels(right, members, len(z))
-        ref = oracles.ref_row_labels(right, len(members))
-        pairs = set(zip(label.tolist(), ref.tolist()))
-        assert len(pairs) == len(set(label.tolist())) == len(set(ref.tolist())), name
-        assert np.array_equal(label[:: len(z)], np.arange(len(members))), name
+        label = central._coset_labels(G, members, z)
+        assert label.shape == (len(members), len(z)), name
+        ref = oracles.ref_row_labels(oracles.ref_coset_table(G, members, z), len(members))
+        pairs = set(zip(label.ravel().tolist(), ref.tolist()))
+        assert len(pairs) == len(set(label.ravel().tolist())) == len(set(ref.tolist())), name
+        assert np.array_equal(label[:, 0], np.arange(len(members))), name
 
 
 @pytest.mark.parametrize("spec", ["dihedral(64)", "heisenberg(3,1) x cyclic(3)"])
