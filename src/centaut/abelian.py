@@ -9,7 +9,10 @@ backtracking, again for a whole group or a section G/N (section_basis),
 which powers G once per wanted order and grows each span from the last.
 Hom/embedding questions reduce to arithmetic on the invariant lists; an
 image y is allowed for an invariant p^e when y^(p^e) = 1, powered on the
-targets alone (_allowed_images), never on all of the ambient group.
+targets alone (_allowed_images), never on all of the ambient group.  The
+homomorphisms themselves have one enumerator, iter_hom_positions, which
+reads only the basis, the allowed images and T, the Cayley table of the
+target subgroup on positions in its sorted elements (_position_table).
 """
 
 from __future__ import annotations
@@ -207,45 +210,29 @@ def _allowed_images(
     return [np.flatnonzero(powers(ambient.table, tgt, inv.prime**e) == 0) for e in inv.exponents]
 
 
-def hom_count_by_targets(
-    inv: AbelianInvariants, ambient: Group, targets: Sequence[int]
-) -> int:
-    """|Hom| into <targets>, without enumerating, from the invariants."""
-    images = _allowed_images(inv, ambient, target_array(targets))
-    return math.prod(len(y) for y in images)
-
-
 def _position_table(ambient: Group, tgt: np.ndarray) -> np.ndarray:
-    """mul[j, i] = position in tgt of tgt[i] * tgt[j]: row j is right
-    multiplication by tgt[j] inside <tgt>, an int32 |T| x |T| table read
-    from the ambient one."""
+    """T[i, j] = position in tgt of tgt[i] * tgt[j]: the int32 Cayley
+    table of <tgt> on positions in the sorted targets, read from the
+    ambient one."""
     pos = np.full(ambient.order, -1, dtype=np.int32)
     pos[tgt] = np.arange(len(tgt), dtype=np.int32)
-    mul = pos[ambient.table.T[np.ix_(tgt, tgt)]]
-    if (mul < 0).any():
+    T = pos[ambient.table[np.ix_(tgt, tgt)]]
+    if (T < 0).any():
         raise ValueError("targets are not closed under the product")
-    return mul
+    return T
 
 
 def iter_hom_positions(
-    basis: AbelianBasis, ambient: Group, targets: Sequence[int], rows: int
+    basis: AbelianBasis, T: np.ndarray, images: list[np.ndarray], rows: int
 ) -> Iterator[np.ndarray]:
-    """The homomorphisms of `iter_homomorphisms` in int32 blocks (maps x
-    len(coordinates)) of <= rows maps, f[x] the position of x's image in
-    target_array(targets); concatenated, every map once, in order."""
-    tgt = target_array(targets)
-    return _hom_positions(basis, ambient, tgt, _allowed_images(basis.invariants, ambient, tgt), rows)
-
-
-def _hom_positions(
-    basis: AbelianBasis, ambient: Group, tgt: np.ndarray, images: list[np.ndarray], rows: int
-) -> Iterator[np.ndarray]:
-    """iter_hom_positions on the sorted targets tgt and their allowed
-    images, which a caller that counted the maps from them passes on.
+    """The homomorphisms from the based group into the abelian group of
+    int32 Cayley table T, identity 0, as int32 blocks (maps x
+    len(coordinates)) of <= rows maps, f[x] the position of x's image, for
+    the allowed images[i] of basis element i (_allowed_images); every map
+    once, in lexicographic order of the basis image tuples.
 
     A hom f is fixed by the images y_i of the basis elements: f[x] =
-    prod_i y_i ** coordinates[x, i].  Products are taken inside <targets>
-    by a |T| x |T| position table read once from the ambient table.  For
+    prod_i y_i ** coordinates[x, i], each product read from T.  For
     basis element i, one C-ordered table (#images x len(coordinates)) holds
     y ** coordinates[:, i] for every allowed y, read from the cycles of
     the y listed by doubling gathers.  The last tables are folded into one
@@ -256,21 +243,20 @@ def _hom_positions(
     cell at any rank.
     """
     p = basis.invariants.prime
-    identity = np.searchsorted(tgt, 0)
     if not images:
-        yield np.full((1, len(basis.coordinates)), identity, dtype=np.int32)
+        yield np.zeros((1, len(basis.coordinates)), dtype=np.int32)
         return
-    flat = _position_table(ambient, tgt).ravel()
-    width = np.int64(len(tgt))  # an int64 factor keeps g * |T| + f exact
+    flat = T.ravel()
+    width = np.int64(len(T))  # an int64 factor keeps f * |T| + g exact
 
     def times(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Cellwise f * g of two position arrays."""
-        return flat.take(g * width + f)
+        return flat.take(f * width + g)
 
     factors = []
     for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T):
         # y^0 .. y^(w-1) for each y, w the width, and y^w
-        cycle, h = np.full((len(y), 1), identity, dtype=np.int32), y
+        cycle, h = np.zeros((len(y), 1), dtype=np.int32), y
         while cycle.shape[1] < p**e:
             cycle, h = np.concatenate((cycle, times(cycle, h[:, None])), axis=1), times(h, h)
         factors.append(cycle.take(k, axis=1))
@@ -297,17 +283,14 @@ def _hom_positions(
 def iter_homomorphisms(
     basis: AbelianBasis, ambient: Group, targets: Sequence[int]
 ) -> Iterator[np.ndarray]:
-    """All homomorphisms from the based group into <targets> <= ambient.
-
-    `targets` must be closed under the ambient product and commute with each
-    other (a central or abelian subgroup).  Yields int64 arrays f of length
-    len(basis.coordinates) with f[x] = ambient index of the image of x, in
-    lexicographic order of the basis image tuples, read back from blocks
-    of about groups._BLOCK_CELLS positions (`iter_hom_positions`).
-    """
+    """All homomorphisms from the based group into <targets> <= ambient,
+    an abelian subgroup: int64 arrays f, f[x] the ambient index of the
+    image of x, in the order of iter_hom_positions, read back from its
+    blocks of about groups._BLOCK_CELLS positions on the targets' table."""
     tgt = target_array(targets)
+    images = _allowed_images(basis.invariants, ambient, tgt)
     rows = max(1, groups._BLOCK_CELLS // len(basis.coordinates))
-    for block in iter_hom_positions(basis, ambient, tgt, rows):
+    for block in iter_hom_positions(basis, _position_table(ambient, tgt), images, rows):
         yield from tgt[block]
 
 

@@ -11,8 +11,9 @@ the a = |G/G'| cosets of G' in the C order of their exponent tuples along
 a basis of G/G'.  A candidate f sends coset c to coset c times z_f(c), and
 its |G| images are the union of those a products.  Whether they cover G is
 decided on labels, a-wide marks per candidate instead of |G|-wide ones,
-in blocks of about _BLOCK_CELLS / 4a homs (`abelian.iter_hom_positions`),
-from allowed images powered once.  The int32 a x |Z| table label[c, j]
+in blocks of about _BLOCK_CELLS / 4a homs from the one enumerator,
+`abelian.iter_hom_positions`, which reads Z's position table and the
+allowed images powered once.  The int32 a x |Z| table label[c, j]
 names the coset that coset c times z_j is; it is read from the products
 in G's table a few cosets at a time, and kept once three checks pass on
 each block (_coset_labels), so no table of all |G| x |Z| products is
@@ -127,12 +128,11 @@ def _candidate_maps(
     images = abelian._allowed_images(inv, G, tgt)
     total = math.prod(len(y) for y in images)
     if total > hom_cap:
-        raise EnumerationCapExceeded(
-            f"{total} candidate maps exceed the cap {hom_cap}"
-        )
+        raise EnumerationCapExceeded(f"{total} candidate maps exceed the cap {hom_cap}")
     basis, members = abelian.section_basis(G, N, inv)
     a = len(members)
     label = _coset_labels(G, members, tgt).ravel()
+    T = abelian._position_table(G, tgt)
     offsets = np.arange(a, dtype=np.int32) * np.int32(len(tgt))
     # a label cell takes about twice the temporaries of an image cell (the
     # hom block's int64 products and indices, the label, the scatter), so
@@ -141,7 +141,7 @@ def _candidate_maps(
     rows = max(1, groups._BLOCK_CELLS // (4 * a))
 
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for f in abelian._hom_positions(basis, G, tgt, images, rows):
+        for f in abelian.iter_hom_positions(basis, T, images, rows):
             yield f, _bijective_rows(label.take(f + offsets))
 
     return members, tgt, blocks()
@@ -318,10 +318,13 @@ def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
 
 
 def is_central_automorphism(G: Group, sigma: np.ndarray) -> bool:
-    """Whether x^-1 * sigma(x) is central for every x, for a bijection
-    sigma given as |G| indices in range(|G|) (else IndexOutOfRange)."""
+    """Whether sigma, |G| indices in range(|G|) (else IndexOutOfRange), is
+    a bijection with sigma(x*s) = sigma(x)*sigma(s) for each x and each s
+    in G.generators, so an automorphism, and x^-1 * sigma(x) is central."""
     sigma = np.asarray(sigma, dtype=np.int64)
     if sigma.shape != (G.order,) or not ((sigma >= 0) & (sigma < G.order)).all():
         raise IndexOutOfRange(f"sigma must be {G.order} indices in range({G.order})")
-    shifts = G.table[G.inverse, sigma]
-    return bool(structure._center_mask(G)[shifts].all())
+    gens = G.generators
+    hom = (sigma[G.table[:, gens]] == G.table[sigma[:, None], sigma[gens]]).all()
+    central = structure._center_mask(G)[G.table[G.inverse, sigma]].all()
+    return bool(hom and central and _bijective_rows(sigma[None, :])[0])

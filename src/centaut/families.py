@@ -307,7 +307,9 @@ def builtin(
         raise BadParameters(f"{name}{tuple(params)}: {e}") from None
 
 
-_TERM = re.compile(r"^\s*([a-z][a-z0-9_]*)\s*(?:\(([^()]*)\)|:(.*))?\s*$")
+# matched on a stripped term, split off where a whitespace run starts, so no
+# pattern scans a run more than once
+_TERM = re.compile(r"([a-z][a-z0-9_]*)\s*(?:\(([^()]*)\)|:(.*))?")
 
 
 def _parse_params(text: str) -> list[int | str]:
@@ -330,10 +332,10 @@ def _parse_params(text: str) -> list[int | str]:
 
 def parse_group_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Build from "name(p1,p2)" terms joined by " x " for direct products."""
-    parts = re.split(r"\s+x\s+", spec.strip())
+    parts = re.split(r"(?<!\s)\s+x\s+", spec.strip())
     groups = []
     for part in parts:
-        m = _TERM.match(part)
+        m = _TERM.fullmatch(part)
         if not m:
             raise BadParameters(f"cannot parse group term {part!r}")
         name = m.group(1)

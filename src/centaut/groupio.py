@@ -375,26 +375,26 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
 
 
 def parse_cycles(degree: int, text: str) -> list[int]:
-    """One generator in cycle notation, e.g. "(0 1 2)(3 4)", to images."""
-    images = list(range(degree))
+    """One generator in cycle notation, e.g. "(0 1 2)(3 4)", to images;
+    cycles apply left to right, each composed through where[q] = the x
+    with images[x] = q in time linear in its length."""
+    images, where = list(range(degree)), list(range(degree))
     body = text.strip()
-    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", body):
+    if not re.fullmatch(r"(?:\([^()]*\)\s*)+", body):  # one way to match: no backtracking
         raise ParseError(f"bad cycle notation {text!r}")
     for cyc in re.findall(r"\(([^()]*)\)", body):
         tokens = [t for t in re.split(r"[\s,]+", cyc.strip()) if t]
         if not all(re.fullmatch(r"\d+", t) for t in tokens):
             raise ParseError(f"cycle points must be integers in ({cyc})")
         points = [int(t) for t in tokens]
-        if not points:
-            continue
         if len(points) != len(set(points)):
             raise ParseError(f"repeated point in cycle ({cyc})")
         if any(not 0 <= q < degree for q in points):
             raise ParseError(f"cycle point outside range({degree}) in ({cyc})")
-        step = list(range(degree))
-        for i, q in enumerate(points):
-            step[q] = points[(i + 1) % len(points)]
-        images = [step[x] for x in images]  # cycles apply left to right
+        xs = [where[q] for q in points]
+        for x, q in zip(xs, points[1:] + points[:1]):
+            images[x] = q
+            where[q] = x
     return images
 
 

@@ -63,6 +63,18 @@ def _per_group(derive: Callable) -> Callable:
     return cached
 
 
+def _indices(values: Iterable[int], what: str) -> np.ndarray:
+    """values as int64, or IndexOutOfRange naming the first non-integer."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = list(values)
+        kinds = set(map(type, values))  # a C-level pass; a Python one only on failure
+        odd = {k for k in kinds if k is bool or not issubclass(k, (int, np.integer))}
+        if odd:
+            bad = next(v for v in values if type(v) in odd)
+            raise IndexOutOfRange(f"{what} {bad!r} is not an integer")
+    return np.asarray(values, dtype=np.int64)
+
+
 class Subgroup:
     """A subset of a parent Group's indices, closed under the product.
 
@@ -72,12 +84,10 @@ class Subgroup:
     """
 
     def __init__(self, parent: Group, elements: Iterable[int], verify: bool = True):
-        elems = np.unique(np.asarray(list(elements) + [0], dtype=np.int64))
+        elems = np.unique(np.append(_indices(elements, "subgroup element"), 0))
         if elems[0] < 0 or elems[-1] >= parent.order:
             bad = int(elems[0]) if elems[0] < 0 else int(elems[-1])
-            raise IndexOutOfRange(
-                f"subgroup element {bad} outside range({parent.order})"
-            )
+            raise IndexOutOfRange(f"subgroup element {bad} outside range({parent.order})")
         mask = np.zeros(parent.order, dtype=bool)
         mask[elems] = True
         if verify:
@@ -148,10 +158,10 @@ def _commutes(G: Group, elements: Iterable[int], central: Optional[np.ndarray] =
 
 def closure(G: Group, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed (identity always included)."""
-    seed = list(seed)
-    for g in seed:
-        if not 0 <= int(g) < G.order:
-            raise IndexOutOfRange(f"element {g} outside range({G.order})")
+    seed = _indices(seed, "element")
+    bad = seed[(seed < 0) | (seed >= G.order)]
+    if bad.size:
+        raise IndexOutOfRange(f"element {bad[0]} outside range({G.order})")
     reached = np.arange(G.order) == 0
     list(greedy_generators(G.table, seed, reached))
     return Subgroup(G, np.flatnonzero(reached), verify=False)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 
-from centaut import abelian, criteria
+from centaut import abelian, criteria, families
 from centaut.abelian import AbelianInvariants
 from centaut.criteria import (
     MINIMAL,
@@ -43,6 +44,7 @@ from centaut.criteria import (
 )
 from centaut.errors import (
     AbelianGroup,
+    BadParameters,
     ClassTooSmall,
     ClosureExceedsCap,
     CoclassOutOfRange,
@@ -50,8 +52,9 @@ from centaut.errors import (
     NotAssociative,
     NotLatinSquare,
     OrderOutOfRange,
+    ParseError,
 )
-from centaut.groups import greedy_generators, powers, row_blocks
+from centaut.groups import direct_product, greedy_generators, powers, row_blocks
 from centaut.structure import (
     StructureReport,
     Subgroup,
@@ -201,6 +204,52 @@ def ref_int_matrix_error(rows: list, field: str) -> str | None:
         ):
             return f"{field}[{i}] must be a list of integers"
     return None
+
+
+def ref_parse_cycles(degree: int, text: str) -> list[int]:
+    """Cycle notation to images, checked by a pattern whose adjacent
+    whitespace runs backtrack and composed by one full pass per cycle: the
+    parser before it composed each cycle through the inverse images."""
+    images = list(range(degree))
+    body = text.strip()
+    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", body):
+        raise ParseError(f"bad cycle notation {text!r}")
+    for cyc in re.findall(r"\(([^()]*)\)", body):
+        tokens = [t for t in re.split(r"[\s,]+", cyc.strip()) if t]
+        if not all(re.fullmatch(r"\d+", t) for t in tokens):
+            raise ParseError(f"cycle points must be integers in ({cyc})")
+        points = [int(t) for t in tokens]
+        if not points:
+            continue
+        if len(points) != len(set(points)):
+            raise ParseError(f"repeated point in cycle ({cyc})")
+        if any(not 0 <= q < degree for q in points):
+            raise ParseError(f"cycle point outside range({degree}) in ({cyc})")
+        step = list(range(degree))
+        for i, q in enumerate(points):
+            step[q] = points[(i + 1) % len(points)]
+        images = [step[x] for x in images]  # cycles apply left to right
+    return images
+
+
+def ref_parse_group_spec(spec: str, cap: int):
+    """parse_group_spec with the term patterns it had before each
+    whitespace run was scanned once: a product split whose separators may
+    start inside a run, and a term pattern with a whitespace run on each
+    side of its optional parameters."""
+    term = re.compile(r"^\s*([a-z][a-z0-9_]*)\s*(?:\(([^()]*)\)|:(.*))?\s*$")
+    groups = []
+    for part in re.split(r"\s+x\s+", spec.strip()):
+        m = term.match(part)
+        if not m:
+            raise BadParameters(f"cannot parse group term {part!r}")
+        raw = m.group(2) if m.group(2) is not None else m.group(3)
+        params = families._parse_params(raw) if raw and raw.strip() else []
+        groups.append(families.builtin(m.group(1), params, cap=cap))
+    G = groups[0]
+    for H in groups[1:]:
+        G = direct_product(G, H, cap=cap)
+    return G
 
 
 def ref_latin_error(table: list[list[int]]) -> str | None:
@@ -381,7 +430,8 @@ def ref_central_maps(G, rows: int = 256):
     basis = abelian.abelian_basis(Q, prime=G.prime)
     tgt = abelian.target_array(center(G).elements)
     order = np.argsort(proj, kind="stable")
-    for f in abelian.iter_hom_positions(basis, G, tgt, rows):
+    images = abelian._allowed_images(basis.invariants, G, tgt)
+    for f in abelian.iter_hom_positions(basis, abelian._position_table(G, tgt), images, rows):
         sigma = np.empty((len(f), G.order), dtype=np.int64)
         sigma[:, order] = G.table[order, tgt[f[:, proj[order]]]]
         yield len(f), sigma[ref_bijective_rows(sigma)]

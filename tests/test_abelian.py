@@ -7,11 +7,12 @@ import pytest
 
 from centaut.abelian import (
     AbelianInvariants,
+    _allowed_images,
+    _position_table,
     abelian_basis,
     abelian_invariants,
     embeds_bruteforce,
     embeds_invariants,
-    hom_count_by_targets,
     hom_invariants,
     iter_hom_positions,
     iter_homomorphisms,
@@ -139,7 +140,7 @@ def test_hom_count_matches_exhaustive_search():
         if A.prime != B.prime or B.order > 4:
             continue  # the raw search scans |B|^(|A|-1) functions
         basis = abelian_basis(A)
-        got = hom_count_by_targets(basis.invariants, B, range(B.order))
+        got = sum(1 for _ in iter_homomorphisms(basis, B, range(B.order)))
         assert got == oracles.ref_hom_count(A.table.tolist(), B.table.tolist())
 
 
@@ -149,7 +150,7 @@ def test_iter_homomorphisms_yields_each_hom_once():
     basis = abelian_basis(A)
     homs = [tuple(int(v) for v in f) for f in iter_homomorphisms(basis, B, range(4))]
     assert len(homs) == len(set(homs))
-    assert len(homs) == hom_count_by_targets(basis.invariants, B, range(4))
+    assert len(homs) == oracles.ref_hom_count(A.table.tolist(), B.table.tolist())
     for f in homs:
         assert oracles.ref_is_hom(A.table.tolist(), B.table.tolist(), f)
 
@@ -238,18 +239,41 @@ def test_hom_blocks_match_reference_loop(kind, arg):
         )
     )
     total = len(want)
-    assert total == hom_count_by_targets(basis.invariants, ambient, targets)
     got = [tuple(f.tolist()) for f in iter_homomorphisms(basis, ambient, targets)]
     assert got == want
     non_divisor = next(r for r in range(2, total + 2) if total % r)
     tgt = target_array(targets)
+    T = _position_table(ambient, tgt)
+    images = _allowed_images(basis.invariants, ambient, tgt)
     for rows in sorted({1, 7, non_divisor, total + 1}):
-        blocks = list(iter_hom_positions(basis, ambient, targets, rows))
+        blocks = list(iter_hom_positions(basis, T, images, rows))
         assert all(b.dtype == np.int32 for b in blocks)
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 0 < len(blocks[-1]) <= rows
         got = [tuple(f) for f in np.concatenate([tgt[b] for b in blocks]).tolist()]
         assert got == want, rows
+
+
+def test_hom_positions_read_a_bare_table():
+    """The enumerator takes B's own int32 table, positions = elements, and
+    no ambient group: its maps are the per-map loop's for each source."""
+    B = abelian_group(2, [2, 1])
+    T = B.table.astype(np.int32)
+    for A in SMALL_ABELIAN:
+        if A.prime != B.prime:
+            continue
+        basis = abelian_basis(A)
+        images = _allowed_images(basis.invariants, B, np.arange(B.order))
+        blocks = list(iter_hom_positions(basis, T, images, 5))
+        got = [tuple(f) for f in np.concatenate(blocks).tolist()]
+        want = oracles.ref_iter_homomorphisms(
+            basis.coordinates.tolist(),
+            basis.invariants.prime,
+            basis.invariants.exponents,
+            B.table.tolist(),
+            list(range(B.order)),
+        )
+        assert got == list(want)
 
 
 def test_hom_invariants_formula():
@@ -269,7 +293,7 @@ def test_hom_invariants_order_matches_hom_count():
             continue
         h = hom_invariants(abelian_invariants(A), abelian_invariants(B))
         basis = abelian_basis(A)
-        assert h.order == hom_count_by_targets(basis.invariants, B, range(B.order))
+        assert h.order == sum(1 for _ in iter_homomorphisms(basis, B, range(B.order)))
 
 
 INVARIANT_LISTS = [

@@ -92,6 +92,30 @@ def test_is_central_automorphism_rejects_outer_shift():
     assert not is_central_automorphism(G, sigma)
 
 
+def test_is_central_automorphism_rejects_maps_that_are_not_automorphisms():
+    """x -> x*z, z central, is a bijection with central shifts that moves
+    the identity; the candidate maps of D16 x C2 that the enumeration marks
+    non-bijective are central endomorphisms.  Neither is an automorphism,
+    and every map the enumeration yields still is one."""
+    G = dihedral(8)
+    z = int(np.flatnonzero(center(G).mask)[1])
+    shifted = G.table[:, z]
+    assert sorted(shifted.tolist()) == list(range(8)) and shifted[0] == z
+    assert not is_central_automorphism(G, shifted)
+    G = parse_group_spec("dihedral(16) x cyclic(2)")
+    members, tgt, blocks = central._central_maps(G, central.DEFAULT_HOM_CAP)
+    endos = []
+    for f, bijective in blocks:
+        for sigma in central._images(G, members, tgt, f[~bijective]):
+            maps = np.empty_like(sigma)
+            maps[:, members.ravel()] = sigma
+            endos.extend(maps)
+    assert len(endos) == 32
+    assert not any(is_central_automorphism(G, s) for s in endos)
+    auts = list(iter_central_automorphisms(G))
+    assert auts and all(is_central_automorphism(G, s) for s in auts)
+
+
 def test_cap_checked_before_enumeration():
     G = extraspecial(2, 32, "+")  # Hom(C2^4, C2): 16 candidate maps
     with pytest.raises(EnumerationCapExceeded):
@@ -104,7 +128,7 @@ def test_cap_checked_before_any_power_table(monkeypatch):
     """A cap failure builds neither a hom block nor the coset labels."""
     calls = []
     tables = []
-    real_homs = abelian._hom_positions
+    real_homs = abelian.iter_hom_positions
     real_labels = central._coset_labels
 
     def spy_homs(*args):
@@ -115,7 +139,7 @@ def test_cap_checked_before_any_power_table(monkeypatch):
         tables.append(args)
         return real_labels(*args)
 
-    monkeypatch.setattr(abelian, "_hom_positions", spy_homs)
+    monkeypatch.setattr(abelian, "iter_hom_positions", spy_homs)
     monkeypatch.setattr(central, "_coset_labels", spy_labels)
     G = extraspecial(2, 32, "+")
     with pytest.raises(EnumerationCapExceeded):

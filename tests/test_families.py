@@ -1,12 +1,15 @@
 """Builders produce the groups their names promise."""
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from centaut.abelian import abelian_invariants
-from centaut.errors import BadParameters, ClosureExceedsCap, UnknownBuiltin
+from centaut.errors import BadParameters, CentautError, ClosureExceedsCap, UnknownBuiltin
 from centaut.families import (
     abelian_group,
     builtin,
@@ -215,6 +218,41 @@ def test_parse_group_spec_errors():
     ]:
         with pytest.raises(BadParameters, match=f"parameter {k} of .* is empty"):
             parse_group_spec(spec)
+
+
+def _built(parse, spec):
+    try:
+        return parse(spec, cap=64).table.tolist()
+    except CentautError as e:
+        return type(e).__name__, str(e)
+
+
+@example(["dihedral", "(", "8", ")", " ", "x", "\t", "cyclic", ":", "2"])
+@example(["quaternion", "  ", "(", "8", ")", " ", "x", " ", "x", " ", "cyclic"])
+@given(
+    st.lists(
+        st.sampled_from(
+            ["cyclic", "dihedral", "quaternion", "x", "(", ")", ":", ",", "2", "8", "!"]
+            + [" ", "  ", "\t"]
+        ),
+        max_size=12,
+    )
+)
+def test_parse_group_spec_matches_reference(tokens):
+    """The same table, or the same error class and message, as the parser
+    whose whitespace runs backtracked."""
+    spec = "".join(tokens)
+    assert _built(parse_group_spec, spec) == _built(oracles.ref_parse_group_spec, spec)
+
+
+@pytest.mark.parametrize("spec", ["cyclic" + " " * 64000 + "!", "cyclic(2)" + " " * 64000 + "y"])
+def test_long_whitespace_in_a_term_fails_fast(spec):
+    """The former patterns rescanned the run from each of its spaces:
+    about 30 s for each of these specs."""
+    start = time.perf_counter()
+    with pytest.raises(BadParameters, match="cannot parse group term"):
+        parse_group_spec(spec)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("spec", ["cyclic(3000)", "heisenberg(2,3)", "elementary(2,9)"])

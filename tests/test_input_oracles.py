@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,44 @@ def test_order_1024_closure_is_fast_and_holds_one_table():
     resolve_source(D32XD32)
     assert time.perf_counter() - start < 1.0
     assert _peak_mib(lambda: resolve_source(D32XD32)) < 4.5
+
+
+def _parsed(parse, degree, text):
+    try:
+        return parse(degree, text)
+    except ParseError as e:
+        return str(e)
+
+
+@given(
+    degree=st.integers(1, 6),
+    text=st.text(alphabet="0123456789 ,()x\t", max_size=24),
+)
+def test_parse_cycles_matches_reference(degree, text):
+    """Same images, or the same error message, as the reference parser."""
+    assert _parsed(parse_cycles, degree, text) == _parsed(oracles.ref_parse_cycles, degree, text)
+
+
+def test_parse_cycles_rejects_junk_after_many_cycles_fast():
+    """The reference pattern's adjacent whitespace runs backtrack about 4x
+    per two more cycles: 4 s at 24 cycles."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="bad cycle notation"):
+        parse_cycles(4, "(0 1) " * 40 + "x")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_cycles_composes_many_cycles_fast():
+    """20,000 transpositions at degree 4096 (about 200 KB); the reference's
+    full pass per cycle takes about 4 s."""
+    rng = np.random.default_rng(4096)
+    a = rng.integers(0, 4096, 20000)
+    b = (a + rng.integers(1, 4096, 20000)) % 4096
+    text = "".join(f"({x} {y}) " for x, y in zip(a.tolist(), b.tolist()))
+    start = time.perf_counter()
+    got = parse_cycles(4096, text)
+    assert time.perf_counter() - start < 1.0
+    assert got == oracles.ref_parse_cycles(4096, text)
 
 
 def test_reading_order_729_file_frees_the_parsed_lists(tmp_path):

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -84,6 +85,19 @@ def test_generators_are_greedy_and_generate(name):
 def test_closure_rejects_out_of_range():
     with pytest.raises(IndexOutOfRange):
         closure(cyclic(4), [4])
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", True, np.float64(2.0), np.True_])
+def test_non_integer_indices_are_named_not_truncated(bad):
+    """int() would read 1.5 and True as 1, and np.asarray("1", int64) as 1."""
+    G = cyclic(4)
+    for build in (Subgroup, closure):
+        with pytest.raises(IndexOutOfRange, match=f"{re.escape(repr(bad))} is not an integer"):
+            build(G, [2, bad])
+    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+        Subgroup(G, np.array([bad]))
+    assert Subgroup(G, np.array([2], dtype=np.uint8)).elements == (0, 2)
+    assert closure(G, (np.int32(1),)).order == 4
 
 
 def test_subgroup_verification_catches_open_sets():
