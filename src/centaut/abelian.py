@@ -287,7 +287,7 @@ def iter_homomorphisms(
     an abelian subgroup: int64 arrays f, f[x] the ambient index of the
     image of x, in the order of iter_hom_positions, read back from its
     blocks of about groups._BLOCK_CELLS positions on the targets' table."""
-    tgt = target_array(targets)
+    tgt = target_array(groups.indices(targets, ambient.order, "target"))
     images = _allowed_images(basis.invariants, ambient, tgt)
     rows = max(1, groups._BLOCK_CELLS // len(basis.coordinates))
     for block in iter_hom_positions(basis, _position_table(ambient, tgt), images, rows):

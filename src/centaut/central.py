@@ -318,11 +318,11 @@ def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
 
 
 def is_central_automorphism(G: Group, sigma: np.ndarray) -> bool:
-    """Whether sigma, |G| indices in range(|G|) (else IndexOutOfRange), is
-    a bijection with sigma(x*s) = sigma(x)*sigma(s) for each x and each s
-    in G.generators, so an automorphism, and x^-1 * sigma(x) is central."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    if sigma.shape != (G.order,) or not ((sigma >= 0) & (sigma < G.order)).all():
+    """Whether sigma is a bijection with sigma(x*s) = sigma(x)*sigma(s) for each
+    x and each s in G.generators, and x^-1 * sigma(x) is central; IndexOutOfRange
+    names an entry not an integer in range(|G|), or a shape not (|G|,)."""
+    sigma = groups.indices(sigma, G.order, "sigma entry")
+    if sigma.shape != (G.order,):
         raise IndexOutOfRange(f"sigma must be {G.order} indices in range({G.order})")
     gens = G.generators
     hom = (sigma[G.table[:, gens]] == G.table[sigma[:, None], sigma[gens]]).all()

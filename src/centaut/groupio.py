@@ -383,13 +383,14 @@ def parse_cycles(degree: int, text: str) -> list[int]:
     if not re.fullmatch(r"(?:\([^()]*\)\s*)+", body):  # one way to match: no backtracking
         raise ParseError(f"bad cycle notation {text!r}")
     for cyc in re.findall(r"\(([^()]*)\)", body):
-        tokens = [t for t in re.split(r"[\s,]+", cyc.strip()) if t]
+        tokens = [t.lstrip("0") or "0" for t in re.split(r"[\s,]+", cyc.strip()) if t]
         if not all(re.fullmatch(r"\d+", t) for t in tokens):
             raise ParseError(f"cycle points must be integers in ({cyc})")
-        points = [int(t) for t in tokens]
+        # a point longer than the degree stays a str, out of range: int() takes <= 4,300 digits
+        points = [int(t) if len(t) <= len(str(degree)) else t for t in tokens]
         if len(points) != len(set(points)):
             raise ParseError(f"repeated point in cycle ({cyc})")
-        if any(not 0 <= q < degree for q in points):
+        if any(isinstance(q, str) or not 0 <= q < degree for q in points):
             raise ParseError(f"cycle point outside range({degree}) in ({cyc})")
         xs = [where[q] for q in points]
         for x, q in zip(xs, points[1:] + points[:1]):

@@ -20,7 +20,8 @@ fails: Latin rows, then columns, by scatter marks into one n x n bool
 mask, the identity row and column, and then, Light's test having failed
 on the accept path, a row scan that names the lexicographically first bad
 triple (a, b, c).  Cells that are not integers (bool and float included)
-are rejected before the conversion.
+are rejected before the conversion.  indices reads every index a caller hands
+in, naming the first one not an integer in range(n) by the caller's error.
 
 greedy_generators spans in any table (the validator, closures, abelian
 bases, Group.generators), by power doubling and frontier closures on an
@@ -62,8 +63,8 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(i) for i in images)
-        n = len(imgs)
+        n = len(images)
+        imgs = tuple(indices(images, n, "image", InvalidPermutation).tolist())
         if sorted(imgs) != list(range(n)):
             raise InvalidPermutation(f"images {imgs} are not a bijection on range({n})")
         self.images = imgs
@@ -84,10 +85,7 @@ class Permutation:
         return Permutation(tuple(self.images[j] for j in other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation(np.argsort(self.images))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -143,27 +141,24 @@ class Group:
         self.inverse = inv
 
     def mul(self, a: int, b: int) -> int:
+        a, b = indices((a, b), self.order)
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return int(self.inverse[indices((a,), self.order)[0]])
 
     def pow(self, g: int, k: int) -> int:
         """g**k by powers; negative k goes through the inverse."""
-        _check_index(self, g)
-        if k < 0:
-            g, k = self.inv(g), -k
-        return int(powers(self.table, np.asarray(g), k))
+        g = indices((g,), self.order)
+        return int(powers(self.table, self.inverse[g] if k < 0 else g, abs(k))[0])
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
-        t = self.table
-        return int(t[t[t[self.inv(a), self.inv(b)], a], b])
+        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     def conjugate(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        t = self.table
-        return int(t[t[self.inv(g), x], g])
+        """g^-1 x g = x [x, g], reading x before g."""
+        return self.mul(x, self.commutator(x, g))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -223,9 +218,29 @@ def powers(table: np.ndarray, xs: np.ndarray, k: int) -> np.ndarray:
     return acc
 
 
-def _check_index(G: Group, g: int) -> None:
-    if not 0 <= g < G.order:
-        raise IndexOutOfRange(f"element {g} outside range({G.order})")
+def indices(values: Iterable, n: int, what: str = "element", error=IndexOutOfRange) -> np.ndarray:
+    """The values as int64 indices in range(n), or `error` naming the first
+    that is not an integer (bool, float and str are not) or lies outside;
+    an integer array is range-checked in its own dtype and a sequence on its
+    Python ints before the one cast, so nothing is truncated or wraps."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if not values.size or (values.min() >= 0 and values.max() < n):
+            return values.astype(np.int64, copy=False)
+        values = values.ravel().tolist()
+    try:
+        values = list(values)
+    except TypeError:
+        raise error(f"{values!r} is not a sequence of indices") from None
+    kinds = set(map(type, values))  # a C-level pass; a Python one only on failure
+    if all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+        if not values or (min(values) >= 0 and max(values) < n):
+            return np.asarray(values, dtype=np.int64)
+    for v in values:
+        if type(v) is bool or not isinstance(v, (int, np.integer)):
+            raise error(f"{what} {v!r} is not an integer")
+        if not 0 <= v < n:
+            raise error(f"{what} {v} outside range({n})")
+    raise RuntimeError("indices refused no value")
 
 
 def greedy_generators(
@@ -548,8 +563,7 @@ def group_from_permutations(
 
 
 def element_order(G: Group, g: int) -> int:
-    _check_index(G, g)
-    return int(G.element_orders[g])
+    return int(G.element_orders[indices((g,), G.order)[0]])
 
 
 def direct_product(G: Group, H: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
@@ -587,10 +601,11 @@ def semidirect_product(
         raise ActionNotAutomorphism(f"got {len(action)} maps for |H| == {s}")
     maps = np.empty((s, n), dtype=np.int32)
     for h, a in enumerate(action):
-        imgs = a.images if isinstance(a, Permutation) else tuple(int(i) for i in a)
-        if len(imgs) != n:
-            raise ActionNotAutomorphism(f"action[{h}] has degree {len(imgs)}, want {n}")
-        if sorted(imgs) != list(range(n)):
+        imgs = a.images if isinstance(a, Permutation) else a
+        imgs = indices(imgs, n, f"action[{h}] image", ActionNotAutomorphism)
+        if imgs.shape != (n,):
+            raise ActionNotAutomorphism(f"action[{h}] has degree {imgs.size}, want {n}")
+        if len(np.unique(imgs)) != n:
             raise ActionNotAutomorphism(f"action[{h}] is not a bijection")
         maps[h] = imgs
     for h, phi in enumerate(maps):

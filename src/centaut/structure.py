@@ -2,6 +2,7 @@
 
 Everything works directly on element indices of a parent Group; quotients
 reindex cosets by their minimal member so results are deterministic.
+Every index a caller hands in is read by groups.indices, which names a bad one.
 
 The invariants come from the greedy generating set S of G (generators,
 |S| <= log2 n) at O(n * |S|) per step, not from an n x n commutator table:
@@ -38,7 +39,7 @@ from .errors import (
     NotNormal,
     NotPrimePower,
 )
-from .groups import Group, greedy_generators, powers
+from .groups import Group, greedy_generators, indices, powers
 
 
 def _per_group(derive: Callable) -> Callable:
@@ -63,18 +64,6 @@ def _per_group(derive: Callable) -> Callable:
     return cached
 
 
-def _indices(values: Iterable[int], what: str) -> np.ndarray:
-    """values as int64, or IndexOutOfRange naming the first non-integer."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
-        values = list(values)
-        kinds = set(map(type, values))  # a C-level pass; a Python one only on failure
-        odd = {k for k in kinds if k is bool or not issubclass(k, (int, np.integer))}
-        if odd:
-            bad = next(v for v in values if type(v) in odd)
-            raise IndexOutOfRange(f"{what} {bad!r} is not an integer")
-    return np.asarray(values, dtype=np.int64)
-
-
 class Subgroup:
     """A subset of a parent Group's indices, closed under the product.
 
@@ -84,10 +73,7 @@ class Subgroup:
     """
 
     def __init__(self, parent: Group, elements: Iterable[int], verify: bool = True):
-        elems = np.unique(np.append(_indices(elements, "subgroup element"), 0))
-        if elems[0] < 0 or elems[-1] >= parent.order:
-            bad = int(elems[0]) if elems[0] < 0 else int(elems[-1])
-            raise IndexOutOfRange(f"subgroup element {bad} outside range({parent.order})")
+        elems = np.unique(np.append(indices(elements, parent.order, "subgroup element"), 0))
         mask = np.zeros(parent.order, dtype=bool)
         mask[elems] = True
         if verify:
@@ -107,7 +93,7 @@ class Subgroup:
         return len(self.elements)
 
     def contains(self, g: int) -> bool:
-        return bool(self.mask[g])
+        return bool(self.mask[indices((g,), self.parent.order)[0]])
 
     def issubset(self, other: "Subgroup") -> bool:
         return bool(other.mask[list(self.elements)].all())
@@ -118,7 +104,7 @@ class Subgroup:
 
     def positions(self, elements: Sequence[int]) -> np.ndarray:
         """Indices of the given parent elements inside as_group()'s numbering."""
-        arr = np.asarray(elements, dtype=np.int64)
+        arr = indices(elements, self.parent.order)
         if not self.mask[arr].all():
             raise IndexOutOfRange("element outside subgroup")
         return np.searchsorted(np.asarray(self.elements), arr)
@@ -158,18 +144,14 @@ def _commutes(G: Group, elements: Iterable[int], central: Optional[np.ndarray] =
 
 def closure(G: Group, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed (identity always included)."""
-    seed = _indices(seed, "element")
-    bad = seed[(seed < 0) | (seed >= G.order)]
-    if bad.size:
-        raise IndexOutOfRange(f"element {bad[0]} outside range({G.order})")
     reached = np.arange(G.order) == 0
-    list(greedy_generators(G.table, seed, reached))
+    list(greedy_generators(G.table, indices(seed, G.order), reached))
     return Subgroup(G, np.flatnonzero(reached), verify=False)
 
 
 def commutator_table(G: Group, xs: Sequence[int]) -> np.ndarray:
     """comm[g, j] = index of [g, xs[j]] = g^-1 xs[j]^-1 g xs[j], for all g."""
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = indices(xs, G.order)
     g = np.arange(G.order)[:, None]
     m = G.table[G.inverse[g], G.inverse[xs][None, :]]
     m = G.table[m, g]

@@ -66,6 +66,15 @@ def test_cell_beyond_int64_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_cycle_point_past_the_int_digit_limit_exits_2(capsys):
+    """int() refuses a string of more than 4,300 digits with a bare
+    ValueError; the point is refused by its length before any conversion."""
+    code, _, err = run_cli(capsys, "analyze", "perm:4:(" + "1" * 5000 + " 0)")
+    assert code == 2
+    assert "ParseError: cycle point outside range(4)" in err
+    assert "Traceback" not in err
+
+
 NOT_UTF8 = b'{"format":"cayley","name":"q\xff","order":1,"table":[[0]]}'
 
 

@@ -5,14 +5,23 @@ import gc
 import re
 import tracemalloc
 import weakref
+from typing import Callable
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from centaut.central import central_automorphism_count
-from centaut.errors import IndexOutOfRange, NotNilpotent, NotNormal, NotPrimePower
+from centaut.abelian import abelian_basis, iter_homomorphisms
+from centaut.central import central_automorphism_count, is_central_automorphism
+from centaut.errors import (
+    ActionNotAutomorphism,
+    IndexOutOfRange,
+    InvalidPermutation,
+    NotNilpotent,
+    NotNormal,
+    NotPrimePower,
+)
 from centaut.families import (
     cyclic,
     dihedral,
@@ -22,7 +31,13 @@ from centaut.families import (
     parse_group_spec,
     quaternion,
 )
-from centaut.groups import Group, group_from_permutations
+from centaut.groups import (
+    Group,
+    Permutation,
+    element_order,
+    group_from_permutations,
+    semidirect_product,
+)
 from centaut.structure import (
     Subgroup,
     abelianization,
@@ -87,17 +102,112 @@ def test_closure_rejects_out_of_range():
         closure(cyclic(4), [4])
 
 
-@pytest.mark.parametrize("bad", [1.5, "1", True, np.float64(2.0), np.True_])
+def _index_entry_points(G: Group) -> list[tuple[type, int, Callable]]:
+    """(named error, values read, call) for every entry point that reads
+    element indices or image arrays of G; 0 values read means the whole
+    sequence.  Each sequence is read as |G| images where it must be."""
+    whole = Subgroup(G, range(G.order))
+    basis = abelian_basis(cyclic(2))
+    return [
+        (InvalidPermutation, 0, lambda vs: Permutation(vs).images),
+        (InvalidPermutation, 0, lambda vs: group_from_permutations(len(vs), [vs]).order),
+        (ActionNotAutomorphism, 0, lambda vs: semidirect_product(
+            G, cyclic(2), [range(G.order), vs]).order),
+        (IndexOutOfRange, 2, lambda a, b: G.mul(a, b)),
+        (IndexOutOfRange, 1, lambda a: G.inv(a)),
+        (IndexOutOfRange, 1, lambda a: G.pow(a, 3)),
+        (IndexOutOfRange, 1, lambda a: G.pow(a, -1)),
+        (IndexOutOfRange, 2, lambda a, b: G.commutator(a, b)),
+        (IndexOutOfRange, 2, lambda x, g: G.conjugate(x, g)),
+        (IndexOutOfRange, 1, lambda g: element_order(G, g)),
+        (IndexOutOfRange, 0, lambda vs: Subgroup(G, vs).elements),
+        (IndexOutOfRange, 0, lambda vs: closure(G, vs).elements),
+        (IndexOutOfRange, 1, lambda g: whole.contains(g)),
+        (IndexOutOfRange, 0, lambda vs: whole.positions(vs).tolist()),
+        (IndexOutOfRange, 0, lambda vs: is_central_automorphism(G, vs)),
+        (IndexOutOfRange, 0, lambda vs: [f.tolist() for f in iter_homomorphisms(basis, G, vs)]),
+    ]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _named(v) -> str:
+    """How the index reader names v: an integer by its value, else by repr."""
+    return re.escape(str(int(v)) if _is_int(v) else repr(v)) + r" (is not an integer|outside range)"
+
+
+U64_MAX = np.uint64(2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, "1", True, np.float64(2.0), np.True_, -1, 4, 2**70, U64_MAX]
+)
 def test_non_integer_indices_are_named_not_truncated(bad):
-    """int() would read 1.5 and True as 1, and np.asarray("1", int64) as 1."""
+    """int() would read 1.5 and True as 1, and np.asarray("1", int64) as 1;
+    a table read at -1 wraps to the last element, 2**70 overflows int64,
+    and a uint64 array holding 2**64 - 1 wraps in a cast to int64.  Every
+    index entry point refuses each of them, 4 being |G|, by its named class."""
     G = cyclic(4)
-    for build in (Subgroup, closure):
-        with pytest.raises(IndexOutOfRange, match=f"{re.escape(repr(bad))} is not an integer"):
-            build(G, [2, bad])
-    with pytest.raises(IndexOutOfRange, match="is not an integer"):
-        Subgroup(G, np.array([bad]))
+    seq = np.array([0, bad, 2, 3], dtype=np.uint64) if bad is U64_MAX else [0, bad, 2, 3]
+    for error, arity, call in _index_entry_points(G):
+        with pytest.raises(error, match=_named(bad)):
+            call(seq) if arity == 0 else call(*[bad, 1][:arity])
+        if arity == 2:
+            with pytest.raises(error, match=_named(bad)):
+                call(1, bad)
+    if not _is_int(bad):  # an array of them has a non-integer dtype
+        with pytest.raises(IndexOutOfRange, match="is not an integer"):
+            Subgroup(G, np.array([bad]))
     assert Subgroup(G, np.array([2], dtype=np.uint8)).elements == (0, 2)
     assert closure(G, (np.int32(1),)).order == 4
+
+
+def _outcome(call, *args):
+    """What call(*args) returns, or its exception's class and message."""
+    try:
+        return call(*args)
+    except Exception as e:  # compared, not hidden
+        return type(e), str(e)
+
+
+_INDEX_VALUES = st.one_of(
+    st.integers(-2, 9),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.booleans(),
+    st.builds(lambda v, t: t(v), st.integers(-2, 127), st.sampled_from([np.int8, np.int64])),
+    st.builds(np.uint64, st.sampled_from([0, 7, 8, 2**64 - 1])),
+)
+
+
+@given(
+    values=st.lists(_INDEX_VALUES, min_size=8, max_size=8)
+    | st.lists(st.integers(0, 7), min_size=8, max_size=8),
+    as_array=st.booleans(),
+)
+def test_index_entry_points_read_drawn_values_as_python_ints(values, as_array):
+    """On integers in range(8), numpy or Python, in a list or an array, each
+    entry point returns or raises exactly as on the same Python ints; given
+    any other value it raises its named CentautError naming the first such
+    value, and never another exception."""
+    G = dihedral(8)
+    for error, arity, call in _index_entry_points(G):
+        vs = values[:arity] if arity else values
+        bad = next((v for v in vs if not (_is_int(v) and 0 <= v < G.order)), None)
+        if arity == 0 and as_array and bad is None:
+            args = (np.array(vs, dtype=np.uint16),)
+        else:
+            args = (vs,) if arity == 0 else tuple(vs)
+        if bad is None:
+            ints = [int(v) for v in vs]
+            want = _outcome(call, *((ints,) if arity == 0 else ints))
+            assert _outcome(call, *args) == want
+        else:
+            with pytest.raises(error, match=_named(bad)):
+                call(*args)
 
 
 def test_subgroup_verification_catches_open_sets():
