@@ -12,7 +12,6 @@ from .abelian import (
     AbelianInvariants,
     abelian_basis,
     abelian_invariants,
-    embeds_bruteforce,
     embeds_invariants,
     hom_invariants,
 )
@@ -20,10 +19,8 @@ from .central import (
     DEFAULT_HOM_CAP,
     CentralAutReport,
     adney_yen_check,
-    all_automorphisms,
     central_automorphism_count,
     is_central_automorphism,
-    is_minimal_bruteforce,
     stability_count,
 )
 from .criteria import (

@@ -12,7 +12,7 @@ image y is allowed for an invariant p^e when y^(p^e) = 1, powered on the
 targets alone (_allowed_images), never on all of the ambient group.  The
 homomorphisms themselves have one enumerator, iter_hom_positions, which
 reads only the basis, the allowed images and T, the Cayley table of the
-target subgroup on positions in its sorted elements (_position_table).
+target subgroup on positions in its sorted elements (groups.subset_table).
 """
 
 from __future__ import annotations
@@ -197,9 +197,9 @@ def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
 
 
 def target_array(targets: Sequence[int]) -> np.ndarray:
-    """The targets as a sorted int64 array: the numbering that hom
-    positions refer to."""
-    return np.sort(np.asarray(targets, dtype=np.int64))
+    """The distinct targets as a sorted int64 array: the numbering that hom
+    positions refer to, each target once."""
+    return np.unique(np.asarray(targets, dtype=np.int64))
 
 
 def _allowed_images(
@@ -208,18 +208,6 @@ def _allowed_images(
     """Per invariant, the positions in tgt of the y with y^(p^e) == 1: in
     a p-group, those whose order divides p^e, powered on tgt alone."""
     return [np.flatnonzero(powers(ambient.table, tgt, inv.prime**e) == 0) for e in inv.exponents]
-
-
-def _position_table(ambient: Group, tgt: np.ndarray) -> np.ndarray:
-    """T[i, j] = position in tgt of tgt[i] * tgt[j]: the int32 Cayley
-    table of <tgt> on positions in the sorted targets, read from the
-    ambient one."""
-    pos = np.full(ambient.order, -1, dtype=np.int32)
-    pos[tgt] = np.arange(len(tgt), dtype=np.int32)
-    T = pos[ambient.table[np.ix_(tgt, tgt)]]
-    if (T < 0).any():
-        raise ValueError("targets are not closed under the product")
-    return T
 
 
 def iter_hom_positions(
@@ -283,14 +271,14 @@ def iter_hom_positions(
 def iter_homomorphisms(
     basis: AbelianBasis, ambient: Group, targets: Sequence[int]
 ) -> Iterator[np.ndarray]:
-    """All homomorphisms from the based group into <targets> <= ambient,
-    an abelian subgroup: int64 arrays f, f[x] the ambient index of the
-    image of x, in the order of iter_hom_positions, read back from its
-    blocks of about groups._BLOCK_CELLS positions on the targets' table."""
+    """All homomorphisms from the based group into the abelian subgroup of
+    ambient that the targets are, each counted once (else NotClosed): int64
+    arrays f, f[x] the ambient index of the image of x, in iter_hom_positions
+    order, read back from blocks of about groups._BLOCK_CELLS positions."""
     tgt = target_array(groups.indices(targets, ambient.order, "target"))
     images = _allowed_images(basis.invariants, ambient, tgt)
     rows = max(1, groups._BLOCK_CELLS // len(basis.coordinates))
-    for block in iter_hom_positions(basis, _position_table(ambient, tgt), images, rows):
+    for block in iter_hom_positions(basis, groups.subset_table(ambient.table, tgt), images, rows):
         yield from tgt[block]
 
 
@@ -316,20 +304,3 @@ def embeds_invariants(b: AbelianInvariants, c: AbelianInvariants) -> bool:
         if sum(e >= j for e in b.exponents) > sum(e >= j for e in c.exponents):
             return False
     return True
-
-
-def embeds_bruteforce(A: Group, B: Group) -> bool:
-    """Injective-homomorphism search, independent of the layer criterion:
-    for each invariant of A in turn, an image in B of exactly that order
-    whose cyclic span meets the images so far trivially (_independent),
-    with backtracking.  Exponential in principle; tests use orders <= 64."""
-    if not (A.is_abelian and B.is_abelian):
-        raise NotAbelian("embedding search is for abelian groups")
-    if A.order == 1:
-        return True
-    if B.order > 1 and A.prime != B.prime:
-        raise PrimeMismatch(f"primes differ: {A.prime} vs {B.prime}")
-    if B.order % A.order != 0:
-        return False
-    orders = [A.prime**e for e in abelian_invariants(A).exponents]
-    return _independent(B, np.arange(B.order) == 0, orders) is not None

@@ -132,7 +132,7 @@ def _candidate_maps(
     basis, members = abelian.section_basis(G, N, inv)
     a = len(members)
     label = _coset_labels(G, members, tgt).ravel()
-    T = abelian._position_table(G, tgt)
+    T = groups.subset_table(G.table, tgt)
     offsets = np.arange(a, dtype=np.int32) * np.int32(len(tgt))
     # a label cell takes about twice the temporaries of an image cell (the
     # hom block's int64 products and indices, the label, the scatter), so
@@ -188,10 +188,6 @@ def central_automorphism_count(
     )
 
 
-def is_minimal_bruteforce(G: Group, hom_cap: int = DEFAULT_HOM_CAP) -> bool:
-    return central_automorphism_count(G, hom_cap=hom_cap).minimal
-
-
 def iter_central_automorphisms(G: Group, hom_cap: int = DEFAULT_HOM_CAP):
     """Yield the bijective candidate maps as image arrays indexed by x."""
     members, tgt, blocks = _central_maps(G, hom_cap)
@@ -215,8 +211,7 @@ def stability_count(
     cosets of XG'.  Each fixes X and G/X elementwise; the first value
     counts the distinct ones, the second the homs enumerated.
     """
-    if X.parent is not G or Y.parent is not G:
-        raise ValueError("subgroups belong to a different parent group")
+    structure.check_parent(G, X, Y)
     if not Y.issubset(X):
         raise NotContained("second subgroup must lie inside the first")
     if not structure._center_mask(G)[list(Y.elements)].all():
@@ -252,69 +247,6 @@ def adney_yen_check(
     rep = central_automorphism_count(G, hom_cap=hom_cap)
     hom_order = hom_invariants(structure.abelianization_invariants(G), gamma).order
     return rep.aut_count, hom_order, rep.aut_count == hom_order
-
-
-def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
-    """Every automorphism, by generator-image search with closure propagation.
-
-    Independent of the central-map enumeration: takes the greedy generating
-    set (Group.generators), tries all same-order images, and extends
-    each assignment through the multiplication table, rejecting on the
-    first conflict.  Exponential in general, hence the small order_limit.
-    """
-    n = G.order
-    if n > order_limit:
-        raise ValueError(f"order {n} exceeds the search limit {order_limit}")
-    gens = G.generators.tolist()
-    orders = G.element_orders
-    table = G.table
-    results: list[np.ndarray] = []
-
-    def extend(assign: np.ndarray, known: list[int], g: int, image: int) -> bool:
-        """Set assign[g]=image and close under products; False on conflict."""
-        if assign[g] == image:
-            return True
-        if assign[g] != -1 or orders[g] != orders[image]:
-            return False
-        assign[g] = image
-        queue = [g]
-        known.append(g)
-        while queue:
-            a = queue.pop()
-            for b in list(known):
-                for x, y in ((a, b), (b, a)):
-                    prod = table[x, y]
-                    img = table[assign[x], assign[y]]
-                    if assign[prod] == -1:
-                        if orders[prod] != orders[img]:
-                            return False
-                        assign[prod] = img
-                        known.append(prod)
-                        queue.append(prod)
-                    elif assign[prod] != img:
-                        return False
-        return True
-
-    def search(i: int, assign: np.ndarray, known: list[int]) -> None:
-        if i == len(gens):
-            if (assign != -1).all() and _bijective_rows(assign[None, :])[0]:
-                results.append(assign.copy())
-            return
-        g = gens[i]
-        if assign[g] != -1:
-            search(i + 1, assign, known)
-            return
-        for image in np.flatnonzero(orders == orders[g]):
-            trial = assign.copy()
-            kn = list(known)
-            if extend(trial, kn, g, int(image)):
-                search(i + 1, trial, kn)
-
-    seed = np.full(n, -1, dtype=np.int64)
-    seed[0] = 0
-    search(0, seed, [0])
-    results.sort(key=lambda a: a.tolist())
-    return results
 
 
 def is_central_automorphism(G: Group, sigma: np.ndarray) -> bool:

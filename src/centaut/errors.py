@@ -36,6 +36,18 @@ class IndexOutOfRange(CentautError):
     """An element index is outside range(order)."""
 
 
+class InvalidExponent(CentautError):
+    """A power's exponent is not an integer (bool and float are not)."""
+
+
+class NotClosed(CentautError, ValueError):
+    """A set of elements is not closed under the product; names a product."""
+
+
+class DifferentParent(CentautError, ValueError):
+    """Subgroups that must share a parent group belong to different ones."""
+
+
 class ActionNotAutomorphism(CentautError):
     """A semidirect action map is not an automorphism of the base group."""
 

@@ -36,6 +36,7 @@ in it; only the closures, groups by construction, skip validation.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from itertools import chain
 from math import isqrt, lcm
@@ -48,9 +49,11 @@ from .errors import (
     ActionNotHomomorphism,
     ClosureExceedsCap,
     IndexOutOfRange,
+    InvalidExponent,
     InvalidPermutation,
     NoIdentityAtZero,
     NotAssociative,
+    NotClosed,
     NotLatinSquare,
 )
 
@@ -148,8 +151,12 @@ class Group:
         return int(self.inverse[indices((a,), self.order)[0]])
 
     def pow(self, g: int, k: int) -> int:
-        """g**k by powers; negative k goes through the inverse."""
+        """g**k by powers; negative k goes through the inverse.  k is read
+        by operator.index, so InvalidExponent names a bool, float or str."""
         g = indices((g,), self.order)
+        if isinstance(k, bool) or not hasattr(type(k), "__index__"):
+            raise InvalidExponent(f"exponent {k!r} is not an integer")
+        k = operator.index(k)
         return int(powers(self.table, self.inverse[g] if k < 0 else g, abs(k))[0])
 
     def commutator(self, a: int, b: int) -> int:
@@ -241,6 +248,19 @@ def indices(values: Iterable, n: int, what: str = "element", error=IndexOutOfRan
         if not 0 <= v < n:
             raise error(f"{what} {v} outside range({n})")
     raise RuntimeError("indices refused no value")
+
+
+def subset_table(table: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """T[i, j] = the position in `elements` (sorted, distinct) of
+    elements[i] * elements[j] in `table`: the int32 table of the set on its
+    own numbering, or NotClosed naming the first product that escapes."""
+    pos = np.full(len(table), -1, dtype=np.int32)
+    pos[elements] = np.arange(len(elements), dtype=np.int32)
+    T = pos[table[np.ix_(elements, elements)]]
+    if (T < 0).any():
+        a, b = (int(elements[k]) for k in np.argwhere(T < 0)[0])
+        raise NotClosed(f"set not closed: {a}*{b} escapes")
+    return T
 
 
 def greedy_generators(

@@ -12,7 +12,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -183,6 +182,8 @@ def run_verification(
     if workers == 1:
         records = [_worker(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_worker, tasks))
     return VerificationReport(records)

@@ -33,13 +33,14 @@ import numpy as np
 from . import abelian
 from .abelian import AbelianInvariants
 from .errors import (
+    DifferentParent,
     IndexOutOfRange,
     NotAbelian,
     NotNilpotent,
     NotNormal,
     NotPrimePower,
 )
-from .groups import Group, greedy_generators, indices, powers
+from .groups import Group, greedy_generators, indices, powers, subset_table
 
 
 def _per_group(derive: Callable) -> Callable:
@@ -74,15 +75,10 @@ class Subgroup:
 
     def __init__(self, parent: Group, elements: Iterable[int], verify: bool = True):
         elems = np.unique(np.append(indices(elements, parent.order, "subgroup element"), 0))
+        if verify:
+            subset_table(parent.table, elems)
         mask = np.zeros(parent.order, dtype=bool)
         mask[elems] = True
-        if verify:
-            closed = mask[parent.table[np.ix_(elems, elems)]]
-            if not closed.all():
-                a, b = (int(i) for i in np.argwhere(~closed)[0])
-                raise ValueError(
-                    f"set not closed: {int(elems[a])}*{int(elems[b])} escapes"
-                )
         self.parent = parent
         self.elements = tuple(int(e) for e in elems)
         mask.setflags(write=False)
@@ -96,6 +92,7 @@ class Subgroup:
         return bool(self.mask[indices((g,), self.parent.order)[0]])
 
     def issubset(self, other: "Subgroup") -> bool:
+        check_parent(self.parent, other)
         return bool(other.mask[list(self.elements)].all())
 
     @cached_property
@@ -114,10 +111,7 @@ class Subgroup:
         G = self.parent
         if self.order == G.order:
             return G  # the ascending numbering of all of G is the identity
-        elems = np.asarray(self.elements)
-        pos = np.zeros(G.order, dtype=np.int32)  # pos[elems[k]] = k
-        pos[elems] = np.arange(len(elems))
-        return Group(pos[G.table[np.ix_(elems, elems)]])
+        return Group(subset_table(G.table, np.asarray(self.elements)))
 
     def as_group(self) -> Group:
         """The subgroup as a standalone Group, elements renumbered ascending;
@@ -129,6 +123,12 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
+
+
+def check_parent(G: Group, *subgroups: Subgroup) -> None:
+    """Raise DifferentParent unless every subgroup is one of G's."""
+    if any(H.parent is not G for H in subgroups):
+        raise DifferentParent("subgroup belongs to a different parent group")
 
 
 def _commutes(G: Group, elements: Iterable[int], central: Optional[np.ndarray] = None) -> bool:
@@ -284,8 +284,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
 
     projection[x] = index of the coset xN.  NotNormal as in check_normal.
     """
-    if N.parent is not G:
-        raise ValueError("subgroup belongs to a different parent group")
+    check_parent(G, N)
     check_normal(G, N)
     elems = np.asarray(N.elements)
     # coset xN is numbered by the rank of its smallest member; an int32

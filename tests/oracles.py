@@ -12,7 +12,10 @@ tables the spanning-tree routine now writes, and so are the coset table,
 its row labels by row minima and the basis search that regrew every span,
 kept to pin the labels and bases the enumeration now reads.  The coclass
 and order rules are kept as the branches they were written as before two
-tables and one decision routine replaced them.
+tables and one decision routine replaced them.  all_automorphisms and
+embeds_bruteforce are the library's former brute-force searches, which
+nothing in it called, kept for the tests that check the enumeration and
+the embedding criterion against them.
 """
 
 from __future__ import annotations
@@ -49,12 +52,21 @@ from centaut.errors import (
     ClosureExceedsCap,
     CoclassOutOfRange,
     NoIdentityAtZero,
+    NotAbelian,
     NotAssociative,
     NotLatinSquare,
     OrderOutOfRange,
     ParseError,
+    PrimeMismatch,
 )
-from centaut.groups import direct_product, greedy_generators, powers, row_blocks
+from centaut.groups import (
+    Group,
+    direct_product,
+    greedy_generators,
+    powers,
+    row_blocks,
+    subset_table,
+)
 from centaut.structure import (
     StructureReport,
     Subgroup,
@@ -419,6 +431,86 @@ def ref_bijective_rows(sigma: np.ndarray) -> np.ndarray:
     return marks.reshape(k, n).all(axis=1)
 
 
+def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
+    """Every automorphism, by generator-image search with closure propagation.
+
+    Independent of the central-map enumeration: takes the greedy generating
+    set (Group.generators), tries all same-order images, and extends
+    each assignment through the multiplication table, rejecting on the
+    first conflict.  Exponential in general, hence the small order_limit.
+    """
+    n = G.order
+    if n > order_limit:
+        raise ValueError(f"order {n} exceeds the search limit {order_limit}")
+    gens = G.generators.tolist()
+    orders = G.element_orders
+    table = G.table
+    results: list[np.ndarray] = []
+
+    def extend(assign: np.ndarray, known: list[int], g: int, image: int) -> bool:
+        """Set assign[g]=image and close under products; False on conflict."""
+        if assign[g] == image:
+            return True
+        if assign[g] != -1 or orders[g] != orders[image]:
+            return False
+        assign[g] = image
+        queue = [g]
+        known.append(g)
+        while queue:
+            a = queue.pop()
+            for b in list(known):
+                for x, y in ((a, b), (b, a)):
+                    prod = table[x, y]
+                    img = table[assign[x], assign[y]]
+                    if assign[prod] == -1:
+                        if orders[prod] != orders[img]:
+                            return False
+                        assign[prod] = img
+                        known.append(prod)
+                        queue.append(prod)
+                    elif assign[prod] != img:
+                        return False
+        return True
+
+    def search(i: int, assign: np.ndarray, known: list[int]) -> None:
+        if i == len(gens):
+            if (assign != -1).all() and ref_bijective_rows(assign[None, :])[0]:
+                results.append(assign.copy())
+            return
+        g = gens[i]
+        if assign[g] != -1:
+            search(i + 1, assign, known)
+            return
+        for image in np.flatnonzero(orders == orders[g]):
+            trial = assign.copy()
+            kn = list(known)
+            if extend(trial, kn, g, int(image)):
+                search(i + 1, trial, kn)
+
+    seed = np.full(n, -1, dtype=np.int64)
+    seed[0] = 0
+    search(0, seed, [0])
+    results.sort(key=lambda a: a.tolist())
+    return results
+
+
+def embeds_bruteforce(A: Group, B: Group) -> bool:
+    """Injective-homomorphism search, independent of the layer criterion:
+    for each invariant of A in turn, an image in B of exactly that order
+    whose cyclic span meets the images so far trivially (_independent),
+    with backtracking.  Exponential in principle; tests use orders <= 64."""
+    if not (A.is_abelian and B.is_abelian):
+        raise NotAbelian("embedding search is for abelian groups")
+    if A.order == 1:
+        return True
+    if B.order > 1 and A.prime != B.prime:
+        raise PrimeMismatch(f"primes differ: {A.prime} vs {B.prime}")
+    if B.order % A.order != 0:
+        return False
+    orders = [A.prime**e for e in abelian.abelian_invariants(A).exponents]
+    return abelian._independent(B, np.arange(B.order) == 0, orders) is not None
+
+
 def ref_central_maps(G, rows: int = 256):
     """Blocks (candidates, bijective image arrays) of the maps x -> x*f(xG'),
     f in Hom(G/G', Z(G)), by the route the enumeration took before it
@@ -431,7 +523,7 @@ def ref_central_maps(G, rows: int = 256):
     tgt = abelian.target_array(center(G).elements)
     order = np.argsort(proj, kind="stable")
     images = abelian._allowed_images(basis.invariants, G, tgt)
-    for f in abelian.iter_hom_positions(basis, abelian._position_table(G, tgt), images, rows):
+    for f in abelian.iter_hom_positions(basis, subset_table(G.table, tgt), images, rows):
         sigma = np.empty((len(f), G.order), dtype=np.int64)
         sigma[:, order] = G.table[order, tgt[f[:, proj[order]]]]
         yield len(f), sigma[ref_bijective_rows(sigma)]

@@ -8,10 +8,8 @@ import pytest
 from centaut.abelian import (
     AbelianInvariants,
     _allowed_images,
-    _position_table,
     abelian_basis,
     abelian_invariants,
-    embeds_bruteforce,
     embeds_invariants,
     hom_invariants,
     iter_hom_positions,
@@ -27,6 +25,7 @@ from centaut.families import (
     elementary,
     parse_group_spec,
 )
+from centaut.groups import subset_table
 from centaut.structure import (
     abelianization,
     center,
@@ -37,6 +36,7 @@ from centaut.structure import (
 )
 
 import oracles
+from oracles import embeds_bruteforce
 
 
 def test_invariants_validation():
@@ -166,6 +166,16 @@ def test_iter_homomorphisms_into_subgroup_targets():
     assert {int(f[1]) for f in homs} == set(sub)
 
 
+def test_iter_homomorphisms_counts_each_target_once():
+    """Repeated targets name one subgroup: [2, 0, 0, 2] and [0, 2, 2] give
+    the maps of [0, 2], in the same order, not one map per repeat."""
+    basis, B = abelian_basis(cyclic(2)), cyclic(4)
+    want = [f.tolist() for f in iter_homomorphisms(basis, B, [0, 2])]
+    assert want == [[0, 0], [0, 2]]
+    for targets in ([2, 0, 0, 2], [0, 2, 2], np.array([2, 2, 0], dtype=np.uint8)):
+        assert [f.tolist() for f in iter_homomorphisms(basis, B, targets)] == want
+
+
 # Abelianization -> center, as the central-map enumeration asks: six
 # `homs` benchmark products and six corpus groups with basis elements of
 # order p^2 and p^3, p = 2, 3, 5.
@@ -243,7 +253,7 @@ def test_hom_blocks_match_reference_loop(kind, arg):
     assert got == want
     non_divisor = next(r for r in range(2, total + 2) if total % r)
     tgt = target_array(targets)
-    T = _position_table(ambient, tgt)
+    T = subset_table(ambient.table, tgt)
     images = _allowed_images(basis.invariants, ambient, tgt)
     for rows in sorted({1, 7, non_divisor, total + 1}):
         blocks = list(iter_hom_positions(basis, T, images, rows))

@@ -388,6 +388,20 @@ def test_env_cap_must_be_integer(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_importing_the_cli_does_not_import_the_process_pool():
+    """Only a run with more than one worker starts a pool, so a serial one
+    never loads concurrent.futures.process."""
+    code = "import sys, centaut.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "centaut.cli", "list-builtins"],

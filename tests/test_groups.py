@@ -1,5 +1,6 @@
 """Cayley table validation, permutation closure, products."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from centaut.errors import (
     ActionNotAutomorphism,
     ActionNotHomomorphism,
     ClosureExceedsCap,
+    InvalidExponent,
     InvalidPermutation,
     NoIdentityAtZero,
     NotAssociative,
@@ -146,6 +148,16 @@ def test_pow_handles_negative_exponents():
     assert G.pow(g, 8) == 0
     assert G.pow(g, -1) == G.inv(g)
     assert G.pow(g, -3) == G.inv(G.pow(g, 3))
+
+
+@pytest.mark.parametrize("k", [1.5, "2", True, np.float64(2.0), np.True_, None])
+def test_pow_names_an_exponent_that_is_not_an_integer(k):
+    """The exponent is read by operator.index: a float or a str once raised
+    a bare TypeError, and True was read as 1."""
+    G = dihedral(8)
+    with pytest.raises(InvalidExponent, match=re.escape(f"exponent {k!r} is not an integer")):
+        G.pow(1, k)
+    assert G.pow(1, np.int64(-3)) == G.pow(1, -3) == G.pow(1, 2**70 + 1)
 
 
 def test_element_orders_and_exponent():

@@ -16,8 +16,11 @@ from centaut.abelian import abelian_basis, iter_homomorphisms
 from centaut.central import central_automorphism_count, is_central_automorphism
 from centaut.errors import (
     ActionNotAutomorphism,
+    CentautError,
+    DifferentParent,
     IndexOutOfRange,
     InvalidPermutation,
+    NotClosed,
     NotNilpotent,
     NotNormal,
     NotPrimePower,
@@ -214,6 +217,34 @@ def test_subgroup_verification_catches_open_sets():
     G = cyclic(8)
     with pytest.raises(ValueError, match="not closed"):
         Subgroup(G, [0, 1])  # 1*1 escapes
+
+
+def test_open_sets_raise_one_named_error():
+    """A subgroup and a set of hom targets that are not closed raise the
+    same NotClosed, a CentautError and a ValueError, naming the product."""
+    G = cyclic(8)
+    calls = [
+        lambda: Subgroup(G, [0, 1]),
+        lambda: list(iter_homomorphisms(abelian_basis(cyclic(2)), G, [0, 1])),
+        lambda: Subgroup(G, [0, 2, 4, 5]),
+    ]
+    for call, product in zip(calls, ["1*1", "1*1", "2*4"]):
+        with pytest.raises(NotClosed, match=re.escape(f"set not closed: {product} escapes")):
+            call()
+    assert issubclass(NotClosed, CentautError) and issubclass(NotClosed, ValueError)
+
+
+def test_subgroups_of_another_group_are_named():
+    """issubset and quotient refuse a subgroup of another group by
+    DifferentParent, also a ValueError: issubset once raised numpy's
+    IndexError one way round and returned False the other."""
+    G = cyclic(8)
+    small, big = Subgroup(cyclic(4), [0, 2]), Subgroup(G, [0, 4])
+    for call in (lambda: big.issubset(small), lambda: small.issubset(big), lambda: quotient(G, small)):
+        with pytest.raises(DifferentParent, match="different parent"):
+            call()
+    assert issubclass(DifferentParent, CentautError) and issubclass(DifferentParent, ValueError)
+    assert Subgroup(G, [0, 4]).issubset(big)
 
 
 def test_subgroup_positions_and_as_group():
