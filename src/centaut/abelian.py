@@ -272,13 +272,18 @@ def iter_homomorphisms(
     basis: AbelianBasis, ambient: Group, targets: Sequence[int]
 ) -> Iterator[np.ndarray]:
     """All homomorphisms from the based group into the abelian subgroup of
-    ambient that the targets are, each counted once (else NotClosed): int64
+    ambient that the targets are, each counted once (else NotClosed, or
+    NotAbelian naming the first two targets that do not commute): int64
     arrays f, f[x] the ambient index of the image of x, in iter_hom_positions
     order, read back from blocks of about groups._BLOCK_CELLS positions."""
     tgt = target_array(groups.indices(targets, ambient.order, "target"))
+    T = groups.subset_table(ambient.table, tgt)
+    if (T != T.T).any():
+        a, b = (int(tgt[k]) for k in np.argwhere(T != T.T)[0])
+        raise NotAbelian(f"targets {a} and {b} do not commute")
     images = _allowed_images(basis.invariants, ambient, tgt)
     rows = max(1, groups._BLOCK_CELLS // len(basis.coordinates))
-    for block in iter_hom_positions(basis, groups.subset_table(ambient.table, tgt), images, rows):
+    for block in iter_hom_positions(basis, T, images, rows):
         yield from tgt[block]
 
 

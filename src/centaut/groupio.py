@@ -5,14 +5,16 @@ either a Cayley table ("cayley") or permutation generators ("perm-group");
 unknown fields are rejected so typos fail loudly.  Manifest entries name a
 group, a source expression, and an optional expected decision.
 
-A Cayley table of n rows of n unsigned JSON integers is read by a byte
-scanner (_scan_cayley) that checks its grammar with numpy in row blocks and
-builds the int32 table that the Group keeps without a Python object per
-cell; the fields around it go through json.loads with the table replaced by
-one placeholder.  Any other file, and every malformed one, takes the json
-path (_load_json, _int_matrix, cayley_array), which names every reader
-error and converts the table to int64, so the validator range-checks it
-before its one cast to int32.
+A Cayley table of n rows of n unsigned JSON integers, each of no more
+digits than n - 1 has, is read by a byte scanner (_scan_cayley).  It checks
+the grammar with numpy in row blocks, by a few gathers per number (the byte
+after it, the two after each row's "]", one per digit place) and a count of
+the block's bytes (_scan_table), and builds the int32 table that the Group
+keeps without a Python object per cell; the fields around it go through
+json.loads with the table replaced by one placeholder.  Any other file, and
+every malformed one, takes the json path (_load_json, _int_matrix,
+cayley_array), which names every reader error and converts the table to
+int64, so the validator range-checks it before its one cast to int32.
 """
 
 from __future__ import annotations
@@ -117,17 +119,10 @@ def _check_degree(degree: int, cap: int, path: Optional[str] = None) -> None:
 
 
 _WHITESPACE = b" \t\n\r"  # JSON's four whitespace bytes
-_DIGITS = b"0123456789"
 # The scanner reads a table in blocks of about this many bytes (some 2^16
 # cells), each cut just after a "]" so that it holds whole rows.
 _SCAN_BLOCK_BYTES = 1 << 18
-# Values are summed in int32, which holds every number of up to 9 digits;
-# a longer number takes the json path.
-_MAX_DIGITS = 9
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int32)
-# _LEAST[w] is the least number of w > 1 digits; one below it has a
-# leading zero.  A single digit may be 0.
-_LEAST = np.array([0, 0] + [10 ** (w - 1) for w in range(2, _MAX_DIGITS + 1)])
+_ROW_GAP = np.frombuffer(b",[", np.uint8)  # the two bytes after a row's "]"
 _TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[')
 _TABLE_END = re.compile(rb"\][ \t\n\r]*\]")
 
@@ -179,21 +174,33 @@ def _scan_cayley(raw: bytes, cap: int) -> Optional[tuple[dict, np.ndarray]]:
 
 def _scan_table(raw: bytes, start: int, stop: int, n: int) -> Optional[np.ndarray]:
     """raw[start:stop] as an n x n int32 array, or None unless it is exactly
-    n rows of n unsigned JSON integers, whitespace allowed between tokens.
+    n rows of n unsigned JSON integers of at most W = len(str(n - 1))
+    digits, whitespace allowed between tokens.
 
     With whitespace deleted, a block of rows must read: its head ("[[" in
     the first block, ",[" after), numbers split by "," within a row and by
     "],[" between rows, and its tail ("]" or, in the last block, "]]").
-    So the block must start with its head and end with its tail, its digit
-    runs must be rows * n numbers, its other bytes must be that punctuation
-    in order, and the gap after each number must be 1 byte, or 3 after a
-    row's last.  The gaps then leave the head and tail no room for more
-    bytes, and every byte is in its place.  Whitespace between two digits
-    would join two runs, so the block must hold as many runs before the
-    deletion as after.  A number's value sums its digits times powers of
-    ten, one gather per place.
+    The numbers end at e, the index of each one's last digit, and must be
+    rows * n.  The byte after each must be "," or, after a row's n-th, "]";
+    the two after each "]" but the block's last must be ",[".  With the
+    head, and the last block's final "]", these checked bytes are
+    rows * (n + 2) (+ 1) non-digits, and no two of them can sit at one
+    index, as each asks for another byte there or for a digit before it.
+    So when the block's digits and they add up to its length, no other byte
+    is in it, and every byte is in its place.  Whitespace between two
+    digits would join two numbers, so the block must hold as many numbers
+    before the deletion as after.
+
+    A number's value is built place by place: the byte k places before its
+    last digit adds its digit times 10^k while every byte from there to the
+    last digit is a digit, one gather per place.  A number of more than W
+    digits, which lies outside range(n), or with a leading zero declines
+    the file, and the json path names the same cell or error.
     """
-    row = b"," * (n - 1) + b"],["
+    width = len(str(n - 1))
+    pad = b"\0" * width  # so x[e - k] is a gather from a view, for k <= W
+    after = np.full(n, ord(","), dtype=np.uint8)
+    after[-1] = ord("]")  # the byte after each number of a row
     array = np.empty((n, n), dtype=np.int32)
     cells = array.reshape(-1)
     done = 0
@@ -201,52 +208,54 @@ def _scan_table(raw: bytes, start: int, stop: int, n: int) -> Optional[np.ndarra
     while lo < stop:
         hi = stop
         if stop - lo > _SCAN_BLOCK_BYTES:
-            hi = raw.rfind(b"]", lo, lo + _SCAN_BLOCK_BYTES) + 1 or (
+            cut = raw.rfind(b"]", lo, lo + _SCAN_BLOCK_BYTES) + 1 or (
                 raw.find(b"]", lo + _SCAN_BLOCK_BYTES) + 1
             )
+            if raw.find(b"]", cut, stop - 1) >= 0:  # else it strands the final "]"
+                hi = cut
         block = raw[lo:hi]
         text = block.translate(None, _WHITESPACE)
+        last = hi == stop
         head = b"[[" if lo == start else b",["
-        tail = b"]]" if hi == stop else b"]"
-        if not (text.startswith(head) and text.endswith(tail)):
+        if not (text.startswith(head) and text.endswith(b"]]" if last else b"]")):
             return None
-        # Transitions into and out of digits: (start - 1, end) of each run.
-        x = np.frombuffer(text, np.uint8)
-        edges = np.flatnonzero(_digit_edges(x))
-        if len(text) < len(block) and (
-            np.count_nonzero(_digit_edges(np.frombuffer(block, np.uint8))) != edges.size
-        ):
+        padded = np.frombuffer(pad + text, np.uint8)
+        x = padded[width:]
+        digit = (x - ord("0")) < 10
+        e = np.flatnonzero(digit[:-1] > digit[1:])
+        rows, extra = divmod(e.size, n)
+        if extra or not rows or done + e.size > n * n:
             return None
-        rows, extra = divmod(edges.size // 2, n)
-        if extra or not rows or done + rows * n > n * n:
+        if np.count_nonzero(digit) + rows * (n + 2) + last != len(text):
             return None
-        if text.translate(None, _DIGITS) != head + row * (rows - 1) + row[: n - 1] + tail:
+        if len(text) < len(block):
+            raw_digit = (np.frombuffer(block, np.uint8) - ord("0")) < 10
+            if np.count_nonzero(raw_digit[:-1] > raw_digit[1:]) != e.size:
+                return None
+        if (x[1:].take(e).reshape(rows, n) != after).any():
             return None
-        lengths = np.diff(edges)
-        width, gaps = lengths[0::2], lengths[1::2]  # digits; bytes to the next
-        if np.count_nonzero(gaps != 1) != rows - 1 or (gaps[n - 1 :: n] != 3).any():
+        if (x.take(e[n - 1 : -1 : n, None] + (2, 3), mode="clip") != _ROW_GAP).any():
             return None
-        if width.max() > _MAX_DIGITS:
-            return None
-        ends = edges[1::2]
-        value = (x[ends] - ord("0")).astype(np.int32)
-        for place in range(1, int(width.max())):
-            digit = np.take(x, ends - place, mode="clip")
-            digit -= ord("0")
-            digit *= width > place
-            value += digit * _POW10[place]
-        if (value < _LEAST[width]).any():
-            return None  # a leading zero
-        cells[done : done + value.size] = value
-        done += value.size
+        value = x.take(e).astype(np.int32)
+        value -= ord("0")
+        inside = np.ones(e.size, dtype=bool)  # place k - 1 is a digit
+        for k in range(1, width + 1):
+            place = padded[width - k :].take(e)  # x[e - k]
+            place -= ord("0")
+            deeper = inside & (place < 10)  # place k is a digit too
+            if k > 1 and ((inside > deeper) & (upper == 0)).any():
+                return None  # a leading zero at place k - 1
+            if k == width:
+                if deeper.any():
+                    return None  # more than W digits
+                break
+            place *= deeper
+            value += place * np.int32(10**k)
+            inside, upper = deeper, place
+        cells[done : done + e.size] = value
+        done += e.size
         lo = hi
     return array if done == n * n else None
-
-
-def _digit_edges(x: np.ndarray) -> np.ndarray:
-    """Bool mask of the i where x[i] and x[i + 1] differ in being a digit."""
-    digit = (x - ord("0")) < 10
-    return digit[1:] != digit[:-1]
 
 
 def read_group_file(
@@ -397,6 +406,17 @@ def parse_cycles(degree: int, text: str) -> list[int]:
             images[x] = q
             where[q] = x
     return images
+
+
+def file_bytes(source: str) -> int:
+    """The size of the group file that resolve_source reads for source: 0
+    for a builtin: or perm: source, or a file that cannot be read."""
+    if source.startswith(("builtin:", "perm:")):
+        return 0
+    try:
+        return Path(source).stat().st_size
+    except OSError:
+        return 0
 
 
 def resolve_source(source: str, cap: int = DEFAULT_ORDER_CAP) -> Group:

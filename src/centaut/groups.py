@@ -17,9 +17,9 @@ spanned as Group.generators, so no validated group is spanned twice, and
 a direct product takes its generators from its factors'.  A table it
 refuses reruns the ordered checks to name the first one that
 fails: Latin rows, then columns, by scatter marks into one n x n bool
-mask, the identity row and column, and then, Light's test having failed
-on the accept path, a row scan that names the lexicographically first bad
-triple (a, b, c).  Cells that are not integers (bool and float included)
+mask a row block at a time, the identity row and column, and then,
+Light's test having failed on the accept path, a row scan that names the
+lexicographically first bad triple (a, b, c).  Cells that are not integers (bool and float included)
 are rejected before the conversion.  indices reads every index a caller hands
 in, naming the first one not an integer in range(n) by the caller's error.
 
@@ -405,16 +405,21 @@ def _raise_first_failure(table: np.ndarray) -> NoReturn:
     a scan names the lexicographically first bad triple."""
     n = table.shape[0]
     ident = np.arange(n)
-    # Latin check by scatter marks into one reused n x n mask: (i, v) for
-    # each cell v of row i, then (v, j) for each cell v of column j.  A row
-    # or column is a permutation iff it marks all n of its slots.
+    # Latin check by scatter marks into one reused n x n mask, one block of
+    # rows at a time at flat indices: i*n + v for each cell v of row i, and
+    # once the rows pass, v*n + j for each cell v of column j.  A row or
+    # column is a permutation iff it marks all n of its slots.
     marks = np.zeros((n, n), dtype=bool)
+    flat = marks.reshape(-1)
+    blocks = row_blocks(n, n)
+    width = np.int64(n)  # an int32 cell times n could wrap
     for axis, kind, cells in (
-        (1, "row", (ident[:, None], table)),
-        (0, "column", (table, ident[None, :])),
+        (1, "row", lambda rows: ident[rows, None] * width + table[rows]),
+        (0, "column", lambda rows: table[rows] * width + ident),
     ):
         marks[:] = False
-        marks[cells] = True
+        for rows in blocks:
+            flat[cells(rows)] = True
         ok = marks.all(axis=axis)
         if not ok.all():
             i = int(np.argmin(ok))

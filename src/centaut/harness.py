@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 from .central import DEFAULT_HOM_CAP, CentralAutReport, central_automorphism_count
 from .criteria import MINIMAL, NOT_MINIMAL, UNDECIDED, Verdict, classify_report
 from .errors import AbelianGroup, CentautError, EnumerationCapExceeded
-from .groupio import Manifest, default_corpus, resolve_source
+from .groupio import Manifest, default_corpus, file_bytes, resolve_source
 from .groups import DEFAULT_ORDER_CAP
 from .structure import StructureReport, structure_report
 
@@ -191,12 +191,17 @@ def run_verification(
 
 def format_timings(records: Sequence[AnalysisRecord]) -> str:
     """Seconds per stage summed over the records, and their total; the
-    enumerate row adds the candidate maps enumerated and their rate.  For
-    a separate channel, never for the report."""
+    resolve row adds the bytes of the group files read and their rate, and
+    the enumerate row the candidate maps enumerated and theirs.  For a
+    separate channel, never for the report."""
     totals = {name: sum(r.stages.get(name, 0.0) for r in records) for name in STAGES}
     totals["total"] = sum(r.seconds for r in records)
     lines = [f"{'stage':<10} {'seconds':>9}"]
     lines += [f"{name:<10} {sec:>9.3f}" for name, sec in totals.items()]
+    nbytes = sum(file_bytes(r.source) for r in records)
+    sec = totals["resolve"]
+    rate = f"{nbytes / sec / 1e6:.1f}" if sec > 0 else "-"
+    lines[1 + STAGES.index("resolve")] += f"  {nbytes} bytes read, {rate} MB/s"
     maps = sum(r.central.hom_candidates for r in records if r.central is not None)
     sec = totals["enumerate"]
     rate = f"{maps / sec:.0f}" if sec > 0 else "-"

@@ -15,7 +15,9 @@ and order rules are kept as the branches they were written as before two
 tables and one decision routine replaced them.  all_automorphisms and
 embeds_bruteforce are the library's former brute-force searches, which
 nothing in it called, kept for the tests that check the enumeration and
-the embedding criterion against them.
+the embedding criterion against them.  ref_scan_table is the group-file
+scanner's former numpy block check, kept to pin the checks that replaced
+it.
 """
 
 from __future__ import annotations
@@ -216,6 +218,74 @@ def ref_int_matrix_error(rows: list, field: str) -> str | None:
         ):
             return f"{field}[{i}] must be a list of integers"
     return None
+
+
+_REF_WHITESPACE = b" \t\n\r"
+_REF_DIGITS = b"0123456789"
+_REF_SCAN_BLOCK_BYTES = 1 << 18
+_REF_MAX_DIGITS = 9
+_REF_POW10 = 10 ** np.arange(_REF_MAX_DIGITS, dtype=np.int32)
+_REF_LEAST = np.array([0, 0] + [10 ** (w - 1) for w in range(2, _REF_MAX_DIGITS + 1)])
+
+
+def _ref_digit_edges(x: np.ndarray) -> np.ndarray:
+    digit = (x - ord("0")) < 10
+    return digit[1:] != digit[:-1]
+
+
+def ref_scan_table(raw: bytes, start: int, stop: int, n: int) -> np.ndarray | None:
+    """The byte scanner's former block check: raw[start:stop] as an n x n
+    int32 array, or None unless it is n rows of n unsigned JSON integers of
+    at most 9 digits.  Per block it deletes the digits to compare the
+    punctuation with a template, and reads each number's width and the gap
+    after it from the digit runs' edges."""
+    row = b"," * (n - 1) + b"],["
+    array = np.empty((n, n), dtype=np.int32)
+    cells = array.reshape(-1)
+    done = 0
+    lo = start
+    while lo < stop:
+        hi = stop
+        if stop - lo > _REF_SCAN_BLOCK_BYTES:
+            hi = raw.rfind(b"]", lo, lo + _REF_SCAN_BLOCK_BYTES) + 1 or (
+                raw.find(b"]", lo + _REF_SCAN_BLOCK_BYTES) + 1
+            )
+        block = raw[lo:hi]
+        text = block.translate(None, _REF_WHITESPACE)
+        head = b"[[" if lo == start else b",["
+        tail = b"]]" if hi == stop else b"]"
+        if not (text.startswith(head) and text.endswith(tail)):
+            return None
+        x = np.frombuffer(text, np.uint8)
+        edges = np.flatnonzero(_ref_digit_edges(x))
+        if len(text) < len(block) and (
+            np.count_nonzero(_ref_digit_edges(np.frombuffer(block, np.uint8))) != edges.size
+        ):
+            return None
+        rows, extra = divmod(edges.size // 2, n)
+        if extra or not rows or done + rows * n > n * n:
+            return None
+        if text.translate(None, _REF_DIGITS) != head + row * (rows - 1) + row[: n - 1] + tail:
+            return None
+        lengths = np.diff(edges)
+        width, gaps = lengths[0::2], lengths[1::2]
+        if np.count_nonzero(gaps != 1) != rows - 1 or (gaps[n - 1 :: n] != 3).any():
+            return None
+        if width.max() > _REF_MAX_DIGITS:
+            return None
+        ends = edges[1::2]
+        value = (x[ends] - ord("0")).astype(np.int32)
+        for place in range(1, int(width.max())):
+            digit = np.take(x, ends - place, mode="clip")
+            digit -= ord("0")
+            digit *= width > place
+            value += digit * _REF_POW10[place]
+        if (value < _REF_LEAST[width]).any():
+            return None
+        cells[done : done + value.size] = value
+        done += value.size
+        lo = hi
+    return array if done == n * n else None
 
 
 def ref_parse_cycles(degree: int, text: str) -> list[int]:

@@ -176,6 +176,19 @@ def test_iter_homomorphisms_counts_each_target_once():
         assert [f.tolist() for f in iter_homomorphisms(basis, B, targets)] == want
 
 
+def test_iter_homomorphisms_names_targets_that_do_not_commute():
+    """All of dihedral(8) is closed but not abelian: the enumeration once
+    yielded 36 maps from elementary(2,2), of which 28 are homomorphisms."""
+    basis, D8 = abelian_basis(elementary(2, 2)), dihedral(8)
+    with pytest.raises(NotAbelian, match=r"^targets 1 and 2 do not commute$"):
+        next(iter_homomorphisms(basis, D8, range(8)))
+    Z = list(center(D8).elements)  # abelian targets keep their maps, in order
+    want = oracles.ref_iter_homomorphisms(
+        basis.coordinates.tolist(), 2, basis.invariants.exponents, D8.table.tolist(), Z
+    )
+    assert [tuple(f.tolist()) for f in iter_homomorphisms(basis, D8, Z)] == list(want)
+
+
 # Abelianization -> center, as the central-map enumeration asks: six
 # `homs` benchmark products and six corpus groups with basis elements of
 # order p^2 and p^3, p = 2, 3, 5.

@@ -10,7 +10,8 @@ import pytest
 
 from centaut.cli import ENV_CAP, ENV_HOM_CAP, main
 from centaut.errors import ParseError
-from centaut.groupio import parse_cycles, read_group, resolve_source
+from centaut.families import dihedral
+from centaut.groupio import parse_cycles, read_group, resolve_source, write_group
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +278,32 @@ def test_timings_count_the_enumerated_candidates(capsys, tmp_path):
     assert rate.endswith("/s")
     if float(seconds) > 0:
         assert float(rate[:-2]) > 0
+
+
+def test_timings_count_the_group_file_bytes(capsys, tmp_path):
+    """The resolve row gives the bytes of every group file read, a
+    rejected one too, and their rate; builtin and perm sources add none."""
+    write_group(dihedral(16), tmp_path / "d16.json")
+    (tmp_path / "bad.json").write_text('{"format":"cayley","order":2,"table":[[1,0],[0,1]]}')
+    manifest = {
+        "format": "manifest",
+        "entries": [
+            {"name": "d16", "source": str(tmp_path / "d16.json")},
+            {"name": "bad", "source": str(tmp_path / "bad.json")},
+            {"name": "q8", "source": "builtin:quaternion(8)"},
+            {"name": "c4", "source": "perm:4:(0 1 2 3)"},
+        ],
+    }
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "verify", "--manifest", str(mpath), "--timings")
+    _, plain = run_cli(capsys, "verify", "--manifest", str(mpath))[:2]
+    assert code == 1 and out == plain  # the rejected file is an error entry
+    row = next(line for line in err.splitlines() if line.startswith("resolve"))
+    _, seconds, count, *words, rate, unit = row.split()
+    size = sum(os.path.getsize(tmp_path / f) for f in ("d16.json", "bad.json"))
+    assert (int(count), words, unit) == (size, ["bytes", "read,"], "MB/s")
+    assert float(rate) > 0 if float(seconds) > 0 else rate == "-"
 
 
 def test_hom_command(capsys):

@@ -77,6 +77,24 @@ def test_a_read_only_table_is_not_copied_for_its_inverses():
     assert peak < 4 * 2**20
 
 
+def test_rejecting_a_large_table_holds_one_latin_mask():
+    """A Latin table with its identity moved passes both Latin checks
+    before the identity row names it.  The checks scatter into one reused
+    16 MiB mask by row blocks, so no n x n index array sits beside it."""
+    swap = np.arange(4096, dtype=np.int32)  # an int32 table is not copied
+    swap[[0, 5]] = swap[[5, 0]]
+    table = swap[dihedral(4096).table[np.ix_(swap, swap)]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoIdentityAtZero) as exc:
+            group_from_cayley_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{type(exc.value).__name__}: {exc.value}" == "NoIdentityAtZero: 0*0 == 5, expected 0"
+    assert peak < 20 * 2**20
+
+
 def test_rejects_missing_identity():
     with pytest.raises(NoIdentityAtZero):
         group_from_cayley_table([[1, 0], [0, 1]])

@@ -6,17 +6,19 @@ rows and columns in one bool mask, and fills a closure's table with one
 gather per row.  Each must name the same error, or build the same table, as
 the per-row scan, the sort-based check and the per-cell product loop.  The
 byte scanner that reads well-formed Cayley files must give what the json
-path gives, on every layout and malformation drawn.
+path gives, on every layout and malformation drawn, and what its former
+block check (oracles.ref_scan_table) gives on byte edits, at any block size.
 """
 
 import json
+import re
 import time
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centaut import groupio
@@ -333,6 +335,7 @@ FILE_MUTATIONS = (
     "duplicate table NaN after",
     "bracket for comma",
     "number outside row",
+    "wide number",
     *CELL_MUTATIONS,
 )
 
@@ -370,6 +373,8 @@ def cayley_files(draw):
         rows[i] = []
     elif kind == "extra row":
         rows.append(rows[i])
+    elif kind == "wide number":  # one digit more than n - 1 has: outside range(n)
+        rows[i][j] = "9" * (len(str(n - 1)) + 1)
     elif kind == "bracket for comma":  # a row's j-th separator becomes "]"
         j = min(j, n - 2)
         rows[i][j : j + 2] = [rows[i][j] + "]" + rows[i][j + 1]]
@@ -414,9 +419,7 @@ def _outcome(path):
     return name, G.table.tolist()
 
 
-@settings(max_examples=300)
-@given(case=cayley_files())
-def test_scanner_matches_json_path(tmp_path_factory, case):
+def _check_scanner_matches_json_path(tmp_path_factory, case):
     layout, kind, text = case
     path = tmp_path_factory.mktemp("scan") / "g.json"
     path.write_bytes(text.encode("utf-8"))
@@ -428,3 +431,67 @@ def test_scanner_matches_json_path(tmp_path_factory, case):
         scanned = groupio._scan_cayley(path.read_bytes(), 4096)
         assert scanned is not None
         assert scanned[1].tolist() == got[1]
+
+
+@settings(max_examples=300)
+@given(case=cayley_files())
+def test_scanner_matches_json_path(tmp_path_factory, case):
+    _check_scanner_matches_json_path(tmp_path_factory, case)
+
+
+@settings(max_examples=100)
+@given(case=cayley_files(), block=st.integers(8, 256))
+def test_scanner_matches_json_path_in_small_blocks(tmp_path_factory, case, block):
+    """Blocks of a row or a few: a block ends after any "]" but the final
+    one, and a well-formed file still takes the scanner."""
+    with mock.patch.object(groupio, "_SCAN_BLOCK_BYTES", block):
+        _check_scanner_matches_json_path(tmp_path_factory, case)
+
+
+# Bytes a mutation writes: every kind of byte the scanner tells apart.
+MUTATION_BYTES = b"0123456789,[] \t\n\rx-"
+
+
+@st.composite
+def mutated_spans(draw):
+    """(table text, n): a small builtin's table in a drawn layout, with up
+    to three bytes replaced, inserted or deleted, at any index or at one
+    that is not a digit."""
+    table = parse_group_spec(draw(st.sampled_from(SMALL_GROUPS))).table
+    rows = [[str(v) for v in r] for r in table.tolist()]
+    text = bytearray(_render(rows, draw(st.sampled_from(sorted(LAYOUTS)))).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        punctuation = [k for k, b in enumerate(text) if not chr(b).isdigit()]
+        i = draw(st.sampled_from(punctuation) | st.integers(0, len(text)))
+        byte = draw(st.sampled_from(MUTATION_BYTES))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            text.insert(i, byte)
+        elif edit == "replace":
+            text[min(i, len(text) - 1)] = byte
+        else:
+            del text[min(i, len(text) - 1)]
+    return bytes(text), len(table)
+
+
+@settings(max_examples=500)
+@given(case=mutated_spans(), block=st.integers(8, 1 << 18))
+@example(case=(b"x[0,1],[1,0]]", 2), block=1 << 18)  # no head
+@example(case=(b"[[0,1]x[1,0]]", 2), block=1 << 18)  # no "," between rows
+@example(case=(b"[[0,1],[1,0]x", 2), block=1 << 18)  # no final "]"
+@example(case=(b"[[0,1],[1,0]]1", 2), block=1 << 18)  # a digit after it
+@example(case=(b"[[0,1],[1,0]]", 2), block=8)
+def test_scanner_matches_reference_scanner(case, block):
+    """At any block size the scanner reads what the former block check
+    reads in one block, when every number has at most the digits of n - 1,
+    and declines everything else."""
+    text, n = case
+    want = oracles.ref_scan_table(text, 0, len(text), n)
+    wide = any(len(run) > len(str(n - 1)) for run in re.findall(rb"[0-9]+", text))
+    with mock.patch.object(groupio, "_SCAN_BLOCK_BYTES", block):
+        got = groupio._scan_table(text, 0, len(text), n)
+    if want is None or wide:
+        assert got is None
+    else:
+        assert got is not None and got.dtype == np.int32
+        assert got.tolist() == want.tolist()
