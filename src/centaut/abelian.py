@@ -13,6 +13,9 @@ targets alone (_allowed_images), never on all of the ambient group.  The
 homomorphisms themselves have one enumerator, iter_hom_positions, which
 reads only the basis, the allowed images and T, the Cayley table of the
 target subgroup on positions in its sorted elements (groups.subset_table).
+Given a table on which T acts, such as the coset labels of the central
+maps, it yields act[x, f(x)] in place of the position f(x), folding the
+action through the products it multiplies out.
 """
 
 from __future__ import annotations
@@ -211,7 +214,11 @@ def _allowed_images(
 
 
 def iter_hom_positions(
-    basis: AbelianBasis, T: np.ndarray, images: list[np.ndarray], rows: int
+    basis: AbelianBasis,
+    T: np.ndarray,
+    images: list[np.ndarray],
+    rows: int,
+    act: Optional[np.ndarray] = None,
 ) -> Iterator[np.ndarray]:
     """The homomorphisms from the based group into the abelian group of
     int32 Cayley table T, identity 0, as int32 blocks (maps x
@@ -229,17 +236,30 @@ def iter_hom_positions(
     digit picks a row of the folded table, and the few distinct leading
     digit tuples of the run are multiplied out once each: one product per
     cell at any rank.
+
+    With an int32 action table act (len(coordinates) x |T| states, and
+    act[act[q, u], v] == act[q, T[u, v]] for every state q and positions
+    u, v), the blocks hold act[x, f[x]] instead, in the same order and
+    the same blocks.  State x starts at x.  As f[x] is the product of the
+    tables' entries, they act one at a time: the first table is acted on
+    once, in place, before any fold, the leading tables once per distinct
+    prefix of a block, and the last by one gather per cell.  When every
+    table folds into one, the first acts in the fold, and a block is a
+    row gather of the folded states.
     """
     p = basis.invariants.prime
+    n = len(basis.coordinates)
     if not images:
-        yield np.zeros((1, len(basis.coordinates)), dtype=np.int32)
+        f = np.zeros((1, n), dtype=np.int32)
+        yield f if act is None else act[np.arange(n), f]
         return
     flat = T.ravel()
     width = np.int64(len(T))  # an int64 factor keeps f * |T| + g exact
 
-    def times(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Cellwise f * g of two position arrays."""
-        return flat.take(f * width + g)
+    def times(f: np.ndarray, g: np.ndarray, table: np.ndarray = flat) -> np.ndarray:
+        """Cellwise table[f, g] of a state or position array f and a
+        position array g, for T's flat table or act's."""
+        return table.take(f * width + g)
 
     factors = []
     for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T):
@@ -248,11 +268,20 @@ def iter_hom_positions(
         while cycle.shape[1] < p**e:
             cycle, h = np.concatenate((cycle, times(cycle, h[:, None])), axis=1), times(h, h)
         factors.append(cycle.take(k, axis=1))
+    table = flat
+    if act is not None:
+        # T's identity row leaves positions as they are; act's start state
+        # x is applied to the first table, in place, rows maps at a time
+        table, first, x = act.ravel(), factors[0], np.arange(n)
+        for lo in range(0, len(first), rows):
+            first[lo : lo + rows] = times(x, first[lo : lo + rows], table)
     # row i * len(b) + j of the folded table is a[i] * b[j], so the C-order
-    # digits, and with them the map order, stay as they were
+    # digits, and with them the map order, stay as they were; a is the
+    # first table, acted on when act is given, once no other is left
     while len(factors) > 1 and factors[-2].size * len(factors[-1]) <= groups._BLOCK_CELLS:
         a, b = factors.pop(-2), factors.pop()
-        factors.append(times(a[:, None, :], b[None, :, :]).reshape(-1, a.shape[1]))
+        ab = times(a[:, None, :], b[None, :, :], flat if factors else table)
+        factors.append(ab.reshape(-1, a.shape[1]))
     *lead, last = factors
     shape = tuple(len(factor) for factor in lead)
     total = math.prod(shape) * len(last)
@@ -263,8 +292,12 @@ def iter_hom_positions(
             digits = np.unravel_index(np.arange(head[0], head[-1] + 1), shape)
             prefix = lead[0].take(digits[0], axis=0)
             for factor, d in zip(lead[1:], digits[1:]):
-                prefix = times(prefix, factor.take(d, axis=0))
-            f = times(prefix.take(head - head[0], axis=0), f)
+                prefix = times(prefix, factor.take(d, axis=0), table)
+            # prefix * |T| once per distinct prefix, so a cell costs an add
+            # and one gather
+            cells = (prefix * width).take(head - head[0], axis=0)
+            cells += f
+            f = table.take(cells)
         yield f
 
 

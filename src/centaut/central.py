@@ -11,27 +11,34 @@ the a = |G/G'| cosets of G' in the C order of their exponent tuples along
 a basis of G/G'.  A candidate f sends coset c to coset c times z_f(c), and
 its |G| images are the union of those a products.  Whether they cover G is
 decided on labels, a-wide marks per candidate instead of |G|-wide ones,
-in blocks of about _BLOCK_CELLS / 4a homs from the one enumerator,
+in blocks of about _BLOCK_CELLS / 2a homs from the one enumerator,
 `abelian.iter_hom_positions`, which reads Z's position table and the
 allowed images powered once.  The int32 a x |Z| table label[c, j]
 names the coset that coset c times z_j is; it is read from the products
 in G's table a few cosets at a time, and kept once three checks pass on
 each block (_coset_labels), so no table of all |G| x |Z| products is
-built.  The test stays literal: the labels come from products read from
-G's table, no order formula or rule from `criteria` enters, and a table
-that fails a check raises RuntimeError rather than yield a count.  G' and
-Z are read as structure's per-group masks, G/G''s invariants as kept by
-the structure report; no Subgroup is built.  Memory is set by the block
-and by the labels, not by the candidate count.  The automorphisms are
-read from G's table for the bijective maps only, _BLOCK_CELLS // |G| maps
-at a time, in iter_homomorphisms order.
+built.  The labels act on the cosets as Z does, label[label[c, u], v] ==
+label[c, T[u, v]], so the enumerator folds them as it multiplies out a
+map: passed the labels as its action table, it yields label[c, f(c)]
+with one gather per candidate cell, and the count reads those and
+builds no positions.  The test stays literal: the labels come from
+products read from G's table, no order formula or rule from `criteria`
+enters, and a table that fails a check raises RuntimeError rather than
+yield a count.  G' and Z are read as structure's per-group masks, G/G''s
+invariants as kept by the structure report; no Subgroup is built.
+Memory is set by the block and by the labels, not by the candidate
+count.  The automorphisms are read from G's table for the bijective maps
+only, _BLOCK_CELLS // |G| maps at a time, in iter_homomorphisms order;
+there the position fold runs in step with the label fold, so one test
+decides bijectivity on every path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,7 +93,15 @@ def _coset_labels(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     at a time are read from G's table as (cosets, members, targets), and
     three checks make (c, j) labelled l exactly coset l: all its cells lie
     in coset l, their columns are distinct, and (c, identity) is labelled
-    c.  A failed check raises RuntimeError."""
+    c.  A failed check raises RuntimeError.
+
+    The labels then obey label[label[c, u], v] == label[c, T[u, v]], T
+    the targets' table on positions, which lets iter_hom_positions take
+    them as its action table.  Take x in coset c.  By the first check, x
+    tgt[u] lies in coset l = label[c, u], and so (x tgt[u]) tgt[v] lies in
+    coset label[l, v].  G is validated, so associative: that element is x
+    (tgt[u] tgt[v]) = x tgt[T[u, v]], which lies in coset label[c, T[u,
+    v]].  Each element lies in one coset only, so the two labels agree."""
     a, m = members.shape
     t = len(tgt)
     coset, column = np.empty((2, G.order), dtype=np.int32)
@@ -111,40 +126,45 @@ def _coset_labels(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
 
 def _candidate_maps(
     G: Group, N: np.ndarray, inv: AbelianInvariants, targets: Sequence[int], hom_cap: int
-) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The cosets of N, the sorted targets and blocks of the maps
-    x -> x*f(xN), f in Hom(G/N, <targets>).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[..., Iterator[np.ndarray]]]:
+    """The cosets of N, the sorted targets, their coset labels and the
+    enumerator of the maps x -> x*f(xN), f in Hom(G/N, <targets>).
 
     N is the bool mask of a normal subgroup containing G', so G/N is
     abelian, of invariants inv; members (a x |N|) lists its cosets as
-    section_basis does.  Each block is (f, bijective) for up to
-    _BLOCK_CELLS // 4a maps in iter_homomorphisms order: f[i, c] is the
-    int32 position in tgt of map i's value on coset c, and bijective masks
-    the maps whose images hit every element, by _coset_labels.  The
-    candidate count, the product of the numbers of allowed images, is
-    checked against hom_cap before the basis search; the images are
-    powered once, for the count and the blocks."""
+    section_basis does, and label is _coset_labels's.  homs(act) is
+    abelian.iter_hom_positions on them, blocks of up to _BLOCK_CELLS //
+    2a maps in iter_homomorphisms order: homs() gives f[i, c], the int32
+    position in tgt of map i's value on coset c, and homs(label) gives
+    label[c, f[i, c]], so a map's images hit every element exactly when
+    its row is bijective (_bijective_rows).  The candidate count, the
+    product of the numbers of allowed images, is checked against hom_cap
+    before the basis search; the images are powered once, for the count
+    and the blocks."""
     tgt = abelian.target_array(targets)
     images = abelian._allowed_images(inv, G, tgt)
     total = math.prod(len(y) for y in images)
     if total > hom_cap:
         raise EnumerationCapExceeded(f"{total} candidate maps exceed the cap {hom_cap}")
     basis, members = abelian.section_basis(G, N, inv)
-    a = len(members)
-    label = _coset_labels(G, members, tgt).ravel()
+    label = _coset_labels(G, members, tgt)
     T = groups.subset_table(G.table, tgt)
-    offsets = np.arange(a, dtype=np.int32) * np.int32(len(tgt))
-    # a label cell takes about twice the temporaries of an image cell (the
-    # hom block's int64 products and indices, the label, the scatter), so
-    # a quarter of the cell budget keeps a block under an image block's
-    # bytes, and in cache
-    rows = max(1, groups._BLOCK_CELLS // (4 * a))
+    # a label cell's temporaries peak at 21 bytes: the fold's int64 index
+    # and int32 state, then the scatter's int64 index and bool mark.  Half
+    # the cell budget keeps a block's under 1 MiB, in a core's cache, and
+    # halves the blocks a quarter took
+    rows = max(1, groups._BLOCK_CELLS // (2 * len(members)))
+    return members, tgt, label, partial(abelian.iter_hom_positions, basis, T, images, rows)
 
-    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for f in abelian.iter_hom_positions(basis, T, images, rows):
-            yield f, _bijective_rows(label.take(f + offsets))
 
-    return members, tgt, blocks()
+def _image_blocks(
+    label: np.ndarray, homs: Callable[..., Iterator[np.ndarray]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (f, bijective) of _candidate_maps's maps: the position fold
+    and the label fold run in step, so bijective masks the rows of f whose
+    images hit every element, by the labels alone."""
+    for f, state in zip(homs(), homs(label)):
+        yield f, _bijective_rows(state)
 
 
 def _images(G: Group, members: np.ndarray, tgt: np.ndarray, f: np.ndarray) -> Iterator[np.ndarray]:
@@ -155,15 +175,24 @@ def _images(G: Group, members: np.ndarray, tgt: np.ndarray, f: np.ndarray) -> It
         yield G.table[members, tgt[f[s]][:, :, None]].reshape(-1, G.order)
 
 
-def _central_maps(
+def _central_candidates(
     G: Group, hom_cap: int
-) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[..., Iterator[np.ndarray]]]:
     """_candidate_maps for the central maps, f ranging over Hom(G/G', Z(G))."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
     z = np.flatnonzero(structure._center_mask(G))
     inv = structure.abelianization_invariants(G)
     return _candidate_maps(G, structure._derived_mask(G), inv, z, hom_cap)
+
+
+def _central_maps(
+    G: Group, hom_cap: int
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The cosets of G', the sorted center and the central maps'
+    _image_blocks."""
+    members, tgt, label, homs = _central_candidates(G, hom_cap)
+    return members, tgt, _image_blocks(label, homs)
 
 
 def central_automorphism_count(
@@ -175,9 +204,10 @@ def central_automorphism_count(
     hom_cap before any enumeration happens.
     """
     total = count = 0
-    for _, bijective in _central_maps(G, hom_cap)[2]:
-        total += len(bijective)
-        count += int(bijective.sum())
+    *_, label, homs = _central_candidates(G, hom_cap)
+    for state in homs(label):
+        total += len(state)
+        count += int(_bijective_rows(state).sum())
     upper = structure.upper_central_orders(G)
     z_inn = upper[2] // upper[1] if len(upper) > 2 else 1
     return CentralAutReport(
@@ -221,8 +251,8 @@ def stability_count(
     seen: set[bytes] = set()
     homs = 0
     inv = abelian.section_invariants(G, np.ones(G.order, dtype=bool), N)
-    members, tgt, blocks = _candidate_maps(G, N, inv, Y.elements, hom_cap)
-    for f, bijective in blocks:
+    members, tgt, label, maps = _candidate_maps(G, N, inv, Y.elements, hom_cap)
+    for f, bijective in _image_blocks(label, maps):
         if not bijective.all():
             raise RuntimeError("a map x -> x*f(xX) is not a bijection")
         homs += len(f)

@@ -124,25 +124,26 @@ _WHITESPACE = b" \t\n\r"  # JSON's four whitespace bytes
 _SCAN_BLOCK_BYTES = 1 << 18
 _ROW_GAP = np.frombuffer(b",[", np.uint8)  # the two bytes after a row's "]"
 _TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[')
-_TABLE_END = re.compile(rb"\][ \t\n\r]*\]")
 
 
 def _scan_cayley(raw: bytes, cap: int) -> Optional[tuple[dict, np.ndarray]]:
     """(the fields but "table", the n x n int32 table) of a Cayley file, or None.
 
-    The span from the first `"table": [` to the first "]]" (whitespace
-    allowed between) is replaced by NaN and the rest parsed by json.loads.
-    Exactly one NaN, parsed as the top-level "table" value, proves that the
-    span is that value.  The fields must pass the checks the json path makes
-    before it reads the table, and the span must be n rows of n unsigned
-    integers (_scan_table), n the declared order.  None declines the file,
-    which then takes the json path; so does every malformed file.
+    The span from the first `"table": [` to the file's last "]" is replaced
+    by NaN and the rest parsed by json.loads.  Exactly one NaN, parsed as
+    the top-level "table" value, and the scanner's exact count of the
+    span's bytes prove that the span is that value.  A file with a "]"
+    after its table, as in a later field, is declined, and the json path
+    gives it the same outcome.  The fields must pass the checks the json
+    path makes before it reads the table, and the span must be n rows of n
+    unsigned integers (_scan_table), n the declared order.  None declines
+    the file, which then takes the json path; so does every malformed file.
     """
     key = _TABLE_KEY.search(raw)
-    end = _TABLE_END.search(raw, key.end()) if key else None
-    if end is None:
+    stop = raw.rfind(b"]", key.end()) + 1 if key else 0
+    if not stop:
         return None
-    start, stop = key.end() - 1, end.end()
+    start = key.end() - 1
     placeholder: list = []
     constants = []
 

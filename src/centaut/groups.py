@@ -408,22 +408,20 @@ def _raise_first_failure(table: np.ndarray) -> NoReturn:
     # Latin check by scatter marks into one reused n x n mask, one block of
     # rows at a time at flat indices: i*n + v for each cell v of row i, and
     # once the rows pass, v*n + j for each cell v of column j.  A row or
-    # column is a permutation iff it marks all n of its slots.
+    # column is a permutation iff it marks all n of its slots.  A block's
+    # rows mark only their own slots, so each is tested as it is marked and
+    # the first incomplete row, in row order, raises without marking more.
     marks = np.zeros((n, n), dtype=bool)
     flat = marks.reshape(-1)
     blocks = row_blocks(n, n)
     width = np.int64(n)  # an int32 cell times n could wrap
-    for axis, kind, cells in (
-        (1, "row", lambda rows: ident[rows, None] * width + table[rows]),
-        (0, "column", lambda rows: table[rows] * width + ident),
-    ):
-        marks[:] = False
-        for rows in blocks:
-            flat[cells(rows)] = True
-        ok = marks.all(axis=axis)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise NotLatinSquare(f"{kind} {i} is not a permutation of range({n})")
+    for rows in blocks:
+        flat[ident[rows, None] * width + table[rows]] = True
+        _raise_incomplete(marks[rows].all(axis=1), rows.start, "row", n)
+    marks[:] = False
+    for rows in blocks:
+        flat[table[rows] * width + ident] = True
+    _raise_incomplete(marks.all(axis=0), 0, "column", n)
     if not (table[0] == ident).all():
         a = int(np.argmin(table[0] == ident))
         raise NoIdentityAtZero(f"0*{a} == {int(table[0, a])}, expected {a}")
@@ -432,6 +430,13 @@ def _raise_first_failure(table: np.ndarray) -> NoReturn:
         raise NoIdentityAtZero(f"{a}*0 == {int(table[a, 0])}, expected {a}")
     _raise_first_nonassociative(table)
     raise RuntimeError("the ordered checks passed a table the accept path refused")
+
+
+def _raise_incomplete(ok: np.ndarray, first: int, kind: str, n: int) -> None:
+    """NotLatinSquare naming the first False of ok, row or column first + k."""
+    if not ok.all():
+        i = first + int(np.argmin(ok))
+        raise NotLatinSquare(f"{kind} {i} is not a permutation of range({n})")
 
 
 def _raise_first_nonassociative(table: np.ndarray) -> None:

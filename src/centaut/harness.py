@@ -192,8 +192,9 @@ def run_verification(
 def format_timings(records: Sequence[AnalysisRecord]) -> str:
     """Seconds per stage summed over the records, and their total; the
     resolve row adds the bytes of the group files read and their rate, and
-    the enumerate row the candidate maps enumerated and theirs.  For a
-    separate channel, never for the report."""
+    the enumerate row the candidate maps enumerated and the label cells
+    they were tested on (candidates x |G/G'| per group), each with its
+    rate.  For a separate channel, never for the report."""
     totals = {name: sum(r.stages.get(name, 0.0) for r in records) for name in STAGES}
     totals["total"] = sum(r.seconds for r in records)
     lines = [f"{'stage':<10} {'seconds':>9}"]
@@ -202,10 +203,14 @@ def format_timings(records: Sequence[AnalysisRecord]) -> str:
     sec = totals["resolve"]
     rate = f"{nbytes / sec / 1e6:.1f}" if sec > 0 else "-"
     lines[1 + STAGES.index("resolve")] += f"  {nbytes} bytes read, {rate} MB/s"
-    maps = sum(r.central.hom_candidates for r in records if r.central is not None)
+    enumerated = [r for r in records if r.central is not None]
+    maps = sum(r.central.hom_candidates for r in enumerated)
+    cells = sum(r.central.hom_candidates * r.structure.abelianization.order for r in enumerated)
     sec = totals["enumerate"]
-    rate = f"{maps / sec:.0f}" if sec > 0 else "-"
-    lines[1 + STAGES.index("enumerate")] += f"  {maps} candidates, {rate}/s"
+    rates = [f"{n / sec:.0f}" if sec > 0 else "-" for n in (maps, cells)]
+    lines[1 + STAGES.index("enumerate")] += (
+        f"  {maps} candidates, {rates[0]}/s, {cells} label cells, {rates[1]}/s"
+    )
     return "\n".join(lines) + "\n"
 
 

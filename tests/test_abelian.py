@@ -1,10 +1,14 @@
 """Invariants, bases, Hom counts and the embedding criterion."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centaut import central
 from centaut.abelian import (
     AbelianInvariants,
     _allowed_images,
@@ -15,6 +19,7 @@ from centaut.abelian import (
     iter_hom_positions,
     iter_homomorphisms,
     section_basis,
+    section_invariants,
     target_array,
 )
 from centaut.errors import NotAbelian, NotPrimePower, PrimeMismatch
@@ -31,6 +36,7 @@ from centaut.structure import (
     center,
     central_series,
     closure,
+    derived_subgroup,
     frattini_subgroup,
     quotient,
 )
@@ -275,6 +281,53 @@ def test_hom_blocks_match_reference_loop(kind, arg):
         assert 0 < len(blocks[-1]) <= rows
         got = [tuple(f) for f in np.concatenate([tgt[b] for b in blocks]).tolist()]
         assert got == want, rows
+
+
+# (kind, spec): the sections of _label_case, as the enumeration walks them
+LABEL_CASES = (
+    [("center", s) for s in CENTER_SPECS]
+    + [(kind, s) for s in STABILITY_SPECS for kind in ("frattini", "z2", "whole")]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _label_case(kind, spec):
+    """(basis, T, images, label) for Hom(G/N, Y): N = G' and Y = Z(G) for
+    "center", N = XG' and Y the central part of X for X the Frattini
+    subgroup or the second center, and N = G for "whole"; label is the
+    checked coset-label table of central._coset_labels."""
+    G = parse_group_spec(spec)
+    if kind == "center":
+        N, Y = derived_subgroup(G).mask, center(G).elements
+    elif kind == "whole":
+        N, Y = np.ones(G.order, dtype=bool), center(G).elements
+    else:
+        X = frattini_subgroup(G) if kind == "frattini" else central_series(G)[2]
+        N = closure(G, np.flatnonzero(X.mask | derived_subgroup(G).mask)).mask
+        Y = [x for x in X.elements if center(G).mask[x]]
+    inv = section_invariants(G, np.ones(G.order, dtype=bool), N)
+    basis, members = section_basis(G, N, inv)
+    tgt = target_array(Y)
+    T = subset_table(G.table, tgt)
+    return basis, T, _allowed_images(inv, G, tgt), central._coset_labels(G, members, tgt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(LABEL_CASES), rows=st.integers(1, 300))
+def test_label_fold_matches_position_blocks(case, rows):
+    """With act a checked coset-label table, each block is act[c, f[c]]
+    of the position block beside it, in the same blocks."""
+    basis, T, images, act = _label_case(*case)
+    a, t = act.shape
+    if a * t * t <= 10**6:  # the action law the fold rests on
+        assert np.array_equal(act[act], act[:, T])
+    c = np.arange(a)
+    pairs = itertools.zip_longest(
+        iter_hom_positions(basis, T, images, rows),
+        iter_hom_positions(basis, T, images, rows, act),
+    )
+    for f, state in pairs:
+        assert state.dtype == np.int32 and np.array_equal(state, act[c, f])
 
 
 def test_hom_positions_read_a_bare_table():

@@ -1,5 +1,6 @@
 """Central automorphism enumeration against independent searches."""
 
+import itertools
 import re
 import tracemalloc
 
@@ -354,6 +355,43 @@ def test_coset_table_memory_at_small_derived_subgroup():
         tracemalloc.stop()
     assert (rep.hom_candidates, rep.aut_count) == (1024, 1024)
     assert peak < 8 * 2**20
+
+
+def test_enumeration_memory_at_order_4096():
+    """|Z| = 1024, a = 2048: the labels and the first hom table are 8 MiB
+    each as int32.  Acting on that table in place, a row block at a time,
+    adds no table beside it."""
+    G = modular(2, 4096)
+    central_automorphism_count(G)  # fill the group's structure memo
+    tracemalloc.start()
+    try:
+        rep = central_automorphism_count(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.hom_candidates, rep.aut_count) == (2048, 2048)
+    assert peak <= 24.1 * 2**20, peak
+
+
+def _label_fold_matches_positions(G):
+    """Each block of the label fold against label[c, f[c]] read from the
+    position fold's block; returns the candidate count."""
+    members, _, label, homs = central._central_candidates(G, central.DEFAULT_HOM_CAP)
+    c = np.arange(len(members))
+    total = 0
+    for f, state in itertools.zip_longest(homs(), homs(label)):
+        assert state.dtype == np.int32
+        assert np.array_equal(state, label[c, f])
+        total += len(f)
+    return total
+
+
+def test_label_fold_matches_positions(corpus_groups, homs_groups):
+    groups = [*corpus_groups.items(), *homs_groups.items()]
+    assert len(groups) == 54 + 14
+    for name, G in groups:
+        total = _label_fold_matches_positions(G)
+        assert total == central_automorphism_count(G).hom_candidates, name
 
 
 def _label_masks_match_scatter(G):

@@ -273,8 +273,27 @@ def test_timings_count_the_enumerated_candidates(capsys, tmp_path):
     maps = sum(r["central"]["homCandidates"] for r in report["records"] if r.get("central"))
     assert maps == 4 + 16
     row = next(line for line in err.splitlines() if line.startswith("enumerate"))
-    _, seconds, count, word, rate = row.split()
+    _, seconds, count, word, rate, *_ = row.split()
     assert (int(count), word) == (maps, "candidates,")
+    assert rate.endswith("/s,")
+    if float(seconds) > 0:
+        assert float(rate[:-3]) > 0
+
+
+def test_timings_count_the_label_cells_on_the_corpus(capsys):
+    """The enumerate row's label cells are each group's candidates times
+    its a = |G/G'| coset labels, summed over the corpus, with their rate."""
+    code, out, err = run_cli(capsys, "verify", "--timings")
+    assert code == 0
+    records = [r for r in json.loads(out)["records"] if r.get("central")]
+    cells = sum(
+        r["central"]["homCandidates"] * r["prime"] ** sum(r["structure"]["abelianization"])
+        for r in records
+    )
+    assert len(records) == 54 and cells > sum(r["central"]["homCandidates"] for r in records)
+    row = next(line for line in err.splitlines() if line.startswith("enumerate"))
+    _, seconds, *_, count, label, word, rate = row.split()
+    assert (int(count), label, word) == (cells, "label", "cells,")
     assert rate.endswith("/s")
     if float(seconds) > 0:
         assert float(rate[:-2]) > 0

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from centaut import groups
 from centaut.errors import (
     ActionNotAutomorphism,
     ActionNotHomomorphism,
@@ -103,6 +104,21 @@ def test_rejects_missing_identity():
 def test_rejects_non_latin_rows():
     with pytest.raises(NotLatinSquare):
         group_from_cayley_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+
+
+@pytest.mark.parametrize("cells", [1 << 16, 16 * 4])  # one block; blocks of 4 rows
+def test_non_latin_rows_in_two_blocks_name_the_first(monkeypatch, cells):
+    """Rows 5 and 13 repeat a value: row 5 is named, whether the row check
+    sees both in one block or stops at the block holding row 5."""
+    monkeypatch.setattr(groups, "_BLOCK_CELLS", cells)
+    table = dihedral(16).table.copy()
+    table[13, 2] = table[13, 3]
+    table[5, 7] = table[5, 8]
+    with pytest.raises(NotLatinSquare, match=r"^row 5 is not a permutation of range\(16\)$"):
+        group_from_cayley_table(table)
+    table[5] = dihedral(16).table[5]  # row 5 valid again: row 13 is named
+    with pytest.raises(NotLatinSquare, match=r"^row 13 is not"):
+        group_from_cayley_table(table)
 
 
 def test_rejects_non_square_and_non_integer():

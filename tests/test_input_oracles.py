@@ -331,6 +331,7 @@ FILE_MUTATIONS = (
     "bom",
     "order mismatch",
     "name with brackets",
+    "table first, name with brackets",
     "trailing data",
     "duplicate table NaN after",
     "bracket for comma",
@@ -386,14 +387,14 @@ def cayley_files(draw):
         fields["order"] = "Infinity"
     elif kind == "order mismatch":
         fields["order"] = str(n + 1)
-    elif kind == "name with brackets":
+    elif kind in ("name with brackets", "table first, name with brackets"):
         fields["name"] = '"]] [[\\"table\\": [[0]]"'
     elif kind == "nested table":
         fields = {"extra": '{"table": ' + _render(rows, layout) + "}", **fields}
     _, _, _, gap, end = LAYOUTS[layout]
     items = [f'"{k}":{gap}{v}' for k, v in fields.items()]
     table_item = f'"table":{gap}{_render(rows, layout, i if kind == "number outside row" else None)}'
-    if kind == "table first":
+    if kind in ("table first", "table first, name with brackets"):
         items.insert(0, table_item)
     elif kind == "duplicate table before":
         items += ['"table":' + gap + "[[0]]", table_item]
