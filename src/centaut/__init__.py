@@ -18,10 +18,7 @@ from .abelian import (
 from .central import (
     DEFAULT_HOM_CAP,
     CentralAutReport,
-    adney_yen_check,
     central_automorphism_count,
-    is_central_automorphism,
-    stability_count,
 )
 from .criteria import (
     MINIMAL,
@@ -77,7 +74,6 @@ from .structure import (
     frattini_subgroup,
     minimal_generator_count,
     quotient,
-    socle_of,
     structure_report,
 )
 

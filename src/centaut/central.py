@@ -1,4 +1,4 @@
-"""Brute-force enumeration of central automorphisms and related counts.
+"""Brute-force count of central automorphisms.
 
 A central automorphism is x -> x*f(x') where f ranges over homomorphisms
 from the abelianization into the center and x' is the coset of x.  Every
@@ -27,10 +27,7 @@ enters, and a table that fails a check raises RuntimeError rather than
 yield a count.  G' and Z are read as structure's per-group masks, G/G''s
 invariants as kept by the structure report; no Subgroup is built.
 Memory is set by the block and by the labels, not by the candidate
-count.  The automorphisms are read from G's table for the bijective maps
-only, _BLOCK_CELLS // |G| maps at a time, in iter_homomorphisms order;
-there the position fold runs in step with the label fold, so one test
-decides bijectivity on every path.
+count.
 """
 
 from __future__ import annotations
@@ -38,23 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import abelian, groups, structure
-from .abelian import AbelianInvariants, hom_invariants
-from .errors import (
-    AbelianGroup,
-    CenterNotCyclic,
-    EnumerationCapExceeded,
-    IndexOutOfRange,
-    NotCentral,
-    NotContained,
-    NotPrimePower,
-)
+from .errors import EnumerationCapExceeded, NotPrimePower
 from .groups import Group, row_blocks
-from .structure import Subgroup
 
 DEFAULT_HOM_CAP = 2**20
 
@@ -76,7 +63,7 @@ class CentralAutReport:
 
 def _bijective_rows(sigma: np.ndarray) -> np.ndarray:
     """Which rows of a (maps x n) block of values in range(n) hit every
-    value: image arrays, the coset labels maps pick, or column keys."""
+    value: the coset labels maps pick, or column keys."""
     k, n = sigma.shape
     marks = np.zeros(k * n, dtype=bool)
     marks[(np.arange(k) * n)[:, None] + sigma] = True
@@ -124,29 +111,33 @@ def _coset_labels(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return label
 
 
-def _candidate_maps(
-    G: Group, N: np.ndarray, inv: AbelianInvariants, targets: Sequence[int], hom_cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[..., Iterator[np.ndarray]]]:
-    """The cosets of N, the sorted targets, their coset labels and the
-    enumerator of the maps x -> x*f(xN), f in Hom(G/N, <targets>).
+def _central_candidates(
+    G: Group, hom_cap: int
+) -> tuple[np.ndarray, np.ndarray, Callable[..., Iterator[np.ndarray]]]:
+    """The cosets of G', their labels by the sorted center and the
+    enumerator of the central maps x -> x*f(xG'), f in Hom(G/G', Z(G)).
 
-    N is the bool mask of a normal subgroup containing G', so G/N is
-    abelian, of invariants inv; members (a x |N|) lists its cosets as
-    section_basis does, and label is _coset_labels's.  homs(act) is
-    abelian.iter_hom_positions on them, blocks of up to _BLOCK_CELLS //
-    2a maps in iter_homomorphisms order: homs() gives f[i, c], the int32
-    position in tgt of map i's value on coset c, and homs(label) gives
-    label[c, f[i, c]], so a map's images hit every element exactly when
-    its row is bijective (_bijective_rows).  The candidate count, the
-    product of the numbers of allowed images, is checked against hom_cap
-    before the basis search; the images are powered once, for the count
-    and the blocks."""
-    tgt = abelian.target_array(targets)
+    members (a x |G'|) lists the cosets as section_basis does, on the
+    invariants of G/G' that the structure report keeps, and label is
+    _coset_labels's.  homs(act) is abelian.iter_hom_positions on them,
+    blocks of up to _BLOCK_CELLS // 2a maps in iter_homomorphisms order:
+    homs() gives f[i, c], the int32 position in the sorted center of map
+    i's value on coset c, and homs(label) gives label[c, f[i, c]], so a
+    map's images hit every element exactly when its row is bijective
+    (_bijective_rows).  The candidate count, the product of the numbers of
+    allowed images, is checked against hom_cap before the basis search;
+    the images are powered once, for the count and the blocks."""
+    if G.prime is None:
+        raise NotPrimePower(f"order {G.order} is not a prime power")
+    z = np.flatnonzero(structure._center_mask(G))
+    inv = structure.abelianization_invariants(G)
+    derived = structure._derived_mask(G)
+    tgt = abelian.target_array(z)
     images = abelian._allowed_images(inv, G, tgt)
     total = math.prod(len(y) for y in images)
     if total > hom_cap:
         raise EnumerationCapExceeded(f"{total} candidate maps exceed the cap {hom_cap}")
-    basis, members = abelian.section_basis(G, N, inv)
+    basis, members = abelian.section_basis(G, derived, inv)
     label = _coset_labels(G, members, tgt)
     T = groups.subset_table(G.table, tgt)
     # a label cell's temporaries peak at 21 bytes: the fold's int64 index
@@ -154,45 +145,7 @@ def _candidate_maps(
     # the cell budget keeps a block's under 1 MiB, in a core's cache, and
     # halves the blocks a quarter took
     rows = max(1, groups._BLOCK_CELLS // (2 * len(members)))
-    return members, tgt, label, partial(abelian.iter_hom_positions, basis, T, images, rows)
-
-
-def _image_blocks(
-    label: np.ndarray, homs: Callable[..., Iterator[np.ndarray]]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (f, bijective) of _candidate_maps's maps: the position fold
-    and the label fold run in step, so bijective masks the rows of f whose
-    images hit every element, by the labels alone."""
-    for f, state in zip(homs(), homs(label)):
-        yield f, _bijective_rows(state)
-
-
-def _images(G: Group, members: np.ndarray, tgt: np.ndarray, f: np.ndarray) -> Iterator[np.ndarray]:
-    """The image arrays of the maps f (positions in tgt, one per coset),
-    read from G's table with columns in the order of members.ravel(), at
-    most _BLOCK_CELLS // |G| maps at a time."""
-    for s in row_blocks(len(f), G.order):
-        yield G.table[members, tgt[f[s]][:, :, None]].reshape(-1, G.order)
-
-
-def _central_candidates(
-    G: Group, hom_cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[..., Iterator[np.ndarray]]]:
-    """_candidate_maps for the central maps, f ranging over Hom(G/G', Z(G))."""
-    if G.prime is None:
-        raise NotPrimePower(f"order {G.order} is not a prime power")
-    z = np.flatnonzero(structure._center_mask(G))
-    inv = structure.abelianization_invariants(G)
-    return _candidate_maps(G, structure._derived_mask(G), inv, z, hom_cap)
-
-
-def _central_maps(
-    G: Group, hom_cap: int
-) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The cosets of G', the sorted center and the central maps'
-    _image_blocks."""
-    members, tgt, label, homs = _central_candidates(G, hom_cap)
-    return members, tgt, _image_blocks(label, homs)
+    return members, label, partial(abelian.iter_hom_positions, basis, T, images, rows)
 
 
 def central_automorphism_count(
@@ -204,7 +157,7 @@ def central_automorphism_count(
     hom_cap before any enumeration happens.
     """
     total = count = 0
-    *_, label, homs = _central_candidates(G, hom_cap)
+    _, label, homs = _central_candidates(G, hom_cap)
     for state in homs(label):
         total += len(state)
         count += int(_bijective_rows(state).sum())
@@ -216,77 +169,3 @@ def central_automorphism_count(
         z_inn_order=z_inn,
         minimal=count == z_inn,
     )
-
-
-def iter_central_automorphisms(G: Group, hom_cap: int = DEFAULT_HOM_CAP):
-    """Yield the bijective candidate maps as image arrays indexed by x."""
-    members, tgt, blocks = _central_maps(G, hom_cap)
-    for f, bijective in blocks:
-        for sigma in _images(G, members, tgt, f[bijective]):
-            auts = np.empty_like(sigma)
-            auts[:, members.ravel()] = sigma
-            yield from auts
-
-
-def stability_count(
-    G: Group,
-    X: Subgroup,
-    Y: Subgroup,
-    hom_cap: int = DEFAULT_HOM_CAP,
-) -> tuple[int, int]:
-    """Distinct maps x -> x*f(xX) for f: (G/X)^ab -> Y, and the hom count.
-
-    Y must be a central subgroup contained in X; X must be normal
-    (structure.check_normal).  As (G/X)^ab = G/XG', the maps run on the
-    cosets of XG'.  Each fixes X and G/X elementwise; the first value
-    counts the distinct ones, the second the homs enumerated.
-    """
-    structure.check_parent(G, X, Y)
-    if not Y.issubset(X):
-        raise NotContained("second subgroup must lie inside the first")
-    if not structure._center_mask(G)[list(Y.elements)].all():
-        raise NotCentral("image subgroup must be central")
-    structure.check_normal(G, X)
-    N = structure.closure(G, np.flatnonzero(X.mask | structure._derived_mask(G))).mask
-    seen: set[bytes] = set()
-    homs = 0
-    inv = abelian.section_invariants(G, np.ones(G.order, dtype=bool), N)
-    members, tgt, label, maps = _candidate_maps(G, N, inv, Y.elements, hom_cap)
-    for f, bijective in _image_blocks(label, maps):
-        if not bijective.all():
-            raise RuntimeError("a map x -> x*f(xX) is not a bijection")
-        homs += len(f)
-        for sigma in _images(G, members, tgt, f):
-            seen.update(row.tobytes() for row in sigma)
-    return len(seen), homs
-
-
-def adney_yen_check(
-    G: Group, hom_cap: int = DEFAULT_HOM_CAP
-) -> tuple[int, int, bool]:
-    """For nonabelian G with cyclic center: |central auts| vs |Hom(G^ab, Z)|.
-
-    Returns (aut_count, hom_order, equal); the two agree exactly when no
-    candidate map degenerates, which is the cyclic-center count identity.
-    """
-    if G.is_abelian:
-        raise AbelianGroup("count identity is posed for nonabelian groups")
-    gamma = abelian.section_invariants(G, structure._center_mask(G), np.arange(G.order) == 0)
-    if gamma.rank != 1:
-        raise CenterNotCyclic(f"center invariants {list(gamma.exponents)}")
-    rep = central_automorphism_count(G, hom_cap=hom_cap)
-    hom_order = hom_invariants(structure.abelianization_invariants(G), gamma).order
-    return rep.aut_count, hom_order, rep.aut_count == hom_order
-
-
-def is_central_automorphism(G: Group, sigma: np.ndarray) -> bool:
-    """Whether sigma is a bijection with sigma(x*s) = sigma(x)*sigma(s) for each
-    x and each s in G.generators, and x^-1 * sigma(x) is central; IndexOutOfRange
-    names an entry not an integer in range(|G|), or a shape not (|G|,)."""
-    sigma = groups.indices(sigma, G.order, "sigma entry")
-    if sigma.shape != (G.order,):
-        raise IndexOutOfRange(f"sigma must be {G.order} indices in range({G.order})")
-    gens = G.generators
-    hom = (sigma[G.table[:, gens]] == G.table[sigma[:, None], sigma[gens]]).all()
-    central = structure._center_mask(G)[G.table[G.inverse, sigma]].all()
-    return bool(hom and central and _bijective_rows(sigma[None, :])[0])

@@ -100,18 +100,6 @@ class AbelianGroup(CentautError):
     """Operation is posed for nonabelian groups only."""
 
 
-class CenterNotCyclic(CentautError):
-    """Operation requires a cyclic center."""
-
-
-class NotCentral(CentautError):
-    """Subgroup must lie inside the center."""
-
-
-class NotContained(CentautError):
-    """Expected one subgroup to contain the other."""
-
-
 class EnumerationCapExceeded(CentautError):
     """Homomorphism candidate count exceeds the enumeration cap."""
 

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -35,7 +35,6 @@ from .abelian import AbelianInvariants
 from .errors import (
     DifferentParent,
     IndexOutOfRange,
-    NotAbelian,
     NotNilpotent,
     NotNormal,
     NotPrimePower,
@@ -298,18 +297,6 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
 def abelianization(G: Group) -> tuple[Group, np.ndarray]:
     """G/[G,G] as a Group, with its projection."""
     return quotient(G, derived_subgroup(G))
-
-
-def socle_of(sub: Subgroup) -> Subgroup:
-    """Elements of order dividing p inside an abelian subgroup of a p-group."""
-    G = sub.parent
-    if G.prime is None:
-        raise NotPrimePower(f"order {G.order} is not a prime power")
-    if not sub.is_abelian:
-        raise NotAbelian("socle is defined here for abelian subgroups only")
-    orders = G.element_orders
-    keep = [e for e in sub.elements if orders[e] <= G.prime]
-    return Subgroup(G, keep, verify=False)
 
 
 @dataclass(frozen=True)

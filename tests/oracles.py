@@ -72,6 +72,7 @@ from centaut.groups import (
 from centaut.structure import (
     StructureReport,
     Subgroup,
+    abelianization,
     center,
     central_series,
     derived_subgroup,
@@ -597,6 +598,24 @@ def ref_central_maps(G, rows: int = 256):
         sigma = np.empty((len(f), G.order), dtype=np.int64)
         sigma[:, order] = G.table[order, tgt[f[:, proj[order]]]]
         yield len(f), sigma[ref_bijective_rows(sigma)]
+
+
+def ref_stability_count(G, X, Y) -> int:
+    """Distinct maps x -> x*f(xX), f in Hom((G/X)^ab, Y), from the per-map
+    reference loop on the quotient Groups G/X and its abelianization."""
+    Q, proj = quotient(G, X)
+    qab, proj2 = abelianization(Q)
+    basis = abelian.abelian_basis(qab, prime=G.prime)
+    t = G.table.tolist()
+    homs = ref_iter_homomorphisms(
+        basis.coordinates.tolist(),
+        G.prime,
+        basis.invariants.exponents,
+        t,
+        [int(y) for y in Y.elements],
+    )
+    coset = proj2[proj].tolist()
+    return len({tuple(t[x][f[q]] for x, q in enumerate(coset)) for f in homs})
 
 
 def ref_coset_table(G, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:

@@ -214,7 +214,7 @@ CENTER_SPECS = [
     "modular(2,2048)",  # a C_512 target: the longest cycles listed
 ]
 
-# stability_count's inputs: (G/X)^ab -> Y for X the Frattini subgroup or the
+# Sections of the stability maps: (G/X)^ab -> Y for X the Frattini subgroup or the
 # second center, Y the central part of X.
 STABILITY_SPECS = [
     "dihedral(16)",

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from centaut.abelian import abelian_basis, iter_homomorphisms
-from centaut.central import central_automorphism_count, is_central_automorphism
+from centaut.central import central_automorphism_count
 from centaut.errors import (
     ActionNotAutomorphism,
     CentautError,
@@ -52,7 +52,6 @@ from centaut.structure import (
     frattini_subgroup,
     minimal_generator_count,
     quotient,
-    socle_of,
     structure_report,
     upper_central_orders,
 )
@@ -127,7 +126,6 @@ def _index_entry_points(G: Group) -> list[tuple[type, int, Callable]]:
         (IndexOutOfRange, 0, lambda vs: closure(G, vs).elements),
         (IndexOutOfRange, 1, lambda g: whole.contains(g)),
         (IndexOutOfRange, 0, lambda vs: whole.positions(vs).tolist()),
-        (IndexOutOfRange, 0, lambda vs: is_central_automorphism(G, vs)),
         (IndexOutOfRange, 0, lambda vs: [f.tolist() for f in iter_homomorphisms(basis, G, vs)]),
     ]
 
@@ -396,14 +394,6 @@ def test_abelianization_invariants():
     assert abelian_invariants(Q).exponents == (1, 1)
     Q, _ = abelianization(modular(2, 16))
     assert abelian_invariants(Q).exponents == (2, 1)
-
-
-def test_socle_is_the_bottom_layer():
-    G = modular(2, 16)
-    Z = center(G)
-    s = socle_of(Z)
-    assert s.order == 2
-    assert all(G.element_orders[e] <= 2 for e in s.elements)
 
 
 def test_structure_report_dihedral16():
