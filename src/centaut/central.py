@@ -21,11 +21,18 @@ built.  The labels act on the cosets as Z does, label[label[c, u], v] ==
 label[c, T[u, v]], so the enumerator folds them as it multiplies out a
 map: passed the labels as its action table, it yields label[c, f(c)]
 with one gather per candidate cell, and the count reads those and
-builds no positions.  The test stays literal: the labels come from
-products read from G's table, no order formula or rule from `criteria`
-enters, and a table that fails a check raises RuntimeError rather than
-yield a count.  G' and Z are read as structure's per-group masks, G/G''s
-invariants as kept by the structure report; no Subgroup is built.
+builds no positions.  Positions u and v of Z with equal label columns
+(z_u, z_v in one coset of G') are one class, and by that identity the
+columns T[u, w] and T[v, w] are then equal for every w: maps whose basis
+images lie in the same classes have equal label rows.  So the count
+enumerates one allowed image per class for each basis element, tests
+each such row once and counts it with the number of maps it stands for
+(_label_classes).  The test stays literal: the labels come from
+products read from G's table, the classes from comparing full label
+columns, no order formula or rule from `criteria` enters, and a table
+that fails a check raises RuntimeError rather than yield a count.  G'
+and Z are read as structure's per-group masks, G/G''s invariants as
+kept by the structure report; no Subgroup is built.
 Memory is set by the block and by the labels, not by the candidate
 count.
 """
@@ -34,8 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -53,12 +59,15 @@ class CentralAutReport:
     hom_candidates counts all homomorphisms abelianization -> center;
     aut_count counts the bijective ones; z_inn_order = |Z_2(G)/Z(G)| is the
     unconditional lower bound, and minimal means the two orders agree.
+    label_rows counts the label rows tested, one per class of candidates
+    (_label_classes); it is for timings and stays out of the report.
     """
 
     hom_candidates: int
     aut_count: int
     z_inn_order: int
     minimal: bool
+    label_rows: int
 
 
 def _bijective_rows(sigma: np.ndarray) -> np.ndarray:
@@ -111,22 +120,58 @@ def _coset_labels(G: Group, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return label
 
 
+def _label_classes(
+    label: np.ndarray, images: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per basis element, the least allowed image of each class and the
+    number of allowed images in it.
+
+    Positions u and v of Z are one class when label columns u and v are
+    equal.  label[0, u], the coset of z_u, is the key: every column is
+    compared with the column of the least position of its key, a row
+    block at a time, and a mismatch raises RuntimeError.  If columns u
+    and v are equal, then for every w column T[u, w] is label[label[:, u],
+    w] = label[label[:, v], w], column T[v, w] (the action identity of
+    _coset_labels), so maps whose basis images lie in the same classes
+    have equal label rows, and the maps a row of representatives stands
+    for number the product of its images' class sizes."""
+    a, t = label.shape
+    key = label[0]
+    least = np.full(a, t)  # per key, its least position; t if none
+    np.minimum.at(least, key, np.arange(t))
+    lead = least.take(key)
+    for c in row_blocks(a, t):
+        if (label[c] != label[c].take(lead, axis=1)).any():
+            raise RuntimeError("two label columns of one coset differ")
+    reps, sizes = [], []
+    for y in images:
+        least = np.full(a, t)
+        np.minimum.at(least, key.take(y), y)
+        kept = least < t
+        reps.append(least[kept])
+        sizes.append(np.bincount(key.take(y), minlength=a)[kept])
+    return reps, sizes
+
+
 def _central_candidates(
     G: Group, hom_cap: int
-) -> tuple[np.ndarray, np.ndarray, Callable[..., Iterator[np.ndarray]]]:
-    """The cosets of G', their labels by the sorted center and the
-    enumerator of the central maps x -> x*f(xG'), f in Hom(G/G', Z(G)).
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], Callable[..., Iterator[np.ndarray]]]:
+    """The cosets of G', their labels by the sorted center, the allowed
+    images of each basis element and the enumerator of the central maps
+    x -> x*f(xG'), f in Hom(G/G', Z(G)), whose basis images are taken
+    from given lists.
 
     members (a x |G'|) lists the cosets as section_basis does, on the
     invariants of G/G' that the structure report keeps, and label is
-    _coset_labels's.  homs(act) is abelian.iter_hom_positions on them,
+    _coset_labels's.  homs(allowed, act) is abelian.iter_hom_positions on
+    them, for the basis images in `allowed` (images, or part of each),
     blocks of up to _BLOCK_CELLS // 2a maps in iter_homomorphisms order:
-    homs() gives f[i, c], the int32 position in the sorted center of map
-    i's value on coset c, and homs(label) gives label[c, f[i, c]], so a
-    map's images hit every element exactly when its row is bijective
-    (_bijective_rows).  The candidate count, the product of the numbers of
-    allowed images, is checked against hom_cap before the basis search;
-    the images are powered once, for the count and the blocks."""
+    homs(allowed) gives f[i, c], the int32 position in the sorted center
+    of map i's value on coset c, and homs(allowed, label) gives label[c,
+    f[i, c]], so a map's images hit every element exactly when its row is
+    bijective (_bijective_rows).  The candidate count, the
+    product of the numbers of allowed images, is checked against hom_cap
+    before the basis search; the images are powered once."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
     z = np.flatnonzero(structure._center_mask(G))
@@ -145,7 +190,11 @@ def _central_candidates(
     # the cell budget keeps a block's under 1 MiB, in a core's cache, and
     # halves the blocks a quarter took
     rows = max(1, groups._BLOCK_CELLS // (2 * len(members)))
-    return members, label, partial(abelian.iter_hom_positions, basis, T, images, rows)
+
+    def homs(allowed: list[np.ndarray], act: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+        return abelian.iter_hom_positions(basis, T, allowed, rows, act)
+
+    return members, label, images, homs
 
 
 def central_automorphism_count(
@@ -154,18 +203,31 @@ def central_automorphism_count(
     """Count central automorphisms by enumerating the candidate maps.
 
     The candidate count is computed arithmetically first and checked against
-    hom_cap before any enumeration happens.
+    hom_cap before any enumeration happens.  One label row is tested per
+    class of candidates (_label_classes): the maps whose basis images are
+    each the least allowed image of a class, in C order over the classes,
+    and a bijective row adds the number of maps it stands for, read from
+    its C-order digits.
     """
-    total = count = 0
-    _, label, homs = _central_candidates(G, hom_cap)
-    for state in homs(label):
-        total += len(state)
-        count += int(_bijective_rows(state).sum())
+    _, label, images, homs = _central_candidates(G, hom_cap)
+    reps, sizes = _label_classes(label, images)
+    shape = tuple(len(y) for y in reps)
+    rows = count = 0
+    for state in homs(reps, label):
+        hit = np.flatnonzero(_bijective_rows(state)) + rows
+        # a weight is at most |Z n G'| ** rank: under 2**42 at the 8192
+        # order cap, as |Z n G'| * p ** rank <= |G|, so int64 holds a block's
+        weight = np.ones(len(hit), dtype=np.int64)
+        for size, digit in zip(sizes, np.unravel_index(hit, shape)):
+            weight *= size.take(digit)
+        count += int(weight.sum())
+        rows += len(state)
     upper = structure.upper_central_orders(G)
     z_inn = upper[2] // upper[1] if len(upper) > 2 else 1
     return CentralAutReport(
-        hom_candidates=total,
+        hom_candidates=math.prod(len(y) for y in images),
         aut_count=count,
         z_inn_order=z_inn,
         minimal=count == z_inn,
+        label_rows=rows,
     )

@@ -192,9 +192,10 @@ def run_verification(
 def format_timings(records: Sequence[AnalysisRecord]) -> str:
     """Seconds per stage summed over the records, and their total; the
     resolve row adds the bytes of the group files read and their rate, and
-    the enumerate row the candidate maps enumerated and the label cells
-    they were tested on (candidates x |G/G'| per group), each with its
-    rate.  For a separate channel, never for the report."""
+    the enumerate row the candidate maps enumerated, the label rows that
+    tested them (one per class of candidates, central._label_classes) and
+    their label cells (rows x |G/G'| per group), the maps and the cells
+    each with its rate.  For a separate channel, never for the report."""
     totals = {name: sum(r.stages.get(name, 0.0) for r in records) for name in STAGES}
     totals["total"] = sum(r.seconds for r in records)
     lines = [f"{'stage':<10} {'seconds':>9}"]
@@ -205,11 +206,12 @@ def format_timings(records: Sequence[AnalysisRecord]) -> str:
     lines[1 + STAGES.index("resolve")] += f"  {nbytes} bytes read, {rate} MB/s"
     enumerated = [r for r in records if r.central is not None]
     maps = sum(r.central.hom_candidates for r in enumerated)
-    cells = sum(r.central.hom_candidates * r.structure.abelianization.order for r in enumerated)
+    rows = sum(r.central.label_rows for r in enumerated)
+    cells = sum(r.central.label_rows * r.structure.abelianization.order for r in enumerated)
     sec = totals["enumerate"]
     rates = [f"{n / sec:.0f}" if sec > 0 else "-" for n in (maps, cells)]
     lines[1 + STAGES.index("enumerate")] += (
-        f"  {maps} candidates, {rates[0]}/s, {cells} label cells, {rates[1]}/s"
+        f"  {maps} candidates, {rates[0]}/s, {rows} label rows, {cells} label cells, {rates[1]}/s"
     )
     return "\n".join(lines) + "\n"
 

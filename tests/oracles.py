@@ -17,7 +17,8 @@ embeds_bruteforce are the library's former brute-force searches, which
 nothing in it called, kept for the tests that check the enumeration and
 the embedding criterion against them.  ref_scan_table is the group-file
 scanner's former numpy block check, kept to pin the checks that replaced
-it.
+it.  ref_class_rows counts the label rows of the central count from the
+structure references.
 """
 
 from __future__ import annotations
@@ -746,6 +747,25 @@ def ref_section_invariants(G, H: np.ndarray, N: np.ndarray) -> AbelianInvariants
     Hg = sub.as_group()
     Q, _ = quotient(Hg, Subgroup(Hg, sub.positions(np.flatnonzero(N)), verify=False))
     return ref_abelian_invariants(Q.table, G.prime)
+
+
+def ref_class_rows(G) -> int:
+    """The label rows the central count tests: prod_i of the number of
+    classes of Z mod Z n G' that hold an element of order dividing p^e_i,
+    over the invariants p^e_i of G/G'.  Z is read as the rows that equal
+    their columns, G' as the span of every commutator, the invariants by
+    the quotient route and the orders by walking powers; a class is named
+    by the least element of its coset of G'."""
+    table = G.table
+    z = np.flatnonzero((table == table.T).all(axis=1))
+    derived = ref_derived_mask(table)
+    inv = ref_section_invariants(G, np.ones(G.order, dtype=bool), derived)
+    orders = ref_element_orders(table)[z].tolist()
+    least = table[np.ix_(z, np.flatnonzero(derived))].min(axis=1).tolist()
+    rows = 1
+    for e in inv.exponents:
+        rows *= len({c for c, k in zip(least, orders) if inv.prime**e % k == 0})
+    return rows
 
 
 def ref_structure_report(G) -> StructureReport:

@@ -211,9 +211,10 @@ def test_coset_table_memory_at_small_derived_subgroup():
 
 
 def test_enumeration_memory_at_order_4096():
-    """|Z| = 1024, a = 2048: the labels and the first hom table are 8 MiB
-    each as int32.  Acting on that table in place, a row block at a time,
-    adds no table beside it."""
+    """|Z| = 1024, a = 2048: the labels are 8 MiB as int32, and the first
+    hom table 4 MiB, built for the 512 classes of Z mod G' n Z rather than
+    all 1024 images (8 MiB, 24.1 MiB peak).  Acting on that table in place,
+    a row block at a time, adds no table beside it."""
     G = modular(2, 4096)
     central_automorphism_count(G)  # fill the group's structure memo
     tracemalloc.start()
@@ -223,40 +224,127 @@ def test_enumeration_memory_at_order_4096():
     finally:
         tracemalloc.stop()
     assert (rep.hom_candidates, rep.aut_count) == (2048, 2048)
-    assert peak <= 24.1 * 2**20, peak
+    assert peak <= 18.17 * 2**20, peak
 
 
 def _label_fold_matches_positions(G):
     """Each block of the label fold against label[c, f[c]] read from the
-    position fold's block; returns the candidate count."""
-    members, label, homs = central._central_candidates(G, central.DEFAULT_HOM_CAP)
+    position fold's block, on every allowed image and on the class
+    representatives the count takes; returns the two map counts."""
+    members, label, images, homs = central._central_candidates(G, central.DEFAULT_HOM_CAP)
+    reps, _ = central._label_classes(label, images)
     c = np.arange(len(members))
-    total = 0
-    for f, state in itertools.zip_longest(homs(), homs(label)):
-        assert state.dtype == np.int32
-        assert np.array_equal(state, label[c, f])
-        total += len(f)
-    return total
+    totals = []
+    for allowed in (images, reps):
+        total = 0
+        for f, state in itertools.zip_longest(homs(allowed), homs(allowed, label)):
+            assert state.dtype == np.int32
+            assert np.array_equal(state, label[c, f])
+            total += len(f)
+        totals.append(total)
+    return totals
 
 
 def test_label_fold_matches_positions(corpus_groups, homs_groups):
     groups = [*corpus_groups.items(), *homs_groups.items()]
     assert len(groups) == 54 + 14
     for name, G in groups:
-        total = _label_fold_matches_positions(G)
+        rep = central_automorphism_count(G)
+        assert _label_fold_matches_positions(G) == [rep.hom_candidates, rep.label_rows], name
+
+
+def _candidates_read_their_class_rows(G):
+    """Every candidate's label row against the row of its class
+    representatives, the one row the count tests for it, and each
+    representative row's multiplicity against the candidates that read
+    it; returns the candidate count."""
+    _, label, images, homs = central._central_candidates(G, central.DEFAULT_HOM_CAP)
+    reps, sizes = central._label_classes(label, images)
+    shown = np.concatenate(list(homs(reps, label)))
+    # digit j of basis element i -> the digit of its image's class
+    # representative, matched by coset 0's label
+    to_rep = [
+        np.searchsorted(label[0, r], label[0, y], sorter=np.argsort(label[0, r]))
+        for y, r in zip(images, reps)
+    ]
+    for y, r, d in zip(images, reps, to_rep):
+        assert np.array_equal(label[:, r[d]], label[:, y])
+    read = np.zeros(len(shown), dtype=np.int64)
+    start = 0
+    for state in homs(images, label):
+        digits = np.unravel_index(np.arange(start, start + len(state)), [len(y) for y in images])
+        at = np.ravel_multi_index([d[k] for d, k in zip(to_rep, digits)], [len(r) for r in reps])
+        assert np.array_equal(state, shown[at])
+        read += np.bincount(at, minlength=len(shown))
+        start += len(state)
+    weight = np.ones(len(shown), dtype=np.int64)
+    for size, d in zip(sizes, np.unravel_index(np.arange(len(shown)), [len(r) for r in reps])):
+        weight *= size[d]
+    assert np.array_equal(read, weight)
+    return start
+
+
+def test_candidates_read_their_class_rows(corpus_groups, homs_groups):
+    groups = [*corpus_groups.items(), *homs_groups.items()]
+    for name, G in groups:
+        total = _candidates_read_their_class_rows(G)
         assert total == central_automorphism_count(G).hom_candidates, name
+
+
+@pytest.mark.parametrize("cells", [1, groups._BLOCK_CELLS])
+@pytest.mark.parametrize("row", [1, -1])
+def test_unequal_label_columns_of_one_coset_raise_never_count(monkeypatch, row, cells):
+    """Two label columns that agree at coset 0 but not in one other row,
+    row 1 or the last, fail the class check, in one row block or in one
+    block per row: the count raises RuntimeError rather than count one
+    row for maps whose rows differ."""
+    real = central._coset_labels
+
+    def patched(G, members, tgt):
+        label = real(G, members, tgt)
+        v = np.flatnonzero(label[0] == label[0, 0])[1]  # a second z_v in G'
+        label[row, v] = (label[row, v] + 1) % len(label)
+        return label
+
+    monkeypatch.setattr(central, "_coset_labels", patched)
+    monkeypatch.setattr(groups, "_BLOCK_CELLS", cells)
+    G = parse_group_spec("heisenberg(3,1) x cyclic(3)")
+    with pytest.raises(RuntimeError, match="label columns of one coset differ"):
+        central_automorphism_count(G)
+
+
+# label rows the count tests, per homs group: 125 each for
+# heisenberg(5,1) x cyclic(5) and extraspecial(5,125,-) x cyclic(5),
+# 1 for heisenberg(3,1) x heisenberg(3,1), 256 for dihedral(8) x elementary(2,2)
+LABEL_ROWS = {"heis5xc5": 125, "es125-xc5": 125, "heis3xheis3": 1, "d8xe4": 256}
+
+
+def test_count_tests_one_label_row_per_class(corpus_groups, homs_groups):
+    """The label rows each count tests against the product over G/G''s
+    invariants p^e of the classes of Z mod Z n G' with an element of order
+    dividing p^e (oracles.ref_class_rows), pinned on four homs groups and
+    summed over each workload: a count of the work, where a time would
+    drift with the host."""
+    sums = []
+    for named in (corpus_groups, homs_groups):
+        rows = {name: central_automorphism_count(G).label_rows for name, G in named.items()}
+        for name, G in named.items():
+            assert rows[name] == oracles.ref_class_rows(G), name
+        sums.append(sum(rows.values()))
+    assert {name: rows[name] for name in LABEL_ROWS} == LABEL_ROWS
+    assert sums == [820, 2141]
 
 
 def _label_masks_match_scatter(G):
     """Every candidate's label verdict against the n-wide scatter of its
     images, built here from G's table; returns the candidate count."""
-    members, label, homs = central._central_candidates(G, central.DEFAULT_HOM_CAP)
+    members, label, images, homs = central._central_candidates(G, central.DEFAULT_HOM_CAP)
     tgt = abelian.target_array(center(G).elements)
     coset = np.empty(G.order, dtype=np.int64)  # the row of members holding x
     coset[members] = np.arange(len(members))[:, None]
     x = np.arange(G.order)
     total = 0
-    for f, state in itertools.zip_longest(homs(), homs(label)):
+    for f, state in itertools.zip_longest(homs(images), homs(images, label)):
         sigma = G.table[x, tgt[f[:, coset]]]
         assert np.array_equal(central._bijective_rows(state), oracles.ref_bijective_rows(sigma))
         total += len(f)
