@@ -12,14 +12,12 @@ from centaut import (
     abelianization,
     builtin,
     center,
-    central_series,
     derived_subgroup,
-    frattini_subgroup,
-    minimal_generator_count,
     parse_group_spec,
     quotient,
     structure_report,
 )
+from centaut.structure import upper_central_orders
 
 D16 = builtin("dihedral", 16)
 
@@ -28,10 +26,7 @@ G1 = derived_subgroup(D16)
 print("dihedral(16):  |Z| =", Z.order, " |G'| =", G1.order)
 print("Z inside G':", set(Z.elements) <= set(G1.elements))
 
-upper = central_series(D16, kind="upper")
-lower = central_series(D16, kind="lower")
-print("upper series orders:", [s.order for s in upper])
-print("lower series orders:", [s.order for s in lower])
+print("upper series orders:", upper_central_orders(D16))
 
 # Quotients come back as groups with the projection map.
 Q, proj = quotient(D16, Z)
@@ -39,8 +34,11 @@ print("G/Z has order", Q.order, "and is abelian:", Q.is_abelian)
 
 Gab, _ = abelianization(D16)
 print("G^ab invariants:", abelian_invariants(Gab).exponents)
-print("Frattini subgroup order:", frattini_subgroup(D16).order)
-print("minimal generators d(G) =", minimal_generator_count(D16))
+
+# Burnside: Phi(G) = G'G^p has index p^d, d = d(G) the rank of G/G'.
+rep = structure_report(D16)
+print("minimal generators d(G) =", rep.d)
+print("Frattini subgroup order:", rep.order // rep.prime**rep.d)
 
 # structure_report bundles everything the classifier needs.
 for name in ("dihedral(16)", "heisenberg(3,1)", "extraspecial(2,32,+)"):

@@ -12,7 +12,6 @@ from .abelian import (
     AbelianInvariants,
     abelian_basis,
     abelian_invariants,
-    embeds_invariants,
     hom_invariants,
 )
 from .central import (
@@ -28,10 +27,8 @@ from .criteria import (
     Verdict,
     classify,
     classify_report,
-    coclass_predicate,
     evaluate_rules,
     necessary_conditions,
-    order_predicate,
     theorem21_predicate,
 )
 from .errors import CentautError
@@ -44,14 +41,12 @@ from .groupio import (
     read_manifest,
     resolve_source,
     write_group,
-    write_manifest,
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     Permutation,
     direct_product,
-    element_order,
     group_from_cayley_table,
     group_from_permutations,
     semidirect_product,
@@ -68,11 +63,8 @@ from .structure import (
     Subgroup,
     abelianization,
     center,
-    central_series,
     closure,
     derived_subgroup,
-    frattini_subgroup,
-    minimal_generator_count,
     quotient,
     structure_report,
 )

@@ -7,7 +7,7 @@ group and for a section H/N of a larger group's table alike
 (section_invariants).  A basis is found by one depth-first search with
 backtracking, again for a whole group or a section G/N (section_basis),
 which powers G once per wanted order and grows each span from the last.
-Hom/embedding questions reduce to arithmetic on the invariant lists; an
+Hom questions reduce to arithmetic on the invariant lists; an
 image y is allowed for an invariant p^e when y^(p^e) = 1, powered on the
 targets alone (_allowed_images), never on all of the ambient group.  The
 homomorphisms themselves have one enumerator, iter_hom_positions, which
@@ -326,19 +326,3 @@ def hom_invariants(a: AbelianInvariants, b: AbelianInvariants) -> AbelianInvaria
         raise PrimeMismatch(f"primes differ: {a.prime} vs {b.prime}")
     mins = [min(ai, bj) for ai in a.exponents for bj in b.exponents]
     return AbelianInvariants(a.prime, tuple(sorted(mins, reverse=True)))
-
-
-def embeds_invariants(b: AbelianInvariants, c: AbelianInvariants) -> bool:
-    """Whether B embeds in C.
-
-    For every height j, C must have at least as many cyclic factors of
-    exponent >= p^j as B does (conjugate-partition dominance); summing layer
-    sizes instead would wrongly admit C_4 -> C_2 x C_2.
-    """
-    if b.prime != c.prime:
-        raise PrimeMismatch(f"primes differ: {b.prime} vs {c.prime}")
-    top = max([0, *b.exponents])
-    for j in range(1, top + 1):
-        if sum(e >= j for e in b.exponents) > sum(e >= j for e in c.exponents):
-            return False
-    return True

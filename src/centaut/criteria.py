@@ -16,15 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import AbelianInvariants
-from .errors import (
-    AbelianGroup,
-    ClassTooSmall,
-    CoclassOutOfRange,
-    EmptyAlpha,
-    InvalidInvariants,
-    OrderOutOfRange,
-    PrimeMismatch,
-)
+from .errors import AbelianGroup, EmptyAlpha, InvalidInvariants, PrimeMismatch
 from .groups import Group
 from .structure import StructureReport, structure_report
 
@@ -136,27 +128,6 @@ def _decide(rep: StructureReport, rule: str, allowed: tuple, matched: tuple) -> 
     if rule == RULE_COCLASS4 and g == (2,) and b == (2, 1) and a in ((3, 1), (4, 1)):
         return Verdict(MINIMAL, rule, f"center [2], Z2/Z=[2,1], G/G'={list(a)}")
     return Verdict(NOT_MINIMAL, rule, why)
-
-
-def coclass_predicate(rep: StructureReport) -> Verdict:
-    """Minimality for coclass 2, 3 and 4 at class >= 3."""
-    if rep.nilpotency_class < 3:
-        raise ClassTooSmall(f"class {rep.nilpotency_class} < 3")
-    if rep.coclass not in _COCLASS:
-        raise CoclassOutOfRange(f"coclass {rep.coclass} not in 2..4")
-    return _decide(rep, *_COCLASS[rep.coclass])
-
-
-def order_predicate(rep: StructureReport) -> Verdict:
-    """Minimality at orders p^5..p^7 for class >= 3 (below maximal class)."""
-    n, cls = rep.order_exp, rep.nilpotency_class
-    if n not in (5, 6, 7):
-        raise OrderOutOfRange(f"order exponent {n} not in 5..7")
-    if cls < 3:
-        raise ClassTooSmall(f"class {cls} < 3")
-    if (n, cls) not in _ORDER:
-        return Verdict(UNDECIDED, RULE_NONE, f"class {cls} at order p^{n} not covered")
-    return _decide(rep, *_ORDER[n, cls])
 
 
 def evaluate_rules(rep: StructureReport) -> list[tuple[str, str, str]]:

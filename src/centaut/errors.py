@@ -84,18 +84,6 @@ class EmptyAlpha(CentautError):
     """Abelianization invariants are empty (trivial abelianization)."""
 
 
-class CoclassOutOfRange(CentautError):
-    """Coclass rule applies only to coclass 2, 3 or 4."""
-
-
-class ClassTooSmall(CentautError):
-    """Rule applies only to nilpotency class >= 3."""
-
-
-class OrderOutOfRange(CentautError):
-    """Order rule applies only to orders p^5, p^6, p^7."""
-
-
 class AbelianGroup(CentautError):
     """Operation is posed for nonabelian groups only."""
 

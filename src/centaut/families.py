@@ -184,7 +184,8 @@ def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     The result is (A x B)/N with N = <(z, w^-1)> for generators z, w of the
     two centers.  It is computed on the pair indices a*|B| + b without
     building A x B, and each coset is numbered by the rank of its smallest
-    member, as structure.quotient numbers them.
+    member, as structure.quotient numbers them.  The cosets of (a, 1) and
+    (1, b) for A's and B's generators generate it.
     """
     za = center(A)
     zb = center(B)
@@ -209,7 +210,10 @@ def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     pairs = at[np.ix_(ra, ra)]
     pairs *= m
     pairs += bt[np.ix_(rb, rb)]
-    return Group(proj.astype(np.int32)[pairs])
+    P = Group(proj.astype(np.int32)[pairs])
+    P.generators = np.unique(proj[np.concatenate((A.generators * m, B.generators))])
+    P.generators.setflags(write=False)
+    return P
 
 
 def extraspecial(p: int, order: int, sign: str = "+", cap: int = DEFAULT_ORDER_CAP) -> Group:

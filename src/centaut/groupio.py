@@ -371,19 +371,6 @@ def read_manifest(path: str | Path) -> Manifest:
     return Manifest(tuple(entries))
 
 
-def write_manifest(manifest: Manifest, path: str | Path) -> None:
-    entries = []
-    for e in manifest.entries:
-        d: dict = {"name": e.name, "source": e.source}
-        if e.expected is not None:
-            d["expected"] = e.expected
-        entries.append(d)
-    data = {"format": "manifest", "entries": entries}
-    Path(path).write_text(
-        json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def parse_cycles(degree: int, text: str) -> list[int]:
     """One generator in cycle notation, e.g. "(0 1 2)(3 4)", to images;
     cycles apply left to right, each composed through where[q] = the x

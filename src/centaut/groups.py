@@ -14,7 +14,8 @@ at most log2(n) + 1 checks of n^2 cells, gathered in row blocks of about
 2^16 cells (row_blocks, the library's one block budget).  That holds no
 n x n temporary.  The Group it returns keeps the generators Light's test
 spanned as Group.generators, so no validated group is spanned twice, and
-a direct product takes its generators from its factors'.  A table it
+a product (direct, semidirect or central) reads a generating set off its
+factors', a direct product its inverses too.  A table it
 refuses reruns the ordered checks to name the first one that
 fails: Latin rows, then columns, by scatter marks into one n x n bool
 mask a row block at a time, the identity row and column, and then,
@@ -126,22 +127,16 @@ class Group:
     construction and are not re-checked.
 
     Do not mutate `table` after construction; it is set read-only.  Cached
-    derived data (generators, element orders, ...) assumes a fixed table.
+    derived data (inverses, generators, element orders, ...) assumes a fixed
+    table.
     """
 
     def __init__(self, table: np.ndarray):
         table = np.ascontiguousarray(table, dtype=np.int32)
         table.setflags(write=False)
         self.table = table
-        self.order = n = int(table.shape[0])
-        self.prime, self.order_exp = prime_power(n)
-        # inverse[a]: the unique b with a*b == 0, the least entry of row a;
-        # numpy's argmin copies a read-only table, so it runs by row blocks
-        inv = np.empty(n, dtype=np.int32)
-        for rows in row_blocks(n, n):
-            inv[rows] = table[rows].argmin(axis=1)
-        inv.setflags(write=False)
-        self.inverse = inv
+        self.order = int(table.shape[0])
+        self.prime, self.order_exp = prime_power(self.order)
 
     def mul(self, a: int, b: int) -> int:
         a, b = indices((a, b), self.order)
@@ -168,15 +163,28 @@ class Group:
         return self.mul(x, self.commutator(x, g))
 
     @cached_property
+    def inverse(self) -> np.ndarray:
+        """inverse[a], the unique b with a*b == 0, read-only: the least entry
+        of row a.  numpy's argmin copies a read-only table, so it runs by
+        row blocks; a direct product hands over its factors' instead."""
+        n = self.order
+        inv = np.empty(n, dtype=np.int32)
+        for rows in row_blocks(n, n):
+            inv[rows] = self.table[rows].argmin(axis=1)
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
     def is_abelian(self) -> bool:
-        """Whether the greedy generators commute, with no n x n temporary."""
+        """Whether the generators commute, with no n x n temporary."""
         t = self.table[np.ix_(self.generators, self.generators)]
         return bool((t == t.T).all())
 
     @cached_property
     def generators(self) -> np.ndarray:
-        """The greedy generating set, read-only: each the least element outside
-        the span of those before; validation hands over the set it spanned."""
+        """A generating set, read-only.  Spanned here, it is the greedy one,
+        each the least element outside the span of those before; validation
+        hands over the set it spanned, and a product one read off its factors'."""
         ident = np.arange(self.order)
         gens = np.fromiter(greedy_generators(self.table, ident, ident == 0), np.int64)
         gens.setflags(write=False)
@@ -592,14 +600,11 @@ def group_from_permutations(
     return Group(table_along_tree(left, parent, via))
 
 
-def element_order(G: Group, g: int) -> int:
-    return int(G.element_orders[indices((g,), G.order)[0]])
-
-
 def direct_product(G: Group, H: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Componentwise product on pairs (g, h) -> g*|H| + h (lexicographic),
     with H's greedy generators and then G's times |H| as its own: a scan
-    spans {e} x H first, then, h minor, meets each (g, e) where G's does."""
+    spans {e} x H first, then, h minor, meets each (g, e) where G's does.
+    The inverse of (g, h) is (g^-1, h^-1), read off the factors'."""
     n, m = G.order, H.order
     if n * m > cap:
         raise ClosureExceedsCap(f"product order {n * m} exceeds cap {cap}")
@@ -608,6 +613,8 @@ def direct_product(G: Group, H: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     P = Group(block.reshape(n * m, n * m))
     P.generators = np.concatenate((H.generators, G.generators * m))
     P.generators.setflags(write=False)
+    P.inverse = (G.inverse[:, None] * m + H.inverse[None, :]).ravel()
+    P.inverse.setflags(write=False)
     return P
 
 
@@ -620,7 +627,8 @@ def semidirect_product(
     """Split extension of N by H along action[h] in Aut(N).
 
     action[h] gives the image array of the automorphism by which h acts.
-    Pairs are numbered (x, h) -> x*|H| + h.  Each map is checked to be an
+    Pairs are numbered (x, h) -> x*|H| + h, and the (1, h) and (x, 1) for
+    H's and N's generators generate it.  Each map is checked to be an
     automorphism of N and the maps to compose along H's table; with those
     checks the assembled table is a group by construction.
     """
@@ -653,8 +661,7 @@ def semidirect_product(
     # (x1,h1)(x2,h2) = (x1 * phi_{h1}(x2), h1*h2)
     xpart = N.table[np.arange(n)[:, None, None], maps[None, :, :]]  # [x1,h1,x2]
     table = xpart[:, :, :, None] * s + H.table[None, :, None, :]
-    return Group(table.reshape(n * s, n * s))
-
-
-def trivial_group() -> Group:
-    return Group(np.zeros((1, 1), dtype=np.int32))
+    P = Group(table.reshape(n * s, n * s))
+    P.generators = np.concatenate((H.generators, N.generators * s))
+    P.generators.setflags(write=False)
+    return P

@@ -1,16 +1,15 @@
-"""Subgroups, central series, quotients and the structural report.
+"""Subgroups, the upper central series, quotients and the structural report.
 
 Everything works directly on element indices of a parent Group; quotients
 reindex cosets by their minimal member so results are deterministic.
 Every index a caller hands in is read by groups.indices, which names a bad one.
 
-The invariants come from the greedy generating set S of G (generators,
-|S| <= log2 n) at O(n * |S|) per step, not from an n x n commutator table:
+The invariants come from the generating set S of G (Group.generators,
+|S| <= log2 n for the greedy one) at O(n * |S|) per step, not from an
+n x n commutator table:
 - Z_{i+1}(G) = {x : [x, s] in Z_i(G) for all s in S}; Z(G) = Z_1(G).
-- If X generates a normal N, [N, G] is generated by [x, g] for x in X and
-  g in G: that span is normal, as [x, g]^y = [x, y]^-1 [x, gy], and X is
-  central modulo it.  So gamma_{i+1} needs only the greedy generators of
-  gamma_i, and G' = gamma_2.
+- G' = [G, G] is generated by [s, g] for s in S and g in G: that span is
+  normal, as [s, g]^y = [s, y]^-1 [s, gy], and S is central modulo it.
 - Burnside's basis theorem, Phi(G) = G'G^p, makes d(G) the rank of G/G'.
 
 The report reads the invariants of G/G', Z(G) and Z_2(G)/Z(G) by one layer
@@ -39,7 +38,7 @@ from .errors import (
     NotNormal,
     NotPrimePower,
 )
-from .groups import Group, greedy_generators, indices, powers, subset_table
+from .groups import Group, greedy_generators, indices, subset_table
 
 
 def _per_group(derive: Callable) -> Callable:
@@ -89,10 +88,6 @@ class Subgroup:
 
     def contains(self, g: int) -> bool:
         return bool(self.mask[indices((g,), self.parent.order)[0]])
-
-    def issubset(self, other: "Subgroup") -> bool:
-        check_parent(self.parent, other)
-        return bool(other.mask[list(self.elements)].all())
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -157,14 +152,6 @@ def commutator_table(G: Group, xs: Sequence[int]) -> np.ndarray:
     return G.table[m, xs[None, :]]
 
 
-def _commutator_mask(G: Group, comm: np.ndarray) -> np.ndarray:
-    """The mask of [N, G] for the normal subgroup N generated by xs, from
-    comm = commutator_table(G, xs)."""
-    reached = np.arange(G.order) == 0
-    list(greedy_generators(G.table, np.unique(comm), reached))
-    return reached
-
-
 @_per_group
 def _generator_commutators(G: Group) -> np.ndarray:
     """commutator_table(G, G.generators), read by the upper series and G'."""
@@ -205,7 +192,10 @@ def center(G: Group) -> Subgroup:
 
 @_per_group
 def _derived_mask(G: Group) -> np.ndarray:
-    return _commutator_mask(G, _generator_commutators(G))
+    """The mask of G', the span of the generators' commutators."""
+    reached = np.arange(G.order) == 0
+    list(greedy_generators(G.table, np.unique(_generator_commutators(G)), reached))
+    return reached
 
 
 def upper_central_orders(G: Group) -> list[int]:
@@ -216,48 +206,6 @@ def upper_central_orders(G: Group) -> list[int]:
 
 def derived_subgroup(G: Group) -> Subgroup:
     return Subgroup(G, np.flatnonzero(_derived_mask(G)), verify=False)
-
-
-def central_series(G: Group, kind: str = "upper") -> list[Subgroup]:
-    """Ascending (trivial..G) or descending (G..trivial) central series.
-
-    Raises NotNilpotent when the series stalls before reaching the end,
-    which cannot happen for prime-power orders.
-    """
-    if kind not in ("upper", "lower"):
-        raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
-    if kind == "upper":
-        masks = _nilpotent_masks(G)
-        return [Subgroup(G, np.flatnonzero(m), verify=False) for m in masks]
-    series = [Subgroup(G, range(G.order), verify=False)]
-    while series[-1].order > 1:
-        reached = np.arange(G.order) == 0
-        xs = list(greedy_generators(G.table, series[-1].elements, reached))
-        comm = commutator_table(G, xs)
-        nxt = Subgroup(G, np.flatnonzero(_commutator_mask(G, comm)), verify=False)
-        if nxt.order == series[-1].order:
-            raise NotNilpotent(
-                f"lower series stalls at order {nxt.order} > 1"
-            )
-        series.append(nxt)
-    return series
-
-
-def frattini_subgroup(G: Group) -> Subgroup:
-    """For p-groups: derived subgroup together with all p-th powers."""
-    if G.prime is None:
-        raise NotPrimePower(f"order {G.order} is not a prime power")
-    acc = powers(G.table, np.arange(G.order), G.prime)
-    return closure(G, np.union1d(np.flatnonzero(_derived_mask(G)), acc))
-
-
-def minimal_generator_count(G: Group) -> int:
-    """d(G), the rank of G/G' for nontrivial p-groups (Burnside)."""
-    if G.order == 1:
-        return 0
-    if G.prime is None:
-        raise NotPrimePower(f"order {G.order} is not a prime power")
-    return abelianization_invariants(G).rank
 
 
 @_per_group

@@ -12,12 +12,12 @@ tables the spanning-tree routine now writes, and so are the coset table,
 its row labels by row minima and the basis search that regrew every span,
 kept to pin the labels and bases the enumeration now reads.  The coclass
 and order rules are kept as the branches they were written as before two
-tables and one decision routine replaced them.  all_automorphisms and
-embeds_bruteforce are the library's former brute-force searches, which
-nothing in it called, kept for the tests that check the enumeration and
-the embedding criterion against them.  ref_scan_table is the group-file
-scanner's former numpy block check, kept to pin the checks that replaced
-it.  ref_class_rows counts the label rows of the central count from the
+tables and one decision routine replaced them; a report outside a
+predicate's range is a ValueError.  all_automorphisms is the library's
+former brute-force automorphism search, which nothing in it called, kept
+for the tests that check the enumeration against it.  ref_scan_table is
+the group-file scanner's former numpy block check, kept to pin the checks
+that replaced it.  ref_class_rows counts the label rows of the central count from the
 structure references.
 """
 
@@ -51,16 +51,11 @@ from centaut.criteria import (
 from centaut.errors import (
     AbelianGroup,
     BadParameters,
-    ClassTooSmall,
     ClosureExceedsCap,
-    CoclassOutOfRange,
     NoIdentityAtZero,
-    NotAbelian,
     NotAssociative,
     NotLatinSquare,
-    OrderOutOfRange,
     ParseError,
-    PrimeMismatch,
 )
 from centaut.groups import (
     Group,
@@ -75,7 +70,6 @@ from centaut.structure import (
     Subgroup,
     abelianization,
     center,
-    central_series,
     derived_subgroup,
     quotient,
 )
@@ -137,18 +131,6 @@ def ref_automorphisms(table: list[list[int]]) -> list[tuple[int, ...]]:
         if ref_is_hom(table, table, f):
             out.append(f)
     return out
-
-
-def ref_injects(ta: list[list[int]], tb: list[list[int]]) -> bool:
-    """Injective homomorphism search by raw enumeration; very small inputs."""
-    na, nb = len(ta), len(tb)
-    if nb % na != 0:
-        return False
-    for rest in itertools.permutations(range(1, nb), na - 1):
-        f = (0, *rest)
-        if ref_is_hom(ta, tb, f):
-            return True
-    return na == 1
 
 
 def ref_first_escape(table: list[list[int]], members: list[int]) -> tuple[int, int] | None:
@@ -506,8 +488,8 @@ def ref_bijective_rows(sigma: np.ndarray) -> np.ndarray:
 def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
     """Every automorphism, by generator-image search with closure propagation.
 
-    Independent of the central-map enumeration: takes the greedy generating
-    set (Group.generators), tries all same-order images, and extends
+    Independent of the central-map enumeration: takes the generating set
+    Group.generators, tries all same-order images, and extends
     each assignment through the multiplication table, rejecting on the
     first conflict.  Exponential in general, hence the small order_limit.
     """
@@ -564,23 +546,6 @@ def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
     search(0, seed, [0])
     results.sort(key=lambda a: a.tolist())
     return results
-
-
-def embeds_bruteforce(A: Group, B: Group) -> bool:
-    """Injective-homomorphism search, independent of the layer criterion:
-    for each invariant of A in turn, an image in B of exactly that order
-    whose cyclic span meets the images so far trivially (_independent),
-    with backtracking.  Exponential in principle; tests use orders <= 64."""
-    if not (A.is_abelian and B.is_abelian):
-        raise NotAbelian("embedding search is for abelian groups")
-    if A.order == 1:
-        return True
-    if B.order > 1 and A.prime != B.prime:
-        raise PrimeMismatch(f"primes differ: {A.prime} vs {B.prime}")
-    if B.order % A.order != 0:
-        return False
-    orders = [A.prime**e for e in abelian.abelian_invariants(A).exponents]
-    return abelian._independent(B, np.arange(B.order) == 0, orders) is not None
 
 
 def ref_central_maps(G, rows: int = 256):
@@ -770,13 +735,13 @@ def ref_class_rows(G) -> int:
 
 def ref_structure_report(G) -> StructureReport:
     """The structure report as the library built it before it read the
-    three sections from G's own masks: the upper series as Subgroups, Z
-    and Z_2 rebuilt as Groups and Z_2/Z taken as a quotient."""
+    three sections from G's own masks: Z and Z_2 from the full-table upper
+    series, rebuilt as Groups, and Z_2/Z taken as a quotient."""
     p = G.prime
-    upper = central_series(G, "upper")
+    upper = ref_upper_masks(G.table)
     cls = len(upper) - 1
-    z = upper[1]
-    z2 = upper[2] if cls >= 2 else upper[-1]
+    z = Subgroup(G, np.flatnonzero(upper[1]), verify=False)
+    z2 = Subgroup(G, np.flatnonzero(upper[min(2, cls)]), verify=False)
     alpha = ref_abelian_invariants(quotient(G, derived_subgroup(G))[0].table, p)
     gamma = ref_abelian_invariants(z.as_group().table, p)
     z2g = z2.as_group()
@@ -794,7 +759,7 @@ def ref_structure_report(G) -> StructureReport:
         abelianization=alpha,
         center=gamma,
         inner_center=beta,
-        center_in_derived=z.issubset(derived_subgroup(G)),
+        center_in_derived=not (z.mask & ~derived_subgroup(G).mask).any(),
         second_center_abelian=z2.is_abelian,
     )
 
@@ -859,10 +824,10 @@ def _ref_dd_match(rep: StructureReport, allowed: tuple[int, ...]) -> str | None:
 def ref_coclass_predicate(rep: StructureReport) -> Verdict:
     """Minimality for coclass 2, 3 and 4 at class >= 3."""
     if rep.nilpotency_class < 3:
-        raise ClassTooSmall(f"class {rep.nilpotency_class} < 3")
+        raise ValueError(f"class {rep.nilpotency_class} < 3")
     cc = rep.coclass
     if cc not in (2, 3, 4):
-        raise CoclassOutOfRange(f"coclass {cc} not in 2..4")
+        raise ValueError(f"coclass {cc} not in 2..4")
     a = rep.abelianization.exponents
     b = rep.inner_center.exponents
     g = rep.center.exponents
@@ -903,9 +868,9 @@ def ref_order_predicate(rep: StructureReport) -> Verdict:
     """Minimality at orders p^5..p^7 for class >= 3 (below maximal class)."""
     n = rep.order_exp
     if n not in (5, 6, 7):
-        raise OrderOutOfRange(f"order exponent {n} not in 5..7")
+        raise ValueError(f"order exponent {n} not in 5..7")
     if rep.nilpotency_class < 3:
-        raise ClassTooSmall(f"class {rep.nilpotency_class} < 3")
+        raise ValueError(f"class {rep.nilpotency_class} < 3")
     cls = rep.nilpotency_class
     a = rep.abelianization.exponents
     b = rep.inner_center.exponents

@@ -1,4 +1,4 @@
-"""Invariants, bases, Hom counts and the embedding criterion."""
+"""Invariants, bases and Hom counts."""
 
 import functools
 import itertools
@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centaut import central
+from centaut import central, structure
 from centaut.abelian import (
     AbelianInvariants,
     _allowed_images,
     abelian_basis,
     abelian_invariants,
-    embeds_invariants,
     hom_invariants,
     iter_hom_positions,
     iter_homomorphisms,
@@ -32,17 +31,15 @@ from centaut.families import (
 )
 from centaut.groups import subset_table
 from centaut.structure import (
+    Subgroup,
     abelianization,
     center,
-    central_series,
     closure,
     derived_subgroup,
-    frattini_subgroup,
     quotient,
 )
 
 import oracles
-from oracles import embeds_bruteforce
 
 
 def test_invariants_validation():
@@ -113,9 +110,7 @@ def test_abelian_basis_spans_freely(G):
 
 
 def test_abelian_basis_trivial_group():
-    from centaut.groups import trivial_group
-
-    basis = abelian_basis(trivial_group(), prime=2)
+    basis = abelian_basis(cyclic(1), prime=2)
     assert basis.elements == () and basis.invariants.rank == 0
 
 
@@ -232,6 +227,15 @@ SMALL_PAIRS = [
 ]
 
 
+def _section_subgroup(G, kind):
+    """The Frattini subgroup (by its full-table reference) or Z_2(G)."""
+    if kind == "frattini":
+        mask = oracles.ref_frattini_mask(G.table, G.prime)
+    else:
+        mask = structure._upper_masks(G)[2]
+    return Subgroup(G, np.flatnonzero(mask), verify=False)
+
+
 def _hom_case(kind, arg):
     """(basis, ambient, targets) for one enumeration case."""
     if kind == "small":
@@ -241,7 +245,7 @@ def _hom_case(kind, arg):
     if kind == "center":
         qab, _ = abelianization(G)
         return abelian_basis(qab, prime=G.prime), G, center(G).elements
-    X = frattini_subgroup(G) if kind == "frattini" else central_series(G)[2]
+    X = _section_subgroup(G, kind)
     Y = closure(G, [x for x in X.elements if center(G).mask[x]])
     qab, _ = abelianization(quotient(G, X)[0])
     return abelian_basis(qab, prime=G.prime), G, Y.elements
@@ -302,7 +306,7 @@ def _label_case(kind, spec):
     elif kind == "whole":
         N, Y = np.ones(G.order, dtype=bool), center(G).elements
     else:
-        X = frattini_subgroup(G) if kind == "frattini" else central_series(G)[2]
+        X = _section_subgroup(G, kind)
         N = closure(G, np.flatnonzero(X.mask | derived_subgroup(G).mask)).mask
         Y = [x for x in X.elements if center(G).mask[x]]
     inv = section_invariants(G, np.ones(G.order, dtype=bool), N)
@@ -385,32 +389,6 @@ INVARIANT_LISTS = [
 ]
 
 
-def test_embeds_criterion_matches_bruteforce():
-    """Layer-count criterion vs injective-homomorphism search, p=2 and p=3."""
-    for p in (2, 3):
-        for eb, ec in itertools.product(INVARIANT_LISTS, INVARIANT_LISTS):
-            B = abelian_group(p, eb) if eb else cyclic(1)
-            C = abelian_group(p, ec) if ec else cyclic(1)
-            if B.order > 64 or C.order > 64:
-                continue
-            got = embeds_invariants(
-                AbelianInvariants(p, eb), AbelianInvariants(p, ec)
-            )
-            assert got == embeds_bruteforce(B, C), (p, eb, ec)
-            if B.order <= 8 and C.order <= 8:
-                # factorial-cost raw search on the smallest cases only
-                assert got == oracles.ref_injects(B.table.tolist(), C.table.tolist())
-
-
-def test_embeds_reflexive_and_transitive():
-    invs = [AbelianInvariants(2, e) for e in INVARIANT_LISTS]
-    for x in invs:
-        assert embeds_invariants(x, x)
-    for a, b, c in itertools.product(invs, repeat=3):
-        if embeds_invariants(a, b) and embeds_invariants(b, c):
-            assert embeds_invariants(a, c)
-
-
 def test_hom_invariants_symmetric():
     invs = [AbelianInvariants(3, e) for e in INVARIANT_LISTS if e]
     for a, b in itertools.product(invs, invs):
@@ -425,15 +403,3 @@ def test_invariants_roundtrip_through_cyclic_products():
         for e in exps[1:]:
             G = direct_product(G, cyclic(2**e))
         assert abelian_invariants(G).exponents == exps
-
-
-def test_embeds_rejects_prime_mismatch():
-    with pytest.raises(PrimeMismatch):
-        embeds_invariants(AbelianInvariants(2, (1,)), AbelianInvariants(3, (1,)))
-    with pytest.raises(PrimeMismatch):
-        embeds_bruteforce(cyclic(2), cyclic(9))
-
-
-def test_embeds_bruteforce_requires_abelian_inputs():
-    with pytest.raises(NotAbelian):
-        embeds_bruteforce(dihedral(8), dihedral(16))

@@ -22,20 +22,11 @@ from centaut.criteria import (
     Verdict,
     classify,
     classify_report,
-    coclass_predicate,
     evaluate_rules,
     necessary_conditions,
-    order_predicate,
     theorem21_predicate,
 )
-from centaut.errors import (
-    AbelianGroup,
-    ClassTooSmall,
-    CoclassOutOfRange,
-    EmptyAlpha,
-    OrderOutOfRange,
-    PrimeMismatch,
-)
+from centaut.errors import AbelianGroup, EmptyAlpha, PrimeMismatch
 from centaut.families import (
     cyclic,
     dihedral,
@@ -169,18 +160,21 @@ def test_classify_rejects_abelian():
         classify(cyclic(8))
 
 
+COCLASS_RULES = (RULE_COCLASS2, RULE_COCLASS3, RULE_COCLASS4)
+ORDER_RULES = (RULE_ORDER_P5, RULE_ORDER_P6, RULE_ORDER_P7)
+
+
+def _rows(rep):
+    """evaluate_rules' rows as rule -> (decision, detail)."""
+    return {rule: (decision, detail) for rule, decision, detail in evaluate_rules(rep)}
+
+
 def test_predicate_preconditions():
-    rep = structure_report(heisenberg(2, 1))  # class 2
-    with pytest.raises(ClassTooSmall):
-        coclass_predicate(rep)
-    rep = structure_report(heisenberg(2, 2))  # order 2^6 but still class 2
-    with pytest.raises(ClassTooSmall):
-        order_predicate(rep)
-    rep = structure_report(dihedral(16))  # coclass 1, order 2^4
-    with pytest.raises(CoclassOutOfRange):
-        coclass_predicate(rep)
-    with pytest.raises(OrderOutOfRange):
-        order_predicate(rep)
+    """The coclass and order rules give no row outside their range: class
+    >= 3, and coclass 2..4 or order p^5..p^7."""
+    for G in (heisenberg(2, 1), heisenberg(2, 2), dihedral(16)):
+        # class 2 at p^3 and at p^6; coclass 1 at p^4
+        assert not set(_rows(structure_report(G))) & {*COCLASS_RULES, *ORDER_RULES}
 
 
 def test_evaluate_rules_precedence_order():
@@ -242,63 +236,84 @@ def _outcome(rule, rep):
     return v.decision, v.rule, v.details
 
 
+def _assert_row_matches(rows, rules, ref, rep):
+    """The row of `rules` that evaluate_rules gives is the verdict of the
+    reference predicate `ref`; no row where it does not apply (raises) or
+    leaves the case open (RULE_NONE)."""
+    got = {rule: rows[rule] for rule in rules if rule in rows}
+    v = _outcome(ref, rep)
+    if isinstance(v, tuple) and v[1] != RULE_NONE:
+        assert got == {v[1]: (v[0], v[2])}, (ref.__name__, rep)
+    else:
+        assert got == {}, (ref.__name__, rep)
+
+
 def test_rules_match_the_branch_by_branch_predicates():
-    """classify_report and both predicates give the decision, rule and
-    details, or raise the class, of the predicates written out branch by
-    branch, on orders 2^4..2^8 at every class."""
-    pairs = [
-        (classify_report, oracles.ref_classify_report),
-        (coclass_predicate, oracles.ref_coclass_predicate),
-        (order_predicate, oracles.ref_order_predicate),
-    ]
+    """classify_report gives the decision, rule and details, or raises the
+    class, of the rules written out branch by branch, and each coclass and
+    order row of evaluate_rules is the branch-by-branch predicate's
+    verdict, on orders 2^4..2^8 at every class."""
     reached = set()
     for n in range(4, 9):
         for cls in range(1, n):
             for a, g, b in itertools.product(GRID_LISTS, repeat=3):
                 for cid in (True, False) if cls == 2 else (True,):
                     rep = synthetic_report(n, cls, a, g, b, cid)
-                    for new, ref in pairs:
-                        got = _outcome(new, rep)
-                        assert got == _outcome(ref, rep), (new.__name__, rep)
-                        if isinstance(got, tuple):
-                            reached.add(got[:2])
-    rules = [RULE_ORDER_P5, RULE_ORDER_P6, RULE_ORDER_P7, RULE_COCLASS2, RULE_COCLASS3]
-    for rule in [*rules, RULE_COCLASS4]:
+                    got = _outcome(classify_report, rep)
+                    assert got == _outcome(oracles.ref_classify_report, rep), rep
+                    if not isinstance(got, tuple):  # evaluate_rules raises too
+                        continue
+                    rows = _rows(rep)
+                    _assert_row_matches(rows, COCLASS_RULES, oracles.ref_coclass_predicate, rep)
+                    _assert_row_matches(rows, ORDER_RULES, oracles.ref_order_predicate, rep)
+                    reached |= {(decision, rule) for rule, (decision, _) in rows.items()}
+    for rule in [*ORDER_RULES, *COCLASS_RULES]:
         assert {(MINIMAL, rule), (NOT_MINIMAL, rule)} <= reached, rule
+
+
+# The reference predicate of each family of rules, by its name in the ids.
+PREDICATES = {
+    "coclass_predicate": (COCLASS_RULES, oracles.ref_coclass_predicate),
+    "order_predicate": (ORDER_RULES, oracles.ref_order_predicate),
+}
 
 
 @pytest.mark.parametrize(
     "predicate,n,cls,a,g,b,want",
     [
-        (coclass_predicate, 6, 4, (1, 1), (1,), (1, 1), (MINIMAL, "center [1], d=d(Z2/Z)=2")),
-        (coclass_predicate, 6, 4, (1, 1), (1, 1), (1, 1), (NOT_MINIMAL, "center [1, 1] != [1]")),
-        (coclass_predicate, 6, 4, (1, 1), (1,), (2, 1, 1), (NOT_MINIMAL, "d=2 != d(Z2/Z)=3")),
-        (coclass_predicate, 6, 4, (1, 1, 1), (1,), (1, 1, 1), (NOT_MINIMAL, "d=3 not in [2]")),
+        ("coclass_predicate", 6, 4, (1, 1), (1,), (1, 1), (MINIMAL, "center [1], d=d(Z2/Z)=2")),
+        ("coclass_predicate", 6, 4, (1, 1), (1, 1), (1, 1), (NOT_MINIMAL, "center [1, 1] != [1]")),
+        ("coclass_predicate", 6, 4, (1, 1), (1,), (2, 1, 1), (NOT_MINIMAL, "d=2 != d(Z2/Z)=3")),
+        ("coclass_predicate", 6, 4, (1, 1, 1), (1,), (1, 1, 1), (NOT_MINIMAL, "d=3 not in [2]")),
         (
-            coclass_predicate, 7, 4, (2, 1), (2,), (2, 1),
+            "coclass_predicate", 7, 4, (2, 1), (2,), (2, 1),
             (MINIMAL, "center [2], Z2/Z matches G/G' [2, 1]"),
         ),
         (
-            coclass_predicate, 8, 4, (2, 1), (2,), (2, 1),
+            "coclass_predicate", 8, 4, (2, 1), (2,), (2, 1),
             (MINIMAL, "center [2], Z2/Z matches G/G' [2, 1]"),
         ),
         (
-            coclass_predicate, 8, 4, (3, 1), (3,), (3, 1),
+            "coclass_predicate", 8, 4, (3, 1), (3,), (3, 1),
             (MINIMAL, "center [3], Z2/Z matches G/G' [3, 1]"),
         ),
         (
-            coclass_predicate, 8, 4, (4, 1), (2,), (2, 1),
+            "coclass_predicate", 8, 4, (4, 1), (2,), (2, 1),
             (MINIMAL, "center [2], Z2/Z=[2,1], G/G'=[4, 1]"),
         ),
-        (coclass_predicate, 7, 4, (3, 1), (2,), (2, 1), (NOT_MINIMAL, "center [2] != [1]")),
-        (order_predicate, 7, 4, (2, 1), (2,), (2, 1), (MINIMAL, "center [2], Z2/Z matches G/G'")),
-        (order_predicate, 7, 3, (1, 1, 1, 1), (1,), (1, 1, 1, 1), (MINIMAL, "center [1], d=d(Z2/Z)=4")),
-        (order_predicate, 7, 5, (1, 1, 1), (1,), (1, 1, 1), (NOT_MINIMAL, "d=3 not in [2]")),
-        (order_predicate, 5, 4, (1, 1), (1,), (1, 1), (UNDECIDED, "class 4 at order p^5 not covered")),
+        ("coclass_predicate", 7, 4, (3, 1), (2,), (2, 1), (NOT_MINIMAL, "center [2] != [1]")),
+        ("order_predicate", 7, 4, (2, 1), (2,), (2, 1), (MINIMAL, "center [2], Z2/Z matches G/G'")),
+        ("order_predicate", 7, 3, (1, 1, 1, 1), (1,), (1, 1, 1, 1), (MINIMAL, "center [1], d=d(Z2/Z)=4")),
+        ("order_predicate", 7, 5, (1, 1, 1), (1,), (1, 1, 1), (NOT_MINIMAL, "d=3 not in [2]")),
+        ("order_predicate", 5, 4, (1, 1), (1,), (1, 1), (UNDECIDED, "class 4 at order p^5 not covered")),
     ],
 )
 def test_rule_details_are_pinned(predicate, n, cls, a, g, b, want):
     """One literal detail per branch, the matched centers and the Coclass4
-    [2,1] case among them, which no corpus or witness group reaches."""
-    v = predicate(synthetic_report(n, cls, a, g, b))
+    [2,1] case among them, which no corpus or witness group reaches: the
+    reference predicate's, and evaluate_rules' row of that family."""
+    rules, ref = PREDICATES[predicate]
+    rep = synthetic_report(n, cls, a, g, b)
+    v = ref(rep)
     assert (v.decision, v.details) == want
+    _assert_row_matches(_rows(rep), rules, ref, rep)

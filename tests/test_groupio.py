@@ -17,7 +17,6 @@ from centaut.groupio import (
     read_manifest,
     resolve_source,
     write_group,
-    write_manifest,
 )
 
 from test_groups import NONASSOC5
@@ -147,7 +146,9 @@ def test_manifest_roundtrip(tmp_path):
         )
     )
     path = tmp_path / "m.json"
-    write_manifest(m, path)
+    entries = [{"name": "a", "source": "builtin:dihedral(8)", "expected": "Minimal"},
+               {"name": "b", "source": "builtin:dihedral(16)"}]
+    path.write_text(json.dumps({"format": "manifest", "entries": entries}), encoding="utf-8")
     back = read_manifest(path)
     assert back == m
     assert back.entries[1].expected is None

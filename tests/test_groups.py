@@ -31,11 +31,9 @@ from centaut.groups import (
     Group,
     Permutation,
     direct_product,
-    element_order,
     group_from_cayley_table,
     group_from_permutations,
     semidirect_product,
-    trivial_group,
 )
 from centaut.structure import abelianization, center, quotient
 
@@ -159,7 +157,7 @@ def test_prime_power_detection():
     assert (cyclic(8).prime, cyclic(8).order_exp) == (2, 3)
     assert (cyclic(27).prime, cyclic(27).order_exp) == (3, 3)
     assert cyclic(6).prime is None and cyclic(6).order_exp is None
-    assert trivial_group().prime is None
+    assert cyclic(1).prime is None
 
 
 def test_arithmetic_matches_reference_oracle():
@@ -167,7 +165,7 @@ def test_arithmetic_matches_reference_oracle():
     t = G.table.tolist()
     for a in range(8):
         assert G.inv(a) == oracles.ref_inverse(t, a)
-        assert element_order(G, a) == oracles.ref_element_order(t, a)
+        assert G.element_orders[a] == oracles.ref_element_order(t, a)
         for b in range(8):
             assert G.mul(a, b) == t[a][b]
             assert G.commutator(a, b) == oracles.ref_commutator(t, a, b)
@@ -177,7 +175,7 @@ def test_arithmetic_matches_reference_oracle():
 
 def test_pow_handles_negative_exponents():
     G = cyclic(8)
-    g = next(x for x in range(8) if element_order(G, x) == 8)
+    g = next(x for x in range(8) if G.element_orders[x] == 8)
     assert G.pow(g, 0) == 0
     assert G.pow(g, 8) == 0
     assert G.pow(g, -1) == G.inv(g)
@@ -248,10 +246,12 @@ def test_direct_product_orders_multiply():
 
 def test_direct_product_hands_over_the_greedy_generators():
     """H's generators, then G's times |H|: the set a span of the product
-    table picks, read off the factors instead; a cyclic group hands over
-    its generator 1."""
+    table picks, read off the factors instead, when the factors' sets are
+    greedy; a cyclic group hands over its generator 1.  wreath(2), a
+    semidirect product, hands over (1, h) and (x, 1) for its factors'
+    generators, which generate it but are not the greedy set, and a product
+    with it gets a set that generates it."""
     factors = [
-        trivial_group(),
         cyclic(1),
         cyclic(2),
         cyclic(9),
@@ -262,21 +262,37 @@ def test_direct_product_hands_over_the_greedy_generators():
         unitriangular4(2),
         wreath(2),
     ]
+    greedy = [np.array_equal(G.generators, Group(G.table).generators) for G in factors]
+    assert greedy == [True] * 8 + [False]
+    assert factors[-1].generators.tolist() == [1, 2, 4]
     for G in factors:
-        assert np.array_equal(G.generators, Group(G.table).generators)
         assert not G.generators.flags.writeable
         for H in factors:
             if G.order * H.order <= 512:
                 P = direct_product(G, H)
-                assert np.array_equal(P.generators, Group(P.table).generators)
                 assert not P.generators.flags.writeable
+                if factors[-1] in (G, H):
+                    assert oracles.ref_closure_mask(P.table, P.generators).all()
+                else:
+                    assert np.array_equal(P.generators, Group(P.table).generators)
+
+
+def test_groups_keep_spanning_generators_and_reference_inverses(corpus_groups, homs_groups):
+    """Every group's generators span it, the ones products read off their
+    factors among them, and every inverse, a direct product's read off its
+    factors', is the reference's, as a read-only int32 array."""
+    for name, G in [*corpus_groups.items(), *homs_groups.items()]:
+        assert oracles.ref_closure_mask(G.table, G.generators).all(), name
+        t = G.table.tolist()
+        assert G.inverse.tolist() == [oracles.ref_inverse(t, g) for g in range(G.order)], name
+        assert G.inverse.dtype == np.int32 and not G.inverse.flags.writeable, name
 
 
 def test_is_abelian_matches_the_whole_table(corpus_groups, homs_groups):
     """The generators' pairwise test against the whole table against its
     transpose, on the groups as built and fresh from their tables."""
     built = [
-        trivial_group(),
+        cyclic(1),
         cyclic(8),
         elementary(3, 2),
         direct_product(cyclic(4), cyclic(2)),

@@ -16,15 +16,15 @@ from centaut import structure
 from centaut.abelian import section_invariants
 from centaut.families import cyclic, parse_group_spec
 from centaut.groups import group_from_permutations
-from centaut.structure import center, central_series, derived_subgroup, structure_report
+from centaut.structure import derived_subgroup, structure_report
 
 import oracles
 
 
 def _sections(G):
     """(name, H, N) for G/G', Z(G) and Z_2(G)/Z(G) as bool masks."""
-    upper = central_series(G, "upper")
-    z, z2 = upper[1].mask, upper[min(2, len(upper) - 1)].mask
+    upper = structure._upper_masks(G)
+    z, z2 = upper[1], upper[min(2, len(upper) - 1)]
     return [
         ("G/G'", np.ones(G.order, dtype=bool), derived_subgroup(G).mask),
         ("Z", z, np.arange(G.order) == 0),

@@ -7,6 +7,7 @@ Light's test spanned.  The references are the routines these replaced.
 """
 
 import os
+import sys
 import traceback
 from collections import Counter
 
@@ -26,18 +27,20 @@ CENTRAL = os.path.join("centaut", "central.py")
 
 def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     """No Group.element_orders, no Subgroup built under central, at most
-    one greedy span over range(n) from {0} per group table and none of a
-    direct product's, three section invariants (G/G', Z, Z_2/Z) per group,
-    one commutator table per group and the allowed images powered once per
+    one greedy span over range(n) from {0} per group table, 60 in all and
+    each one Light's test (a product reads its generators off its
+    factors'), three section invariants (G/G', Z, Z_2/Z) per group, one
+    commutator table per group and the allowed images powered once per
     enumeration."""
     spans, orders, subgroups, products, sections, images = [], [], [], [], [], []
-    comms = []
+    comms, callers = [], Counter()
     real_span = groups.greedy_generators
 
     def span(table, seed, reached):
         seed = np.asarray(seed)
         if reached.sum() == 1 and np.array_equal(seed, np.arange(len(table))):
             spans.append(table)
+            callers[sys._getframe(1).f_code.co_name] += 1
         return real_span(table, seed, reached)
 
     real_orders = Group.__dict__["element_orders"].func
@@ -94,6 +97,7 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     # each list keeps what it holds alive, so no id is reused
     counts = Counter(map(id, spans))
     assert len(counts) >= len(entries) and max(counts.values()) == 1
+    assert callers == {"_light_generators": 60}
     assert products and not {id(P.table) for P in products} & set(counts)
     sections = Counter(map(id, sections))
     assert len(sections) == len(entries) and set(sections.values()) == {3}

@@ -1,4 +1,4 @@
-"""Subgroups, series, quotients and the structure report."""
+"""Subgroups, the upper series, quotients and the structure report."""
 
 import functools
 import gc
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from centaut import structure
 from centaut.abelian import abelian_basis, iter_homomorphisms
 from centaut.central import central_automorphism_count
 from centaut.errors import (
@@ -37,7 +38,6 @@ from centaut.families import (
 from centaut.groups import (
     Group,
     Permutation,
-    element_order,
     group_from_permutations,
     semidirect_product,
 )
@@ -45,12 +45,9 @@ from centaut.structure import (
     Subgroup,
     abelianization,
     center,
-    central_series,
     closure,
     commutator_table,
     derived_subgroup,
-    frattini_subgroup,
-    minimal_generator_count,
     quotient,
     structure_report,
     upper_central_orders,
@@ -121,7 +118,6 @@ def _index_entry_points(G: Group) -> list[tuple[type, int, Callable]]:
         (IndexOutOfRange, 1, lambda a: G.pow(a, -1)),
         (IndexOutOfRange, 2, lambda a, b: G.commutator(a, b)),
         (IndexOutOfRange, 2, lambda x, g: G.conjugate(x, g)),
-        (IndexOutOfRange, 1, lambda g: element_order(G, g)),
         (IndexOutOfRange, 0, lambda vs: Subgroup(G, vs).elements),
         (IndexOutOfRange, 0, lambda vs: closure(G, vs).elements),
         (IndexOutOfRange, 1, lambda g: whole.contains(g)),
@@ -233,16 +229,14 @@ def test_open_sets_raise_one_named_error():
 
 
 def test_subgroups_of_another_group_are_named():
-    """issubset and quotient refuse a subgroup of another group by
-    DifferentParent, also a ValueError: issubset once raised numpy's
-    IndexError one way round and returned False the other."""
+    """quotient refuses a subgroup of another group by DifferentParent,
+    also a ValueError."""
     G = cyclic(8)
     small, big = Subgroup(cyclic(4), [0, 2]), Subgroup(G, [0, 4])
-    for call in (lambda: big.issubset(small), lambda: small.issubset(big), lambda: quotient(G, small)):
-        with pytest.raises(DifferentParent, match="different parent"):
-            call()
+    with pytest.raises(DifferentParent, match="different parent"):
+        quotient(G, small)
     assert issubclass(DifferentParent, CentautError) and issubclass(DifferentParent, ValueError)
-    assert Subgroup(G, [0, 4]).issubset(big)
+    assert quotient(G, big)[0].order == 4
 
 
 def test_subgroup_positions_and_as_group():
@@ -251,7 +245,7 @@ def test_subgroup_positions_and_as_group():
     rot = int(np.argmax(G.element_orders == 8))
     H = closure(G, [rot])  # the rotation subgroup
     assert H.order == 8
-    assert Z.issubset(H)
+    assert not (Z.mask & ~H.mask).any()
     inner = H.as_group()
     assert inner.order == 8 and inner.is_abelian
     for sub in (H, Z, derived_subgroup(G), closure(G, [1])):
@@ -285,24 +279,21 @@ def test_derived_subgroups():
 
 def test_central_series_dihedral16():
     G = dihedral(16)
-    upper = central_series(G, "upper")
-    lower = central_series(G, "lower")
-    assert [s.order for s in upper] == [1, 2, 4, 16]
-    assert [s.order for s in lower] == [16, 4, 2, 1]
+    assert upper_central_orders(G) == [1, 2, 4, 16]
     # consecutive terms nest
-    for a, b in zip(upper, upper[1:]):
-        assert a.issubset(b)
+    masks = structure._upper_masks(G)
+    for a, b in zip(masks, masks[1:]):
+        assert not (a & ~b).any()
 
 
 def test_central_series_rejects_non_nilpotent():
+    """The upper series of S3 stalls at Z(S3) = 1, and the report's reader
+    of it refuses the group."""
     S3 = group_from_permutations(3, [[1, 2, 0], [1, 0, 2]])
     assert S3.order == 6
-    with pytest.raises(NotNilpotent):
-        central_series(S3, "upper")
-    with pytest.raises(NotNilpotent):
-        central_series(S3, "lower")
-    with pytest.raises(ValueError):
-        central_series(dihedral(8), "sideways")
+    assert upper_central_orders(S3) == [1]
+    with pytest.raises(NotNilpotent, match="stalls at order 1 < 6"):
+        structure._nilpotent_masks(S3)
 
 
 def test_derived_data_is_computed_once_and_read_only():
@@ -331,24 +322,24 @@ def test_analysed_group_is_freed_without_the_cycle_collector():
 
 
 def test_frattini_and_generator_count():
-    D8 = dihedral(8)
-    assert frattini_subgroup(D8).order == 2
-    assert minimal_generator_count(D8) == 2
-    assert minimal_generator_count(cyclic(8)) == 1
-    assert minimal_generator_count(elementary(2, 3)) == 3
-    assert minimal_generator_count(heisenberg(3, 1)) == 2
+    """d(G) from the report, and |Phi(G)| = |G| / p^d against the
+    Frattini subgroup's full-table reference."""
+    for G, d in ((dihedral(8), 2), (cyclic(8), 1), (elementary(2, 3), 3), (heisenberg(3, 1), 2)):
+        rep = structure_report(G)
+        assert rep.d == d == oracles.ref_generator_count(G.table, G.prime)
+        assert oracles.ref_frattini_mask(G.table, G.prime).sum() == G.order // G.prime**d
     with pytest.raises(NotPrimePower):
-        frattini_subgroup(group_from_permutations(3, [[1, 2, 0], [1, 0, 2]]))
+        structure_report(group_from_permutations(3, [[1, 2, 0], [1, 0, 2]]))
 
 
 def test_no_generating_set_beats_frattini_count():
     # d = 2 groups: no single element generates
     for G in (dihedral(8), heisenberg(3, 1)):
-        assert minimal_generator_count(G) == 2
+        assert structure_report(G).d == 2
         assert all(closure(G, [g]).order < G.order for g in range(G.order))
     # d = 1: some single element does
     G = cyclic(9)
-    assert minimal_generator_count(G) == 1
+    assert structure_report(G).d == 1
     assert any(closure(G, [g]).order == 9 for g in range(9))
 
 
@@ -426,33 +417,33 @@ def large():
     return functools.cache(parse_group_spec)
 
 
-# class, d, Z, Z_2/Z, G/G' and the orders of the lower central series
+# class, d, Z, Z_2/Z and G/G'
 LARGE = {
-    "dihedral(4096)": (
-        11, 2, (1,), (1,), (1, 1), [4096, 1024, 512, 256, 128, 64, 32, 16, 8, 4, 2, 1]
-    ),
-    "metacyclic(64,64,3)": (6, 2, (2, 1), (1, 1), (6, 1), [4096, 32, 16, 8, 4, 2, 1]),
-    "extraspecial(2,2048,+)": (2, 10, (1,), (1,) * 10, (1,) * 10, [2048, 2, 1]),
-    "extraspecial(3,2187,+)": (2, 6, (1,), (1,) * 6, (1,) * 6, [2187, 3, 1]),
+    "dihedral(4096)": (11, 2, (1,), (1,), (1, 1)),
+    "metacyclic(64,64,3)": (6, 2, (2, 1), (1, 1), (6, 1)),
+    "extraspecial(2,2048,+)": (2, 10, (1,), (1,) * 10, (1,) * 10),
+    "extraspecial(3,2187,+)": (2, 6, (1,), (1,) * 6, (1,) * 6),
 }
+
+
+def _upper_term(G, i):
+    """Z_i(G) as a Subgroup, from the report's upper series masks."""
+    return Subgroup(G, np.flatnonzero(structure._upper_masks(G)[i]), verify=False)
 
 
 @pytest.mark.parametrize("spec", list(LARGE))
 def test_large_order_structure(large, spec):
     G = large(spec)
     rep = structure_report(G)
-    lower = [s.order for s in central_series(G, "lower")]
     assert (
         rep.nilpotency_class,
         rep.d,
         rep.center.exponents,
         rep.inner_center.exponents,
         rep.abelianization.exponents,
-        lower,
     ) == LARGE[spec]
-    upper = central_series(G, "upper")
-    assert upper_central_orders(G) == [s.order for s in upper]
-    for sub in (upper[1], upper[2], derived_subgroup(G)):
+    assert len(upper_central_orders(G)) == rep.nilpotency_class + 1
+    for sub in (_upper_term(G, 1), _upper_term(G, 2), derived_subgroup(G)):
         assert sub.is_abelian == oracles.ref_is_abelian(G.table, sub.elements)
 
 
@@ -487,7 +478,7 @@ def test_structure_report_holds_no_square_table(large):
 def test_is_abelian_holds_no_square_table(large):
     """At class 2, Z_2 = G: the |H| x |H| block check took 20 MiB here."""
     G = large("extraspecial(2,2048,+)")
-    z2 = central_series(G, "upper")[2]
+    z2 = _upper_term(G, 2)
     assert z2.order == G.order
     tracemalloc.start()
     try:
@@ -502,7 +493,7 @@ def test_as_group_of_all_of_g_is_g(large):
     """At class 2, Z_2 = G: the renumbering is the identity and no copy is
     made (a searchsorted copy took 0.19 s at an 80 MiB peak here)."""
     G = large("extraspecial(2,2048,+)")
-    z2 = central_series(G, "upper")[2]
+    z2 = _upper_term(G, 2)
     tracemalloc.start()
     try:
         assert z2.as_group() is G

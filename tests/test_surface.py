@@ -1,0 +1,76 @@
+"""Every public name of the package is read outside the tests.
+
+A public module-level name (function, class or constant) or a public
+method or property of a class in src/centaut counts as read when a Name or
+an Attribute node of that name appears in a package module outside its own
+definition (__init__.py, which only re-exports, left out), in demos/ or in
+perfbench/.  The names that only tests read are pinned below, each with why
+it stays; a new one fails here until it is read, deleted or pinned.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "centaut"
+
+TEST_ONLY = {
+    "abelian.AbelianInvariants.exponent_log": "log_p of the exponent; gate 6 compares exponents by it",
+    "abelian.AbelianInvariants.is_cyclic": "invariant-list arithmetic beside rank and order",
+    "abelian.abelian_basis": "library API off the verdict path; oracles.ref_central_maps reads it",
+    "abelian.iter_homomorphisms": "library API off the verdict path; gate 8 counts Hom through it",
+    "groups.Group.conjugate": "element arithmetic beside mul, inv and commutator",
+    "groups.Group.exponent": "exp(G), read off Group.element_orders",
+    "structure.Subgroup.contains": "membership by one checked index, beside Subgroup.mask",
+    "structure.Subgroup.positions": "the oracles renumber a section inside as_group with it",
+    "structure.Subgroup.as_group": "the oracles rebuild a section as a Group with it",
+    "structure.closure": "library API off the verdict path; gates 2 and 5 span sections with it",
+}
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of each public module-level def, class and
+    assigned name, and of each public method or property of a class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{sub.name}", sub)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if not name.split(".")[-1].startswith("_")]
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read by a Name or an Attribute node."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_test_only_names_are_pinned():
+    trees = {
+        p.stem: ast.parse(p.read_text(), filename=str(p))
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    reads = sum(map(_reads, trees.values()), Counter())
+    for folder in ("demos", "perfbench"):
+        for p in sorted((ROOT / folder).rglob("*.py")):
+            reads += _reads(ast.parse(p.read_text(), filename=str(p)))
+    unread = {
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name, node in _public_definitions(tree)
+        if reads[name.split(".")[-1]] == _reads(node)[name.split(".")[-1]]
+    }
+    assert unread == set(TEST_ONLY)
