@@ -8,8 +8,6 @@ that the minimality rules consume.
 """
 
 from centaut import (
-    abelian_invariants,
-    abelianization,
     builtin,
     center,
     derived_subgroup,
@@ -32,8 +30,7 @@ print("upper series orders:", upper_central_orders(D16))
 Q, proj = quotient(D16, Z)
 print("G/Z has order", Q.order, "and is abelian:", Q.is_abelian)
 
-Gab, _ = abelianization(D16)
-print("G^ab invariants:", abelian_invariants(Gab).exponents)
+print("G^ab invariants:", structure_report(D16).abelianization.exponents)
 
 # Burnside: Phi(G) = G'G^p has index p^d, d = d(G) the rank of G/G'.
 rep = structure_report(D16)

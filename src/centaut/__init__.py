@@ -7,13 +7,7 @@ decide most cases from invariant data; a brute-force enumeration of the
 candidate maps provides the ground truth they are verified against.
 """
 
-from .abelian import (
-    AbelianBasis,
-    AbelianInvariants,
-    abelian_basis,
-    abelian_invariants,
-    hom_invariants,
-)
+from .abelian import AbelianBasis, AbelianInvariants, hom_invariants
 from .central import (
     DEFAULT_HOM_CAP,
     CentralAutReport,
@@ -61,9 +55,7 @@ from .harness import (
 from .structure import (
     StructureReport,
     Subgroup,
-    abelianization,
     center,
-    closure,
     derived_subgroup,
     quotient,
     structure_report,

@@ -7,15 +7,15 @@ group and for a section H/N of a larger group's table alike
 (section_invariants).  A basis is found by one depth-first search with
 backtracking, again for a whole group or a section G/N (section_basis),
 which powers G once per wanted order and grows each span from the last.
-Hom questions reduce to arithmetic on the invariant lists; an
-image y is allowed for an invariant p^e when y^(p^e) = 1, powered on the
-targets alone (_allowed_images), never on all of the ambient group.  The
-homomorphisms themselves have one enumerator, iter_hom_positions, which
-reads only the basis, the allowed images and T, the Cayley table of the
-target subgroup on positions in its sorted elements (groups.subset_table).
-Given a table on which T acts, such as the coset labels of the central
-maps, it yields act[x, f(x)] in place of the position f(x), folding the
-action through the products it multiplies out.
+Hom counts reduce to arithmetic on the invariant lists (hom_invariants);
+an image y is allowed for an invariant p^e when y^(p^e) = 1, powered on
+the targets alone (_allowed_images), never on all of the ambient group.
+The homomorphisms themselves have one enumerator, iter_hom_positions,
+which reads only the basis, the allowed images, T, the Cayley table of
+the target subgroup on positions in its sorted elements
+(groups.subset_table), and a table on which T acts, such as the coset
+labels of the central maps: it yields act[x, f(x)], folding the action
+through the products it multiplies out, and builds no positions.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import groups
-from .errors import InvalidInvariants, NotAbelian, NotPrimePower, PrimeMismatch
+from .errors import InvalidInvariants, NotPrimePower, PrimeMismatch
 from .groups import Group, powers, prime_power
 
 
@@ -55,36 +55,8 @@ class AbelianInvariants:
     def order(self) -> int:
         return self.prime ** sum(self.exponents)
 
-    @property
-    def exponent_log(self) -> int:
-        """log_p of the group exponent (0 for the trivial group)."""
-        return self.exponents[0] if self.exponents else 0
-
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.exponents) <= 1
-
     def __str__(self) -> str:
         return f"p={self.prime} {list(self.exponents)}"
-
-
-def abelian_invariants(A: Group, prime: Optional[int] = None) -> AbelianInvariants:
-    """Invariant list of an abelian prime-power group.
-
-    The trivial group carries no prime of its own, so `prime` must be
-    supplied for it; otherwise the prime is inferred and checked.
-    """
-    if not A.is_abelian:
-        raise NotAbelian(f"group of order {A.order} is not abelian")
-    if A.order == 1:
-        if prime is None:
-            raise NotPrimePower("trivial group: supply the prime explicitly")
-        return AbelianInvariants(prime, ())
-    if A.prime is None:
-        raise NotPrimePower(f"order {A.order} is not a prime power")
-    if prime is not None and prime != A.prime:
-        raise PrimeMismatch(f"group prime {A.prime} != requested {prime}")
-    return section_invariants(A, np.ones(A.order, dtype=bool), np.arange(A.order) == 0)
 
 
 def section_invariants(G: Group, H: np.ndarray, N: np.ndarray) -> AbelianInvariants:
@@ -150,8 +122,8 @@ def _independent(G: Group, N: np.ndarray, orders: Sequence[int]) -> Optional[lis
 @dataclass(frozen=True)
 class AbelianBasis:
     """Independent generators realizing the invariant list; coordinates[k]
-    is the exponent tuple along `elements` of element k (abelian_basis) or
-    of the k-th coset (section_basis)."""
+    is the exponent tuple along `elements` of the k-th coset of
+    section_basis."""
 
     invariants: AbelianInvariants
     elements: tuple[int, ...]
@@ -188,17 +160,6 @@ def section_basis(
     return AbelianBasis(inv, tuple(chosen), coords), members
 
 
-def abelian_basis(A: Group, prime: Optional[int] = None) -> AbelianBasis:
-    """section_basis with N = 1, coordinates indexed by element: x ==
-    prod_i elements[i] ** coordinates[x, i], a bijection."""
-    inv = abelian_invariants(A, prime=prime)
-    basis, members = section_basis(A, np.arange(A.order) == 0, inv)
-    coords = np.empty_like(basis.coordinates)
-    coords[members[:, 0]] = basis.coordinates
-    coords.setflags(write=False)
-    return AbelianBasis(inv, basis.elements, coords)
-
-
 def target_array(targets: Sequence[int]) -> np.ndarray:
     """The distinct targets as a sorted int64 array: the numbering that hom
     positions refer to, each target once."""
@@ -218,13 +179,17 @@ def iter_hom_positions(
     T: np.ndarray,
     images: list[np.ndarray],
     rows: int,
-    act: Optional[np.ndarray] = None,
+    act: np.ndarray,
 ) -> Iterator[np.ndarray]:
-    """The homomorphisms from the based group into the abelian group of
-    int32 Cayley table T, identity 0, as int32 blocks (maps x
-    len(coordinates)) of <= rows maps, f[x] the position of x's image, for
-    the allowed images[i] of basis element i (_allowed_images); every map
-    once, in lexicographic order of the basis image tuples.
+    """The homomorphisms f from the based group into the abelian group of
+    int32 Cayley table T, identity 0, for the allowed images[i] of basis
+    element i (_allowed_images), every map once, in lexicographic order of
+    the basis image tuples, as int32 blocks (maps x len(coordinates)) of
+    <= rows maps holding act[x, f[x]], f[x] the position of x's image.
+    act is an int32 action table: a row per state, the states x <
+    len(coordinates) among them, a column per position of T, and
+    act[act[q, u], v] == act[q, T[u, v]] for every state q and positions
+    u, v.  State x starts at x.
 
     A hom f is fixed by the images y_i of the basis elements: f[x] =
     prod_i y_i ** coordinates[x, i], each product read from T.  For
@@ -235,23 +200,17 @@ def iter_hom_positions(
     run of consecutive indices (C order, as itertools.product): their last
     digit picks a row of the folded table, and the few distinct leading
     digit tuples of the run are multiplied out once each: one product per
-    cell at any rank.
-
-    With an int32 action table act (len(coordinates) x |T| states, and
-    act[act[q, u], v] == act[q, T[u, v]] for every state q and positions
-    u, v), the blocks hold act[x, f[x]] instead, in the same order and
-    the same blocks.  State x starts at x.  As f[x] is the product of the
-    tables' entries, they act one at a time: the first table is acted on
-    once, in place, before any fold, the leading tables once per distinct
-    prefix of a block, and the last by one gather per cell.  When every
-    table folds into one, the first acts in the fold, and a block is a
-    row gather of the folded states.
+    cell at any rank.  As f[x] is the product of the tables' entries, they
+    act one at a time: the first table is acted on once, in place, before
+    any fold, the leading tables once per distinct prefix of a block, and
+    the last by one gather per cell.  When every table folds into one, the
+    first acts in the fold, and a block is a row gather of the folded
+    states.
     """
     p = basis.invariants.prime
     n = len(basis.coordinates)
     if not images:
-        f = np.zeros((1, n), dtype=np.int32)
-        yield f if act is None else act[np.arange(n), f]
+        yield act[np.arange(n), np.zeros((1, n), dtype=np.int32)]
         return
     flat = T.ravel()
     width = np.int64(len(T))  # an int64 factor keeps f * |T| + g exact
@@ -268,16 +227,14 @@ def iter_hom_positions(
         while cycle.shape[1] < p**e:
             cycle, h = np.concatenate((cycle, times(cycle, h[:, None])), axis=1), times(h, h)
         factors.append(cycle.take(k, axis=1))
-    table = flat
-    if act is not None:
-        # T's identity row leaves positions as they are; act's start state
-        # x is applied to the first table, in place, rows maps at a time
-        table, first, x = act.ravel(), factors[0], np.arange(n)
-        for lo in range(0, len(first), rows):
-            first[lo : lo + rows] = times(x, first[lo : lo + rows], table)
+    # T's identity row leaves positions as they are; act's start state x
+    # is applied to the first table, in place, rows maps at a time
+    table, first, x = act.ravel(), factors[0], np.arange(n)
+    for lo in range(0, len(first), rows):
+        first[lo : lo + rows] = times(x, first[lo : lo + rows], table)
     # row i * len(b) + j of the folded table is a[i] * b[j], so the C-order
     # digits, and with them the map order, stay as they were; a is the
-    # first table, acted on when act is given, once no other is left
+    # first table, acted on, once no other is left
     while len(factors) > 1 and factors[-2].size * len(factors[-1]) <= groups._BLOCK_CELLS:
         a, b = factors.pop(-2), factors.pop()
         ab = times(a[:, None, :], b[None, :, :], flat if factors else table)
@@ -299,25 +256,6 @@ def iter_hom_positions(
             cells += f
             f = table.take(cells)
         yield f
-
-
-def iter_homomorphisms(
-    basis: AbelianBasis, ambient: Group, targets: Sequence[int]
-) -> Iterator[np.ndarray]:
-    """All homomorphisms from the based group into the abelian subgroup of
-    ambient that the targets are, each counted once (else NotClosed, or
-    NotAbelian naming the first two targets that do not commute): int64
-    arrays f, f[x] the ambient index of the image of x, in iter_hom_positions
-    order, read back from blocks of about groups._BLOCK_CELLS positions."""
-    tgt = target_array(groups.indices(targets, ambient.order, "target"))
-    T = groups.subset_table(ambient.table, tgt)
-    if (T != T.T).any():
-        a, b = (int(tgt[k]) for k in np.argwhere(T != T.T)[0])
-        raise NotAbelian(f"targets {a} and {b} do not commute")
-    images = _allowed_images(basis.invariants, ambient, tgt)
-    rows = max(1, groups._BLOCK_CELLS // len(basis.coordinates))
-    for block in iter_hom_positions(basis, T, images, rows):
-        yield from tgt[block]
 
 
 def hom_invariants(a: AbelianInvariants, b: AbelianInvariants) -> AbelianInvariants:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -165,11 +165,11 @@ def _central_candidates(
     invariants of G/G' that the structure report keeps, and label is
     _coset_labels's.  homs(allowed, act) is abelian.iter_hom_positions on
     them, for the basis images in `allowed` (images, or part of each),
-    blocks of up to _BLOCK_CELLS // 2a maps in iter_homomorphisms order:
-    homs(allowed) gives f[i, c], the int32 position in the sorted center
-    of map i's value on coset c, and homs(allowed, label) gives label[c,
-    f[i, c]], so a map's images hit every element exactly when its row is
-    bijective (_bijective_rows).  The candidate count, the
+    blocks of up to _BLOCK_CELLS // 2a maps in C order of the basis image
+    tuples: homs(allowed, label) gives label[c, f[i, c]], f[i, c] the
+    position in the sorted center of map i's value on coset c, so a map's
+    images hit every element exactly when its row is bijective
+    (_bijective_rows).  The candidate count, the
     product of the numbers of allowed images, is checked against hom_cap
     before the basis search; the images are powered once."""
     if G.prime is None:
@@ -191,7 +191,7 @@ def _central_candidates(
     # halves the blocks a quarter took
     rows = max(1, groups._BLOCK_CELLS // (2 * len(members)))
 
-    def homs(allowed: list[np.ndarray], act: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    def homs(allowed: list[np.ndarray], act: np.ndarray) -> Iterator[np.ndarray]:
         return abelian.iter_hom_positions(basis, T, allowed, rows, act)
 
     return members, label, images, homs
@@ -207,7 +207,7 @@ def central_automorphism_count(
     class of candidates (_label_classes): the maps whose basis images are
     each the least allowed image of a class, in C order over the classes,
     and a bijective row adds the number of maps it stands for, read from
-    its C-order digits.
+    its C-order digits.  A count below |Z_2/Z| raises RuntimeError.
     """
     _, label, images, homs = _central_candidates(G, hom_cap)
     reps, sizes = _label_classes(label, images)
@@ -224,6 +224,10 @@ def central_automorphism_count(
         rows += len(state)
     upper = structure.upper_central_orders(G)
     z_inn = upper[2] // upper[1] if len(upper) > 2 else 1
+    if count < z_inn:
+        # conjugation by each element of Z_2 is a central automorphism,
+        # and Z_2/Z of them are distinct
+        raise RuntimeError(f"{count} central automorphisms, below |Z_2/Z| = {z_inn}")
     return CentralAutReport(
         hom_candidates=math.prod(len(y) for y in images),
         aut_count=count,

@@ -68,10 +68,6 @@ class NotNormal(CentautError):
     """Subgroup is not closed under conjugation; names a violating pair."""
 
 
-class NotAbelian(CentautError):
-    """Operation requires an abelian group."""
-
-
 class PrimeMismatch(CentautError):
     """Two invariant lists belong to different primes."""
 

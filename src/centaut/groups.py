@@ -24,9 +24,10 @@ lexicographically first bad triple (a, b, c).  Cells that are not integers (bool
 are rejected before the conversion.  indices reads every index a caller hands
 in, naming the first one not an integer in range(n) by the caller's error.
 
-greedy_generators spans in any table (the validator, closures, abelian
-bases, Group.generators), by power doubling and frontier closures on an
-array of the reached elements that each gather extends.
+greedy_generators spans in any table (the validator, G' and the other
+spans of structure, abelian bases, Group.generators), by power doubling
+and frontier closures on an array of the reached elements that each
+gather extends.
 powers is the one power routine, for Group.pow, orders and layer counts.
 
 table_along_tree is the one routine that fills a table from generator
@@ -40,7 +41,7 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 from itertools import chain
-from math import isqrt, lcm
+from math import isqrt
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
@@ -138,10 +139,6 @@ class Group:
         self.order = int(table.shape[0])
         self.prime, self.order_exp = prime_power(self.order)
 
-    def mul(self, a: int, b: int) -> int:
-        a, b = indices((a, b), self.order)
-        return int(self.table[a, b])
-
     def inv(self, a: int) -> int:
         return int(self.inverse[indices((a,), self.order)[0]])
 
@@ -153,14 +150,6 @@ class Group:
             raise InvalidExponent(f"exponent {k!r} is not an integer")
         k = operator.index(k)
         return int(powers(self.table, self.inverse[g] if k < 0 else g, abs(k))[0])
-
-    def commutator(self, a: int, b: int) -> int:
-        """[a, b] = a^-1 b^-1 a b."""
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
-
-    def conjugate(self, x: int, g: int) -> int:
-        """g^-1 x g = x [x, g], reading x before g."""
-        return self.mul(x, self.commutator(x, g))
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -205,10 +194,6 @@ class Group:
                 break
         orders.setflags(write=False)
         return orders
-
-    @cached_property
-    def exponent(self) -> int:
-        return lcm(*map(int, np.unique(self.element_orders)))
 
     def __len__(self) -> int:
         return self.order

@@ -1,8 +1,10 @@
 """Subgroups, the upper central series, quotients and the structural report.
 
-Everything works directly on element indices of a parent Group; quotients
-reindex cosets by their minimal member so results are deterministic.
-Every index a caller hands in is read by groups.indices, which names a bad one.
+Everything works directly on element indices of a parent Group.  The one
+quotient routine (quotient, with check_normal) reindexes cosets by their
+minimal member so results are deterministic; nothing on the verdict path
+calls it.  Every index a caller hands in is read by groups.indices, which
+names a bad one.
 
 The invariants come from the generating set S of G (Group.generators,
 |S| <= log2 n for the greedy one) at O(n * |S|) per step, not from an
@@ -31,13 +33,7 @@ import numpy as np
 
 from . import abelian
 from .abelian import AbelianInvariants
-from .errors import (
-    DifferentParent,
-    IndexOutOfRange,
-    NotNilpotent,
-    NotNormal,
-    NotPrimePower,
-)
+from .errors import DifferentParent, NotNilpotent, NotNormal, NotPrimePower
 from .groups import Group, greedy_generators, indices, subset_table
 
 
@@ -86,31 +82,9 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, g: int) -> bool:
-        return bool(self.mask[indices((g,), self.parent.order)[0]])
-
     @cached_property
     def is_abelian(self) -> bool:
         return _commutes(self.parent, self.elements)
-
-    def positions(self, elements: Sequence[int]) -> np.ndarray:
-        """Indices of the given parent elements inside as_group()'s numbering."""
-        arr = indices(elements, self.parent.order)
-        if not self.mask[arr].all():
-            raise IndexOutOfRange("element outside subgroup")
-        return np.searchsorted(np.asarray(self.elements), arr)
-
-    @cached_property
-    def _as_group(self) -> Group:
-        G = self.parent
-        if self.order == G.order:
-            return G  # the ascending numbering of all of G is the identity
-        return Group(subset_table(G.table, np.asarray(self.elements)))
-
-    def as_group(self) -> Group:
-        """The subgroup as a standalone Group, elements renumbered ascending;
-        the parent itself when the subgroup is all of it."""
-        return self._as_group
 
     def __len__(self) -> int:
         return self.order
@@ -134,13 +108,6 @@ def _commutes(G: Group, elements: Iterable[int], central: Optional[np.ndarray] =
     gens = list(greedy_generators(G.table, elements, reached))
     t = G.table[np.ix_(gens, gens)]
     return bool((t == t.T).all())
-
-
-def closure(G: Group, seed: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the seed (identity always included)."""
-    reached = np.arange(G.order) == 0
-    list(greedy_generators(G.table, indices(seed, G.order), reached))
-    return Subgroup(G, np.flatnonzero(reached), verify=False)
 
 
 def commutator_table(G: Group, xs: Sequence[int]) -> np.ndarray:
@@ -240,11 +207,6 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
     proj = proj.astype(np.int32)
     Q = Group(proj[G.table[np.ix_(reps, reps)]])
     return Q, proj
-
-
-def abelianization(G: Group) -> tuple[Group, np.ndarray]:
-    """G/[G,G] as a Group, with its projection."""
-    return quotient(G, derived_subgroup(G))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ are the structure references at the end, the library's former numpy
 routines, which run at corpus orders where lists would be slow: the
 full-table ones read the whole n x n commutator table instead of a
 generating set, and the section ones walk element orders one power at a
-time and rebuild each section as a Group to take its quotient.  The two
+time and rebuild each section's table to take its quotient.  The two
 formula table assemblies are also former library code, kept to pin the
 tables the spanning-tree routine now writes, and so are the coset table,
 its row labels by row minima and the basis search that regrew every span,
@@ -18,7 +18,10 @@ former brute-force automorphism search, which nothing in it called, kept
 for the tests that check the enumeration against it.  ref_scan_table is
 the group-file scanner's former numpy block check, kept to pin the checks
 that replaced it.  ref_class_rows counts the label rows of the central count from the
-structure references.
+structure references.  ref_central_automorphisms lists the central
+automorphisms from G's table and generators alone, with no structure
+mask, basis or label.  position_action is the action table under which
+the hom enumerator, which always folds an action, yields positions.
 """
 
 from __future__ import annotations
@@ -63,16 +66,8 @@ from centaut.groups import (
     greedy_generators,
     powers,
     row_blocks,
-    subset_table,
 )
-from centaut.structure import (
-    StructureReport,
-    Subgroup,
-    abelianization,
-    center,
-    derived_subgroup,
-    quotient,
-)
+from centaut.structure import StructureReport, Subgroup, derived_subgroup, quotient
 
 
 def ref_closure(table: list[list[int]], seed: list[int]) -> list[int]:
@@ -548,40 +543,96 @@ def all_automorphisms(G: Group, order_limit: int = 256) -> list[np.ndarray]:
     return results
 
 
-def ref_central_maps(G, rows: int = 256):
-    """Blocks (candidates, bijective image arrays) of the maps x -> x*f(xG'),
-    f in Hom(G/G', Z(G)), by the route the enumeration took before it
-    walked G's own cosets: G/G' built as a quotient Group, its basis taken
-    by abelian_basis, G put in coset order by an argsort of the projection
-    and each map's images scattered back to x and checked by a full scan.
-    Maps come in iter_hom_positions order, `rows` candidates a block."""
-    Q, proj = quotient(G, derived_subgroup(G))
-    basis = abelian.abelian_basis(Q, prime=G.prime)
-    tgt = abelian.target_array(center(G).elements)
-    order = np.argsort(proj, kind="stable")
-    images = abelian._allowed_images(basis.invariants, G, tgt)
-    for f in abelian.iter_hom_positions(basis, subset_table(G.table, tgt), images, rows):
-        sigma = np.empty((len(f), G.order), dtype=np.int64)
-        sigma[:, order] = G.table[order, tgt[f[:, proj[order]]]]
-        yield len(f), sigma[ref_bijective_rows(sigma)]
+def ref_central_automorphisms(G, bound: int = 5 * 10**7) -> np.ndarray:
+    """Every central automorphism of G, one row sigma each, sigma[x] the
+    image of x, read from G.table and G.generators alone.
+
+    Z is the set of rows of the table that equal their columns.  Each tuple
+    z in Z^k, for the k generators g_i, gives the map g_i -> g_i z_i,
+    extended along a BFS spanning tree of right products with the
+    generators by sigma(x g_i) = sigma(x) sigma(g_i).  A map is kept when
+    that law holds for every x and i, so that it is an endomorphism and
+    x^-1 sigma(x) lies in Z for every x, and when it is a bijection.  A
+    central automorphism comes from exactly one tuple, z_i = g_i^-1
+    sigma(g_i).  ValueError when |Z|^k * |G| exceeds bound, or when the
+    tree does not reach all of G."""
+    T = np.asarray(G.table, dtype=np.int64)
+    n = len(T)
+    gens = np.asarray(G.generators, dtype=np.int64)
+    k = len(gens)
+    z = np.flatnonzero((T == T.T).all(axis=1))
+    if len(z) ** k * n > bound:
+        raise ValueError(f"{len(z)}^{k} maps of {n} cells exceed {bound}")
+    # the tree, a BFS layer at a time: each new element y = x g_i by the
+    # first (x, i) that reaches it
+    parent, via = np.full(n, -1), np.zeros(n, dtype=np.int64)
+    parent[0] = 0
+    layers, frontier = [], np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        prods = T[frontier[:, None], gens].ravel()
+        fresh = np.flatnonzero(parent[prods] < 0)
+        new, first = np.unique(prods[fresh], return_index=True)
+        parent[new], via[new] = frontier[fresh[first] // k], fresh[first] % k
+        layers.append(new)
+        frontier = new
+    if (parent < 0).any():
+        raise ValueError("the generators' tree does not reach all of G")
+    tuples = np.indices((len(z),) * k).reshape(k, -1).T
+    step, kept = max(1, 2**18 // n), []
+    for lo in range(0, len(tuples), step):
+        img = T[gens, z[tuples[lo : lo + step]]]  # g_i z_i, a row per map
+        sigma = np.zeros((len(img), n), dtype=np.int64)
+        for layer in layers:
+            sigma[:, layer] = T[sigma[:, parent[layer]], img[:, via[layer]]]
+        ok = np.ones(len(img), dtype=bool)
+        for i, g in enumerate(gens):
+            ok &= (sigma[:, T[:, g]] == T[sigma, img[:, i, None]]).all(axis=1)
+        ok &= (np.sort(sigma, axis=1) == np.arange(n)).all(axis=1)
+        kept.append(sigma[ok])
+    return np.concatenate(kept)
 
 
-def ref_stability_count(G, X, Y) -> int:
-    """Distinct maps x -> x*f(xX), f in Hom((G/X)^ab, Y), from the per-map
-    reference loop on the quotient Groups G/X and its abelianization."""
-    Q, proj = quotient(G, X)
-    qab, proj2 = abelianization(Q)
-    basis = abelian.abelian_basis(qab, prime=G.prime)
-    t = G.table.tolist()
-    homs = ref_iter_homomorphisms(
-        basis.coordinates.tolist(),
-        G.prime,
-        basis.invariants.exponents,
-        t,
-        [int(y) for y in Y.elements],
-    )
-    coset = proj2[proj].tolist()
-    return len({tuple(t[x][f[q]] for x, q in enumerate(coset)) for f in homs})
+def ref_c_order_tuples(inv: AbelianInvariants) -> list[list[int]]:
+    """Every exponent tuple along a basis of invariants inv, in C order:
+    the k-th is that of row k of a basis search's cosets."""
+    radices = [inv.prime**e for e in inv.exponents]
+    return [list(c) for c in itertools.product(*map(range, radices))]
+
+
+def ref_stability_count(G, X: np.ndarray, Y: np.ndarray) -> int:
+    """Distinct maps x -> x*f(xXG'), f in Hom(G/XG', Y), for masks X of a
+    normal subgroup and Y of a central one, from the per-map reference
+    loop: G/X and its abelianization taken by ref_quotient (the latter
+    over ref_derived_mask), and the basis of (G/X)^ab by ref_section_basis,
+    its cosets in C order of their exponent tuples."""
+    p, t = G.prime, G.table.tolist()
+    q, proj = ref_quotient(t, np.flatnonzero(X).tolist())
+    qab, proj2 = ref_quotient(q, np.flatnonzero(ref_derived_mask(np.array(q))).tolist())
+    inv = ref_abelian_invariants(np.array(qab), p)
+    _, members = ref_section_basis(Group(np.array(qab)), np.arange(len(qab)) == 0, inv)
+    row = np.empty(len(qab), dtype=np.int64)  # the C-order row of each element
+    row[members[:, 0]] = np.arange(len(qab))
+    coords = ref_c_order_tuples(inv)
+    homs = ref_iter_homomorphisms(coords, p, inv.exponents, t, np.flatnonzero(Y).tolist())
+    coset = row[np.asarray(proj2)[proj]].tolist()
+    return len({tuple(t[x][f[c]] for x, c in enumerate(coset)) for f in homs})
+
+
+def position_action(T: np.ndarray, starts: int) -> np.ndarray:
+    """An action table under which abelian.iter_hom_positions yields
+    positions offset by `starts`: T's regular action on its positions,
+    after `starts` start states that each act as the identity position.
+    Row q < starts is starts + T[0] and row starts + u is starts + T[u], so
+    the action law holds by T's associativity."""
+    return np.concatenate((np.broadcast_to(T[0], (starts, len(T))), T)).astype(np.int32) + starts
+
+
+def hom_positions(basis, T: np.ndarray, images: list[np.ndarray], rows: int):
+    """abelian.iter_hom_positions' blocks as positions f[x], under
+    position_action."""
+    n = len(basis.coordinates)
+    for block in abelian.iter_hom_positions(basis, T, images, rows, position_action(T, n)):
+        yield block - np.int32(n)
 
 
 def ref_coset_table(G, members: np.ndarray, tgt: np.ndarray) -> np.ndarray:
@@ -706,12 +757,13 @@ def ref_abelian_invariants(table: np.ndarray, p: int) -> AbelianInvariants:
 
 def ref_section_invariants(G, H: np.ndarray, N: np.ndarray) -> AbelianInvariants:
     """Invariants of the section H/N by the route the structure report took
-    before it counted layers on G's table: H rebuilt as a Group, N
-    renumbered inside it, the quotient taken and its orders walked."""
-    sub = Subgroup(G, np.flatnonzero(H), verify=False)
-    Hg = sub.as_group()
-    Q, _ = quotient(Hg, Subgroup(Hg, sub.positions(np.flatnonzero(N)), verify=False))
-    return ref_abelian_invariants(Q.table, G.prime)
+    before it counted layers on G's table: H's table renumbered
+    (ref_as_group_table), N renumbered inside it, the quotient taken
+    (ref_quotient) and its orders walked."""
+    elems = np.flatnonzero(H)
+    table = ref_as_group_table(G.table, elems).tolist()
+    q, _ = ref_quotient(table, np.searchsorted(elems, np.flatnonzero(N)).tolist())
+    return ref_abelian_invariants(np.array(q), G.prime)
 
 
 def ref_class_rows(G) -> int:
@@ -736,16 +788,18 @@ def ref_class_rows(G) -> int:
 def ref_structure_report(G) -> StructureReport:
     """The structure report as the library built it before it read the
     three sections from G's own masks: Z and Z_2 from the full-table upper
-    series, rebuilt as Groups, and Z_2/Z taken as a quotient."""
+    series, their tables renumbered (ref_as_group_table), and G/G' and
+    Z_2/Z taken as quotient Groups."""
     p = G.prime
     upper = ref_upper_masks(G.table)
     cls = len(upper) - 1
     z = Subgroup(G, np.flatnonzero(upper[1]), verify=False)
     z2 = Subgroup(G, np.flatnonzero(upper[min(2, cls)]), verify=False)
     alpha = ref_abelian_invariants(quotient(G, derived_subgroup(G))[0].table, p)
-    gamma = ref_abelian_invariants(z.as_group().table, p)
-    z2g = z2.as_group()
-    inner, _ = quotient(z2g, Subgroup(z2g, z2.positions(z.elements), verify=False))
+    gamma = ref_abelian_invariants(ref_as_group_table(G.table, z.elements), p)
+    z2g = Group(ref_as_group_table(G.table, z2.elements))
+    inz = np.searchsorted(z2.elements, z.elements)
+    inner, _ = quotient(z2g, Subgroup(z2g, inz, verify=False))
     beta = ref_abelian_invariants(inner.table, p)
     return StructureReport(
         order=G.order,

@@ -12,16 +12,13 @@ from centaut import central, structure
 from centaut.abelian import (
     AbelianInvariants,
     _allowed_images,
-    abelian_basis,
-    abelian_invariants,
     hom_invariants,
     iter_hom_positions,
-    iter_homomorphisms,
     section_basis,
     section_invariants,
     target_array,
 )
-from centaut.errors import NotAbelian, NotPrimePower, PrimeMismatch
+from centaut.errors import NotPrimePower, PrimeMismatch
 from centaut.families import (
     abelian_group,
     cyclic,
@@ -30,14 +27,7 @@ from centaut.families import (
     parse_group_spec,
 )
 from centaut.groups import subset_table
-from centaut.structure import (
-    Subgroup,
-    abelianization,
-    center,
-    closure,
-    derived_subgroup,
-    quotient,
-)
+from centaut.structure import center, derived_subgroup
 
 import oracles
 
@@ -50,9 +40,7 @@ def test_invariants_validation():
     with pytest.raises(ValueError):
         AbelianInvariants(2, (1, 0))  # zero entry
     inv = AbelianInvariants(2, (3, 1))
-    assert inv.rank == 2 and inv.order == 16 and inv.exponent_log == 3
-    assert not inv.is_cyclic
-    assert AbelianInvariants(3, (2,)).is_cyclic
+    assert inv.rank == 2 and inv.order == 16
     assert AbelianInvariants(5, ()).order == 1
 
 
@@ -67,16 +55,18 @@ def test_invariants_validation():
     ],
 )
 def test_abelian_invariants(G, expect):
-    assert abelian_invariants(G).exponents == expect
+    assert _invariants(G).exponents == expect
 
 
 def test_abelian_invariants_rejections():
-    with pytest.raises(NotAbelian):
-        abelian_invariants(dihedral(8))
+    """The layer count of a nonabelian group is off the layers; a group of
+    order 6 has no prime; Hom of two primes has no invariants."""
+    with pytest.raises(RuntimeError, match="layer of 6 elements"):
+        _invariants(dihedral(8))
     with pytest.raises(NotPrimePower):
-        abelian_invariants(cyclic(6))
+        _invariants(cyclic(6))
     with pytest.raises(PrimeMismatch):
-        abelian_invariants(cyclic(4), prime=3)
+        hom_invariants(_invariants(cyclic(4)), _invariants(cyclic(3)))
 
 
 @pytest.mark.parametrize(
@@ -91,27 +81,32 @@ def test_abelian_invariants_rejections():
     ],
 )
 def test_abelian_basis_spans_freely(G):
-    """Every element factors uniquely over the basis; orders match."""
-    basis = abelian_basis(G)
+    """section_basis over N = 1: every element factors uniquely over the
+    basis, members[k] = prod_i elements[i] ** coordinates[k, i]; orders
+    match."""
+    basis, members = _basis(G)
     inv = basis.invariants
-    assert inv == abelian_invariants(G)
+    assert inv == oracles.ref_abelian_invariants(G.table, G.prime)
     assert len(basis.elements) == inv.rank
     for g, e in zip(basis.elements, inv.exponents):
         assert G.element_orders[g] == inv.prime**e
     # coordinates are a bijection onto the full exponent box
     coords = {tuple(row) for row in basis.coordinates.tolist()}
     assert len(coords) == G.order
-    # and they reconstruct each element
-    for x in range(G.order):
+    # and they reconstruct each element, each element once
+    assert sorted(members[:, 0].tolist()) == list(range(G.order))
+    t = G.table.tolist()
+    for x, row in zip(members[:, 0].tolist(), basis.coordinates.tolist()):
         acc = 0
-        for g, c in zip(basis.elements, basis.coordinates[x]):
-            acc = G.mul(acc, G.pow(g, int(c)))
+        for g, c in zip(basis.elements, row):
+            acc = t[acc][G.pow(g, c)]
         assert acc == x
 
 
 def test_abelian_basis_trivial_group():
-    basis = abelian_basis(cyclic(1), prime=2)
+    basis, members = section_basis(cyclic(1), np.ones(1, dtype=bool), AbelianInvariants(2, ()))
     assert basis.elements == () and basis.invariants.rank == 0
+    assert members.tolist() == [[0]]
 
 
 def test_section_basis_raises_on_invariants_the_group_lacks():
@@ -122,6 +117,26 @@ def test_section_basis_raises_on_invariants_the_group_lacks():
         section_basis(G, one, AbelianInvariants(2, (4,)))
     with pytest.raises(RuntimeError, match="do not partition"):
         section_basis(G, one, AbelianInvariants(2, (2,)))
+
+
+def _invariants(A):
+    """The invariants of a whole group, over N = 1."""
+    return section_invariants(A, np.ones(A.order, dtype=bool), np.arange(A.order) == 0)
+
+
+def _basis(A):
+    """(basis, members) of a whole abelian group: section_basis over N =
+    1, coordinates[k] the exponent tuple of element members[k, 0]."""
+    return section_basis(A, np.arange(A.order) == 0, _invariants(A))
+
+
+def _homs(basis, B, targets):
+    """Hom(A, <targets>) from the enumerator, on the ambient indices of B:
+    f[k] the image of the k-th basis coset."""
+    tgt = target_array(targets)
+    images = _allowed_images(basis.invariants, B, tgt)
+    for f in oracles.hom_positions(basis, subset_table(B.table, tgt), images, 256):
+        yield from tgt[f]
 
 
 SMALL_ABELIAN = [
@@ -140,16 +155,21 @@ def test_hom_count_matches_exhaustive_search():
     for A, B in itertools.product(SMALL_ABELIAN, SMALL_ABELIAN):
         if A.prime != B.prime or B.order > 4:
             continue  # the raw search scans |B|^(|A|-1) functions
-        basis = abelian_basis(A)
-        got = sum(1 for _ in iter_homomorphisms(basis, B, range(B.order)))
+        basis, _ = _basis(A)
+        got = sum(1 for _ in _homs(basis, B, range(B.order)))
         assert got == oracles.ref_hom_count(A.table.tolist(), B.table.tolist())
 
 
 def test_iter_homomorphisms_yields_each_hom_once():
+    """Each map, read back onto A's elements, once and a homomorphism."""
     A = abelian_group(2, [2, 1])
     B = abelian_group(2, [1, 1])
-    basis = abelian_basis(A)
-    homs = [tuple(int(v) for v in f) for f in iter_homomorphisms(basis, B, range(4))]
+    basis, members = _basis(A)
+    homs = []
+    for f in _homs(basis, B, range(4)):
+        g = np.empty(A.order, dtype=np.int64)
+        g[members[:, 0]] = f
+        homs.append(tuple(g.tolist()))
     assert len(homs) == len(set(homs))
     assert len(homs) == oracles.ref_hom_count(A.table.tolist(), B.table.tolist())
     for f in homs:
@@ -160,9 +180,9 @@ def test_iter_homomorphisms_into_subgroup_targets():
     # maps land in the designated subgroup, not the whole ambient group
     A = cyclic(2)
     B = cyclic(4)
-    basis = abelian_basis(A)
-    sub = [0, B.table[1, 1]]  # the order-2 subgroup
-    homs = list(iter_homomorphisms(basis, B, sub))
+    basis, _ = _basis(A)
+    sub = [0, int(B.table[1, 1])]  # the order-2 subgroup
+    homs = list(_homs(basis, B, sub))
     assert len(homs) == 2
     assert {int(f[1]) for f in homs} == set(sub)
 
@@ -170,24 +190,12 @@ def test_iter_homomorphisms_into_subgroup_targets():
 def test_iter_homomorphisms_counts_each_target_once():
     """Repeated targets name one subgroup: [2, 0, 0, 2] and [0, 2, 2] give
     the maps of [0, 2], in the same order, not one map per repeat."""
-    basis, B = abelian_basis(cyclic(2)), cyclic(4)
-    want = [f.tolist() for f in iter_homomorphisms(basis, B, [0, 2])]
+    (basis, _), B = _basis(cyclic(2)), cyclic(4)
+    want = [f.tolist() for f in _homs(basis, B, [0, 2])]
     assert want == [[0, 0], [0, 2]]
     for targets in ([2, 0, 0, 2], [0, 2, 2], np.array([2, 2, 0], dtype=np.uint8)):
-        assert [f.tolist() for f in iter_homomorphisms(basis, B, targets)] == want
-
-
-def test_iter_homomorphisms_names_targets_that_do_not_commute():
-    """All of dihedral(8) is closed but not abelian: the enumeration once
-    yielded 36 maps from elementary(2,2), of which 28 are homomorphisms."""
-    basis, D8 = abelian_basis(elementary(2, 2)), dihedral(8)
-    with pytest.raises(NotAbelian, match=r"^targets 1 and 2 do not commute$"):
-        next(iter_homomorphisms(basis, D8, range(8)))
-    Z = list(center(D8).elements)  # abelian targets keep their maps, in order
-    want = oracles.ref_iter_homomorphisms(
-        basis.coordinates.tolist(), 2, basis.invariants.exponents, D8.table.tolist(), Z
-    )
-    assert [tuple(f.tolist()) for f in iter_homomorphisms(basis, D8, Z)] == list(want)
+        assert target_array(targets).tolist() == [0, 2]
+        assert [f.tolist() for f in _homs(basis, B, targets)] == want
 
 
 # Abelianization -> center, as the central-map enumeration asks: six
@@ -227,28 +235,30 @@ SMALL_PAIRS = [
 ]
 
 
-def _section_subgroup(G, kind):
+def _section_mask(G, kind):
     """The Frattini subgroup (by its full-table reference) or Z_2(G)."""
     if kind == "frattini":
-        mask = oracles.ref_frattini_mask(G.table, G.prime)
-    else:
-        mask = structure._upper_masks(G)[2]
-    return Subgroup(G, np.flatnonzero(mask), verify=False)
+        return oracles.ref_frattini_mask(G.table, G.prime)
+    return structure._upper_masks(G)[2]
 
 
 def _hom_case(kind, arg):
-    """(basis, ambient, targets) for one enumeration case."""
+    """(basis, ambient, targets) for one enumeration case: Hom(A, B) for a
+    small pair, Hom(G/G', Z(G)) for "center", and Hom(G/XG', Z(G) n X)
+    for X the Frattini subgroup or the second center, each based by
+    section_basis."""
     if kind == "small":
         A, B = SMALL_PAIRS[arg]
-        return abelian_basis(A), B, list(range(B.order))
+        return _basis(A)[0], B, list(range(B.order))
     G = parse_group_spec(arg)
     if kind == "center":
-        qab, _ = abelianization(G)
-        return abelian_basis(qab, prime=G.prime), G, center(G).elements
-    X = _section_subgroup(G, kind)
-    Y = closure(G, [x for x in X.elements if center(G).mask[x]])
-    qab, _ = abelianization(quotient(G, X)[0])
-    return abelian_basis(qab, prime=G.prime), G, Y.elements
+        N, Y = derived_subgroup(G).mask, center(G).elements
+    else:
+        X = _section_mask(G, kind)
+        N = oracles.ref_closure_mask(G.table, np.flatnonzero(X | derived_subgroup(G).mask))
+        Y = np.flatnonzero(X & center(G).mask)
+    inv = section_invariants(G, np.ones(G.order, dtype=bool), N)
+    return section_basis(G, N, inv)[0], G, Y
 
 
 HOM_CASES = (
@@ -272,14 +282,12 @@ def test_hom_blocks_match_reference_loop(kind, arg):
         )
     )
     total = len(want)
-    got = [tuple(f.tolist()) for f in iter_homomorphisms(basis, ambient, targets)]
-    assert got == want
     non_divisor = next(r for r in range(2, total + 2) if total % r)
     tgt = target_array(targets)
     T = subset_table(ambient.table, tgt)
     images = _allowed_images(basis.invariants, ambient, tgt)
-    for rows in sorted({1, 7, non_divisor, total + 1}):
-        blocks = list(iter_hom_positions(basis, T, images, rows))
+    for rows in sorted({1, 7, 256, non_divisor, total + 1}):
+        blocks = list(oracles.hom_positions(basis, T, images, rows))
         assert all(b.dtype == np.int32 for b in blocks)
         assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 0 < len(blocks[-1]) <= rows
@@ -306,9 +314,9 @@ def _label_case(kind, spec):
     elif kind == "whole":
         N, Y = np.ones(G.order, dtype=bool), center(G).elements
     else:
-        X = _section_subgroup(G, kind)
-        N = closure(G, np.flatnonzero(X.mask | derived_subgroup(G).mask)).mask
-        Y = [x for x in X.elements if center(G).mask[x]]
+        X = _section_mask(G, kind)
+        N = oracles.ref_closure_mask(G.table, np.flatnonzero(X | derived_subgroup(G).mask))
+        Y = np.flatnonzero(X & center(G).mask)
     inv = section_invariants(G, np.ones(G.order, dtype=bool), N)
     basis, members = section_basis(G, N, inv)
     tgt = target_array(Y)
@@ -320,14 +328,15 @@ def _label_case(kind, spec):
 @given(case=st.sampled_from(LABEL_CASES), rows=st.integers(1, 300))
 def test_label_fold_matches_position_blocks(case, rows):
     """With act a checked coset-label table, each block is act[c, f[c]]
-    of the position block beside it, in the same blocks."""
+    of the position block beside it (oracles.hom_positions, T's regular
+    action), in the same blocks."""
     basis, T, images, act = _label_case(*case)
     a, t = act.shape
     if a * t * t <= 10**6:  # the action law the fold rests on
         assert np.array_equal(act[act], act[:, T])
     c = np.arange(a)
     pairs = itertools.zip_longest(
-        iter_hom_positions(basis, T, images, rows),
+        oracles.hom_positions(basis, T, images, rows),
         iter_hom_positions(basis, T, images, rows, act),
     )
     for f, state in pairs:
@@ -342,9 +351,9 @@ def test_hom_positions_read_a_bare_table():
     for A in SMALL_ABELIAN:
         if A.prime != B.prime:
             continue
-        basis = abelian_basis(A)
+        basis, _ = _basis(A)
         images = _allowed_images(basis.invariants, B, np.arange(B.order))
-        blocks = list(iter_hom_positions(basis, T, images, 5))
+        blocks = list(oracles.hom_positions(basis, T, images, 5))
         got = [tuple(f) for f in np.concatenate(blocks).tolist()]
         want = oracles.ref_iter_homomorphisms(
             basis.coordinates.tolist(),
@@ -371,9 +380,9 @@ def test_hom_invariants_order_matches_hom_count():
     for A, B in itertools.product(SMALL_ABELIAN, SMALL_ABELIAN):
         if A.prime != B.prime:
             continue
-        h = hom_invariants(abelian_invariants(A), abelian_invariants(B))
-        basis = abelian_basis(A)
-        assert h.order == sum(1 for _ in iter_homomorphisms(basis, B, range(B.order)))
+        h = hom_invariants(_invariants(A), _invariants(B))
+        basis, _ = _basis(A)
+        assert h.order == sum(1 for _ in _homs(basis, B, range(B.order)))
 
 
 INVARIANT_LISTS = [
@@ -402,4 +411,4 @@ def test_invariants_roundtrip_through_cyclic_products():
         G = cyclic(2 ** exps[0])
         for e in exps[1:]:
             G = direct_product(G, cyclic(2**e))
-        assert abelian_invariants(G).exponents == exps
+        assert _invariants(G).exponents == exps

@@ -1,7 +1,9 @@
 """Central automorphism enumeration against independent searches."""
 
+import functools
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from centaut.families import (
     parse_group_spec,
     quaternion,
 )
+from centaut.groupio import default_corpus, read_manifest, resolve_source
 from centaut.groups import group_from_permutations
 from centaut.harness import analyze_source
-from centaut.structure import abelianization, center, structure_report
+from centaut.structure import center, derived_subgroup, quotient, structure_report
 
 import oracles
 from oracles import all_automorphisms
@@ -78,11 +81,23 @@ def test_cap_checked_before_any_power_table(monkeypatch):
     assert len(calls) == len(tables) == 1
 
 
+def _quotient_basis(G):
+    """G/G' as a quotient Group Q, based by the reference basis search:
+    (basis, row), basis.coordinates[k] the exponent tuple of the k-th
+    element listed and row[x] the k of x's coset."""
+    Q, proj = quotient(G, derived_subgroup(G))
+    inv = oracles.ref_abelian_invariants(Q.table, G.prime)
+    elements, members = oracles.ref_section_basis(Q, np.arange(Q.order) == 0, inv)
+    coords = np.array(oracles.ref_c_order_tuples(inv), dtype=np.int32).reshape(Q.order, -1)
+    row = np.empty(Q.order, dtype=np.int64)
+    row[members[:, 0]] = np.arange(Q.order)
+    return abelian.AbelianBasis(inv, elements, coords), row[proj]
+
+
 def _ref_central_counts(G):
     """The numbers of candidate and of bijective maps x -> x*f(xG'), f
     from the per-map reference loop."""
-    qab, proj = abelianization(G)
-    basis = abelian.abelian_basis(qab, prime=G.prime)
+    basis, row = _quotient_basis(G)
     t = G.table.tolist()
     homs = oracles.ref_iter_homomorphisms(
         basis.coordinates.tolist(),
@@ -91,7 +106,7 @@ def _ref_central_counts(G):
         t,
         [int(z) for z in center(G).elements],
     )
-    maps = [[t[x][f[q]] for x, q in enumerate(proj.tolist())] for f in homs]
+    maps = [[t[x][f[q]] for x, q in enumerate(row.tolist())] for f in homs]
     return len(maps), sum(len(set(m)) == G.order for m in maps)
 
 
@@ -121,12 +136,19 @@ def test_block_size_changes_no_count_and_no_order(spec, monkeypatch):
 
 def _match_quotient_route(G):
     """Counts against the enumeration through the quotient Group G/G'
-    (oracles.ref_central_maps)."""
+    (_quotient_basis): each map's images scattered back to x, 256 maps a
+    block, and checked by a full scan."""
     rep = central_automorphism_count(G)
+    basis, row = _quotient_basis(G)
+    tgt = abelian.target_array(center(G).elements)
+    images = abelian._allowed_images(basis.invariants, G, tgt)
+    T = groups.subset_table(G.table, tgt)
+    x = np.arange(G.order)
     total = count = 0
-    for candidates, auts in oracles.ref_central_maps(G):
-        total += candidates
-        count += len(auts)
+    for f in oracles.hom_positions(basis, T, images, 256):
+        sigma = G.table[x, tgt[f[:, row]]]
+        total += len(f)
+        count += int(oracles.ref_bijective_rows(sigma).sum())
     assert (rep.hom_candidates, rep.aut_count) == (total, count)
 
 
@@ -145,9 +167,94 @@ def test_central_maps_match_quotient_route_at_large_orders(spec):
     _match_quotient_route(parse_group_spec(spec))
 
 
+TESTS = Path(__file__).resolve().parent
+
+# entries whose |Z|^k * |G| exceeds the table-only oracle's bound of 5e7
+# cells: heis5xc5 (in the corpus and in homs) 25^4 * 625, heis3xheis3
+# 9^6 * 729 and heis3xc9 27^4 * 243
+ORACLE_SKIPS = {"heis5xc5", "heis3xheis3", "heis3xc9"}
+
+
+def _entries():
+    """(name, source) of the corpus, the homs workload and the witnesses."""
+    paths = (TESTS.parent / "perfbench" / "homs.json", TESTS / "witnesses.json")
+    manifests = (default_corpus(), *map(read_manifest, paths))
+    return [(e.name, e.source) for m in manifests for e in m.entries]
+
+
+@functools.cache
+def _oracle_counts():
+    """name -> the number of maps oracles.ref_central_automorphisms finds,
+    on groups resolved here, or None where it is over its bound."""
+    counts = {}
+    for name, source in _entries():
+        try:
+            counts[name] = len(oracles.ref_central_automorphisms(resolve_source(source)))
+        except ValueError:
+            counts[name] = None
+    return counts
+
+
+def _oracle_mismatches():
+    """name -> (oracle count, aut_count or the error raised) for each entry
+    where the count, on a freshly resolved group, is not the oracle's."""
+    out = {}
+    for name, source in _entries():
+        want = _oracle_counts()[name]
+        if want is None:
+            continue
+        try:
+            got = central_automorphism_count(resolve_source(source)).aut_count
+        except RuntimeError as e:
+            got = str(e)
+        if got != want:
+            out[name] = (want, got)
+    return out
+
+
+def test_table_only_oracle_matches_every_count():
+    """The maps that G's table and generators alone give (no structure
+    mask, basis or label) number aut_count on every corpus, homs and
+    witness entry within the oracle's bound."""
+    assert len(_entries()) == 54 + 14 + 3
+    assert {name for name, n in _oracle_counts().items() if n is None} == ORACLE_SKIPS
+    assert _oracle_mismatches() == {}
+
+
+def test_table_only_oracle_sees_a_wrong_derived_subgroup(monkeypatch):
+    """With G' read as Phi(G) = G'G^p, the rules and the count, which
+    read the same mask, agree on a wrong answer for m16, m32, m81 and
+    m625; the oracle's count differs there and on two homs groups, and
+    three more counts fall below |Z_2/Z| and raise."""
+    monkeypatch.setattr(structure, "_derived_mask", lambda G: oracles.ref_frattini_mask(G.table, G.prime))
+    got = _oracle_mismatches()
+    assert set(got) == {"m16", "m32", "heis4", "mc32_8b", "m81", "heis9", "m625", "heis4xc4", "m81xc3"}
+    assert {name for name, (_, count) in got.items() if isinstance(count, str)} == {"heis4", "mc32_8b", "heis9"}
+
+
+def test_a_count_below_the_inner_automorphisms_raises(monkeypatch):
+    """Conjugation by each element of Z_2 is a central automorphism, so a
+    count below |Z_2/Z| is a fault: with one bijective label row dropped,
+    quaternion(8) (4 == 4, one label row) raises, never reports 0 maps or
+    a verdict.  The coset labels are read before the patch."""
+    G = quaternion(8)
+    label = central._central_candidates(G, central.DEFAULT_HOM_CAP)[1]
+    real = central._bijective_rows
+
+    def drop_one(sigma):
+        rows = real(sigma)
+        rows[np.argmax(rows)] = False
+        return rows
+
+    monkeypatch.setattr(central, "_coset_labels", lambda *args: label)
+    monkeypatch.setattr(central, "_bijective_rows", drop_one)
+    with pytest.raises(RuntimeError, match=r"^0 central automorphisms, below \|Z_2/Z\| = 4$"):
+        central_automorphism_count(G)
+
+
 def test_pipeline_takes_no_quotient(monkeypatch):
     """The enumeration walks G's own cosets: no caller on the analyze path
-    builds a quotient Group."""
+    builds a quotient Group, which the spy would see."""
     calls = []
     real = structure.quotient
 
@@ -161,7 +268,7 @@ def test_pipeline_takes_no_quotient(monkeypatch):
     central_automorphism_count(G)
     assert analyze_source(spec, f"builtin:{spec}").status == "ok"
     assert calls == []
-    abelianization(G)  # the spy sees calls
+    structure.quotient(G, derived_subgroup(G))  # the spy sees calls
     assert len(calls) == 1
 
 
@@ -229,15 +336,19 @@ def test_enumeration_memory_at_order_4096():
 
 def _label_fold_matches_positions(G):
     """Each block of the label fold against label[c, f[c]] read from the
-    position fold's block, on every allowed image and on the class
-    representatives the count takes; returns the two map counts."""
+    position fold's block (oracles.position_action, offset by a), on every
+    allowed image and on the class representatives the count takes;
+    returns the two map counts."""
     members, label, images, homs = central._central_candidates(G, central.DEFAULT_HOM_CAP)
     reps, _ = central._label_classes(label, images)
     c = np.arange(len(members))
+    tgt = abelian.target_array(center(G).elements)
+    act = oracles.position_action(groups.subset_table(G.table, tgt), len(members))
     totals = []
     for allowed in (images, reps):
         total = 0
-        for f, state in itertools.zip_longest(homs(allowed), homs(allowed, label)):
+        for f, state in itertools.zip_longest(homs(allowed, act), homs(allowed, label)):
+            f = f - np.int32(len(members))
             assert state.dtype == np.int32
             assert np.array_equal(state, label[c, f])
             total += len(f)
@@ -343,8 +454,10 @@ def _label_masks_match_scatter(G):
     coset = np.empty(G.order, dtype=np.int64)  # the row of members holding x
     coset[members] = np.arange(len(members))[:, None]
     x = np.arange(G.order)
+    act = oracles.position_action(groups.subset_table(G.table, tgt), len(members))
     total = 0
-    for f, state in itertools.zip_longest(homs(images), homs(images, label)):
+    for f, state in itertools.zip_longest(homs(images, act), homs(images, label)):
+        f = f - np.int32(len(members))
         sigma = G.table[x, tgt[f[:, coset]]]
         assert np.array_equal(central._bijective_rows(state), oracles.ref_bijective_rows(sigma))
         total += len(f)
@@ -389,18 +502,27 @@ def _identity_onto_coset_2(table, members, tgt):
     table[members[1], 0] = members[2]
 
 
+def _last_member_onto_first(table, members, tgt):
+    """Coset 1 times the last target: its last member's product becomes
+    the first member's, the last cell the checks read in that row."""
+    z = tgt[-1]
+    table[members[1, -1], z] = table[members[1, 0], z]
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
         (_move_to_another_coset, "row leaves"),
         (_repeat_in_coset, "repeats an element"),
         (_identity_onto_coset_2, "is not coset c"),
+        (_last_member_onto_first, "repeats an element"),
     ],
 )
 def test_bad_coset_table_raises_never_counts(monkeypatch, corrupt, message):
     """Each check of the label test on its own: products read from a
-    table that breaks it raise RuntimeError from the count.  The cosets
-    and targets are the true group's."""
+    table that breaks it raise RuntimeError from the count, on a group
+    with 27 cosets of |G'| = 3 and |Z| = 9 and on dihedral(16) (4 cosets,
+    |G'| = 4, |Z| = 2).  The cosets and targets are the true group's."""
     real = central._coset_labels
 
     def corrupted(G, members, tgt):
@@ -409,9 +531,9 @@ def test_bad_coset_table_raises_never_counts(monkeypatch, corrupt, message):
         return real(groups.Group(table), members, tgt)
 
     monkeypatch.setattr(central, "_coset_labels", corrupted)
-    G = parse_group_spec("heisenberg(3,1) x cyclic(3)")
-    with pytest.raises(RuntimeError, match=message):
-        central_automorphism_count(G)
+    for spec in ("heisenberg(3,1) x cyclic(3)", "dihedral(16)"):
+        with pytest.raises(RuntimeError, match=message):
+            central_automorphism_count(parse_group_spec(spec))
 
 
 def test_rejects_non_prime_power_order():
@@ -456,13 +578,13 @@ def test_extraspecial32_types_are_distinct_and_both_minimal():
     plus, minus = extraspecial(2, 32, "+"), extraspecial(2, 32, "-")
     assert int((plus.element_orders == 2).sum()) == 19
     assert int((minus.element_orders == 2).sum()) == 11
-    assert plus.exponent == minus.exponent == 4
+    assert plus.element_orders.max() == minus.element_orders.max() == 4
     assert central_automorphism_count(plus).minimal and central_automorphism_count(minus).minimal
 
 
 def test_extraspecial_odd_types_differ_by_exponent():
-    assert extraspecial(3, 27, "+").exponent == 3
-    assert extraspecial(3, 27, "-").exponent == 9
+    assert extraspecial(3, 27, "+").element_orders.max() == 3
+    assert extraspecial(3, 27, "-").element_orders.max() == 9
     assert central_automorphism_count(extraspecial(3, 27, "+")).minimal
     assert central_automorphism_count(modular(3, 27)).minimal
 

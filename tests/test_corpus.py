@@ -85,7 +85,7 @@ def test_upper_and_lower_series_agree_on_class(corpus_groups, corpus_structures)
 
 def test_exponent_bound_on_inner_center(corpus_structures):
     for name, rep in corpus_structures.items():
-        assert rep.inner_center.exponent_log <= rep.center.exponent_log, name
+        assert max(rep.inner_center.exponents, default=0) <= max(rep.center.exponents, default=0), name
 
 
 def test_center_in_derived_forces_all_candidates_bijective(corpus_run):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from centaut.abelian import abelian_invariants
 from centaut.errors import BadParameters, CentautError, ClosureExceedsCap, UnknownBuiltin
 from centaut.families import (
     abelian_group,
@@ -30,16 +29,16 @@ from centaut.families import (
     wreath,
 )
 from centaut.groups import direct_product, prime_power
-from centaut.structure import center, closure, derived_subgroup, quotient, structure_report
+from centaut.structure import Subgroup, center, derived_subgroup, quotient, structure_report
 
 import oracles
 
 
 def test_cyclic_and_abelian():
     assert cyclic(1).order == 1
-    assert abelian_invariants(cyclic(9)).exponents == (2,)
-    assert abelian_invariants(abelian_group(2, [2, 1])).exponents == (2, 1)
-    assert abelian_invariants(elementary(5, 2)).exponents == (1, 1)
+    for G, exps in ((cyclic(9), (2,)), (abelian_group(2, [2, 1]), (2, 1)), (elementary(5, 2), (1, 1))):
+        assert G.is_abelian
+        assert oracles.ref_abelian_invariants(G.table, G.prime).exponents == exps
     with pytest.raises(BadParameters):
         cyclic(0)
     with pytest.raises(BadParameters):
@@ -51,7 +50,7 @@ def test_metacyclic_relations():
     G = metacyclic(8, 2, 3)
     a = next(x for x in range(16) if G.element_orders[x] == 8)
     b = next(x for x in range(16) if x != a and G.element_orders[x] == 2)
-    conj = G.mul(G.mul(b, a), G.inv(b))
+    conj = int(G.table[G.table[b, a], G.inv(b)])
     assert conj in (G.pow(a, 3), G.pow(a, 8 - 3))  # b may invert the roles
     with pytest.raises(BadParameters):
         metacyclic(8, 2, 2)  # t^s != 1 mod m
@@ -76,17 +75,18 @@ def test_two_generator_two_groups():
 
 def test_modular_group():
     G = modular(2, 16)
-    assert abelian_invariants(center(G).as_group()).exponents == (2,)
+    z = oracles.ref_as_group_table(G.table, center(G).elements)
+    assert oracles.ref_abelian_invariants(z, G.prime).exponents == (2,)
     assert derived_subgroup(G).order == 2
     G = modular(3, 27)
-    assert G.exponent == 9
+    assert G.element_orders.max() == 9
     with pytest.raises(BadParameters):
         modular(2, 4)  # below p^3
 
 
 def test_heisenberg_and_unitriangular():
     G = heisenberg(3, 1)
-    assert G.order == 27 and G.exponent == 3
+    assert G.order == 27 and G.element_orders.max() == 3
     assert structure_report(G).nilpotency_class == 2
     U = unitriangular4(3)
     assert U.order == 3**6
@@ -128,7 +128,8 @@ def reference_extraspecial(p, order, sign):
     G = factors[0]
     for F in factors[1:]:
         D = direct_product(G, F)
-        glue = closure(D, [center(G).elements[1] * F.order + F.inv(center(F).elements[1])])
+        g = center(G).elements[1] * F.order + F.inv(center(F).elements[1])
+        glue = Subgroup(D, np.flatnonzero(oracles.ref_closure_mask(D.table, [g])))
         G, _ = quotient(D, glue)
     return G
 

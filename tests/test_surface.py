@@ -4,8 +4,9 @@ A public module-level name (function, class or constant) or a public
 method or property of a class in src/centaut counts as read when a Name or
 an Attribute node of that name appears in a package module outside its own
 definition (__init__.py, which only re-exports, left out), in demos/ or in
-perfbench/.  The names that only tests read are pinned below, each with why
-it stays; a new one fails here until it is read, deleted or pinned.
+perfbench/.  A name that only tests read is pinned in TEST_ONLY with why it
+stays; none is, and a new one fails here until it is read, deleted or
+pinned.
 """
 
 import ast
@@ -15,18 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "centaut"
 
-TEST_ONLY = {
-    "abelian.AbelianInvariants.exponent_log": "log_p of the exponent; gate 6 compares exponents by it",
-    "abelian.AbelianInvariants.is_cyclic": "invariant-list arithmetic beside rank and order",
-    "abelian.abelian_basis": "library API off the verdict path; oracles.ref_central_maps reads it",
-    "abelian.iter_homomorphisms": "library API off the verdict path; gate 8 counts Hom through it",
-    "groups.Group.conjugate": "element arithmetic beside mul, inv and commutator",
-    "groups.Group.exponent": "exp(G), read off Group.element_orders",
-    "structure.Subgroup.contains": "membership by one checked index, beside Subgroup.mask",
-    "structure.Subgroup.positions": "the oracles renumber a section inside as_group with it",
-    "structure.Subgroup.as_group": "the oracles rebuild a section as a Group with it",
-    "structure.closure": "library API off the verdict path; gates 2 and 5 span sections with it",
-}
+TEST_ONLY: dict[str, str] = {}
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
