@@ -14,8 +14,8 @@ The homomorphisms themselves have one enumerator, iter_hom_positions,
 which reads only the basis, the allowed images, T, the Cayley table of
 the target subgroup on positions in its sorted elements
 (groups.subset_table), and a table on which T acts, such as the coset
-labels of the central maps: it yields act[x, f(x)], folding the action
-through the products it multiplies out, and builds no positions.
+labels of the central maps: it yields act[x, f(x)], each state acted on
+by one basis image's power after another, and builds no positions.
 """
 
 from __future__ import annotations
@@ -130,6 +130,16 @@ class AbelianBasis:
     coordinates: np.ndarray
 
 
+def _cycles(table: np.ndarray, x: np.ndarray, w: int) -> np.ndarray:
+    """Row i lists x[i]^0 .. x[i]^(w-1) on the Cayley table `table`
+    (identity 0), by doubling gathers: the cycle so far times x[i]^k, k
+    its length, doubles it."""
+    cycle, h = np.zeros((len(x), 1), dtype=table.dtype), x
+    while cycle.shape[1] < w:
+        cycle, h = np.concatenate((cycle, table[cycle, h[:, None]]), axis=1), table[h, h]
+    return cycle[:, :w]
+
+
 def section_basis(
     G: Group, N: np.ndarray, inv: AbelianInvariants
 ) -> tuple[AbelianBasis, np.ndarray]:
@@ -138,8 +148,8 @@ def section_basis(
     Basis elements are picked smallest first, each meeting the span of
     those before it trivially (_independent).  members[k] holds x_k n for the
     n of N ascending, x_k = prod_i elements[i] ** c_i for the k-th tuple
-    c = coordinates[k] in C order, each cycle listed by doubling gathers;
-    if that does not list each element of G once, RuntimeError.
+    c = coordinates[k] in C order, each cycle listed by _cycles; if that
+    does not list each element of G once, RuntimeError.
     """
     radices = [inv.prime**e for e in inv.exponents]
     chosen = _independent(G, N, radices)
@@ -147,10 +157,7 @@ def section_basis(
         raise RuntimeError("basis search failed; group is not as declared")
     x = np.zeros(1, dtype=np.int64)
     for g, r in zip(chosen, radices):
-        cycle, h = np.zeros(1, dtype=np.int64), g  # g^0 .. g^(k-1) and g^k
-        while len(cycle) < r:
-            cycle, h = np.concatenate((cycle, G.table[cycle, h])), G.table[h, h]
-        x = G.table[x[:, None], cycle[:r]].ravel()
+        x = G.table[x[:, None], _cycles(G.table, np.array([g]), r)].ravel()
     members = G.table[np.ix_(x, np.flatnonzero(N))]
     hit = np.zeros(G.order, dtype=bool)
     hit[members] = True
@@ -192,70 +199,35 @@ def iter_hom_positions(
     u, v.  State x starts at x.
 
     A hom f is fixed by the images y_i of the basis elements: f[x] =
-    prod_i y_i ** coordinates[x, i], each product read from T.  For
-    basis element i, one C-ordered table (#images x len(coordinates)) holds
-    y ** coordinates[:, i] for every allowed y, read from the cycles of
-    the y listed by doubling gathers.  The last tables are folded into one
-    table of all their products while it fits in a block.  A block is a
-    run of consecutive indices (C order, as itertools.product): their last
-    digit picks a row of the folded table, and the few distinct leading
-    digit tuples of the run are multiplied out once each: one product per
-    cell at any rank.  As f[x] is the product of the tables' entries, they
-    act one at a time: the first table is acted on once, in place, before
-    any fold, the leading tables once per distinct prefix of a block, and
-    the last by one gather per cell.  When every table folds into one, the
-    first acts in the fold, and a block is a row gather of the folded
-    states.
+    prod_i y_i ** coordinates[x, i].  For basis element i, one table
+    (#images x len(coordinates)) holds y ** coordinates[:, i] for every
+    allowed y, read from the y's cycles (_cycles).  A block is a run of
+    consecutive map indices, whose C-order digits (as itertools.product)
+    pick a row of each table; the states start at x and the tables act
+    on them one after another, one gather per basis element per cell.
     """
     p = basis.invariants.prime
     n = len(basis.coordinates)
     if not images:
         yield act[np.arange(n), np.zeros((1, n), dtype=np.int32)]
         return
-    flat = T.ravel()
-    width = np.int64(len(T))  # an int64 factor keeps f * |T| + g exact
-
-    def times(f: np.ndarray, g: np.ndarray, table: np.ndarray = flat) -> np.ndarray:
-        """Cellwise table[f, g] of a state or position array f and a
-        position array g, for T's flat table or act's."""
-        return table.take(f * width + g)
-
-    factors = []
-    for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T):
-        # y^0 .. y^(w-1) for each y, w the width, and y^w
-        cycle, h = np.zeros((len(y), 1), dtype=np.int32), y
-        while cycle.shape[1] < p**e:
-            cycle, h = np.concatenate((cycle, times(cycle, h[:, None])), axis=1), times(h, h)
-        factors.append(cycle.take(k, axis=1))
-    # T's identity row leaves positions as they are; act's start state x
-    # is applied to the first table, in place, rows maps at a time
-    table, first, x = act.ravel(), factors[0], np.arange(n)
-    for lo in range(0, len(first), rows):
-        first[lo : lo + rows] = times(x, first[lo : lo + rows], table)
-    # row i * len(b) + j of the folded table is a[i] * b[j], so the C-order
-    # digits, and with them the map order, stay as they were; a is the
-    # first table, acted on, once no other is left
-    while len(factors) > 1 and factors[-2].size * len(factors[-1]) <= groups._BLOCK_CELLS:
-        a, b = factors.pop(-2), factors.pop()
-        ab = times(a[:, None, :], b[None, :, :], flat if factors else table)
-        factors.append(ab.reshape(-1, a.shape[1]))
-    *lead, last = factors
-    shape = tuple(len(factor) for factor in lead)
-    total = math.prod(shape) * len(last)
+    factors = [
+        _cycles(T, y, p**e).take(k, axis=1)
+        for y, e, k in zip(images, basis.invariants.exponents, basis.coordinates.T)
+    ]
+    table = act.ravel()
+    width = np.int64(len(T))  # an int64 factor keeps state * |T| + u exact
+    shape = tuple(len(y) for y in images)
+    total = math.prod(shape)
     for start in range(0, total, rows):
-        head, tail = np.divmod(np.arange(start, min(start + rows, total)), len(last))
-        f = last.take(tail, axis=0)
-        if lead:
-            digits = np.unravel_index(np.arange(head[0], head[-1] + 1), shape)
-            prefix = lead[0].take(digits[0], axis=0)
-            for factor, d in zip(lead[1:], digits[1:]):
-                prefix = times(prefix, factor.take(d, axis=0), table)
-            # prefix * |T| once per distinct prefix, so a cell costs an add
-            # and one gather
-            cells = (prefix * width).take(head - head[0], axis=0)
-            cells += f
-            f = table.take(cells)
-        yield f
+        digits = np.unravel_index(np.arange(start, min(start + rows, total)), shape)
+        index = np.empty((len(digits[0]), n), dtype=np.int64)
+        state = np.arange(n)
+        for factor, d in zip(factors, digits):
+            np.multiply(state, width, out=index)
+            index += factor.take(d, axis=0)
+            state = table.take(index)
+        yield state
 
 
 def hom_invariants(a: AbelianInvariants, b: AbelianInvariants) -> AbelianInvariants:

@@ -20,18 +20,18 @@ each block (_coset_labels), so no table of all |G| x |Z| products is
 built.  The labels act on the cosets as Z does, label[label[c, u], v] ==
 label[c, T[u, v]], so the enumerator folds them as it multiplies out a
 map: passed the labels as its action table, it yields label[c, f(c)]
-with one gather per candidate cell, and the count reads those and
-builds no positions.  Positions u and v of Z with equal label columns
-(z_u, z_v in one coset of G') are one class, and by that identity the
-columns T[u, w] and T[v, w] are then equal for every w: maps whose basis
-images lie in the same classes have equal label rows.  So the count
-enumerates one allowed image per class for each basis element, tests
-each such row once and counts it with the number of maps it stands for
-(_label_classes).  The test stays literal: the labels come from
-products read from G's table, the classes from comparing full label
-columns, no order formula or rule from `criteria` enters, and a table
-that fails a check raises RuntimeError rather than yield a count.  G'
-and Z are read as structure's per-group masks, G/G''s invariants as
+with one gather per basis element per candidate cell, and the count
+reads those and builds no positions.  Positions u and v of Z with equal
+label columns (z_u, z_v in one coset of G') are one class, and by that
+identity the columns T[u, w] and T[v, w] are then equal for every w:
+maps whose basis images lie in the same classes have equal label rows.
+So the count enumerates one allowed image per class for each basis
+element, tests each such row once and counts it with the number of maps
+it stands for (_label_classes).  The test stays literal: the labels
+come from products read from G's table, the classes from comparing full
+label columns, no order formula or rule from `criteria` enters, and a
+table that fails a check raises RuntimeError rather than yield a count.
+G' and Z are read as structure's per-group masks, G/G''s invariants as
 kept by the structure report; no Subgroup is built.
 Memory is set by the block and by the labels, not by the candidate
 count.
@@ -185,8 +185,9 @@ def _central_candidates(
     basis, members = abelian.section_basis(G, derived, inv)
     label = _coset_labels(G, members, tgt)
     T = groups.subset_table(G.table, tgt)
-    # a label cell's temporaries peak at 21 bytes: the fold's int64 index
-    # and int32 state, then the scatter's int64 index and bool mark.  Half
+    # a label cell's temporaries peak at about 27 bytes (tracemalloc): the
+    # fold's int64 index and int32 states, this block's and the last, then
+    # the scatter's int64 index and bool mark beside the first two.  Half
     # the cell budget keeps a block's under 1 MiB, in a core's cache, and
     # halves the blocks a quarter took
     rows = max(1, groups._BLOCK_CELLS // (2 * len(members)))

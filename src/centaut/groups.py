@@ -78,26 +78,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(i) = self(other(i))
-        if other.degree != self.degree:
-            raise InvalidPermutation(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
-        return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.images))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
 

@@ -72,7 +72,9 @@ def analyze_source(
     cap: int = DEFAULT_ORDER_CAP,
     hom_cap: int = DEFAULT_HOM_CAP,
 ) -> AnalysisRecord:
-    """Build, classify and brute-force one group; never raises on group errors."""
+    """Build, classify and brute-force one group; a group error or a
+    failed check of the count's own (RuntimeError) ends in an error record,
+    never a raise."""
     rec = AnalysisRecord(name=name, source=source, expected=expected)
     start = time.perf_counter()
     try:
@@ -105,7 +107,7 @@ def analyze_source(
         if expected is not None and rec.verdict is not None:
             rec.expected_ok = rec.verdict.decision == expected
         rec.status = "ok"
-    except CentautError as e:
+    except (CentautError, RuntimeError) as e:
         rec.status = "error"
         rec.error = f"{type(e).__name__}: {e}"
     finally:

@@ -320,8 +320,8 @@ def test_coset_table_memory_at_small_derived_subgroup():
 def test_enumeration_memory_at_order_4096():
     """|Z| = 1024, a = 2048: the labels are 8 MiB as int32, and the first
     hom table 4 MiB, built for the 512 classes of Z mod G' n Z rather than
-    all 1024 images (8 MiB, 24.1 MiB peak).  Acting on that table in place,
-    a row block at a time, adds no table beside it."""
+    all 1024 images (8 MiB, 24.1 MiB peak).  The fold acts on each block's
+    states, never on that table, so it adds no table beside it."""
     G = modular(2, 4096)
     central_automorphism_count(G)  # fill the group's structure memo
     tracemalloc.start()

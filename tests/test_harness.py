@@ -6,7 +6,9 @@ import os
 
 import pytest
 
-from centaut.groupio import Manifest, ManifestEntry, read_manifest
+import oracles
+from centaut import cli, structure
+from centaut.groupio import Manifest, ManifestEntry, default_corpus, read_manifest
 from centaut.harness import (
     REPORT_FORMATS,
     STAGES,
@@ -49,6 +51,23 @@ def test_analyze_source_error_is_captured():
     assert rec.status == "error"
     assert "UnknownBuiltin" in rec.error
     assert rec.verdict is None
+
+
+def test_a_failed_count_check_ends_one_entry_not_the_run(monkeypatch, tmp_path, capsys):
+    """With G' read as Phi(G), the counts of heis4, mc32_8b and heis9
+    fall below |Z_2/Z| and raise RuntimeError: those three entries become
+    error records naming it, the other 51 still run, and `verify` exits 1
+    with no traceback."""
+    monkeypatch.setattr(structure, "_derived_mask", lambda G: oracles.ref_frattini_mask(G.table, G.prime))
+    report = run_verification(default_corpus())
+    assert len(report.records) == 54
+    errors = {r.name: r.error for r in report.records if r.status == "error"}
+    assert set(errors) == {"heis4", "mc32_8b", "heis9"}
+    assert all(e.startswith("RuntimeError: ") and "below |Z_2/Z|" in e for e in errors.values())
+    assert {r.status for r in report.records if r.name not in errors} == {"ok"}
+    assert not report.ok
+    assert cli.main(["verify", "-o", str(tmp_path / "report.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_analyze_source_abelian_skips():
