@@ -26,7 +26,7 @@ from .criteria import (
     theorem21_predicate,
 )
 from .errors import CentautError
-from .families import builtin, central_product, list_builtins, parse_group_spec
+from .families import builtin, list_builtins, parse_group_spec
 from .groupio import (
     Manifest,
     ManifestEntry,

@@ -36,10 +36,6 @@ class IndexOutOfRange(CentautError):
     """An element index is outside range(order)."""
 
 
-class InvalidExponent(CentautError):
-    """A power's exponent is not an integer (bool and float are not)."""
-
-
 class NotClosed(CentautError, ValueError):
     """A set of elements is not closed under the product; names a product."""
 

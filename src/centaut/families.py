@@ -3,11 +3,11 @@
 Sources name groups as builder expressions like "dihedral(16)" or products
 "dihedral(16) x cyclic(2)"; parse_group_spec also accepts the colon form
 "dihedral:16".  Every builder checks the order cap from its parameters
-before it builds a table.  metacyclic and the unitriangular groups give the
-left actions of their generators and a spanning tree to
-groups.table_along_tree, and its int32 table goes through
-group_from_cayley_table so a bad parameter set cannot yield a non-group;
-products and quotients are groups by construction.
+before it builds a table.  metacyclic and the unitriangular groups, the
+extraspecial ones among them, give the left actions of their generators
+and a spanning tree to groups.table_along_tree, and its int32 table goes
+through group_from_cayley_table so a bad parameter set cannot yield a
+non-group; products are groups by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .groups import (
     semidirect_product,
     table_along_tree,
 )
-from .structure import center
 
 
 def _check_order(order: int, cap: int) -> None:
@@ -139,15 +138,23 @@ def modular(p: int, order: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     return metacyclic(m, p, 1 + m // p, 0, cap)
 
 
-def _unitriangular(q: int, k: int, carries: Sequence[Sequence[tuple[int, int]]]) -> Group:
+def _unitriangular(
+    q: int,
+    k: int,
+    carries: Sequence[Sequence[tuple[int, int]]],
+    overflows: Sequence[tuple[int, int]] = (),
+) -> Group:
     """The group on k base-q coordinates where coordinate c of a*b is
-    a_c + b_c + sum(a_i * b_j for (i, j) in carries[c]), mod q.
+    a_c + b_c + sum(a_i * b_j for (i, j) in carries[c]), plus 1 for each
+    (o, c) in overflows with a_o + b_o >= q, mod q.
 
     Elements are numbered by their coordinates, most significant first.
-    u_c * x adds 1 to x_c and x_j to each x_c' with (c, j) in carries[c'].
+    u_c * x adds 1 to x_c, x_j to each x_c' with (c, j) in carries[c'],
+    and 1 to each x_c' with (c, c') in overflows when x_c == q - 1.
     The tree is x = y * u_c for x's most significant nonzero coordinate c
     and y = x less one at c; as every carry (i, j) has i < j and y is 0
-    above c, no carry (i, c) adds to y + u_c.
+    above c, no carry (i, c) adds to y * u_c, and as y_c + 1 <= q - 1, no
+    overflow (c, c') fires.
     """
     n = q**k
     digits = np.indices((q,) * k).reshape(k, n)
@@ -156,6 +163,8 @@ def _unitriangular(q: int, k: int, carries: Sequence[Sequence[tuple[int, int]]])
     for c2, pairs in enumerate(carries):
         for i, j in pairs:
             moved[i, c2] += digits[j]
+    for o, c2 in overflows:
+        moved[o, c2] += digits[o] == q - 1
     top = np.argmax(digits != 0, axis=0)
     return group_from_cayley_table(
         table_along_tree(weight @ (moved % q), np.arange(n) - weight[top], top)
@@ -178,49 +187,15 @@ def unitriangular4(p: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
     return _unitriangular(p, 6, [(), [(0, 3)], [(0, 4), (1, 5)], (), [(3, 5)], ()])
 
 
-def central_product(A: Group, B: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """Glue A and B along their centers, both of which must be order p.
-
-    The result is (A x B)/N with N = <(z, w^-1)> for generators z, w of the
-    two centers.  It is computed on the pair indices a*|B| + b without
-    building A x B, and each coset is numbered by the rank of its smallest
-    member, as structure.quotient numbers them.  The cosets of (a, 1) and
-    (1, b) for A's and B's generators generate it.
-    """
-    za = center(A)
-    zb = center(B)
-    if za.order != zb.order or prime_power(za.order) != (za.order, 1):
-        raise BadParameters(
-            f"central product needs matching prime-order centers, "
-            f"got {za.order} and {zb.order}"
-        )
-    n, m, p = A.order, B.order, za.order
-    if n * m // p > cap:
-        raise ClosureExceedsCap(f"central product order {n * m // p} exceeds cap {cap}")
-    at, bt = A.table, B.table
-    z, w = int(za.elements[1]), B.inv(int(zb.elements[1]))
-    # the coset of (a, b) is {(a*z^k, b*w^k)}; keep its smallest pair index
-    low = np.arange(n * m).reshape(n, m)
-    zk, wk = 0, 0
-    for _ in range(p - 1):
-        zk, wk = int(at[zk, z]), int(bt[wk, w])
-        np.minimum(low, at[:, zk][:, None] * m + bt[:, wk], out=low)
-    reps, proj = np.unique(low.ravel(), return_inverse=True)
-    ra, rb = reps // m, reps % m
-    pairs = at[np.ix_(ra, ra)]
-    pairs *= m
-    pairs += bt[np.ix_(rb, rb)]
-    P = Group(proj.astype(np.int32)[pairs])
-    P.generators = np.unique(proj[np.concatenate((A.generators * m, B.generators))])
-    P.generators.setflags(write=False)
-    return P
-
-
 def extraspecial(p: int, order: int, sign: str = "+", cap: int = DEFAULT_ORDER_CAP) -> Group:
     """Extraspecial group of order p^(2r+1); sign picks the isomorphism type.
 
-    "+" is the central product of r copies of the basic class-2 group
-    (exponent p for odd p); "-" swaps one factor for the other basic type.
+    Elements are (z, x_1..x_r, y_1..y_r) over Z/p, z most significant, and
+    z gains the bilinear cocycle sum(x_i * y'_i) in (z, x, y)(z', x', y'):
+    the "+" type, of exponent p for odd p and a central product of D_8s at
+    p = 2.  The "-" type also adds to z the carry of x_1 + x'_1 past p - 1,
+    so x_1^p = z and the exponent is p^2; at p = 2 it adds that of
+    y_1 + y'_1 too, which makes <x_1, y_1> a Q_8.  In both, Z = G' = <z>.
     """
     _check_order(order, cap)
     _check_prime_power(p, 1, cap)
@@ -230,15 +205,9 @@ def extraspecial(p: int, order: int, sign: str = "+", cap: int = DEFAULT_ORDER_C
     if q != p or k < 3 or k % 2 == 0:
         raise BadParameters(f"order must be p^(2r+1) >= p^3, got {order}")
     r = (k - 1) // 2
-    if p == 2:
-        plus, minus = dihedral(8, cap), quaternion(8, cap)
-    else:
-        plus, minus = heisenberg(p, 1, cap), modular(p, p**3, cap)
-    factors = [plus] * r if sign == "+" else [minus] + [plus] * (r - 1)
-    G = factors[0]
-    for F in factors[1:]:
-        G = central_product(G, F, cap)
-    return G
+    carries = [[(1 + i, 1 + r + i) for i in range(r)]] + [()] * (2 * r)
+    overflows = [] if sign == "+" else [(1, 0)] + [(1 + r, 0)] * (p == 2)
+    return _unitriangular(p, k, carries, overflows)
 
 
 def cyclic_wreath(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> Group:

@@ -14,7 +14,7 @@ at most log2(n) + 1 checks of n^2 cells, gathered in row blocks of about
 2^16 cells (row_blocks, the library's one block budget).  That holds no
 n x n temporary.  The Group it returns keeps the generators Light's test
 spanned as Group.generators, so no validated group is spanned twice, and
-a product (direct, semidirect or central) reads a generating set off its
+a product (direct or semidirect) reads a generating set off its
 factors', a direct product its inverses too.  A table it
 refuses reruns the ordered checks to name the first one that
 fails: Latin rows, then columns, by scatter marks into one n x n bool
@@ -28,7 +28,7 @@ greedy_generators spans in any table (the validator, G' and the other
 spans of structure, abelian bases, Group.generators), by power doubling
 and frontier closures on an array of the reached elements that each
 gather extends.
-powers is the one power routine, for Group.pow, orders and layer counts.
+powers is the one power routine, for orders and layer counts.
 
 table_along_tree is the one routine that fills a table from generator
 actions along a spanning tree, one gather of length n per row.  The formula
@@ -38,7 +38,6 @@ in it; only the closures, groups by construction, skip validation.
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from itertools import chain
 from math import isqrt
@@ -51,7 +50,6 @@ from .errors import (
     ActionNotHomomorphism,
     ClosureExceedsCap,
     IndexOutOfRange,
-    InvalidExponent,
     InvalidPermutation,
     NoIdentityAtZero,
     NotAssociative,
@@ -118,18 +116,6 @@ class Group:
         self.table = table
         self.order = int(table.shape[0])
         self.prime, self.order_exp = prime_power(self.order)
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[indices((a,), self.order)[0]])
-
-    def pow(self, g: int, k: int) -> int:
-        """g**k by powers; negative k goes through the inverse.  k is read
-        by operator.index, so InvalidExponent names a bool, float or str."""
-        g = indices((g,), self.order)
-        if isinstance(k, bool) or not hasattr(type(k), "__index__"):
-            raise InvalidExponent(f"exponent {k!r} is not an integer")
-        k = operator.index(k)
-        return int(powers(self.table, self.inverse[g] if k < 0 else g, abs(k))[0])
 
     @cached_property
     def inverse(self) -> np.ndarray:

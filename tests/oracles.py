@@ -836,10 +836,11 @@ def ref_metacyclic_table(m: int, s: int, t: int, w: int = 0) -> np.ndarray:
     return table.reshape(m * s, m * s)
 
 
-def ref_unitriangular_table(q: int, k: int, carries) -> np.ndarray:
+def ref_unitriangular_table(q: int, k: int, carries, overflows=()) -> np.ndarray:
     """The unitriangular table as the builder wrote it before the
     spanning-tree routine: one block of rows at a time, the index of each
-    product by Horner steps over its coordinates."""
+    product by Horner steps over its coordinates.  Each (o, c) in overflows
+    adds 1 to coordinate c where a_o + b_o >= q."""
     n = q**k
     digits = np.indices((q,) * k, dtype=np.int32).reshape(k, n)
     table = np.empty((n, n), dtype=np.int32)
@@ -850,6 +851,9 @@ def ref_unitriangular_table(q: int, k: int, carries) -> np.ndarray:
             coord = a[c] + digits[c]
             for i, j in carries[c]:
                 coord += a[i] * digits[j]
+            for o, c2 in overflows:
+                if c2 == c:
+                    coord += a[o] + digits[o] >= q
             coord %= q
             index *= q
             index += coord

@@ -12,7 +12,6 @@ from centaut.errors import BadParameters, CentautError, ClosureExceedsCap, Unkno
 from centaut.families import (
     abelian_group,
     builtin,
-    central_product,
     cyclic,
     cyclic_wreath,
     dihedral,
@@ -28,7 +27,8 @@ from centaut.families import (
     unitriangular4,
     wreath,
 )
-from centaut.groups import direct_product, prime_power
+from centaut.central import central_automorphism_count
+from centaut.groups import direct_product, powers, prime_power
 from centaut.structure import Subgroup, center, derived_subgroup, quotient, structure_report
 
 import oracles
@@ -50,8 +50,9 @@ def test_metacyclic_relations():
     G = metacyclic(8, 2, 3)
     a = next(x for x in range(16) if G.element_orders[x] == 8)
     b = next(x for x in range(16) if x != a and G.element_orders[x] == 2)
-    conj = int(G.table[G.table[b, a], G.inv(b)])
-    assert conj in (G.pow(a, 3), G.pow(a, 8 - 3))  # b may invert the roles
+    conj = G.table[G.table[b, a], G.inverse[b]]
+    cube = powers(G.table, np.array([a]), 3)[0]
+    assert conj in (cube, G.inverse[cube])  # a^(8-3); b may invert the roles
     with pytest.raises(BadParameters):
         metacyclic(8, 2, 2)  # t^s != 1 mod m
     with pytest.raises(BadParameters):
@@ -95,30 +96,18 @@ def test_heisenberg_and_unitriangular():
 
 
 def test_extraspecial_shapes():
-    for p, order in ((2, 8), (2, 32), (3, 27), (5, 125)):
-        for sign in "+-":
-            G = extraspecial(p, order, sign)
-            assert G.order == order
-            z = center(G)
-            assert z.order == p
-            assert derived_subgroup(G).elements == z.elements
+    """Orders other than p^(2r+1) and signs other than + and - are refused;
+    test_extraspecial_type checks the groups themselves."""
     with pytest.raises(BadParameters):
         extraspecial(2, 16, "+")  # even power of p beyond the center
     with pytest.raises(BadParameters):
         extraspecial(2, 8, "?")
 
 
-def test_central_product_glues_centers():
-    G = central_product(dihedral(8), dihedral(8))
-    assert G.order == 32
-    assert center(G).order == 2
-    with pytest.raises(BadParameters):
-        central_product(dihedral(8), cyclic(4))
-
-
 def reference_extraspecial(p, order, sign):
-    """extraspecial() with each central product taken as the quotient of the
-    full direct product by the glued centers."""
+    """The extraspecial group as a chain of central products of the basic
+    types (D_8 and Q_8, or heisenberg(p) and modular(p, p^3)), each the
+    quotient of the full direct product by the glued centers."""
     r = (prime_power(order)[1] - 1) // 2
     if p == 2:
         plus, minus = dihedral(8), quaternion(8)
@@ -128,28 +117,55 @@ def reference_extraspecial(p, order, sign):
     G = factors[0]
     for F in factors[1:]:
         D = direct_product(G, F)
-        g = center(G).elements[1] * F.order + F.inv(center(F).elements[1])
+        g = center(G).elements[1] * F.order + F.inverse[center(F).elements[1]]
         glue = Subgroup(D, np.flatnonzero(oracles.ref_closure_mask(D.table, [g])))
         G, _ = quotient(D, glue)
     return G
 
 
-@pytest.mark.parametrize(
-    "p,order,sign",
-    [(2, 32, "+"), (2, 32, "-"), (2, 128, "+"), (3, 243, "+"), (3, 243, "-")],
-)
-def test_central_product_matches_quotient_of_direct_product(p, order, sign):
+# every extraspecial group of order at most the default cap
+EXTRASPECIAL = [
+    (p, p**k, sign)
+    for p in (2, 3, 5, 7, 11, 13)
+    for k in range(3, 13, 2)
+    if p**k <= 4096
+    for sign in "+-"
+]
+
+
+@pytest.mark.parametrize("p,order,sign", EXTRASPECIAL)
+def test_extraspecial_type(p, order, sign):
+    """The invariants that fix the type, read off the table: Z = G' of
+    order p and x^p in Z for every x; at p = 2, 2^(2r) + e 2^r - 1
+    involutions for sign e; at odd p, exponent p for "+" and p^2 for "-".
+    Up to order 729 the structure report, the element orders and the
+    central automorphism count match the central-product reference."""
     G = extraspecial(p, order, sign)
-    assert np.array_equal(G.table, reference_extraspecial(p, order, sign).table)
+    z = center(G)
+    assert z.order == p and derived_subgroup(G).elements == z.elements
+    assert z.mask[powers(G.table, np.arange(order), p)].all()
+    e = 1 if sign == "+" else -1
+    if p == 2:
+        r = prime_power(order)[1] // 2
+        assert int((G.element_orders == 2).sum()) == 4**r + e * 2**r - 1
+    else:
+        assert G.element_orders.max() == (p if sign == "+" else p**2)
+    if order <= 729:
+        R = reference_extraspecial(p, order, sign)
+        assert structure_report(G) == structure_report(R)
+        assert np.array_equal(np.bincount(G.element_orders), np.bincount(R.element_orders))
+        got, want = central_automorphism_count(G), central_automorphism_count(R)
+        assert (got.hom_candidates, got.aut_count) == (want.hom_candidates, want.aut_count)
 
 
 def test_extraspecial_beyond_direct_product_cap():
-    """|A x B| = 6561 exceeds the default cap; the central product does not."""
+    """Order 3^7 builds under the default cap, though the direct product of
+    three order-27 factors (3^9) exceeds it; a cap below the order fails
+    from the parameters."""
     G = parse_group_spec("extraspecial(3,2187,+)")
     assert G.order == 2187
-    assert center(G).order == 3
     with pytest.raises(ClosureExceedsCap):
-        central_product(heisenberg(3, 1), heisenberg(3, 1), cap=242)
+        extraspecial(3, 2187, "+", cap=2186)
 
 
 def test_wreath_products():
@@ -270,13 +286,14 @@ def test_cap_checked_before_building(spec):
 
 
 # oracles.table_sha of each default-corpus table, taken from the builders
-# before they were moved to int32 (they broadcast int64 index arrays).
+# before they were moved to int32 (they broadcast int64 index arrays); the
+# es entries from the coordinate formula that replaced the central products.
 CORPUS_TABLE_SHA = {
     "q8": "a5c0ca9a9cf989f9",
     "d8": "52d5c178e7240384",
     "heis2": "3fddda68f47064ad",
-    "es8+": "52d5c178e7240384",
-    "es8-": "a5c0ca9a9cf989f9",
+    "es8+": "0f53c2aca6aa508d",
+    "es8-": "daa219219272adda",
     "d16": "7905b2db8c7accb2",
     "q16": "b1a09ea40e46e407",
     "sd16": "3c2b344ea264b14a",
@@ -291,8 +308,8 @@ CORPUS_TABLE_SHA = {
     "d128": "5963b517b6618f80",
     "q128": "23c5d18417797a43",
     "sd128": "d8c4eb1a34e484d8",
-    "es32+": "80db19e318644e43",
-    "es32-": "fa4f2edd837097ec",
+    "es32+": "38fdcbc42c46f026",
+    "es32-": "f77059cfea6e157f",
     "heis4": "0eb5ac2bcf81af21",
     "ut4_2": "b79066057f1d1415",
     "wr2": "37d313e4773af0e2",
@@ -311,19 +328,19 @@ CORPUS_TABLE_SHA = {
     "d64xc2": "7e9342c7714eb40c",
     "q16xc2": "b59f0c63ccf6a1f0",
     "ut4_2xc2": "2306cc03bfeed337",
-    "es32+xc2": "d8e3d807b74f5de7",
+    "es32+xc2": "edfe56fced87b814",
     "heis3": "5a006f1ce2a029a0",
     "m27": "d7288575a1ab57e3",
     "m81": "cece48adff170147",
-    "es243+": "1623772ff9720855",
-    "es243-": "43ca2f1d8a154093",
+    "es243+": "8c8195c68066ad6a",
+    "es243-": "ff63dd4585e12430",
     "heis9": "28607de6c76200bb",
     "ut4_3": "f8d64abefb128530",
     "wr3": "1ae96e99308bd7a0",
     "mc27_9": "0e4f46f72962a377",
     "heis3xc3": "c2fbffafa69f42cb",
-    "es125+": "fe11097c4957490b",
-    "es125-": "fa1f200a47b81333",
+    "es125+": "f9098ff730e5c4b4",
+    "es125-": "7fd74e7b4c75c558",
     "m625": "06cad5ffd051b266",
     "heis5xc5": "1c19b7017af4eb59",
 }
@@ -372,6 +389,13 @@ def _unitriangular4_ref(p):
     return oracles.ref_unitriangular_table(p, 6, carries)
 
 
+def _extraspecial_ref(p, order, sign):
+    r = (prime_power(order)[1] - 1) // 2
+    carries = [[(1 + i, 1 + r + i) for i in range(r)]] + [()] * (2 * r)
+    overflows = [] if sign == "+" else [(1, 0)] + [(1 + r, 0)] * (p == 2)
+    return oracles.ref_unitriangular_table(p, 2 * r + 1, carries, overflows)
+
+
 # every valid metacyclic(m, s, t, w) of order m*s <= 32, 945 in all, by m
 METACYCLIC_32 = {
     m: [
@@ -399,6 +423,11 @@ METACYCLIC_32 = {
         *(
             pytest.param(unitriangular4, _unitriangular4_ref, [(p,)], id=f"unitriangular4({p})")
             for p in (2, 3)
+        ),
+        *(
+            pytest.param(extraspecial, _extraspecial_ref, [case], id=f"extraspecial{case}")
+            for case in EXTRASPECIAL
+            if case[1] <= 243
         ),
     ],
 )

@@ -27,9 +27,9 @@ CENTRAL = os.path.join("centaut", "central.py")
 
 def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     """No Group.element_orders, no Subgroup built under central, at most
-    one greedy span over range(n) from {0} per group table, 60 in all and
+    one greedy span over range(n) from {0} per group table, 51 in all and
     each one Light's test (a product reads its generators off its
-    factors'), three section invariants (G/G', Z, Z_2/Z) per group, one
+    factors', so the three wreath products span none), three section invariants (G/G', Z, Z_2/Z) per group, one
     commutator table per group and the allowed images powered once per
     enumeration."""
     spans, orders, subgroups, products, sections, images = [], [], [], [], [], []
@@ -96,14 +96,13 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     assert subgroups == []
     # each list keeps what it holds alive, so no id is reused
     counts = Counter(map(id, spans))
-    assert len(counts) >= len(entries) and max(counts.values()) == 1
-    assert callers == {"_light_generators": 60}
+    assert len(counts) == 51 and max(counts.values()) == 1
+    assert callers == {"_light_generators": 51}
     assert products and not {id(P.table) for P in products} & set(counts)
     sections = Counter(map(id, sections))
     assert len(sections) == len(entries) and set(sections.values()) == {3}
     comms = Counter(map(id, comms))
-    # a central product's factors are groups of their own, with a center
-    assert len(comms) >= len(entries) and set(comms.values()) == {1}
+    assert len(comms) == len(entries) and set(comms.values()) == {1}
     images = Counter(map(id, images))
     assert len(images) == sum(rec.central is not None for rec in analysed)
     assert set(images.values()) == {1}

@@ -104,20 +104,17 @@ def test_generators_are_greedy_and_generate(name):
     assert 2 ** len(gens) <= G.order
 
 
-def _index_entry_points(G: Group) -> list[tuple[type, int, Callable]]:
-    """(named error, values read, call) for every entry point that reads
-    element indices or image arrays of G; 0 values read means the whole
-    sequence.  Each sequence is read as |G| images where it must be."""
+def _index_entry_points(G: Group) -> list[tuple[type, Callable]]:
+    """(named error, call) for every entry point that reads a sequence of
+    element indices or image arrays of G.  Each sequence is read as |G|
+    images where it must be."""
     return [
-        (InvalidPermutation, 0, lambda vs: Permutation(vs).images),
-        (InvalidPermutation, 0, lambda vs: group_from_permutations(len(vs), [vs]).order),
-        (ActionNotAutomorphism, 0, lambda vs: semidirect_product(
+        (InvalidPermutation, lambda vs: Permutation(vs).images),
+        (InvalidPermutation, lambda vs: group_from_permutations(len(vs), [vs]).order),
+        (ActionNotAutomorphism, lambda vs: semidirect_product(
             G, cyclic(2), [range(G.order), vs]).order),
-        (IndexOutOfRange, 1, lambda a: G.inv(a)),
-        (IndexOutOfRange, 1, lambda a: G.pow(a, 3)),
-        (IndexOutOfRange, 1, lambda a: G.pow(a, -1)),
-        (IndexOutOfRange, 0, lambda vs: Subgroup(G, vs).elements),
-        (IndexOutOfRange, 0, lambda vs: commutator_table(G, vs).tolist()),
+        (IndexOutOfRange, lambda vs: Subgroup(G, vs).elements),
+        (IndexOutOfRange, lambda vs: commutator_table(G, vs).tolist()),
     ]
 
 
@@ -143,23 +140,19 @@ def test_non_integer_indices_are_named_not_truncated(bad):
     index entry point refuses each of them, 4 being |G|, by its named class."""
     G = cyclic(4)
     seq = np.array([0, bad, 2, 3], dtype=np.uint64) if bad is U64_MAX else [0, bad, 2, 3]
-    for error, arity, call in _index_entry_points(G):
+    for error, call in _index_entry_points(G):
         with pytest.raises(error, match=_named(bad)):
-            call(seq) if arity == 0 else call(*[bad, 1][:arity])
-        if arity == 2:
-            with pytest.raises(error, match=_named(bad)):
-                call(1, bad)
+            call(seq)
     if not _is_int(bad):  # an array of them has a non-integer dtype
         with pytest.raises(IndexOutOfRange, match="is not an integer"):
             Subgroup(G, np.array([bad]))
     assert Subgroup(G, np.array([2], dtype=np.uint8)).elements == (0, 2)
-    assert G.inv(np.int32(1)) == 3
 
 
-def _outcome(call, *args):
-    """What call(*args) returns, or its exception's class and message."""
+def _outcome(call, arg):
+    """What call(arg) returns, or its exception's class and message."""
     try:
-        return call(*args)
+        return call(arg)
     except Exception as e:  # compared, not hidden
         return type(e), str(e)
 
@@ -186,20 +179,14 @@ def test_index_entry_points_read_drawn_values_as_python_ints(values, as_array):
     any other value it raises its named CentautError naming the first such
     value, and never another exception."""
     G = dihedral(8)
-    for error, arity, call in _index_entry_points(G):
-        vs = values[:arity] if arity else values
-        bad = next((v for v in vs if not (_is_int(v) and 0 <= v < G.order)), None)
-        if arity == 0 and as_array and bad is None:
-            args = (np.array(vs, dtype=np.uint16),)
-        else:
-            args = (vs,) if arity == 0 else tuple(vs)
+    bad = next((v for v in values if not (_is_int(v) and 0 <= v < G.order)), None)
+    arg = np.array(values, dtype=np.uint16) if as_array and bad is None else values
+    for error, call in _index_entry_points(G):
         if bad is None:
-            ints = [int(v) for v in vs]
-            want = _outcome(call, *((ints,) if arity == 0 else ints))
-            assert _outcome(call, *args) == want
+            assert _outcome(call, arg) == _outcome(call, [int(v) for v in values])
         else:
             with pytest.raises(error, match=_named(bad)):
-                call(*args)
+                call(arg)
 
 
 def test_subgroup_verification_catches_open_sets():
@@ -423,12 +410,13 @@ def test_large_order_structure(large, spec):
 
 
 # oracles.table_sha of each LARGE table, taken from the builders before they
-# were moved to int32.
+# were moved to int32; the extraspecial ones from the coordinate formula that
+# replaced the central products.
 LARGE_TABLE_SHA = {
     "dihedral(4096)": "e2a46d143f39bcb6",
     "metacyclic(64,64,3)": "dd4217d8b59f0035",
-    "extraspecial(2,2048,+)": "b1a11e95521d1db9",
-    "extraspecial(3,2187,+)": "0b7ea0c9873c52fb",
+    "extraspecial(2,2048,+)": "47755b21b1367d3a",
+    "extraspecial(3,2187,+)": "f601e134cd70db57",
 }
 
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from centaut import structure
-from centaut.families import central_product, parse_group_spec
+from centaut.families import parse_group_spec
 from centaut.groups import direct_product, greedy_generators, group_from_permutations
 from centaut.structure import Subgroup, center, derived_subgroup, structure_report
 
@@ -58,17 +58,11 @@ def test_corpus_matches_full_table_reference(corpus_groups):
         assert_matches_reference(G)
 
 
-# Small builtins by prime; the second pool has centers of prime order, as
-# central_product needs.
+# Small builtins by prime.
 SMALL = {
     2: ("cyclic(2)", "cyclic(4)", "elementary(2,2)", "dihedral(8)", "quaternion(8)",
         "dihedral(16)", "quaternion(16)", "semidihedral(16)", "modular(2,16)"),
     3: ("cyclic(3)", "cyclic(9)", "elementary(3,2)", "heisenberg(3,1)", "modular(3,27)"),
-}
-PRIME_CENTER = {
-    2: ("cyclic(2)", "dihedral(8)", "quaternion(8)", "dihedral(16)", "quaternion(16)",
-        "semidihedral(16)", "dihedral(32)"),
-    3: ("cyclic(3)", "heisenberg(3,1)", "modular(3,27)"),
 }
 small = functools.cache(parse_group_spec)  # builds each factor once
 
@@ -84,13 +78,6 @@ def test_direct_products_match_full_table_reference(specs):
     A, B = map(small, specs)
     assume(A.order * B.order <= 256)
     assert_matches_reference(direct_product(A, B))
-
-
-@given(pairs(PRIME_CENTER))
-def test_central_products_match_full_table_reference(specs):
-    A, B = map(small, specs)
-    assume(A.order * B.order // A.prime <= 256)
-    assert_matches_reference(central_product(A, B))
 
 
 def test_non_nilpotent_center_and_derived_match_reference():
