@@ -5,11 +5,10 @@ Building finite groups as Cayley tables
 
 Every group in this library is a multiplication table: row i, column j
 holds the index of x_i * x_j, with the identity at index 0.  A table from
-outside is validated by group_from_cayley_table; products, quotients and
+outside is validated by group_from_cayley_table, and so is every table a
+builtin family computes from a formula; direct products, quotients and
 permutation closures are groups by construction.
 """
-
-import numpy as np
 
 from centaut import (
     Permutation,
@@ -19,7 +18,6 @@ from centaut import (
     group_from_permutations,
     list_builtins,
     parse_group_spec,
-    semidirect_product,
 )
 from centaut.errors import NotAssociative
 
@@ -42,16 +40,18 @@ f = Permutation([0, 3, 2, 1])  # flip
 D8 = group_from_permutations(4, [r, f])
 print("\n<r, f> has order", D8.order, "(dihedral of the square)")
 
-# Direct products concatenate; semidirect products twist by an action.
+# Direct products pair up the factors' elements.
 V = direct_product(builtin("cyclic", (2,)), builtin("cyclic", (2,)))
 print("C2 x C2 element orders:", V.element_orders.tolist())
 
-C4 = builtin("cyclic", (4,))
-C2 = builtin("cyclic", (2,))
-inv = np.array([[0, 1, 2, 3], [0, 3, 2, 1]])  # t acts by inversion
-D8_again = semidirect_product(C4, C2, inv)
-assert D8_again.order == 8 and not D8_again.is_abelian
-print("C4 : C2 with inversion action is again dihedral of order 8")
+# A table from a formula goes through the validator, as the builtins' do:
+# r^i t^a * r^j t^b = r^(i + (-1)^a j) t^(a+b), with r^i t^a at index 2i + a.
+pairs = [(i, a) for i in range(4) for a in range(2)]
+D8_again = group_from_cayley_table(
+    [[(i + (-1) ** a * j) % 4 * 2 + (a + b) % 2 for j, b in pairs] for i, a in pairs]
+)
+assert (D8_again.table == builtin("dihedral", (8,)).table).all()
+print("r^4 = t^2 = 1, t r t^-1 = r^-1: builtin dihedral(8), cell for cell")
 
 # Raw tables are checked before anything else runs.
 bad = [

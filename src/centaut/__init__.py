@@ -43,7 +43,6 @@ from .groups import (
     direct_product,
     group_from_cayley_table,
     group_from_permutations,
-    semidirect_product,
 )
 from .harness import (
     AnalysisRecord,

@@ -44,14 +44,6 @@ class DifferentParent(CentautError, ValueError):
     """Subgroups that must share a parent group belong to different ones."""
 
 
-class ActionNotAutomorphism(CentautError):
-    """A semidirect action map is not an automorphism of the base group."""
-
-
-class ActionNotHomomorphism(CentautError):
-    """The action maps do not compose along the acting group's table."""
-
-
 class NotNilpotent(CentautError):
     """Upper central series stabilized below the whole group."""
 

@@ -3,11 +3,11 @@
 Sources name groups as builder expressions like "dihedral(16)" or products
 "dihedral(16) x cyclic(2)"; parse_group_spec also accepts the colon form
 "dihedral:16".  Every builder checks the order cap from its parameters
-before it builds a table.  metacyclic and the unitriangular groups, the
-extraspecial ones among them, give the left actions of their generators
-and a spanning tree to groups.table_along_tree, and its int32 table goes
-through group_from_cayley_table so a bad parameter set cannot yield a
-non-group; products are groups by construction.
+before it builds a table.  metacyclic, the unitriangular groups (the
+extraspecial ones among them) and cyclic_wreath give the left actions of
+their generators and a spanning tree to groups.table_along_tree, and its
+int32 table goes through group_from_cayley_table so a bad parameter set
+cannot yield a non-group; direct products are groups by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .groups import (
     direct_product,
     group_from_cayley_table,
     prime_power,
-    semidirect_product,
     table_along_tree,
 )
 
@@ -211,18 +210,31 @@ def extraspecial(p: int, order: int, sign: str = "+", cap: int = DEFAULT_ORDER_C
 
 
 def cyclic_wreath(p: int, m: int, cap: int = DEFAULT_ORDER_CAP) -> Group:
-    """C_p wr C_m: the cyclic shift acting on m coordinates mod p."""
+    """C_p wr C_m: (x, h)(x', h') = (x + roll(x', h), h + h') for x in
+    (Z/p)^m and h in Z/m, where roll(x', h)_c = x'_(c - h mod m).
+
+    (x, h) is numbered x*m + h, x's coordinates in base p, most significant
+    first.  u_c = (e_c, 0) acts on the left by adding 1 to x_c, and
+    t = (0, 1) by rolling x one place and adding 1 to h.  The tree is
+    (x, h) = (x, h - 1) * t for h > 0 and (x, 0) = (x - e_c, 0) * u_c for
+    x's most significant nonzero coordinate c.
+    """
+    # a bad p is named before a bad m, and a negative m raises no p**m
+    _check_prime_power(p, max(m, 0), cap, times=m)
     if m < 1:
         raise BadParameters(f"need m >= 1, got {m}")
-    _check_prime_power(p, m, cap, times=m)
-    base = elementary(p, m, cap)
     n = p**m
-    coords = np.stack(np.unravel_index(np.arange(n), (p,) * m), axis=1)
-    action = []
-    for j in range(m):
-        rolled = np.roll(coords, j, axis=1)
-        action.append(np.ravel_multi_index(tuple(rolled.T), (p,) * m))
-    return semidirect_product(base, cyclic(m, cap), action, cap=cap)
+    digits = np.indices((p,) * m).reshape(m, n)
+    weight = p ** np.arange(m - 1, -1, -1)  # place value of each coordinate
+    moved = (digits + np.eye(m, dtype=int)[:, :, None]) % p  # [c, c', x]: u_c * x
+    images = np.concatenate((weight @ moved, [weight @ np.roll(digits, 1, axis=0)]))
+    x, h = np.divmod(np.arange(n * m), m)
+    left = images[:, x] * m + h  # u_0 .. u_(m-1), then t
+    left[m] = images[m, x] * m + (h + 1) % m
+    top = np.argmax(digits != 0, axis=0)[x]
+    via = np.where(h > 0, m, top)
+    parent = np.arange(n * m) - np.where(h > 0, 1, weight[top] * m)
+    return group_from_cayley_table(table_along_tree(left, parent, via))
 
 
 def wreath(p: int, cap: int = DEFAULT_ORDER_CAP) -> Group:

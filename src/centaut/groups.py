@@ -14,9 +14,8 @@ at most log2(n) + 1 checks of n^2 cells, gathered in row blocks of about
 2^16 cells (row_blocks, the library's one block budget).  That holds no
 n x n temporary.  The Group it returns keeps the generators Light's test
 spanned as Group.generators, so no validated group is spanned twice, and
-a product (direct or semidirect) reads a generating set off its
-factors', a direct product its inverses too.  A table it
-refuses reruns the ordered checks to name the first one that
+a direct product reads its generators and inverses off its factors'.
+A table it refuses reruns the ordered checks to name the first one that
 fails: Latin rows, then columns, by scatter marks into one n x n bool
 mask a row block at a time, the identity row and column, and then,
 Light's test having failed on the accept path, a row scan that names the
@@ -46,8 +45,6 @@ from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    ActionNotAutomorphism,
-    ActionNotHomomorphism,
     ClosureExceedsCap,
     IndexOutOfRange,
     InvalidPermutation,
@@ -102,7 +99,7 @@ class Group:
     The constructor trusts its table: the caller vouches that it is a group
     table with identity 0.  Untrusted tables (group files, closed-formula
     builders) go through group_from_cayley_table, which validates them.
-    Products, quotients, subgroups and permutation closures are groups by
+    Direct products, quotients and permutation closures are groups by
     construction and are not re-checked.
 
     Do not mutate `table` after construction; it is set read-only.  Cached
@@ -568,51 +565,3 @@ def direct_product(G: Group, H: Group, cap: int = DEFAULT_ORDER_CAP) -> Group:
     P.inverse.setflags(write=False)
     return P
 
-
-def semidirect_product(
-    N: Group,
-    H: Group,
-    action: Sequence[Permutation | Sequence[int]],
-    cap: int = DEFAULT_ORDER_CAP,
-) -> Group:
-    """Split extension of N by H along action[h] in Aut(N).
-
-    action[h] gives the image array of the automorphism by which h acts.
-    Pairs are numbered (x, h) -> x*|H| + h, and the (1, h) and (x, 1) for
-    H's and N's generators generate it.  Each map is checked to be an
-    automorphism of N and the maps to compose along H's table; with those
-    checks the assembled table is a group by construction.
-    """
-    n, s = N.order, H.order
-    if n * s > cap:
-        raise ClosureExceedsCap(f"product order {n * s} exceeds cap {cap}")
-    if len(action) != s:
-        raise ActionNotAutomorphism(f"got {len(action)} maps for |H| == {s}")
-    maps = np.empty((s, n), dtype=np.int32)
-    for h, a in enumerate(action):
-        imgs = a.images if isinstance(a, Permutation) else a
-        imgs = indices(imgs, n, f"action[{h}] image", ActionNotAutomorphism)
-        if imgs.shape != (n,):
-            raise ActionNotAutomorphism(f"action[{h}] has degree {imgs.size}, want {n}")
-        if len(np.unique(imgs)) != n:
-            raise ActionNotAutomorphism(f"action[{h}] is not a bijection")
-        maps[h] = imgs
-    for h, phi in enumerate(maps):
-        broken = phi[N.table] != N.table[np.ix_(phi, phi)]
-        if broken.any():
-            a, b = (int(i) for i in np.argwhere(broken)[0])
-            raise ActionNotAutomorphism(f"action[{h}] breaks the product at ({a},{b})")
-    for h1 in range(s):
-        for h2 in range(s):
-            h12 = int(H.table[h1, h2])
-            if not (maps[h12] == maps[h1][maps[h2]]).all():
-                raise ActionNotHomomorphism(
-                    f"action[{h1}*{h2}] != action[{h1}] o action[{h2}]"
-                )
-    # (x1,h1)(x2,h2) = (x1 * phi_{h1}(x2), h1*h2)
-    xpart = N.table[np.arange(n)[:, None, None], maps[None, :, :]]  # [x1,h1,x2]
-    table = xpart[:, :, :, None] * s + H.table[None, :, None, :]
-    P = Group(table.reshape(n * s, n * s))
-    P.generators = np.concatenate((H.generators, N.generators * s))
-    P.generators.setflags(write=False)
-    return P

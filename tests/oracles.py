@@ -17,7 +17,9 @@ predicate's range is a ValueError.  all_automorphisms is the library's
 former brute-force automorphism search, which nothing in it called, kept
 for the tests that check the enumeration against it.  ref_scan_table is
 the group-file scanner's former numpy block check, kept to pin the checks
-that replaced it.  ref_class_rows counts the label rows of the central count from the
+that replaced it.  ref_wreath builds C_p wr C_m by permutation closure,
+so the wreath builder's formula is checked against a group it did not
+number.  ref_class_rows counts the label rows of the central count from the
 structure references.  ref_central_automorphisms lists the central
 automorphisms from G's table and generators alone, with no structure
 mask, basis or label.  position_action is the action table under which
@@ -64,6 +66,7 @@ from centaut.groups import (
     Group,
     direct_product,
     greedy_generators,
+    group_from_permutations,
     powers,
     row_blocks,
 )
@@ -859,6 +862,17 @@ def ref_unitriangular_table(q: int, k: int, carries, overflows=()) -> np.ndarray
             index += coord
         table[rows] = index
     return table
+
+
+def ref_wreath(p: int, m: int) -> Group:
+    """C_p wr C_m as the permutation group on p*m points, block b holding
+    points b*p .. b*p + p - 1, generated by a p-cycle on block 0 and the
+    shift of each block to the next: no formula of the builder's."""
+    points = np.arange(p * m)
+    block, k = np.divmod(points, p)
+    cycle = np.where(block == 0, (k + 1) % p, points)
+    shift = (block + 1) % m * p + k
+    return group_from_permutations(p * m, [cycle.tolist(), shift.tolist()], cap=p**m * m)
 
 
 def table_sha(table: np.ndarray) -> str:

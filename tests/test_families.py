@@ -180,6 +180,57 @@ def test_wreath_products():
         cyclic_wreath(4, 2)
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("wreath(0)", "0 is not prime"),
+        ("wreath(-3)", "-3 is not prime"),
+        ("cwreath(2,0)", "need m >= 1, got 0"),
+        ("cwreath(2,-1)", "need m >= 1, got -1"),
+        ("cwreath(2,-1" + "0" * 400 + ")", "need m >= 1, got -1" + "0" * 400),
+    ],
+)
+def test_wreath_names_a_bad_prime_before_a_bad_m(spec, message):
+    """wreath(p) passes p as both parameters, so a bad p is named as p."""
+    with pytest.raises(BadParameters, match=f"^{message}$"):
+        parse_group_spec(spec)
+
+
+# every C_p wr C_m of order p^m * m <= 729
+WREATH_729 = [
+    (p, m)
+    for p in range(2, 730)
+    if prime_power(p) == (p, 1)
+    for m in range(1, 10)
+    if p**m * m <= 729
+]
+
+
+@pytest.mark.parametrize("p,m", WREATH_729)
+def test_wreath_matches_the_permutation_group(p, m):
+    """cyclic_wreath against C_p wr C_m closed from permutations: the
+    order, element-order histogram and |Z|, and for a p-group (m a power
+    of p) the structure report and the central automorphism count."""
+    G, R = cyclic_wreath(p, m), oracles.ref_wreath(p, m)
+    assert G.order == R.order == p**m * m
+    assert np.array_equal(np.bincount(G.element_orders), np.bincount(R.element_orders))
+    assert center(G).order == center(R).order
+    if G.prime == p:
+        assert structure_report(G) == structure_report(R)
+        got, want = central_automorphism_count(G), central_automorphism_count(R)
+        assert (got.hom_candidates, got.aut_count) == (want.hom_candidates, want.aut_count)
+
+
+# oracles.table_sha of two wreath tables beyond the corpus's order 81, taken
+# from the semidirect-product builder that the spanning-tree one replaced
+WREATH_TABLE_SHA = {(2, 8): "1a0fcac1586aeab3", (5, 4): "7b52d75d6422835b"}
+
+
+def test_large_wreath_tables_are_unchanged():
+    for (p, m), sha in WREATH_TABLE_SHA.items():
+        assert oracles.table_sha(cyclic_wreath(p, m).table) == sha, (p, m)
+
+
 def test_builders_are_deterministic():
     for spec in ("extraspecial(2,32,-)", "metacyclic(27,9,4)", "wreath(3)"):
         A, B = parse_group_spec(spec), parse_group_spec(spec)

@@ -7,8 +7,6 @@ import pytest
 
 from centaut import groups
 from centaut.errors import (
-    ActionNotAutomorphism,
-    ActionNotHomomorphism,
     ClosureExceedsCap,
     InvalidPermutation,
     NoIdentityAtZero,
@@ -31,7 +29,6 @@ from centaut.groups import (
     direct_product,
     group_from_cayley_table,
     group_from_permutations,
-    semidirect_product,
 )
 from centaut.structure import center, derived_subgroup, quotient
 
@@ -222,10 +219,7 @@ def test_direct_product_orders_multiply():
 def test_direct_product_hands_over_the_greedy_generators():
     """H's generators, then G's times |H|: the set a span of the product
     table picks, read off the factors instead, when the factors' sets are
-    greedy; a cyclic group hands over its generator 1.  wreath(2), a
-    semidirect product, hands over (1, h) and (x, 1) for its factors'
-    generators, which generate it but are not the greedy set, and a product
-    with it gets a set that generates it."""
+    greedy; a cyclic group hands over its generator 1."""
     factors = [
         cyclic(1),
         cyclic(2),
@@ -238,18 +232,14 @@ def test_direct_product_hands_over_the_greedy_generators():
         wreath(2),
     ]
     greedy = [np.array_equal(G.generators, Group(G.table).generators) for G in factors]
-    assert greedy == [True] * 8 + [False]
-    assert factors[-1].generators.tolist() == [1, 2, 4]
+    assert greedy == [True] * 9
     for G in factors:
         assert not G.generators.flags.writeable
         for H in factors:
             if G.order * H.order <= 512:
                 P = direct_product(G, H)
                 assert not P.generators.flags.writeable
-                if factors[-1] in (G, H):
-                    assert oracles.ref_closure_mask(P.table, P.generators).all()
-                else:
-                    assert np.array_equal(P.generators, Group(P.table).generators)
+                assert np.array_equal(P.generators, Group(P.table).generators)
 
 
 def test_groups_keep_spanning_generators_and_reference_inverses(corpus_groups, homs_groups):
@@ -291,28 +281,6 @@ def test_is_abelian_holds_no_square_table():
     assert peak < 2**20
 
 
-def test_semidirect_product_builds_dihedral():
-    C4, C2 = cyclic(4), cyclic(2)
-    G = semidirect_product(C4, C2, [list(range(4)), C4.inverse])
-    D = dihedral(8)
-    assert G.order == 8 and not G.is_abelian
-    assert sorted(G.element_orders.tolist()) == sorted(D.element_orders.tolist())
-
-
-def test_semidirect_product_rejects_bad_actions():
-    C4, C2 = cyclic(4), cyclic(2)
-    with pytest.raises(ActionNotAutomorphism):
-        # swapping 0 and 1 does not preserve the product
-        semidirect_product(C4, C2, [list(range(4)), [1, 0, 2, 3]])
-    with pytest.raises(ActionNotHomomorphism):
-        # order-4 rotation acting for an order-2 element
-        semidirect_product(
-            elementary(2, 2),
-            cyclic(4),
-            [[0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 2, 3], [0, 1, 2, 3]],
-        )
-
-
 def scan_group_axioms(G):
     """Direct scan of the four table axioms on a built group."""
     n, t = G.order, G.table
@@ -333,14 +301,13 @@ def test_constructed_groups_satisfy_axioms():
         quaternion(8),
         group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]]),
         direct_product(dihedral(8), cyclic(3)),
-        semidirect_product(cyclic(4), cyclic(2), [[0, 1, 2, 3], [0, 3, 2, 1]]),
-        # groups by construction, which no validator re-checks
-        quotient(D16, center(D16))[0],
-        quotient(U, derived_subgroup(U))[0],
         extraspecial(2, 32, "-"),
         extraspecial(3, 243, "+"),
         cyclic_wreath(2, 3),
         wreath(3),
+        # groups by construction, which no validator re-checks
+        quotient(D16, center(D16))[0],
+        quotient(U, derived_subgroup(U))[0],
         Group(oracles.ref_as_group_table(D16.table, center(D16).elements)),
     ]
     for G in pool:
@@ -357,14 +324,6 @@ def test_permutation_closure_is_deterministic():
 def test_element_orders_divide_group_order():
     for G in (dihedral(16), quaternion(32), elementary(3, 2)):
         assert all(G.order % int(k) == 0 for k in G.element_orders)
-
-
-def test_semidirect_with_trivial_action_is_direct_product():
-    N, H = dihedral(8), cyclic(3)
-    ident = list(range(8))
-    S = semidirect_product(N, H, [ident, ident, ident])
-    D = direct_product(N, H)
-    assert (S.table == D.table).all()
 
 
 @pytest.mark.parametrize("cell", [2**31, 2**32 + 1, -(2**31) - 1])

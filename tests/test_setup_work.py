@@ -27,9 +27,9 @@ CENTRAL = os.path.join("centaut", "central.py")
 
 def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     """No Group.element_orders, no Subgroup built under central, at most
-    one greedy span over range(n) from {0} per group table, 51 in all and
-    each one Light's test (a product reads its generators off its
-    factors', so the three wreath products span none), three section invariants (G/G', Z, Z_2/Z) per group, one
+    one greedy span over range(n) from {0} per group table, 54 in all and
+    each one Light's test (a direct product reads its generators off its
+    factors'), three section invariants (G/G', Z, Z_2/Z) per group, one
     commutator table per group and the allowed images powered once per
     enumeration."""
     spans, orders, subgroups, products, sections, images = [], [], [], [], [], []
@@ -96,8 +96,8 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     assert subgroups == []
     # each list keeps what it holds alive, so no id is reused
     counts = Counter(map(id, spans))
-    assert len(counts) == 51 and max(counts.values()) == 1
-    assert callers == {"_light_generators": 51}
+    assert len(counts) == 54 and max(counts.values()) == 1
+    assert callers == {"_light_generators": 54}
     assert products and not {id(P.table) for P in products} & set(counts)
     sections = Counter(map(id, sections))
     assert len(sections) == len(entries) and set(sections.values()) == {3}

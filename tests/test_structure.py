@@ -16,7 +16,6 @@ from centaut import structure
 from centaut.abelian import target_array
 from centaut.central import central_automorphism_count
 from centaut.errors import (
-    ActionNotAutomorphism,
     CentautError,
     DifferentParent,
     IndexOutOfRange,
@@ -40,7 +39,6 @@ from centaut.groups import (
     Permutation,
     greedy_generators,
     group_from_permutations,
-    semidirect_product,
     subset_table,
 )
 from centaut.structure import (
@@ -111,8 +109,6 @@ def _index_entry_points(G: Group) -> list[tuple[type, Callable]]:
     return [
         (InvalidPermutation, lambda vs: Permutation(vs).images),
         (InvalidPermutation, lambda vs: group_from_permutations(len(vs), [vs]).order),
-        (ActionNotAutomorphism, lambda vs: semidirect_product(
-            G, cyclic(2), [range(G.order), vs]).order),
         (IndexOutOfRange, lambda vs: Subgroup(G, vs).elements),
         (IndexOutOfRange, lambda vs: commutator_table(G, vs).tolist()),
     ]
