@@ -19,10 +19,11 @@ from centaut.structure import upper_central_orders
 
 D16 = builtin("dihedral", 16)
 
+# A subgroup is a read-only bool mask over the element indices.
 Z = center(D16)
 G1 = derived_subgroup(D16)
-print("dihedral(16):  |Z| =", Z.order, " |G'| =", G1.order)
-print("Z inside G':", set(Z.elements) <= set(G1.elements))
+print("dihedral(16):  |Z| =", Z.sum(), " |G'| =", G1.sum())
+print("Z inside G':", (Z <= G1).all())
 
 print("upper series orders:", upper_central_orders(D16))
 

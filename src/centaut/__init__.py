@@ -53,7 +53,6 @@ from .harness import (
 )
 from .structure import (
     StructureReport,
-    Subgroup,
     center,
     derived_subgroup,
     quotient,

@@ -32,7 +32,7 @@ come from products read from G's table, the classes from comparing full
 label columns, no order formula or rule from `criteria` enters, and a
 table that fails a check raises RuntimeError rather than yield a count.
 G' and Z are read as structure's per-group masks, G/G''s invariants as
-kept by the structure report; no Subgroup is built.
+kept by the structure report.
 Memory is set by the block and by the labels, not by the candidate
 count.
 """
@@ -174,9 +174,9 @@ def _central_candidates(
     before the basis search; the images are powered once."""
     if G.prime is None:
         raise NotPrimePower(f"order {G.order} is not a prime power")
-    z = np.flatnonzero(structure._center_mask(G))
+    z = np.flatnonzero(structure.center(G))
     inv = structure.abelianization_invariants(G)
-    derived = structure._derived_mask(G)
+    derived = structure.derived_subgroup(G)
     tgt = abelian.target_array(z)
     images = abelian._allowed_images(inv, G, tgt)
     total = math.prod(len(y) for y in images)

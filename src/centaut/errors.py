@@ -40,10 +40,6 @@ class NotClosed(CentautError, ValueError):
     """A set of elements is not closed under the product; names a product."""
 
 
-class DifferentParent(CentautError, ValueError):
-    """Subgroups that must share a parent group belong to different ones."""
-
-
 class NotNilpotent(CentautError):
     """Upper central series stabilized below the whole group."""
 
@@ -53,7 +49,7 @@ class NotPrimePower(CentautError):
 
 
 class NotNormal(CentautError):
-    """Subgroup is not closed under conjugation; names a violating pair."""
+    """A subgroup is not closed under conjugation; names a violating pair."""
 
 
 class PrimeMismatch(CentautError):

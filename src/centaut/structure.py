@@ -1,9 +1,11 @@
-"""Subgroups, the upper central series, quotients and the structural report.
+"""The upper central series, G', quotients and the structural report.
 
-Everything works directly on element indices of a parent Group.  The one
-quotient routine (quotient, with check_normal) reindexes cosets by their
-minimal member so results are deterministic; nothing on the verdict path
-calls it.  Every index a caller hands in is read by groups.indices, which
+Everything works directly on element indices of a parent Group, and a
+subgroup is a read-only bool mask over them, as center and
+derived_subgroup return it.  The one quotient routine (quotient, with
+check_normal) takes such a mask and reindexes cosets by their minimal
+member so results are deterministic; nothing on the verdict path calls
+it.  Every index a caller hands in is read by groups.indices, which
 names a bad one.
 
 The invariants come from the generating set S of G (Group.generators,
@@ -26,25 +28,20 @@ generators it adds are compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import abelian
 from .abelian import AbelianInvariants
-from .errors import DifferentParent, NotNilpotent, NotNormal, NotPrimePower
+from .errors import IndexOutOfRange, NotNilpotent, NotNormal, NotPrimePower
 from .groups import Group, greedy_generators, indices, subset_table
 
 
 def _per_group(derive: Callable) -> Callable:
     """Compute derive(G) once and keep it on G: an array, set read-only,
-    or frozen invariants.
-
-    Never a Group or a Subgroup: a Subgroup's `parent` would point back at
-    G, and that cycle keeps every analysed group alive until the next full
-    garbage collection.
-    """
+    or frozen invariants."""
     key = f"_per_group_{derive.__name__.lstrip('_')}"
 
     @wraps(derive)
@@ -57,46 +54,6 @@ def _per_group(derive: Callable) -> Callable:
         return G.__dict__[key]
 
     return cached
-
-
-class Subgroup:
-    """A subset of a parent Group's indices, closed under the product.
-
-    `elements` is sorted ascending, so element 0 (the identity) is always
-    first.  Construction verifies closure unless verify=False (reserved for
-    internal callers that build provably closed sets).
-    """
-
-    def __init__(self, parent: Group, elements: Iterable[int], verify: bool = True):
-        elems = np.unique(np.append(indices(elements, parent.order, "subgroup element"), 0))
-        if verify:
-            subset_table(parent.table, elems)
-        mask = np.zeros(parent.order, dtype=bool)
-        mask[elems] = True
-        self.parent = parent
-        self.elements = tuple(int(e) for e in elems)
-        mask.setflags(write=False)
-        self.mask = mask
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return _commutes(self.parent, self.elements)
-
-    def __len__(self) -> int:
-        return self.order
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order} of {self.parent!r})"
-
-
-def check_parent(G: Group, *subgroups: Subgroup) -> None:
-    """Raise DifferentParent unless every subgroup is one of G's."""
-    if any(H.parent is not G for H in subgroups):
-        raise DifferentParent("subgroup belongs to a different parent group")
 
 
 def _commutes(G: Group, elements: Iterable[int], central: Optional[np.ndarray] = None) -> bool:
@@ -147,18 +104,14 @@ def _nilpotent_masks(G: Group) -> np.ndarray:
     return masks
 
 
-def _center_mask(G: Group) -> np.ndarray:
+def center(G: Group) -> np.ndarray:
+    """The mask of Z(G), the elements commuting with every generator."""
     masks = _upper_masks(G)
     return masks[min(1, len(masks) - 1)]
 
 
-def center(G: Group) -> Subgroup:
-    """Elements commuting with every generator."""
-    return Subgroup(G, np.flatnonzero(_center_mask(G)), verify=False)
-
-
 @_per_group
-def _derived_mask(G: Group) -> np.ndarray:
+def derived_subgroup(G: Group) -> np.ndarray:
     """The mask of G', the span of the generators' commutators."""
     reached = np.arange(G.order) == 0
     list(greedy_generators(G.table, np.unique(_generator_commutators(G)), reached))
@@ -171,36 +124,43 @@ def upper_central_orders(G: Group) -> list[int]:
     return [int(k) for k in _upper_masks(G).sum(axis=1)]
 
 
-def derived_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, np.flatnonzero(_derived_mask(G)), verify=False)
-
-
 @_per_group
 def abelianization_invariants(G: Group) -> AbelianInvariants:
     """Invariants of G/G', G a nontrivial p-group, read from G's table
     once: the structure report and the enumeration share them."""
-    return abelian.section_invariants(G, np.ones(G.order, dtype=bool), _derived_mask(G))
+    return abelian.section_invariants(G, np.ones(G.order, dtype=bool), derived_subgroup(G))
 
 
-def check_normal(G: Group, N: Subgroup) -> None:
+def _mask_elements(G: Group, N: np.ndarray) -> np.ndarray:
+    """The elements of the subgroup mask N, IndexOutOfRange unless N is a
+    bool array of shape (|G|,) holding 0."""
+    if not (isinstance(N, np.ndarray) and N.dtype == bool and N.shape == (G.order,) and N[0]):
+        raise IndexOutOfRange(f"a subgroup mask is a bool array of shape ({G.order},) holding 0")
+    return np.flatnonzero(N)
+
+
+def check_normal(G: Group, N: np.ndarray) -> None:
     """Raise NotNormal naming the first pair (g, x), g then x ascending,
-    whose conjugate g^-1 x g escapes N."""
-    elems = np.asarray(N.elements)
+    whose conjugate g^-1 x g escapes the subgroup with mask N."""
+    elems = _mask_elements(G, N)
     conj = G.table[G.table[G.inverse[:, None], elems], np.arange(G.order)[:, None]]
-    escapes = ~N.mask[conj]
+    escapes = ~N[conj]
     if escapes.any():
         g, i = (int(k) for k in np.argwhere(escapes)[0])
         raise NotNormal(f"conjugate of {int(elems[i])} by {g} escapes the subgroup")
 
 
-def quotient(G: Group, N: Subgroup) -> tuple[Group, np.ndarray]:
+def quotient(G: Group, N: np.ndarray) -> tuple[Group, np.ndarray]:
     """G/N with cosets indexed by minimal member; returns (Q, projection).
 
-    projection[x] = index of the coset xN.  NotNormal as in check_normal.
+    N is a bool mask of shape (|G|,) holding 0, else IndexOutOfRange; a
+    mask not closed under the product raises NotClosed (subset_table),
+    one not normal NotNormal as in check_normal.  projection[x] = index
+    of the coset xN.
     """
-    check_parent(G, N)
+    elems = _mask_elements(G, N)
+    subset_table(G.table, elems)
     check_normal(G, N)
-    elems = np.asarray(N.elements)
     # coset xN is numbered by the rank of its smallest member; an int32
     # projection gives an int32 table that Group keeps without a copy
     reps, proj = np.unique(G.table[:, elems].min(axis=1), return_inverse=True)
@@ -256,6 +216,6 @@ def structure_report(G: Group) -> StructureReport:
         abelianization=alpha,
         center=gamma,
         inner_center=beta,
-        center_in_derived=bool(_derived_mask(G)[z].all()),
+        center_in_derived=bool(derived_subgroup(G)[z].all()),
         second_center_abelian=_commutes(G, np.flatnonzero(z2), z),
     )

@@ -10,6 +10,9 @@ from centaut.groupio import default_corpus, read_manifest, resolve_source
 from centaut.harness import run_verification
 from centaut.structure import structure_report
 
+TESTS = Path(__file__).resolve().parent
+HOMS = TESTS.parent / "perfbench" / "homs.json"
+
 # Property tests draw the same examples on every run and write no example
 # database, so the suite stays deterministic and its time bounded.
 settings.register_profile(
@@ -32,8 +35,14 @@ def corpus_groups(corpus):
 @pytest.fixture(scope="session")
 def homs_groups():
     """The direct products of the `homs` benchmark workload, name -> Group."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "homs.json"
-    return {e.name: resolve_source(e.source) for e in read_manifest(path).entries}
+    return {e.name: resolve_source(e.source) for e in read_manifest(HOMS).entries}
+
+
+@pytest.fixture(scope="session")
+def all_entries():
+    """The manifest entries of the corpus, the `homs` workload and the witnesses."""
+    manifests = (default_corpus(), read_manifest(HOMS), read_manifest(TESTS / "witnesses.json"))
+    return [e for m in manifests for e in m.entries]
 
 
 @pytest.fixture(scope="session")

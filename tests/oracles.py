@@ -70,7 +70,7 @@ from centaut.groups import (
     powers,
     row_blocks,
 )
-from centaut.structure import StructureReport, Subgroup, derived_subgroup, quotient
+from centaut.structure import StructureReport, derived_subgroup, quotient
 
 
 def ref_closure(table: list[list[int]], seed: list[int]) -> list[int]:
@@ -791,18 +791,16 @@ def ref_class_rows(G) -> int:
 def ref_structure_report(G) -> StructureReport:
     """The structure report as the library built it before it read the
     three sections from G's own masks: Z and Z_2 from the full-table upper
-    series, their tables renumbered (ref_as_group_table), and G/G' and
-    Z_2/Z taken as quotient Groups."""
+    series, their tables renumbered (ref_as_group_table), G/G' and Z_2/Z
+    taken as quotient Groups, and Z_2 tested abelian on its full block."""
     p = G.prime
     upper = ref_upper_masks(G.table)
     cls = len(upper) - 1
-    z = Subgroup(G, np.flatnonzero(upper[1]), verify=False)
-    z2 = Subgroup(G, np.flatnonzero(upper[min(2, cls)]), verify=False)
+    z, z2 = upper[1], upper[min(2, cls)]
     alpha = ref_abelian_invariants(quotient(G, derived_subgroup(G))[0].table, p)
-    gamma = ref_abelian_invariants(ref_as_group_table(G.table, z.elements), p)
-    z2g = Group(ref_as_group_table(G.table, z2.elements))
-    inz = np.searchsorted(z2.elements, z.elements)
-    inner, _ = quotient(z2g, Subgroup(z2g, inz, verify=False))
+    gamma = ref_abelian_invariants(ref_as_group_table(G.table, np.flatnonzero(z)), p)
+    z2g = Group(ref_as_group_table(G.table, np.flatnonzero(z2)))
+    inner, _ = quotient(z2g, z[z2])  # Z's mask renumbered inside Z_2
     beta = ref_abelian_invariants(inner.table, p)
     return StructureReport(
         order=G.order,
@@ -816,8 +814,8 @@ def ref_structure_report(G) -> StructureReport:
         abelianization=alpha,
         center=gamma,
         inner_center=beta,
-        center_in_derived=not (z.mask & ~derived_subgroup(G).mask).any(),
-        second_center_abelian=z2.is_abelian,
+        center_in_derived=not (z & ~derived_subgroup(G)).any(),
+        second_center_abelian=ref_is_abelian(G.table, np.flatnonzero(z2)),
     )
 
 

@@ -252,11 +252,11 @@ def _hom_case(kind, arg):
         return _basis(A)[0], B, list(range(B.order))
     G = parse_group_spec(arg)
     if kind == "center":
-        N, Y = derived_subgroup(G).mask, center(G).elements
+        N, Y = derived_subgroup(G), np.flatnonzero(center(G))
     else:
         X = _section_mask(G, kind)
-        N = oracles.ref_closure_mask(G.table, np.flatnonzero(X | derived_subgroup(G).mask))
-        Y = np.flatnonzero(X & center(G).mask)
+        N = oracles.ref_closure_mask(G.table, np.flatnonzero(X | derived_subgroup(G)))
+        Y = np.flatnonzero(X & center(G))
     inv = section_invariants(G, np.ones(G.order, dtype=bool), N)
     return section_basis(G, N, inv)[0], G, Y
 
@@ -310,13 +310,13 @@ def _label_case(kind, spec):
     checked coset-label table of central._coset_labels."""
     G = parse_group_spec(spec)
     if kind == "center":
-        N, Y = derived_subgroup(G).mask, center(G).elements
+        N, Y = derived_subgroup(G), np.flatnonzero(center(G))
     elif kind == "whole":
-        N, Y = np.ones(G.order, dtype=bool), center(G).elements
+        N, Y = np.ones(G.order, dtype=bool), np.flatnonzero(center(G))
     else:
         X = _section_mask(G, kind)
-        N = oracles.ref_closure_mask(G.table, np.flatnonzero(X | derived_subgroup(G).mask))
-        Y = np.flatnonzero(X & center(G).mask)
+        N = oracles.ref_closure_mask(G.table, np.flatnonzero(X | derived_subgroup(G)))
+        Y = np.flatnonzero(X & center(G))
     inv = section_invariants(G, np.ones(G.order, dtype=bool), N)
     basis, members = section_basis(G, N, inv)
     tgt = target_array(Y)

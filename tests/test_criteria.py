@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from centaut.abelian import AbelianInvariants
+from centaut.abelian import AbelianInvariants, hom_invariants
+from centaut.central import central_automorphism_count
 from centaut.criteria import (
     MINIMAL,
     NOT_MINIMAL,
@@ -37,6 +38,7 @@ from centaut.families import (
     unitriangular4,
     wreath,
 )
+from centaut.groupio import resolve_source
 from centaut.structure import StructureReport, structure_report
 
 import oracles
@@ -317,3 +319,31 @@ def test_rule_details_are_pinned(predicate, n, cls, a, g, b, want):
     v = ref(rep)
     assert (v.decision, v.details) == want
     _assert_row_matches(_rows(rep), rules, ref, rep)
+
+
+def test_rule_tables_rest_on_the_adney_yen_count(all_entries):
+    """On every nonabelian corpus, homs and witness group: |Z_2/Z| <=
+    |Hom(G/G', Z)|; d(Z_2/Z) <= coclass when Z = C_p at class >= 3; on a
+    cyclic center theorem21_predicate is the count's verdict; and G is
+    minimal iff Z <= G' and |Hom(G/G', Z)| = |Z_2/Z| (Adney & Yen,
+    Illinois J. Math. 9, 1965)."""
+    checked = cyclic_centers = prime_centers = 0
+    for e in all_entries:
+        G = resolve_source(e.source)
+        rep = structure_report(G)
+        if rep.nilpotency_class < 2:
+            continue
+        checked += 1
+        count = central_automorphism_count(G)
+        homs = hom_invariants(rep.abelianization, rep.center).order
+        z_inn = rep.inner_center.order
+        assert z_inn == count.z_inn_order and z_inn <= homs, e.name
+        if rep.center.exponents == (1,) and rep.nilpotency_class >= 3:
+            prime_centers += 1
+            assert rep.d_inner_center <= rep.coclass, e.name
+        if rep.center.rank == 1:
+            cyclic_centers += 1
+            got = theorem21_predicate(rep.abelianization, rep.inner_center, rep.center.exponents[0])
+            assert got == count.minimal, e.name
+        assert count.minimal == (rep.center_in_derived and homs == z_inn), e.name
+    assert (checked, cyclic_centers, prime_centers) == (71, 44, 23)

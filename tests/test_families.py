@@ -29,7 +29,7 @@ from centaut.families import (
 )
 from centaut.central import central_automorphism_count
 from centaut.groups import direct_product, powers, prime_power
-from centaut.structure import Subgroup, center, derived_subgroup, quotient, structure_report
+from centaut.structure import center, derived_subgroup, quotient, structure_report
 
 import oracles
 
@@ -76,9 +76,9 @@ def test_two_generator_two_groups():
 
 def test_modular_group():
     G = modular(2, 16)
-    z = oracles.ref_as_group_table(G.table, center(G).elements)
+    z = oracles.ref_as_group_table(G.table, np.flatnonzero(center(G)))
     assert oracles.ref_abelian_invariants(z, G.prime).exponents == (2,)
-    assert derived_subgroup(G).order == 2
+    assert derived_subgroup(G).sum() == 2
     G = modular(3, 27)
     assert G.element_orders.max() == 9
     with pytest.raises(BadParameters):
@@ -92,7 +92,7 @@ def test_heisenberg_and_unitriangular():
     U = unitriangular4(3)
     assert U.order == 3**6
     assert structure_report(U).nilpotency_class == 3
-    assert center(U).order == 3
+    assert center(U).sum() == 3
 
 
 def test_extraspecial_shapes():
@@ -117,9 +117,8 @@ def reference_extraspecial(p, order, sign):
     G = factors[0]
     for F in factors[1:]:
         D = direct_product(G, F)
-        g = center(G).elements[1] * F.order + F.inverse[center(F).elements[1]]
-        glue = Subgroup(D, np.flatnonzero(oracles.ref_closure_mask(D.table, [g])))
-        G, _ = quotient(D, glue)
+        g = np.flatnonzero(center(G))[1] * F.order + F.inverse[np.flatnonzero(center(F))[1]]
+        G, _ = quotient(D, oracles.ref_closure_mask(D.table, [g]))
     return G
 
 
@@ -142,8 +141,8 @@ def test_extraspecial_type(p, order, sign):
     central automorphism count match the central-product reference."""
     G = extraspecial(p, order, sign)
     z = center(G)
-    assert z.order == p and derived_subgroup(G).elements == z.elements
-    assert z.mask[powers(G.table, np.arange(order), p)].all()
+    assert z.sum() == p and (derived_subgroup(G) == z).all()
+    assert z[powers(G.table, np.arange(order), p)].all()
     e = 1 if sign == "+" else -1
     if p == 2:
         r = prime_power(order)[1] // 2
@@ -214,7 +213,7 @@ def test_wreath_matches_the_permutation_group(p, m):
     G, R = cyclic_wreath(p, m), oracles.ref_wreath(p, m)
     assert G.order == R.order == p**m * m
     assert np.array_equal(np.bincount(G.element_orders), np.bincount(R.element_orders))
-    assert center(G).order == center(R).order
+    assert center(G).sum() == center(R).sum()
     if G.prime == p:
         assert structure_report(G) == structure_report(R)
         got, want = central_automorphism_count(G), central_automorphism_count(R)

@@ -308,7 +308,7 @@ def test_constructed_groups_satisfy_axioms():
         # groups by construction, which no validator re-checks
         quotient(D16, center(D16))[0],
         quotient(U, derived_subgroup(U))[0],
-        Group(oracles.ref_as_group_table(D16.table, center(D16).elements)),
+        Group(oracles.ref_as_group_table(D16.table, np.flatnonzero(center(D16)))),
     ]
     for G in pool:
         scan_group_axioms(G)

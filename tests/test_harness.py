@@ -58,7 +58,7 @@ def test_a_failed_count_check_ends_one_entry_not_the_run(monkeypatch, tmp_path, 
     fall below |Z_2/Z| and raise RuntimeError: those three entries become
     error records naming it, the other 51 still run, and `verify` exits 1
     with no traceback."""
-    monkeypatch.setattr(structure, "_derived_mask", lambda G: oracles.ref_frattini_mask(G.table, G.prime))
+    monkeypatch.setattr(structure, "derived_subgroup", lambda G: oracles.ref_frattini_mask(G.table, G.prime))
     report = run_verification(default_corpus())
     assert len(report.records) == 54
     errors = {r.name: r.error for r in report.records if r.status == "error"}
@@ -68,6 +68,21 @@ def test_a_failed_count_check_ends_one_entry_not_the_run(monkeypatch, tmp_path, 
     assert not report.ok
     assert cli.main(["verify", "-o", str(tmp_path / "report.json")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verdict_path_takes_no_quotient(monkeypatch, all_entries):
+    """With quotient and check_normal made to raise, every corpus, homs
+    and witness entry still analyses ok: neither is on the verdict path."""
+
+    def refuse(*args):
+        raise RuntimeError("quotient and check_normal are off the verdict path")
+
+    monkeypatch.setattr(structure, "quotient", refuse)
+    monkeypatch.setattr(structure, "check_normal", refuse)
+    assert len(all_entries) == 54 + 14 + 3
+    for e in all_entries:
+        rec = analyze_source(e.name, e.source, e.expected)
+        assert rec.status == "ok" and rec.expected_ok is not False, (e.name, rec.error)
 
 
 def test_analyze_source_abelian_skips():

@@ -26,7 +26,7 @@ def _sections(G):
     upper = structure._upper_masks(G)
     z, z2 = upper[1], upper[min(2, len(upper) - 1)]
     return [
-        ("G/G'", np.ones(G.order, dtype=bool), derived_subgroup(G).mask),
+        ("G/G'", np.ones(G.order, dtype=bool), derived_subgroup(G)),
         ("Z", z, np.arange(G.order) == 0),
         ("Z2/Z", z2, z),
     ]

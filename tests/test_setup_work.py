@@ -6,9 +6,7 @@ search's cosets; a validated group arrives with the greedy generators its
 Light's test spanned.  The references are the routines these replaced.
 """
 
-import os
 import sys
-import traceback
 from collections import Counter
 
 import numpy as np
@@ -22,17 +20,14 @@ from centaut.harness import analyze_source
 
 import oracles
 
-CENTRAL = os.path.join("centaut", "central.py")
-
 
 def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
-    """No Group.element_orders, no Subgroup built under central, at most
-    one greedy span over range(n) from {0} per group table, 54 in all and
-    each one Light's test (a direct product reads its generators off its
-    factors'), three section invariants (G/G', Z, Z_2/Z) per group, one
-    commutator table per group and the allowed images powered once per
-    enumeration."""
-    spans, orders, subgroups, products, sections, images = [], [], [], [], [], []
+    """No Group.element_orders, at most one greedy span over range(n) from
+    {0} per group table, 54 in all and each one Light's test (a direct
+    product reads its generators off its factors'), three section
+    invariants (G/G', Z, Z_2/Z) per group, one commutator table per group
+    and the allowed images powered once per enumeration."""
+    spans, orders, products, sections, images = [], [], [], [], []
     comms, callers = [], Counter()
     real_span = groups.greedy_generators
 
@@ -48,13 +43,6 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     def element_orders(G):
         orders.append(G)
         return real_orders(G)
-
-    real_init = structure.Subgroup.__init__
-
-    def init(self, *args, **kwargs):
-        if any(f.filename.endswith(CENTRAL) for f in traceback.extract_stack()):
-            subgroups.append(args)
-        real_init(self, *args, **kwargs)
 
     real_product = families.direct_product
 
@@ -81,7 +69,6 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
     monkeypatch.setattr(groups, "greedy_generators", span)
     monkeypatch.setattr(structure, "greedy_generators", span)
     monkeypatch.setattr(Group, "element_orders", property(element_orders))
-    monkeypatch.setattr(structure.Subgroup, "__init__", init)
     monkeypatch.setattr(families, "direct_product", direct_product)
     monkeypatch.setattr(abelian, "section_invariants", section_invariants)
     monkeypatch.setattr(abelian, "_allowed_images", allowed_images)
@@ -93,7 +80,6 @@ def test_corpus_pass_spans_each_group_once_and_reads_no_orders(monkeypatch):
         assert rec.status == "ok", e.name
         analysed.append(rec)
     assert orders == []
-    assert subgroups == []
     # each list keeps what it holds alive, so no id is reused
     counts = Counter(map(id, spans))
     assert len(counts) == 54 and max(counts.values()) == 1
@@ -112,7 +98,7 @@ def test_section_basis_matches_the_former_search(corpus_groups, homs_groups):
     """The same basis elements and cosets as the search that regrew each
     span from N and powered all of G at every position."""
     for name, G in [*corpus_groups.items(), *homs_groups.items()]:
-        N = structure._derived_mask(G)
+        N = structure.derived_subgroup(G)
         inv = structure.abelianization_invariants(G)
         basis, members = abelian.section_basis(G, N, inv)
         elements, ref_members = oracles.ref_section_basis(G, N, inv)
@@ -126,9 +112,9 @@ def test_coset_labels_match_the_row_minima(corpus_groups, homs_groups):
     for name, G in [*corpus_groups.items(), *homs_groups.items()]:
         if G.is_abelian:
             continue
-        N = structure._derived_mask(G)
+        N = structure.derived_subgroup(G)
         _, members = abelian.section_basis(G, N, structure.abelianization_invariants(G))
-        z = np.flatnonzero(structure._center_mask(G))
+        z = np.flatnonzero(structure.center(G))
         label = central._coset_labels(G, members, z)
         assert label.shape == (len(members), len(z)), name
         ref = oracles.ref_row_labels(oracles.ref_coset_table(G, members, z), len(members))
@@ -141,7 +127,7 @@ def test_coset_labels_match_the_row_minima(corpus_groups, homs_groups):
 def test_allowed_images_match_element_orders(spec):
     G = parse_group_spec(spec)
     inv = structure.abelianization_invariants(G)
-    tgt = abelian.target_array(np.flatnonzero(structure._center_mask(G)))
+    tgt = abelian.target_array(np.flatnonzero(structure.center(G)))
     orders = oracles.ref_element_orders(G.table)[tgt]
     got = abelian._allowed_images(inv, G, tgt)
     assert [y.tolist() for y in got] == [

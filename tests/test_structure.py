@@ -1,4 +1,4 @@
-"""Subgroups, the upper series, quotients and the structure report."""
+"""Subgroup masks, the upper series, quotients and the structure report."""
 
 import functools
 import gc
@@ -17,7 +17,6 @@ from centaut.abelian import target_array
 from centaut.central import central_automorphism_count
 from centaut.errors import (
     CentautError,
-    DifferentParent,
     IndexOutOfRange,
     InvalidPermutation,
     NotClosed,
@@ -42,7 +41,6 @@ from centaut.groups import (
     subset_table,
 )
 from centaut.structure import (
-    Subgroup,
     center,
     commutator_table,
     derived_subgroup,
@@ -56,7 +54,7 @@ import oracles
 
 def test_center_matches_reference():
     for G in (quaternion(8), dihedral(16), heisenberg(3, 1)):
-        assert list(center(G).elements) == oracles.ref_center(G.table.tolist())
+        assert np.flatnonzero(center(G)).tolist() == oracles.ref_center(G.table.tolist())
 
 
 def _greedy_span(G, seed):
@@ -109,7 +107,6 @@ def _index_entry_points(G: Group) -> list[tuple[type, Callable]]:
     return [
         (InvalidPermutation, lambda vs: Permutation(vs).images),
         (InvalidPermutation, lambda vs: group_from_permutations(len(vs), [vs]).order),
-        (IndexOutOfRange, lambda vs: Subgroup(G, vs).elements),
         (IndexOutOfRange, lambda vs: commutator_table(G, vs).tolist()),
     ]
 
@@ -141,8 +138,8 @@ def test_non_integer_indices_are_named_not_truncated(bad):
             call(seq)
     if not _is_int(bad):  # an array of them has a non-integer dtype
         with pytest.raises(IndexOutOfRange, match="is not an integer"):
-            Subgroup(G, np.array([bad]))
-    assert Subgroup(G, np.array([2], dtype=np.uint8)).elements == (0, 2)
+            commutator_table(G, np.array([bad]))
+    assert (commutator_table(G, np.array([2], dtype=np.uint8)) == commutator_table(G, [2])).all()
 
 
 def _outcome(call, arg):
@@ -185,36 +182,47 @@ def test_index_entry_points_read_drawn_values_as_python_ints(values, as_array):
                 call(arg)
 
 
-def test_subgroup_verification_catches_open_sets():
-    G = cyclic(8)
-    with pytest.raises(ValueError, match="not closed"):
-        Subgroup(G, [0, 1])  # 1*1 escapes
+def _mask(n, elements):
+    return np.isin(np.arange(n), elements)
+
+
+def test_quotient_checks_the_mask():
+    """quotient and check_normal take a bool mask of shape (|G|,) holding
+    0, else IndexOutOfRange; quotient refuses one not closed or not normal
+    by class."""
+    G = dihedral(8)  # Z = {0, 4}, and 1 is a reflection
+    shape = r"^a subgroup mask is a bool array of shape \(8,\) holding 0$"
+    bad = [
+        (IndexOutOfRange, shape, _mask(4, [0])),  # wrong shape
+        (IndexOutOfRange, shape, _mask(8, [0]).reshape(1, 8)),
+        (IndexOutOfRange, shape, _mask(8, [0]).astype(np.int64)),  # wrong dtype
+        (IndexOutOfRange, shape, [True] + [False] * 7),
+        (IndexOutOfRange, shape, _mask(8, [4])),  # no identity
+        (NotClosed, r"1\*4 escapes", _mask(8, [0, 1, 4])),
+        (NotNormal, "conjugate of 1 by 2 escapes", _mask(8, [0, 1])),
+    ]
+    for error, match, N in bad:
+        with pytest.raises(error, match=match):
+            quotient(G, N)
+        if error is IndexOutOfRange:  # check_normal read an int mask as not normal
+            with pytest.raises(error, match=match):
+                structure.check_normal(G, N)
+    assert quotient(G, _mask(8, [0, 4]))[0].order == 4
 
 
 def test_open_sets_raise_one_named_error():
-    """A subgroup and a set of hom targets that are not closed raise the
-    same NotClosed, a CentautError and a ValueError, naming the product."""
+    """A subgroup mask and a set of hom targets that are not closed raise
+    the same NotClosed, a CentautError and a ValueError, naming the product."""
     G = cyclic(8)
     calls = [
-        lambda: Subgroup(G, [0, 1]),
+        lambda: quotient(G, _mask(8, [0, 1])),
         lambda: subset_table(G.table, target_array([0, 1])),
-        lambda: Subgroup(G, [0, 2, 4, 5]),
+        lambda: quotient(G, _mask(8, [0, 2, 4, 5])),
     ]
     for call, product in zip(calls, ["1*1", "1*1", "2*4"]):
         with pytest.raises(NotClosed, match=re.escape(f"set not closed: {product} escapes")):
             call()
     assert issubclass(NotClosed, CentautError) and issubclass(NotClosed, ValueError)
-
-
-def test_subgroups_of_another_group_are_named():
-    """quotient refuses a subgroup of another group by DifferentParent,
-    also a ValueError."""
-    G = cyclic(8)
-    small, big = Subgroup(cyclic(4), [0, 2]), Subgroup(G, [0, 4])
-    with pytest.raises(DifferentParent, match="different parent"):
-        quotient(G, small)
-    assert issubclass(DifferentParent, CentautError) and issubclass(DifferentParent, ValueError)
-    assert quotient(G, big)[0].order == 4
 
 
 def test_commutator_table_matches_reference():
@@ -227,12 +235,12 @@ def test_commutator_table_matches_reference():
 
 
 def test_derived_subgroups():
-    assert derived_subgroup(quaternion(8)).order == 2
-    assert derived_subgroup(dihedral(16)).order == 4
-    assert derived_subgroup(cyclic(8)).order == 1
+    assert derived_subgroup(quaternion(8)).sum() == 2
+    assert derived_subgroup(dihedral(16)).sum() == 4
+    assert derived_subgroup(cyclic(8)).sum() == 1
     # Q8: derived subgroup equals the center
     G = quaternion(8)
-    assert derived_subgroup(G).elements == center(G).elements
+    assert (derived_subgroup(G) == center(G)).all()
 
 
 def test_central_series_dihedral16():
@@ -261,9 +269,10 @@ def test_derived_data_is_computed_once_and_read_only():
     central_automorphism_count(G)
     for value in vars(G).values():
         for part in value if isinstance(value, tuple) else (value,):
-            assert not isinstance(part, Subgroup)  # it would point back at G
             if isinstance(part, np.ndarray):
                 assert not part.flags.writeable
+    for mask in (center(G), derived_subgroup(G)):
+        assert mask.dtype == bool and mask.shape == (16,) and not mask.flags.writeable
 
 
 def test_analysed_group_is_freed_without_the_cycle_collector():
@@ -312,11 +321,10 @@ def test_quotient_projection_is_homomorphism():
 def test_quotient_rejects_non_normal():
     G = dihedral(8)
     refl = next(
-        x for x in range(1, 8) if G.element_orders[x] == 2 and not center(G).mask[x]
+        x for x in range(1, 8) if G.element_orders[x] == 2 and not center(G)[x]
     )
-    H = Subgroup(G, [refl])
     with pytest.raises(NotNormal, match=r"^conjugate of 1 by 2 escapes the subgroup$"):
-        quotient(G, H)
+        quotient(G, _mask(8, [0, refl]))
 
 
 def test_quotient_matches_reference_loop():
@@ -325,7 +333,7 @@ def test_quotient_matches_reference_loop():
         t = G.table.tolist()
         for x in range(G.order):
             members = oracles.ref_closure(t, [x])
-            N = Subgroup(G, members)
+            N = _mask(G.order, members)
             escape = oracles.ref_first_escape(t, members)
             if escape is None:
                 Q, proj = quotient(G, N)
@@ -385,8 +393,8 @@ LARGE = {
 
 
 def _upper_term(G, i):
-    """Z_i(G) as a Subgroup, from the report's upper series masks."""
-    return Subgroup(G, np.flatnonzero(structure._upper_masks(G)[i]), verify=False)
+    """The elements of Z_i(G), from the report's upper series masks."""
+    return np.flatnonzero(structure._upper_masks(G)[i])
 
 
 @pytest.mark.parametrize("spec", list(LARGE))
@@ -401,8 +409,8 @@ def test_large_order_structure(large, spec):
         rep.abelianization.exponents,
     ) == LARGE[spec]
     assert len(upper_central_orders(G)) == rep.nilpotency_class + 1
-    for sub in (_upper_term(G, 1), _upper_term(G, 2), derived_subgroup(G)):
-        assert sub.is_abelian == oracles.ref_is_abelian(G.table, sub.elements)
+    for sub in (_upper_term(G, 1), _upper_term(G, 2), np.flatnonzero(derived_subgroup(G))):
+        assert structure._commutes(G, sub) == oracles.ref_is_abelian(G.table, sub)
 
 
 # oracles.table_sha of each LARGE table, taken from the builders before they
@@ -438,10 +446,10 @@ def test_is_abelian_holds_no_square_table(large):
     """At class 2, Z_2 = G: the |H| x |H| block check took 20 MiB here."""
     G = large("extraspecial(2,2048,+)")
     z2 = _upper_term(G, 2)
-    assert z2.order == G.order
+    assert len(z2) == G.order
     tracemalloc.start()
     try:
-        assert not z2.is_abelian
+        assert not structure._commutes(G, z2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

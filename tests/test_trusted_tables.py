@@ -17,7 +17,7 @@ TRUSTED: dict[str, str] = {
     "groups.group_from_cayley_table": "its table has just passed the validator",
     "groups.group_from_permutations": "a closure of permutations is a group",
     "groups.direct_product": "the product of two groups' tables, cell by cell, is a group",
-    "structure.quotient": "cosets of a subgroup checked normal form a group",
+    "structure.quotient": "cosets of a mask checked closed and normal form a group",
 }
 
 
